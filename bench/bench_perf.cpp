@@ -11,7 +11,6 @@
 #include <deque>
 #include <mutex>
 #include <numeric>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -666,14 +665,12 @@ service::Frame service_frame(int seed) {
   request.solvers = {"busy/weighted-first-fit"};
   request.budget_ms = 1000.0;
   request.instance = service_instance(seed);
-  std::ostringstream payload;
-  std::string error;
-  if (!service::write_solve_payload(payload, request, &error)) {
-    return {};
-  }
   service::Frame frame;
   frame.type = service::FrameType::kSolve;
-  frame.payload = payload.str();
+  std::string error;
+  if (!service::write_solve_payload(frame.payload, request, &error)) {
+    return {};
+  }
   return frame;
 }
 
@@ -775,6 +772,54 @@ void BM_CacheHitLatency(benchmark::State& state) {
   server.stop();
 }
 BENCHMARK(BM_CacheHitLatency)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+void BM_ParseSolvePayload(benchmark::State& state, const char* scenario,
+                          int n) {
+  // The payload codec alone — request directives, instance parse and the
+  // canonical re-write that keys the cache — on the end-to-end
+  // benchmark's two request shapes: weighted n=24 with one solver named,
+  // interval n=48 with none. Every abtd solve request, hit or miss, pays
+  // this before anything else.
+  constexpr int kPayloads = 32;
+  std::vector<std::string> payloads;
+  for (int seed = 0; seed < kPayloads; ++seed) {
+    engine::ScenarioSpec spec;
+    spec.name = scenario;
+    spec.n = n;
+    spec.g = 3;
+    spec.seed = static_cast<std::uint64_t>(seed + 1);
+    service::SolveRequest request;
+    if (std::string_view(scenario) == "weighted") {
+      request.solvers = {"busy/weighted-first-fit"};
+    }
+    request.instance = *engine::make_scenario(spec);
+    std::string error;
+    payloads.emplace_back();
+    if (!service::write_solve_payload(payloads.back(), request, &error)) {
+      state.SkipWithError(error.c_str());
+      return;
+    }
+  }
+  std::size_t next = 0;
+  std::size_t bytes = 0;
+  service::SolveRequest parsed;
+  for (auto _ : state) {
+    std::string error;
+    if (!service::parse_solve_payload(payloads[next], &parsed, &error)) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    bytes += payloads[next].size();
+    benchmark::DoNotOptimize(parsed.canonical.data());
+    next = (next + 1) % payloads.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_ParseSolvePayload, weighted24, "weighted", 24)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ParseSolvePayload, interval48, "interval", 48)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -32,7 +32,6 @@
 // Exit code: 0 on success, 1 on bad usage/unreadable input, 2 when any
 // solver produced an infeasible schedule (checker verdict).
 // Full reference: docs/CLI.md.
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -43,6 +42,7 @@
 
 #include "core/io.hpp"
 #include "core/solver.hpp"
+#include "core/text.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/campaign.hpp"
 #include "engine/parallel.hpp"
@@ -112,16 +112,6 @@ struct CliOptions {
   bool gantt = false;
 };
 
-/// Strict full-string numeric parse: trailing garbage ("40x2") is an error,
-/// not a silently truncated value.
-template <typename T>
-bool parse_full(const std::string& text, T& out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end && !text.empty();
-}
-
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> out;
   std::stringstream stream(text);
@@ -181,7 +171,8 @@ bool parse_args(int argc, char** argv, CliOptions& options,
     } else if (arg == "--progress") {
       if (!need_value(i, arg)) return false;
       const std::string value = argv[++i];
-      if (!parse_full(value, options.progress) || options.progress < 0) {
+      if (!core::parse_number(value, &options.progress) ||
+          options.progress < 0) {
         error = "bad value for --progress: '" + value + "'";
         return false;
       }
@@ -194,7 +185,7 @@ bool parse_args(int argc, char** argv, CliOptions& options,
     } else if (arg == "--accept-gap") {
       if (!need_value(i, arg)) return false;
       const std::string value = argv[++i];
-      if (!parse_full(value, options.accept_gap) ||
+      if (!core::parse_number(value, &options.accept_gap) ||
           options.accept_gap < 0.0) {
         error = "bad value for --accept-gap: '" + value + "'";
         return false;
@@ -207,26 +198,28 @@ bool parse_args(int argc, char** argv, CliOptions& options,
       const std::string value = argv[++i];
       bool parsed = false;
       if (arg == "--n") {
-        parsed = parse_full(value, options.spec.n);
+        parsed = core::parse_number(value, &options.spec.n);
       } else if (arg == "--g") {
-        parsed = parse_full(value, options.spec.g);
+        parsed = core::parse_number(value, &options.spec.g);
       } else if (arg == "--seed") {
-        parsed = parse_full(value, options.spec.seed);
+        parsed = core::parse_number(value, &options.spec.seed);
       } else if (arg == "--slack") {
-        parsed = parse_full(value, options.spec.slack);
+        parsed = core::parse_number(value, &options.spec.slack);
       } else if (arg == "--horizon") {
-        parsed = parse_full(value, options.spec.horizon);
+        parsed = core::parse_number(value, &options.spec.horizon);
       } else if (arg == "--trials") {
-        parsed = parse_full(value, options.trials) && options.trials >= 1;
+        parsed =
+            core::parse_number(value, &options.trials) && options.trials >= 1;
         options.trials_given = parsed;
       } else if (arg == "--threads") {
-        parsed = parse_full(value, options.threads) && options.threads >= 0;
+        parsed = core::parse_number(value, &options.threads) &&
+                 options.threads >= 0;
         options.threads_given = parsed;
       } else if (arg == "--budget-ms") {
-        parsed = parse_full(value, options.budget_ms) &&
+        parsed = core::parse_number(value, &options.budget_ms) &&
                  options.budget_ms > 0.0;
       } else {
-        parsed = parse_full(value, options.spec.eps);
+        parsed = core::parse_number(value, &options.spec.eps);
       }
       if (!parsed) {
         error = "bad value for " + arg + ": '" + value + "'";
@@ -623,12 +616,10 @@ int main(int argc, char** argv) {
     service::Frame frame;
     frame.type = request.race ? service::FrameType::kRace
                               : service::FrameType::kSolve;
-    std::ostringstream payload;
-    if (!service::write_solve_payload(payload, request, &error)) {
+    if (!service::write_solve_payload(frame.payload, request, &error)) {
       std::cerr << error << "\n";
       return 1;
     }
-    frame.payload = payload.str();
     const auto exchange = service::client_roundtrip(*address, frame, &error);
     if (!exchange.has_value()) {
       std::cerr << "connect " << address->describe() << ": " << error << "\n";
@@ -653,7 +644,7 @@ int main(int argc, char** argv) {
     }
     std::cout << final.payload;
     int exit_code = 0;
-    if (!parse_full(final.flag("exit", "0"), exit_code)) exit_code = 0;
+    if (!core::parse_number(final.flag("exit", "0"), &exit_code)) exit_code = 0;
     return exit_code;
   }
 

@@ -12,10 +12,13 @@
 #include <string>
 #include <thread>
 
+#include "core/text.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "service/server.hpp"
 
 namespace {
+
+using abt::core::parse_number;
 
 volatile std::sig_atomic_t g_stop_requested = 0;
 
@@ -38,24 +41,6 @@ void usage(std::ostream& os) {
         "(default 16)\n"
         "  --cache-entries N      solution cache entries (default 512)\n"
         "  --cache-bytes N        solution cache bytes (default 16777216)\n";
-}
-
-bool parse_int(const std::string& text, int* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  *out = static_cast<int>(value);
-  return true;
-}
-
-bool parse_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -81,59 +66,60 @@ int main(int argc, char** argv) {
       config.socket_path = value;
     } else if (arg == "--port") {
       if ((value = need_value("--port")) == nullptr) return 64;
-      if (!parse_int(value, &config.tcp_port) || config.tcp_port < 0 ||
+      if (!parse_number(value, &config.tcp_port) || config.tcp_port < 0 ||
           config.tcp_port > 65535) {
         std::cerr << "--port needs 0..65535\n";
         return 64;
       }
     } else if (arg == "--dispatchers") {
       if ((value = need_value("--dispatchers")) == nullptr) return 64;
-      if (!parse_int(value, &config.dispatchers) || config.dispatchers < 1) {
+      if (!parse_number(value, &config.dispatchers) || config.dispatchers < 1) {
         std::cerr << "--dispatchers needs a positive integer\n";
         return 64;
       }
     } else if (arg == "--threads") {
       if ((value = need_value("--threads")) == nullptr) return 64;
-      if (!parse_int(value, &config.threads) || config.threads < 0) {
+      if (!parse_number(value, &config.threads) || config.threads < 0) {
         std::cerr << "--threads needs a non-negative integer\n";
         return 64;
       }
     } else if (arg == "--queue-soft") {
       if ((value = need_value("--queue-soft")) == nullptr) return 64;
-      if (!parse_int(value, &config.queue_soft) || config.queue_soft < 0) {
+      if (!parse_number(value, &config.queue_soft) || config.queue_soft < 0) {
         std::cerr << "--queue-soft needs a non-negative integer\n";
         return 64;
       }
     } else if (arg == "--queue-cap") {
       if ((value = need_value("--queue-cap")) == nullptr) return 64;
-      if (!parse_int(value, &config.queue_cap) || config.queue_cap < 1) {
+      if (!parse_number(value, &config.queue_cap) || config.queue_cap < 1) {
         std::cerr << "--queue-cap needs a positive integer\n";
         return 64;
       }
     } else if (arg == "--default-budget-ms") {
       if ((value = need_value("--default-budget-ms")) == nullptr) return 64;
-      if (!parse_double(value, &config.default_budget_ms) ||
+      if (!parse_number(value, &config.default_budget_ms) ||
           config.default_budget_ms <= 0.0) {
         std::cerr << "--default-budget-ms needs a positive number\n";
         return 64;
       }
     } else if (arg == "--min-budget-factor") {
       if ((value = need_value("--min-budget-factor")) == nullptr) return 64;
-      if (!parse_double(value, &config.min_budget_factor) ||
+      if (!parse_number(value, &config.min_budget_factor) ||
           config.min_budget_factor <= 0.0 || config.min_budget_factor > 1.0) {
         std::cerr << "--min-budget-factor needs a number in (0, 1]\n";
         return 64;
       }
     } else if (arg == "--max-progress") {
       if ((value = need_value("--max-progress")) == nullptr) return 64;
-      if (!parse_int(value, &config.max_progress) || config.max_progress < 1) {
+      if (!parse_number(value, &config.max_progress) ||
+          config.max_progress < 1) {
         std::cerr << "--max-progress needs a positive integer\n";
         return 64;
       }
     } else if (arg == "--cache-entries") {
       int entries = 0;
       if ((value = need_value("--cache-entries")) == nullptr) return 64;
-      if (!parse_int(value, &entries) || entries < 1) {
+      if (!parse_number(value, &entries) || entries < 1) {
         std::cerr << "--cache-entries needs a positive integer\n";
         return 64;
       }
@@ -141,7 +127,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-bytes") {
       int bytes = 0;
       if ((value = need_value("--cache-bytes")) == nullptr) return 64;
-      if (!parse_int(value, &bytes) || bytes < 1) {
+      if (!parse_number(value, &bytes) || bytes < 1) {
         std::cerr << "--cache-bytes needs a positive integer\n";
         return 64;
       }

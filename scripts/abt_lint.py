@@ -23,6 +23,14 @@ Enforces the written-but-previously-unchecked conventions:
                         busy/preemptive, core/sweep) must not reintroduce
                         #include <map>/<set>; node-based containers belong
                         only in busy/naive_baselines.hpp.
+  hot-path-streams      The text codecs on abtd's request path (core/io,
+                        core/text, service/protocol) must not use string
+                        streams: no #include <sstream>, istringstream,
+                        ostringstream or stringstream. They parse with the
+                        core/text.hpp tokenizer (from_chars over
+                        string_view) and write with to_chars into a
+                        std::string; a per-line istringstream made parsing
+                        most of a cache hit's cost.
   wall-clock            No date-like wall-clock reads (system_clock,
                         time(), localtime, ...) outside core/run_context.
                         Monotonic steady_clock timing is allowed; calendar
@@ -271,6 +279,39 @@ def check_hot_path_containers(root: Path) -> List[Finding]:
     return findings
 
 
+STREAM_FREE_FILES = (
+    "src/core/io.hpp",
+    "src/core/io.cpp",
+    "src/core/text.hpp",
+    "src/service/protocol.hpp",
+    "src/service/protocol.cpp",
+)
+STRING_STREAM_RE = re.compile(
+    r"#\s*include\s*<sstream>|\b(?:std::)?[io]?stringstream\b"
+)
+
+
+def check_hot_path_streams(root: Path) -> List[Finding]:
+    findings: List[Finding] = []
+    for relpath in STREAM_FREE_FILES:
+        path = root / relpath
+        if not path.is_file():
+            continue
+        clean = strip_comments_and_strings(path.read_text(encoding="utf-8"))
+        for m in STRING_STREAM_RE.finditer(clean):
+            findings.append(
+                Finding(
+                    relpath,
+                    line_of(clean, m.start()),
+                    "hot-path-streams",
+                    f"'{m.group(0)}' in a request-path text codec; parse "
+                    "with core/text.hpp (TokenCursor, parse_number) and "
+                    "write with append_number into a std::string",
+                )
+            )
+    return findings
+
+
 WALL_CLOCK_RE = re.compile(
     r"\bsystem_clock\b|\bgettimeofday\s*\(|\blocaltime(_r)?\s*\(|"
     r"\bgmtime(_r)?\s*\(|\bstrftime\s*\(|\bput_time\s*\(|"
@@ -303,6 +344,7 @@ RULES = (
     check_solver_registration,
     check_bare_assert,
     check_hot_path_containers,
+    check_hot_path_streams,
     check_wall_clock,
 )
 

@@ -269,6 +269,49 @@ class HotPathContainersTest(unittest.TestCase):
         self.assertEqual(abt_lint.check_hot_path_containers(root), [])
 
 
+class HotPathStreamsTest(unittest.TestCase):
+    def test_string_streams_in_codecs_are_flagged(self):
+        root = make_tree({
+            "src/core/io.cpp": (
+                "#include <sstream>\n"
+                "void f() { std::istringstream ls(\"x\"); }\n"
+            ),
+            "src/service/protocol.cpp": (
+                "#include <string>\n"
+                "std::string g() { std::ostringstream os; return os.str(); }\n"
+            ),
+        })
+        findings = abt_lint.check_hot_path_streams(root)
+        self.assertEqual(
+            [(f.path, f.line) for f in findings],
+            [("src/core/io.cpp", 1), ("src/core/io.cpp", 2),
+             ("src/service/protocol.cpp", 2)],
+        )
+        self.assertEqual(rules_of(findings), ["hot-path-streams"])
+
+    def test_plain_stringstream_is_flagged(self):
+        root = make_tree({
+            "src/core/text.hpp": "void f() { std::stringstream s; }\n",
+        })
+        self.assertEqual(len(abt_lint.check_hot_path_streams(root)), 1)
+
+    def test_stream_free_codecs_and_other_files_pass(self):
+        root = make_tree({
+            "src/core/io.cpp": (
+                "#include <istream>\n"
+                "#include \"core/text.hpp\"\n"
+                "// no istringstream here: comments are ignored\n"
+                "const char* k = \"ostringstream\";\n"
+                "void f(std::istream& in) { in.read(nullptr, 0); }\n"
+            ),
+            "src/engine/adapters.cpp": (
+                "#include <sstream>\n"
+                "void d() { std::ostringstream os; }\n"
+            ),
+        })
+        self.assertEqual(abt_lint.check_hot_path_streams(root), [])
+
+
 class WallClockTest(unittest.TestCase):
     def test_system_clock_is_flagged(self):
         root = make_tree({

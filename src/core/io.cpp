@@ -2,7 +2,6 @@
 
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -16,18 +15,28 @@ std::vector<std::pair<std::string, ExtensionParserFactory>>& codecs() {
   return registry;
 }
 
-const ExtensionParserFactory* find_codec(const std::string& name) {
+const ExtensionParserFactory* find_codec(std::string_view name) {
   for (const auto& [key, factory] : codecs()) {
     if (key == name) return &factory;
   }
   return nullptr;
 }
 
-bool fail(std::string* error, int line, const std::string& what) {
-  if (error != nullptr) {
-    *error = "line " + std::to_string(line) + ": " + what;
+/// Reserve hint: a job line is at most ~80 bytes at 17 digits.
+constexpr std::size_t kBytesPerJob = 80;
+
+void append_header(std::string& out, std::string_view model, int capacity) {
+  append(out, "model ", model, "\ncapacity ", capacity, '\n');
+}
+
+template <typename Instance>
+void write_standard(std::string& out, std::string_view model,
+                    const Instance& inst) {
+  out.reserve(out.size() + 32 + kBytesPerJob * inst.jobs().size());
+  append_header(out, model, inst.capacity());
+  for (const auto& j : inst.jobs()) {
+    append(out, "job ", j.release, ' ', j.deadline, ' ', j.length, '\n');
   }
-  return false;
 }
 
 }  // namespace
@@ -50,8 +59,9 @@ std::vector<std::string> registered_instance_models() {
   return out;
 }
 
-std::optional<ProblemInstance> parse_instance(std::istream& in,
-                                              std::string* error) {
+std::optional<ProblemInstance> parse_instance(std::string_view text,
+                                              std::string* error,
+                                              int line_base) {
   enum class Model { kNone, kSlotted, kContinuous, kExtended };
   Model model = Model::kNone;
   std::unique_ptr<ExtensionParser> extension_parser;
@@ -59,24 +69,25 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
   std::vector<SlottedJob> slotted_jobs;
   std::vector<ContinuousJob> continuous_jobs;
 
-  std::string line;
-  int line_no = 0;
+  LineCursor lines(text, line_base);
+  int line_no = line_base;
   auto report = [&](const std::string& what) {
-    fail(error, line_no, what);
+    if (error != nullptr) {
+      *error = "line " + std::to_string(line_no) + ": " + what;
+    }
     return std::nullopt;
   };
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;  // blank line
+  std::string_view line;
+  while (lines.next(&line)) {
+    line_no = lines.line_no();
+    TokenCursor args(line);
+    const std::string_view keyword = args.next();
+    if (keyword.empty()) continue;  // blank line
 
     if (keyword == "model") {
       if (model != Model::kNone) return report("duplicate model directive");
-      std::string name;
-      if (!(ls >> name)) return report("model needs a name");
+      const std::string_view name = args.next();
+      if (name.empty()) return report("model needs a name");
       if (name == "slotted") {
         model = Model::kSlotted;
       } else if (name == "continuous") {
@@ -89,7 +100,8 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
         for (const std::string& key : registered_instance_models()) {
           known += ", " + key;
         }
-        std::string what = "unknown model '" + name + "' (known: " + known;
+        std::string what =
+            "unknown model '" + std::string(name) + "' (known: " + known;
         if (codecs().empty()) {
           // Distinguish a typo from a binary that never linked the codecs
           // (engine/adapters registers them at load time).
@@ -102,39 +114,41 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
       // A repeated capacity silently changing every preceding job's
       // context is exactly the silent-data-change class v2 eliminates.
       if (capacity > 0) return report("duplicate capacity directive");
-      if (!(ls >> capacity) || capacity < 1) {
+      if (!args.number(&capacity) || capacity < 1) {
         return report("capacity needs a positive integer");
       }
     } else if (model == Model::kExtended) {
       // Everything but the shared header belongs to the model's codec.
       std::string why;
-      if (!extension_parser->directive(keyword, ls, &why)) {
+      if (!extension_parser->directive(keyword, args, &why)) {
         return report(why);
       }
     } else if (keyword == "job") {
       if (model == Model::kNone) return report("job before model directive");
       if (model == Model::kSlotted) {
-        SlotTime r = 0;
-        SlotTime d = 0;
-        SlotTime p = 0;
-        if (!(ls >> r >> d >> p)) {
+        SlottedJob j{};
+        if (!args.number(&j.release) || !args.number(&j.deadline) ||
+            !args.number(&j.length)) {
           return report("job needs: release deadline length");
         }
-        slotted_jobs.push_back({r, d, p});
+        slotted_jobs.push_back(j);
       } else {
-        RealTime r = 0;
-        RealTime d = 0;
-        RealTime p = 0;
-        if (!(ls >> r >> d >> p)) {
+        ContinuousJob j{};
+        if (!args.number(&j.release) || !args.number(&j.deadline) ||
+            !args.number(&j.length)) {
           return report("job needs: release deadline length");
         }
-        continuous_jobs.push_back({r, d, p});
+        continuous_jobs.push_back(j);
       }
     } else {
-      return report("unknown directive '" + keyword + "'");
+      return report("unknown directive '" + std::string(keyword) + "'");
+    }
+    if (!args.at_end()) {
+      return report("trailing tokens after " + std::string(keyword) +
+                    " directive");
     }
   }
-  ++line_no;
+  line_no = lines.line_no() + 1;
   if (model == Model::kNone) return report("missing 'model' directive");
   if (capacity < 1) return report("missing 'capacity' directive");
 
@@ -154,32 +168,23 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
   return make_instance(std::move(inst));
 }
 
-void write_instance(std::ostream& out, const SlottedInstance& inst) {
-  out << "model slotted\ncapacity " << inst.capacity() << "\n";
-  for (const SlottedJob& j : inst.jobs()) {
-    out << "job " << j.release << ' ' << j.deadline << ' ' << j.length << "\n";
+std::optional<ProblemInstance> parse_instance(std::istream& in,
+                                              std::string* error) {
+  std::string text;
+  char chunk[4096];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
   }
+  return parse_instance(text, error);
 }
 
-void write_instance(std::ostream& out, const ContinuousInstance& inst) {
-  out << "model continuous\ncapacity " << inst.capacity() << "\n";
-  // precision 17 == max_digits10: doubles survive the text round trip
-  // bit-for-bit. Restored so a long-lived caller stream is not left with
-  // 17-digit formatting.
-  const std::streamsize old_precision = out.precision(17);
-  for (const ContinuousJob& j : inst.jobs()) {
-    out << "job " << j.release << ' ' << j.deadline << ' ' << j.length << "\n";
-  }
-  out.precision(old_precision);
-}
-
-bool write_instance(std::ostream& out, const ProblemInstance& inst,
+bool write_instance(std::string& out, const ProblemInstance& inst,
                     std::string* why) {
   if (inst.kind == InstanceKind::kStandard) {
     if (inst.family == Family::kActive) {
-      write_instance(out, inst.slotted);
+      write_standard(out, "slotted", inst.slotted);
     } else {
-      write_instance(out, inst.continuous);
+      write_standard(out, "continuous", inst.continuous);
     }
     return true;
   }
@@ -193,20 +198,28 @@ bool write_instance(std::ostream& out, const ProblemInstance& inst,
     }
     return false;
   }
-  // Buffer the body so a mid-serialization failure leaves NOTHING on the
-  // caller's stream — a truncated-but-plausible instance file is the
-  // artifact this function exists to prevent.
-  std::ostringstream body;
-  if (!ext->write_body(body)) {
+  const std::size_t start = out.size();
+  out.reserve(start + 32 +
+              kBytesPerJob * static_cast<std::size_t>(ext->size()));
+  append_header(out, ext->model_name(), ext->capacity());
+  if (!ext->write_body(out)) {
+    // A truncated-but-plausible instance text is the artifact this
+    // function exists to prevent: drop everything this call appended.
+    out.resize(start);
     if (why != nullptr) {
       *why = "model '" + std::string(ext->model_name()) +
              "' failed to serialize its job payload";
     }
     return false;
   }
-  out << "model " << ext->model_name() << "\ncapacity " << ext->capacity()
-      << "\n"
-      << body.str();
+  return true;
+}
+
+bool write_instance(std::ostream& out, const ProblemInstance& inst,
+                    std::string* why) {
+  std::string text;
+  if (!write_instance(text, inst, why)) return false;
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   return true;
 }
 

@@ -5,11 +5,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/continuous_instance.hpp"
 #include "core/slotted_instance.hpp"
 #include "core/solver.hpp"
+#include "core/text.hpp"
 
 namespace abt::core {
 
@@ -41,37 +43,56 @@ namespace abt::core {
 /// `weighted` and `multi-window`), so core stays ignorant of their
 /// concrete types while `parse_instance` / `write_instance` remain a
 /// lossless inverse pair for every registered kind.
+///
+/// Lines, comments, tokens and numbers follow core/text.hpp: whitespace
+/// includes '\t' and '\r' (CRLF files read fine), a number must be its
+/// whole token ("capacity 3.5" and "job 0 5 2x" are errors, not 3 and 2),
+/// doubles must be finite, and a directive with tokens left over ("job 0
+/// 5 2 extra") is an error. Doubles are written as "%.17g" — 17
+/// significant digits, which round-trip bit-for-bit. Those bytes are the
+/// canonical text that cache keys and the golden files in data/ are made
+/// of, so they are deliberately kept rather than switched to the shortest
+/// round-trip form.
 
 /// Parses an instance into the uniform carrier the registry trades in:
 /// standard models fill the matching member, extended models carry an
 /// InstanceExtension built by their registered codec. On failure returns
-/// nullopt and explains in `error` (with a line number).
+/// nullopt and explains in `error` with a "line N: " prefix; N counts
+/// from `line_base + 1`, so a format that embeds an instance after lines
+/// of its own reports positions in the enclosing text.
+[[nodiscard]] std::optional<ProblemInstance> parse_instance(
+    std::string_view text, std::string* error = nullptr, int line_base = 0);
+
+/// Stream form for the CLI: reads `in` to the end and forwards.
 [[nodiscard]] std::optional<ProblemInstance> parse_instance(
     std::istream& in, std::string* error = nullptr);
 
-/// Serializers (lossless inverses of parse_instance).
-void write_instance(std::ostream& out, const SlottedInstance& inst);
-void write_instance(std::ostream& out, const ContinuousInstance& inst);
-
-/// Uniform writer for any ProblemInstance. Returns false (explaining in
-/// `why`) when the instance carries an extension that does not implement
-/// the serialization hooks — callers must surface that as an error, never
+/// Appends the canonical text of `inst` to `out` (the lossless inverse of
+/// parse_instance). Returns false (explaining in `why`, `out` unchanged)
+/// when the instance carries an extension that does not implement the
+/// serialization hooks — callers must surface that as an error, never
 /// fall back to emitting a lossy standard-model view.
+[[nodiscard]] bool write_instance(std::string& out, const ProblemInstance& inst,
+                                  std::string* why = nullptr);
+
+/// Stream form for the CLI: builds the text, then writes it whole, so a
+/// failure leaves nothing on `out`.
 [[nodiscard]] bool write_instance(std::ostream& out,
                                   const ProblemInstance& inst,
                                   std::string* why = nullptr);
 
 /// Per-model parser plugged into parse_instance for one extended model.
-/// The shared loop owns line reading, comments, line numbers and the
-/// `model`/`capacity` directives; everything else inside an extended-model
-/// file is forwarded here keyword by keyword.
+/// The shared loop owns line reading, comments, line numbers, the
+/// `model`/`capacity` directives and the no-trailing-tokens check;
+/// everything else inside an extended-model file is forwarded here
+/// keyword by keyword.
 class ExtensionParser {
  public:
   virtual ~ExtensionParser() = default;
 
   /// Consumes one directive (`args` positioned after the keyword). Errors
   /// are reported through `why` WITHOUT a line prefix; the caller adds it.
-  virtual bool directive(const std::string& keyword, std::istream& args,
+  virtual bool directive(std::string_view keyword, TokenCursor& args,
                          std::string* why) = 0;
 
   /// Validates the accumulated jobs and produces the finished instance
@@ -81,7 +102,8 @@ class ExtensionParser {
 };
 
 /// Codec for one extended model name: a fresh parser per file.
-using ExtensionParserFactory = std::function<std::unique_ptr<ExtensionParser>()>;
+using ExtensionParserFactory =
+    std::function<std::unique_ptr<ExtensionParser>()>;
 
 /// Registers an extended model under its `model` directive token.
 /// Registering the same name twice replaces the codec (idempotent

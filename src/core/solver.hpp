@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -49,12 +48,12 @@ class InstanceExtension {
 
   /// Instance I/O v2 serialization hooks. `model_name` is the token the
   /// plain-text format's `model` directive carries (e.g. "weighted");
-  /// `write_body` emits the per-job directive lines that follow the shared
+  /// `write_body` appends the per-job directive lines that follow the shared
   /// `model`/`capacity` header. The defaults mark the extension as
   /// NOT serializable: core::write_instance then fails loudly instead of
   /// letting a caller fall back to a lossy standard-model emit.
   [[nodiscard]] virtual std::string_view model_name() const { return {}; }
-  virtual bool write_body(std::ostream& /*out*/) const { return false; }
+  virtual bool write_body(std::string& /*out*/) const { return false; }
 };
 
 /// Uniform instance carrier: for the standard kinds exactly one of the two

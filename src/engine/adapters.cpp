@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "core/assert.hpp"
 #include "core/io.hpp"
+#include "core/text.hpp"
 
 namespace abt::engine {
 
@@ -45,24 +44,21 @@ std::string MultiWindowExtension::describe() const {
   return os.str();
 }
 
-bool WeightedExtension::write_body(std::ostream& out) const {
-  // precision 17 == max_digits10: the doubles survive the text round trip
-  // bit-for-bit, exactly like the standard continuous writer (and like it,
-  // the caller's precision is restored).
-  const std::streamsize old_precision = out.precision(17);
+bool WeightedExtension::write_body(std::string& out) const {
+  // %.17g doubles, exactly like the standard continuous writer: they
+  // survive the text round trip bit-for-bit.
   for (const busy::WeightedJob& wj : inst_.jobs()) {
-    out << "job " << wj.job.release << ' ' << wj.job.deadline << ' '
-        << wj.job.length << "\nweight " << wj.width << "\n";
+    core::append(out, "job ", wj.job.release, ' ', wj.job.deadline, ' ',
+                 wj.job.length, "\nweight ", wj.width, '\n');
   }
-  out.precision(old_precision);
   return true;
 }
 
-bool MultiWindowExtension::write_body(std::ostream& out) const {
+bool MultiWindowExtension::write_body(std::string& out) const {
   for (const active::MultiWindowJob& job : inst_.jobs()) {
-    out << "job " << job.length << "\n";
+    core::append(out, "job ", job.length, '\n');
     for (const auto& [r, d] : job.windows) {
-      out << "window " << r << ' ' << d << "\n";
+      core::append(out, "window ", r, ' ', d, '\n');
     }
   }
   return true;
@@ -74,17 +70,16 @@ namespace {
 /// `weight w` for the preceding job (default width 1).
 class WeightedParser final : public core::ExtensionParser {
  public:
-  bool directive(const std::string& keyword, std::istream& args,
+  bool directive(std::string_view keyword, core::TokenCursor& args,
                  std::string* why) override {
     if (keyword == "job") {
-      core::RealTime r = 0;
-      core::RealTime d = 0;
-      core::RealTime p = 0;
-      if (!(args >> r >> d >> p)) {
+      core::ContinuousJob j{};
+      if (!args.number(&j.release) || !args.number(&j.deadline) ||
+          !args.number(&j.length)) {
         if (why != nullptr) *why = "job needs: release deadline length";
         return false;
       }
-      jobs_.push_back({{r, d, p}, 1});
+      jobs_.push_back({j, 1});
       return true;
     }
     if (keyword == "weight") {
@@ -93,7 +88,7 @@ class WeightedParser final : public core::ExtensionParser {
         return false;
       }
       int w = 0;
-      if (!(args >> w) || w < 1) {
+      if (!args.number(&w) || w < 1) {
         if (why != nullptr) *why = "weight needs a positive integer";
         return false;
       }
@@ -101,7 +96,8 @@ class WeightedParser final : public core::ExtensionParser {
       return true;
     }
     if (why != nullptr) {
-      *why = "unknown directive '" + keyword + "' in model weighted";
+      *why = "unknown directive '" + std::string(keyword) +
+             "' in model weighted";
     }
     return false;
   }
@@ -122,11 +118,11 @@ class WeightedParser final : public core::ExtensionParser {
 /// `window r d` line per window of that job.
 class MultiWindowParser final : public core::ExtensionParser {
  public:
-  bool directive(const std::string& keyword, std::istream& args,
+  bool directive(std::string_view keyword, core::TokenCursor& args,
                  std::string* why) override {
     if (keyword == "job") {
       core::SlotTime p = 0;
-      if (!(args >> p)) {
+      if (!args.number(&p)) {
         if (why != nullptr) *why = "job needs: length";
         return false;
       }
@@ -140,7 +136,7 @@ class MultiWindowParser final : public core::ExtensionParser {
       }
       core::SlotTime r = 0;
       core::SlotTime d = 0;
-      if (!(args >> r >> d)) {
+      if (!args.number(&r) || !args.number(&d)) {
         if (why != nullptr) *why = "window needs: release deadline";
         return false;
       }
@@ -148,7 +144,8 @@ class MultiWindowParser final : public core::ExtensionParser {
       return true;
     }
     if (why != nullptr) {
-      *why = "unknown directive '" + keyword + "' in model multi-window";
+      *why = "unknown directive '" + std::string(keyword) +
+             "' in model multi-window";
     }
     return false;
   }

@@ -12,6 +12,7 @@
 // the extended kinds exactly as for the standard ones.
 
 #include <memory>
+#include <string>
 
 #include "active/multi_window.hpp"
 #include "busy/weighted.hpp"
@@ -36,7 +37,7 @@ class WeightedExtension final : public core::InstanceExtension {
   [[nodiscard]] std::string_view model_name() const override {
     return "weighted";
   }
-  bool write_body(std::ostream& out) const override;
+  bool write_body(std::string& out) const override;
 
   [[nodiscard]] const busy::WeightedInstance& instance() const {
     return inst_;
@@ -63,7 +64,7 @@ class MultiWindowExtension final : public core::InstanceExtension {
   [[nodiscard]] std::string_view model_name() const override {
     return "multi-window";
   }
-  bool write_body(std::ostream& out) const override;
+  bool write_body(std::string& out) const override;
 
   [[nodiscard]] const active::MultiWindowInstance& instance() const {
     return inst_;

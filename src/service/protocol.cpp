@@ -7,13 +7,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "core/assert.hpp"
 #include "core/io.hpp"
+#include "core/text.hpp"
 
 namespace abt::service {
 
@@ -32,39 +30,6 @@ bool fail_line(std::string* error, int line, const std::string& what) {
   return fail(error, "line " + std::to_string(line) + ": " + what);
 }
 
-/// Strict full-token numeric parses, mirroring the CLI's: the whole token
-/// must be consumed, so "12x" and "" are rejected.
-bool parse_full_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
-}
-
-bool parse_full_size(const std::string& text, std::size_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
-
-bool parse_full_int(const std::string& text, int* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  if (value < INT_MIN || value > INT_MAX) return false;
-  *out = static_cast<int>(value);
-  return true;
-}
-
 /// Flags ride the header line, so their syntax is deliberately tiny.
 bool valid_flag_token(const std::string& token) {
   if (token.empty()) return false;
@@ -72,14 +37,6 @@ bool valid_flag_token(const std::string& token) {
     if (c == ' ' || c == '=' || c == '\n' || c == '\r') return false;
   }
   return true;
-}
-
-/// %.17g-style shortest-roundtrip double for directives and cache keys.
-std::string render_double(double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  return os.str();
 }
 
 }  // namespace
@@ -109,33 +66,30 @@ bool Frame::has_flag(std::string_view key) const {
   return false;
 }
 
-bool parse_frame_header(const std::string& line, FrameType* type,
+bool parse_frame_header(std::string_view line, FrameType* type,
                         std::size_t* bytes,
                         std::vector<std::pair<std::string, std::string>>* flags,
                         std::string* error) {
-  std::istringstream ls(line);
-  std::string magic;
-  std::string name;
-  std::string length;
-  if (!(ls >> magic) || magic != kMagic) {
+  core::TokenCursor tokens(line);
+  if (tokens.next() != kMagic) {
     return fail(error, "bad magic (expected 'abt1')");
   }
-  if (!(ls >> name)) return fail(error, "missing frame type");
+  const std::string_view name = tokens.next();
+  if (name.empty()) return fail(error, "missing frame type");
   const auto parsed = frame_type_from(name);
   if (!parsed.has_value()) {
-    return fail(error, "unknown frame type '" + name + "'");
+    return fail(error, "unknown frame type '" + std::string(name) + "'");
   }
   *type = *parsed;
-  if (!(ls >> length) || !parse_full_size(length, bytes)) {
-    return fail(error, "bad payload length");
-  }
+  if (!tokens.number(bytes)) return fail(error, "bad payload length");
   if (*bytes > kMaxFrameBytes) return fail(error, "payload length over limit");
   flags->clear();
-  std::string token;
-  while (ls >> token) {
+  for (std::string_view token = tokens.next(); !token.empty();
+       token = tokens.next()) {
     const auto eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-      return fail(error, "bad flag '" + token + "' (want key=value)");
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 == token.size()) {
+      return fail(error, "bad flag '" + std::string(token) +
+                             "' (want key=value)");
     }
     flags->emplace_back(token.substr(0, eq), token.substr(eq + 1));
   }
@@ -187,164 +141,150 @@ void write_frame(std::ostream& out, const Frame& frame) {
 // ---------------------------------------------------------------------------
 // Solve/race payload codec.
 
-bool parse_solve_payload(const std::string& payload, SolveRequest* out,
+bool parse_solve_payload(std::string_view payload, SolveRequest* out,
                          std::string* error) {
   *out = SolveRequest{};
-  std::size_t pos = 0;
-  int line_no = 0;
+  core::LineCursor lines(payload);
   bool saw_instance = false;
-  std::size_t instance_offset = 0;
-  int instance_line_base = 0;
   bool seen[6] = {};  // id, solvers, budget, gap, progress, format
   auto once = [&](int which, const char* name) {
     if (seen[which]) {
-      return fail_line(error, line_no,
+      return fail_line(error, lines.line_no(),
                        std::string("duplicate ") + name + " directive");
     }
     seen[which] = true;
     return true;
   };
 
-  while (pos < payload.size()) {
-    const auto nl = payload.find('\n', pos);
-    std::string line =
-        payload.substr(pos, (nl == std::string::npos ? payload.size() : nl) -
-                                pos);
-    pos = nl == std::string::npos ? payload.size() : nl + 1;
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;  // blank line
+  std::string_view line;
+  while (lines.next(&line)) {
+    const int line_no = lines.line_no();
+    core::TokenCursor args(line);
+    const std::string_view keyword = args.next();
+    if (keyword.empty()) continue;  // blank line
 
-    std::string extra;
     if (keyword == "instance") {
-      if (ls >> extra) {
+      if (!args.at_end()) {
         return fail_line(error, line_no,
                          "instance directive takes no arguments");
       }
       saw_instance = true;
-      instance_offset = pos;
-      instance_line_base = line_no;
       break;
     }
     if (keyword == "id") {
       if (!once(0, "id")) return false;
-      if (!(ls >> out->id)) return fail_line(error, line_no, "id needs a token");
+      out->id = args.next();
+      if (out->id.empty()) return fail_line(error, line_no, "id needs a token");
     } else if (keyword == "solvers") {
       if (!once(1, "solvers")) return false;
-      std::string name;
-      while (ls >> name) out->solvers.push_back(name);
+      for (std::string_view name = args.next(); !name.empty();
+           name = args.next()) {
+        out->solvers.emplace_back(name);
+      }
       if (out->solvers.empty()) {
         return fail_line(error, line_no, "solvers needs at least one name");
       }
     } else if (keyword == "budget-ms") {
       if (!once(2, "budget-ms")) return false;
-      std::string value;
-      if (!(ls >> value) || !parse_full_double(value, &out->budget_ms) ||
-          out->budget_ms < 0.0) {
+      if (!args.number(&out->budget_ms) || out->budget_ms < 0.0) {
         return fail_line(error, line_no,
                          "budget-ms needs a non-negative number");
       }
     } else if (keyword == "accept-gap") {
       if (!once(3, "accept-gap")) return false;
-      std::string value;
-      if (!(ls >> value) || !parse_full_double(value, &out->accept_gap)) {
+      if (!args.number(&out->accept_gap)) {
         return fail_line(error, line_no, "accept-gap needs a number");
       }
     } else if (keyword == "progress") {
       if (!once(4, "progress")) return false;
-      std::string value;
-      if (!(ls >> value) || !parse_full_int(value, &out->progress) ||
-          out->progress < 0) {
+      if (!args.number(&out->progress) || out->progress < 0) {
         return fail_line(error, line_no,
                          "progress needs a non-negative integer");
       }
     } else if (keyword == "format") {
       if (!once(5, "format")) return false;
-      if (!(ls >> out->format) ||
-          (out->format != "json" && out->format != "csv" &&
-           out->format != "table")) {
+      out->format = args.next();
+      if (out->format != "json" && out->format != "csv" &&
+          out->format != "table") {
         return fail_line(error, line_no,
                          "format must be json, csv or table");
       }
     } else {
       return fail_line(error, line_no,
-                       "unknown request directive '" + keyword + "'");
+                       "unknown request directive '" + std::string(keyword) +
+                           "'");
     }
-    if (keyword != "solvers" && (ls >> extra)) {
+    if (!args.at_end()) {
       return fail_line(error, line_no,
-                       "trailing tokens after " + keyword + " directive");
+                       "trailing tokens after " + std::string(keyword) +
+                           " directive");
     }
   }
 
   if (!saw_instance) {
-    return fail_line(error, line_no + 1, "missing instance directive");
+    return fail_line(error, lines.line_no() + 1,
+                     "missing instance directive");
   }
 
-  std::istringstream instance_text(payload.substr(instance_offset));
-  std::string parse_error;
-  auto inst = core::parse_instance(instance_text, &parse_error);
-  if (!inst.has_value()) {
-    // Re-number the io-v2 error over the whole payload: its "line M"
-    // counts from the first instance line, which is payload line
-    // instance_line_base + M.
-    int local = 0;
-    std::size_t colon = 0;
-    if (parse_error.rfind("line ", 0) == 0 &&
-        (colon = parse_error.find(':')) != std::string::npos &&
-        parse_full_int(parse_error.substr(5, colon - 5), &local)) {
-      return fail_line(error, instance_line_base + local,
-                       parse_error.substr(colon + 2));
-    }
-    return fail_line(error, instance_line_base + 1, parse_error);
-  }
-  std::ostringstream canonical;
+  // The instance is parsed in place; its line numbers continue the
+  // payload's, so errors point into the whole payload.
+  const int instance_line_base = lines.line_no();
+  auto inst = core::parse_instance(lines.rest(), error, instance_line_base);
+  if (!inst.has_value()) return false;
   std::string why;
-  if (!core::write_instance(canonical, *inst, &why)) {
+  if (!core::write_instance(out->canonical, *inst, &why)) {
     return fail_line(error, instance_line_base + 1,
                      "instance not serializable: " + why);
   }
   out->instance = std::move(*inst);
-  out->canonical = canonical.str();
   return true;
 }
 
-bool write_solve_payload(std::ostream& os, const SolveRequest& request,
+bool write_solve_payload(std::string& out, const SolveRequest& request,
                          std::string* error) {
-  if (!request.id.empty()) os << "id " << request.id << '\n';
+  const std::size_t start = out.size();
+  if (!request.id.empty()) core::append(out, "id ", request.id, '\n');
   if (!request.solvers.empty()) {
-    os << "solvers";
-    for (const std::string& name : request.solvers) os << ' ' << name;
-    os << '\n';
+    out += "solvers";
+    for (const std::string& name : request.solvers) {
+      core::append(out, ' ', name);
+    }
+    out += '\n';
   }
   if (request.budget_ms > 0.0) {
-    os << "budget-ms " << render_double(request.budget_ms) << '\n';
+    core::append(out, "budget-ms ", request.budget_ms, '\n');
   }
   if (request.accept_gap >= 0.0) {
-    os << "accept-gap " << render_double(request.accept_gap) << '\n';
+    core::append(out, "accept-gap ", request.accept_gap, '\n');
   }
-  if (request.progress > 0) os << "progress " << request.progress << '\n';
-  os << "format " << request.format << '\n';
-  os << "instance\n";
+  if (request.progress > 0) {
+    core::append(out, "progress ", request.progress, '\n');
+  }
+  core::append(out, "format ", request.format, "\ninstance\n");
   std::string why;
-  if (!core::write_instance(os, request.instance, &why)) {
+  if (!core::write_instance(out, request.instance, &why)) {
+    out.resize(start);
     return fail(error, "instance not serializable: " + why);
   }
   return true;
 }
 
+bool write_solve_payload(std::ostream& os, const SolveRequest& request,
+                         std::string* error) {
+  std::string text;
+  if (!write_solve_payload(text, request, error)) return false;
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return true;
+}
+
 std::string cache_key(const SolveRequest& request) {
-  std::string key = request.race ? "verb race\n" : "verb solve\n";
-  key += "format " + request.format + '\n';
-  key += "solvers";
-  for (const std::string& name : request.solvers) key += ' ' + name;
-  key += '\n';
-  key += "budget-ms " + render_double(request.budget_ms) + '\n';
-  key += "accept-gap " + render_double(request.accept_gap) + '\n';
-  key += "instance\n";
-  key += request.canonical;
+  std::string key;
+  key.reserve(request.canonical.size() + 128);
+  core::append(key, request.race ? "verb race\n" : "verb solve\n", "format ",
+               request.format, "\nsolvers");
+  for (const std::string& name : request.solvers) core::append(key, ' ', name);
+  core::append(key, "\nbudget-ms ", request.budget_ms, "\naccept-gap ",
+               request.accept_gap, "\ninstance\n", request.canonical);
   return key;
 }
 
@@ -366,7 +306,9 @@ std::optional<Address> parse_address(const std::string& text,
   const auto colon = text.rfind(':');
   if (text.find('/') == std::string::npos && colon != std::string::npos) {
     int port = -1;
-    if (!parse_full_int(text.substr(colon + 1), &port) || port < 0 ||
+    if (!core::parse_number(std::string_view(text).substr(colon + 1),
+                            &port) ||
+        port < 0 ||
         port > 65535) {
       fail(error, "bad port in address '" + text + "'");
       return std::nullopt;
@@ -437,9 +379,8 @@ bool Connection::read_frame(Frame* out, std::string* error) {
                                           : io_error);
     }
   }
-  std::string header = buffer_.substr(consumed_, nl - consumed_);
+  const std::string_view header(buffer_.data() + consumed_, nl - consumed_);
   consumed_ = nl + 1;
-  if (!header.empty() && header.back() == '\r') header.pop_back();
   std::size_t bytes = 0;
   if (!parse_frame_header(header, &out->type, &bytes, &out->flags, error)) {
     return false;
@@ -452,7 +393,7 @@ bool Connection::read_frame(Frame* out, std::string* error) {
                   io_error.empty() ? "truncated payload" : io_error);
     }
   }
-  out->payload = buffer_.substr(consumed_, bytes);
+  out->payload.assign(buffer_, consumed_, bytes);
   consumed_ += bytes;
   if (consumed_ == buffer_.size()) {
     buffer_.clear();

@@ -83,7 +83,7 @@ struct Frame {
 /// `error`) on malformed magic, unknown type, bad length or bad flag
 /// syntax; `*bytes` is the declared payload length.
 [[nodiscard]] bool parse_frame_header(
-    const std::string& line, FrameType* type, std::size_t* bytes,
+    std::string_view line, FrameType* type, std::size_t* bytes,
     std::vector<std::pair<std::string, std::string>>* flags,
     std::string* error);
 
@@ -116,12 +116,19 @@ struct SolveRequest {
 };
 
 /// Parses a solve/race payload. Errors are "line N: ..." with N counted
-/// over the whole payload.
-[[nodiscard]] bool parse_solve_payload(const std::string& payload,
+/// over the whole payload. Directives and the instance are read in place
+/// with the core/text.hpp tokenizer; the only copy made is the canonical
+/// re-write.
+[[nodiscard]] bool parse_solve_payload(std::string_view payload,
                                        SolveRequest* out, std::string* error);
 
-/// Serializes `request` into the payload format (client side). False
-/// (with `error`) when the instance cannot be serialized.
+/// Appends `request` in the payload format to `out` (client side). False
+/// (with `error`, `out` unchanged) when the instance cannot be
+/// serialized.
+[[nodiscard]] bool write_solve_payload(std::string& out,
+                                       const SolveRequest& request,
+                                       std::string* error);
+/// Stream form: builds the payload, then writes it whole.
 [[nodiscard]] bool write_solve_payload(std::ostream& os,
                                        const SolveRequest& request,
                                        std::string* error);

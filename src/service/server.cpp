@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "core/assert.hpp"
+#include "core/text.hpp"
 #include "engine/parallel.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/runner.hpp"
@@ -45,13 +46,6 @@ std::string progress_payload(const core::IncumbentRing::Snapshot& snap) {
      << ", \"schedule\": ";
   engine::write_json_string(os, snap.schedule);
   os << "}\n";
-  return os.str();
-}
-
-std::string render_double_flag(double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
   return os.str();
 }
 
@@ -336,10 +330,10 @@ void Server::serve(Connection& conn, double factor) {
 }
 
 void Server::handle_cancel(Connection& conn, const Frame& frame) {
-  std::istringstream ls(frame.payload);
-  std::string keyword;
-  std::string id;
-  if (!(ls >> keyword) || keyword != "id" || !(ls >> id)) {
+  core::TokenCursor tokens(frame.payload);
+  const bool keyword_ok = tokens.next() == "id";
+  const std::string id(tokens.next());
+  if (!keyword_ok || id.empty()) {
     send_error(conn, "line 1: cancel payload must be 'id <token>'");
     return;
   }
@@ -528,7 +522,9 @@ void Server::handle_solve(Connection& conn, const SolveRequest& request,
   reply.type = FrameType::kOk;
   reply.flags.emplace_back("exit", std::to_string(exit_code));
   if (is_shrunk) {
-    reply.flags.emplace_back("budget-ms", render_double_flag(budget_ms));
+    std::string shrunk;
+    core::append_number(shrunk, budget_ms);
+    reply.flags.emplace_back("budget-ms", std::move(shrunk));
   }
   reply.payload = body.str();
 

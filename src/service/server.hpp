@@ -48,8 +48,12 @@ namespace abt::service {
 struct ServiceConfig {
   std::string socket_path;  ///< Unix-domain listener ("" = off).
   int tcp_port = -1;        ///< Loopback TCP listener (-1 = off, 0 = any).
-  int dispatchers = 2;      ///< Request workers (>= 2, so `cancel` can
-                            ///< always reach an in-flight solve).
+  int dispatchers = 2;      ///< Request workers (floor 2). `cancel` is
+                            ///< served by a free dispatcher, so it lands
+                            ///< promptly only while fewer than
+                            ///< `dispatchers` solves are in flight; with
+                            ///< every dispatcher busy it waits in the
+                            ///< queue like any other request.
   int threads = 0;          ///< Per-request solver fan-out (0 = hardware).
   int queue_soft = 4;       ///< Load beyond this shrinks budgets.
   int queue_cap = 16;       ///< Queued beyond this sheds `overloaded`.

@@ -78,7 +78,7 @@ TEST(InstanceIo, SlottedRoundTrip) {
   params.num_jobs = 12;
   const auto original = gen::random_slotted(rng, params);
   std::ostringstream out;
-  write_instance(out, original);
+  ASSERT_TRUE(write_instance(out, make_instance(original)));
   std::istringstream in(out.str());
   const auto parsed = parse_instance(in);
   ASSERT_TRUE(parsed.has_value());
@@ -96,7 +96,7 @@ TEST(InstanceIo, ContinuousRoundTripPreservesDoubles) {
   params.max_slack = 1.3;
   const auto original = gen::random_continuous(rng, params);
   std::ostringstream out;
-  write_instance(out, original);
+  ASSERT_TRUE(write_instance(out, make_instance(original)));
   std::istringstream in(out.str());
   const auto parsed = parse_instance(in);
   ASSERT_TRUE(parsed.has_value());
