@@ -39,6 +39,7 @@
 #include "gen/random_instances.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "weighted_oracle.hpp"
 
 namespace {
 
@@ -320,6 +321,42 @@ BENCHMARK(BM_WeightedExactBudget)
     ->Arg(20)
     ->Arg(80)
     ->Arg(320)
+    ->Unit(benchmark::kMillisecond);
+
+/// The campaign's `weighted` scenario shape: g = 8, horizon 10 + n/4.
+busy::WeightedInstance make_weighted(int n) {
+  core::Rng rng(7);
+  gen::WeightedParams params;
+  params.num_jobs = n;
+  params.capacity = 8;
+  params.horizon = 10.0 + n / 4.0;
+  return gen::random_weighted(rng, params);
+}
+
+// Width-aware FIRSTFIT on the shared first-fit driver (O(log k) index probe
+// per machine tried, idle machines skipped) against the frozen
+// copy-and-rescan loop it replaced (tests/weighted_oracle.hpp), which
+// copied every tried machine's runs and rescanned them in O(k^2).
+void BM_WeightedFirstFit(benchmark::State& state) {
+  const auto inst = make_weighted(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::weighted_first_fit(inst));
+  }
+}
+BENCHMARK(BM_WeightedFirstFit)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_WeightedFirstFitNaive(benchmark::State& state) {
+  const auto inst = make_weighted(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::oracle::weighted_first_fit(inst));
+  }
+}
+BENCHMARK(BM_WeightedFirstFitNaive)
+    ->Arg(256)
+    ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 // --- Scheduler overhead: persistent work-stealing pool vs the frozen ---

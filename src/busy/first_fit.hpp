@@ -1,7 +1,10 @@
 #pragma once
 
+#include <span>
+
 #include "core/busy_schedule.hpp"
 #include "core/continuous_instance.hpp"
+#include "core/interval.hpp"
 
 namespace abt::busy {
 
@@ -25,5 +28,32 @@ namespace abt::busy {
 /// per-machine probing at all.
 [[nodiscard]] core::BusySchedule first_fit_by_release(
     const core::ContinuousInstance& inst);
+
+namespace detail {
+
+/// One job as the shared first-fit driver sees it: the run it is forced to
+/// occupy and the capacity it draws while running.
+struct FitJob {
+  core::JobId id;
+  core::Interval run;
+  int width;
+};
+
+/// The one first-fit loop behind `first_fit` (every width 1) and the
+/// weighted heuristics (busy/weighted.hpp): each job in the given order
+/// goes to the first machine whose peak cumulative width over the job's
+/// run stays <= `capacity` once the job is added, else to a new machine.
+/// Writes placement {machine_base + machine, run.lo} for every job and
+/// returns the number of machines opened.
+///
+/// Each machine tried costs one O(log k) core::OccupancyIndex probe. A job
+/// wider than `capacity` (a structurally invalid instance) fits nowhere
+/// and seals the machine it opens: nothing joins it later, as a rescan of
+/// that machine's over-full peak would decide. An empty run draws no
+/// width. Widths must be >= 1.
+int first_fit_runs(std::span<const FitJob> jobs, int capacity,
+                   int machine_base, core::BusySchedule& sched);
+
+}  // namespace detail
 
 }  // namespace abt::busy

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "busy/dp_unbounded.hpp"
+#include "busy/first_fit.hpp"
 #include "core/assert.hpp"
 
 namespace abt::busy {
@@ -65,12 +66,15 @@ core::ContinuousInstance WeightedInstance::unweighted() const {
 
 namespace {
 
-/// Peak cumulative width on one machine, by sweep over the committed runs.
+/// One run committed to a machine, with the width it draws.
 struct WeightedRun {
   Interval run;
   int width;
 };
 
+/// Peak cumulative width on one machine by a quadratic rescan of its runs.
+/// Only the independent checker and the exact search use it, so neither
+/// shares code with the index-backed heuristics the checker validates.
 int peak_width(const std::vector<WeightedRun>& runs) {
   int best = 0;
   for (const WeightedRun& probe : runs) {
@@ -85,37 +89,22 @@ int peak_width(const std::vector<WeightedRun>& runs) {
   return best;
 }
 
-/// Width-aware first fit over the given job order; `cap` is the machine
-/// budget (g for the full model, 1x widths replaced by 1 for the wide
-/// lane). Returns machine indices offset by `machine_base`.
-void first_fit_into(const WeightedInstance& inst,
-                    const std::vector<JobId>& order, int cap,
-                    bool unit_widths, int machine_base,
-                    BusySchedule& sched, int* machines_used) {
-  std::vector<std::vector<WeightedRun>> machines;
+/// Width-aware first fit over the given job order on the shared driver;
+/// `cap` is the machine budget (g for the full model; the wide lane packs
+/// with cap 1 and every width replaced by 1). Returns the machines used,
+/// placed from index `machine_base` on.
+int first_fit_into(const WeightedInstance& inst,
+                   const std::vector<JobId>& order, int cap, bool unit_widths,
+                   int machine_base, BusySchedule& sched) {
+  std::vector<detail::FitJob> jobs;
+  jobs.reserve(order.size());
   for (JobId j : order) {
     const WeightedJob& wj = inst.job(j);
-    const WeightedRun candidate{
-        {wj.job.release, wj.job.release + wj.job.length},
-        unit_widths ? 1 : wj.width};
-    int chosen = -1;
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-      std::vector<WeightedRun> trial = machines[m];
-      trial.push_back(candidate);
-      if (peak_width(trial) <= cap) {
-        chosen = static_cast<int>(m);
-        break;
-      }
-    }
-    if (chosen < 0) {
-      machines.emplace_back();
-      chosen = static_cast<int>(machines.size()) - 1;
-    }
-    machines[static_cast<std::size_t>(chosen)].push_back(candidate);
-    sched.placements[static_cast<std::size_t>(j)] = {machine_base + chosen,
-                                                     wj.job.release};
+    jobs.push_back({j,
+                    {wj.job.release, wj.job.release + wj.job.length},
+                    unit_widths ? 1 : wj.width});
   }
-  *machines_used = static_cast<int>(machines.size());
+  return detail::first_fit_runs(jobs, cap, machine_base, sched);
 }
 
 std::vector<JobId> by_length_desc(const WeightedInstance& inst,
@@ -171,9 +160,8 @@ BusySchedule weighted_first_fit(const WeightedInstance& inst) {
   sched.placements.assign(static_cast<std::size_t>(inst.size()), {});
   std::vector<JobId> all(static_cast<std::size_t>(inst.size()));
   std::iota(all.begin(), all.end(), JobId{0});
-  int used = 0;
   first_fit_into(inst, by_length_desc(inst, all), inst.capacity(),
-                 /*unit_widths=*/false, /*machine_base=*/0, sched, &used);
+                 /*unit_widths=*/false, /*machine_base=*/0, sched);
   return sched;
 }
 
@@ -191,15 +179,12 @@ BusySchedule narrow_wide_split(const WeightedInstance& inst) {
   // Wide jobs: at most one can share capacity with another wide job, so
   // pack them as a unit-capacity FIRSTFIT (disjoint wide jobs share a
   // machine).
-  int wide_machines = 0;
-  first_fit_into(inst, by_length_desc(inst, wide), /*cap=*/1,
-                 /*unit_widths=*/true, /*machine_base=*/0, sched,
-                 &wide_machines);
+  const int wide_machines =
+      first_fit_into(inst, by_length_desc(inst, wide), /*cap=*/1,
+                     /*unit_widths=*/true, /*machine_base=*/0, sched);
   // Narrow jobs: width-aware FIRSTFIT on fresh machines.
-  int narrow_machines = 0;
   first_fit_into(inst, by_length_desc(inst, narrow), inst.capacity(),
-                 /*unit_widths=*/false, /*machine_base=*/wide_machines, sched,
-                 &narrow_machines);
+                 /*unit_widths=*/false, /*machine_base=*/wide_machines, sched);
   return sched;
 }
 

@@ -52,21 +52,30 @@ class WeightedInstance {
 };
 
 /// Feasibility: on every machine, the cumulative width of concurrently
-/// running jobs never exceeds g (plus the usual window constraints).
+/// running jobs never exceeds g (plus the usual window constraints). An
+/// independent quadratic rescan per machine; it deliberately shares no
+/// code with the index-backed heuristics below.
 [[nodiscard]] bool check_weighted_schedule(const WeightedInstance& inst,
                                            const core::BusySchedule& sched,
                                            std::string* why = nullptr,
                                            double eps = 1e-9);
 
 /// Width-aware FIRSTFIT for interval jobs: non-increasing length order,
-/// first machine where the cumulative-width constraint survives.
+/// first machine where the cumulative-width constraint survives. Runs on
+/// busy::first_fit's driver: each machine tried costs one O(log k) probe of
+/// its cumulative-width occupancy index, and the scan stops at the first
+/// machine idle across the job's run. Widths must be >= 1; a job wider
+/// than g (direct API only — the parsers reject it) gets a machine of its
+/// own that nothing else joins.
 [[nodiscard]] core::BusySchedule weighted_first_fit(
     const WeightedInstance& inst);
 
 /// The narrow/wide split of Khandekar et al. [9] (5-approximation for
 /// interval jobs): jobs with w > g/2 ("wide") are packed by FIRSTFIT among
 /// themselves with at most one running at a time per machine; narrow jobs
-/// (w <= g/2) go through width-aware FIRSTFIT on separate machines.
+/// (w <= g/2) go through width-aware FIRSTFIT on separate machines. Both
+/// lanes run on the same driver as weighted_first_fit (the wide lane with
+/// unit widths and capacity 1), at the same O(log k) per machine tried.
 [[nodiscard]] core::BusySchedule narrow_wide_split(
     const WeightedInstance& inst);
 

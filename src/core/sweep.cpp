@@ -313,14 +313,14 @@ FlatOccupancyIndex::Pos FlatOccupancyIndex::split(RealTime t, bool* created) {
   return {b, off};
 }
 
-void FlatOccupancyIndex::increment_range(Pos a, Pos b) {
+void FlatOccupancyIndex::increment_range(Pos a, Pos b, int delta) {
   const std::size_t nb = blocks_.size();
   for (std::size_t bi = a.block; bi < nb && bi <= b.block; ++bi) {
     Block& blk = blocks_[bi];
     const std::size_t x0 = (bi == a.block) ? a.off : 0;
     const std::size_t x1 = (bi == b.block) ? b.off : blk.n;
     for (std::size_t x = x0; x < x1; ++x) {
-      ++blk.levels[x];
+      blk.levels[x] += delta;
       if (blk.levels[x] > blk.max_level) blk.max_level = blk.levels[x];
     }
   }
@@ -394,10 +394,11 @@ int FlatOccupancyIndex::tree_range_max(std::size_t first,
   return best;
 }
 
-void FlatOccupancyIndex::insert(const Interval& iv) {
+void FlatOccupancyIndex::insert(const Interval& iv, int weight) {
+  ABT_ASSERT(weight >= 1, "occupancy weight must be at least 1");
   if (iv.empty()) return;
   // Split a breakpoint at each endpoint (carrying the incumbent level),
-  // then raise every step inside [lo, hi) by one — the same splice the
+  // then raise every step inside [lo, hi) by `weight` — the same splice the
   // map predecessor performed, now as bounded in-block moves. The hi
   // split sits strictly after lo, so it can only move lo's position by
   // splitting a block — re-locate only in that (1-in-kBlockCap/2) case.
@@ -407,7 +408,7 @@ void FlatOccupancyIndex::insert(const Interval& iv) {
   const std::size_t blocks_before = blocks_.size();
   const Pos hi = split(iv.hi, &created_hi);
   if (blocks_.size() != blocks_before) lo = locate_lower(iv.lo);
-  increment_range(lo, hi);
+  increment_range(lo, hi, weight);
   ++count_;
   if constexpr (kAuditEnabled) audit_invariants();
 }

@@ -105,10 +105,15 @@ class CoverageProfile {
 /// whole array, so it costs O(kBlockCap + span + log k) amortized rather
 /// than the O(k) a single flat vector pays — the difference dominates once
 /// a machine accumulates thousands of breakpoints.
+///
+/// Levels are cumulative widths: every insert adds its weight (1 for the
+/// standard model) over its interval, so with weighted inserts
+/// `max_coverage_in` is the peak cumulative width over the query range.
 class FlatOccupancyIndex {
  public:
-  /// Max coverage over [lo, hi); 0 for empty ranges or an empty index.
-  /// Worst-case O(log k) (block size is a compile-time constant).
+  /// Max coverage (cumulative inserted weight) over [lo, hi); 0 for empty
+  /// ranges or an empty index. Worst-case O(log k) (block size is a
+  /// compile-time constant).
   [[nodiscard]] int max_coverage_in(RealTime lo, RealTime hi) const;
 
   /// Measure of {t in [lo, hi) : coverage(t) > 0} — how much of the query
@@ -122,8 +127,9 @@ class FlatOccupancyIndex {
   /// Best-fit drivers ask both questions about every candidate machine.
   int probe(RealTime lo, RealTime hi, RealTime* covered) const;
 
-  /// Adds one covering interval (no-op when empty).
-  void insert(const Interval& iv);
+  /// Adds one covering interval of the given weight (>= 1) over `iv`
+  /// (no-op when empty).
+  void insert(const Interval& iv, int weight = 1);
 
   /// Number of intervals inserted so far.
   [[nodiscard]] int size() const { return count_; }
@@ -206,8 +212,9 @@ class FlatOccupancyIndex {
   /// Halves full block b into blocks b and b+1 (B-tree leaf split).
   void split_block(std::size_t b);
 
-  /// Raises every level in [a, b) by one and repairs block maxima + tree.
-  void increment_range(Pos a, Pos b);
+  /// Raises every level in [a, b) by `delta` and repairs block maxima +
+  /// tree.
+  void increment_range(Pos a, Pos b, int delta);
 
   /// Regrows or repairs the block max-tree after blocks_[from..] changed.
   void on_blocks_changed(std::size_t from_block);

@@ -246,11 +246,22 @@ void write_race_json(std::ostream& os, const core::ProblemInstance& inst,
      << "\",\n  \"kind\": \"" << core::instance_kind_name(inst.kind)
      << "\",\n  \"race\": {\"contestants\": " << report.entries.size()
      << ", \"winner\": " << report.winner << ", \"winner_solver\": ";
-  if (report.winner >= 0) {
-    write_json_string(
-        os, report.rows[static_cast<std::size_t>(report.winner)].solver);
+  // The winner row's name, cost and gap against the race's tightest bound,
+  // so callers need not dig through `rows`.
+  const core::Solution* won =
+      report.winner >= 0
+          ? &report.rows[static_cast<std::size_t>(report.winner)]
+          : nullptr;
+  if (won != nullptr) {
+    write_json_string(os, won->solver);
+    os << ", \"winner_cost\": " << won->cost << ", \"winner_gap\": ";
+    if (report.best_bound > 0.0) {
+      os << won->cost / report.best_bound - 1.0;
+    } else {
+      os << "null";
+    }
   } else {
-    os << "null";
+    os << "null, \"winner_cost\": null, \"winner_gap\": null";
   }
   os << ", \"best\": " << report.best << ", \"accept_gap\": ";
   if (report.accept_gap >= 0.0) {

@@ -105,7 +105,10 @@ void print_race(std::ostream& os, const RaceReport& report);
 void write_race_csv(std::ostream& os, const RaceReport& report);
 
 /// Machine-readable JSON: a "race" object (winner, bounds, acceptance,
-/// wall) plus one row object per contestant.
+/// wall) plus one row object per contestant. The race object repeats the
+/// winner row's `winner_cost` and its `winner_gap` = cost / best_bound - 1
+/// against the race's tightest bound; both are null without a winner, and
+/// the gap is null when no positive bound exists.
 void write_race_json(std::ostream& os, const core::ProblemInstance& inst,
                      const RaceReport& report);
 

@@ -8,7 +8,9 @@
 // different.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -254,6 +256,59 @@ TEST(Portfolio, ReportsTightestCertifiedBound) {
   ASSERT_TRUE(winner.exact);
   EXPECT_EQ(exact.best_bound, winner.cost);
   EXPECT_GE(exact.best_bound, greedy.best_bound);
+}
+
+/// The JSON string a double is written as inside write_race_json.
+std::string json_number(double value) {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << value;
+  return os.str();
+}
+
+TEST(Portfolio, RaceJsonSummarizesTheWinnersCostAndGap) {
+  const core::SolverRegistry& registry = engine::shared_registry();
+  const ProblemInstance inst = scenario_instance("weighted", 10, 3);
+  RaceOptions serial;
+  serial.threads = 1;
+  // A greedy winner: gap against the race's tightest bound.
+  const RaceReport greedy =
+      engine::race(registry, inst, {{"busy/weighted-first-fit", 0.0}},
+                   RunContext(), serial);
+  ASSERT_EQ(greedy.winner, 0);
+  ASSERT_GT(greedy.best_bound, 0.0);
+  std::ostringstream greedy_json;
+  engine::write_race_json(greedy_json, inst, greedy);
+  const double cost = greedy.rows[0].cost;
+  const std::string gap = json_number(cost / greedy.best_bound - 1.0);
+  EXPECT_NE(greedy_json.str().find("\"winner_cost\": " + json_number(cost) +
+                                   ", \"winner_gap\": " + gap + ","),
+            std::string::npos)
+      << greedy_json.str();
+  // An exact winner certifies its own cost: the gap is exactly zero.
+  const RaceReport exact = engine::race(
+      registry, inst, {{"busy/weighted-exact", 0.0}}, RunContext(), serial);
+  ASSERT_EQ(exact.winner, 0);
+  std::ostringstream exact_json;
+  engine::write_race_json(exact_json, inst, exact);
+  EXPECT_NE(exact_json.str().find("\"winner_cost\": " +
+                                  json_number(exact.rows[0].cost) +
+                                  ", \"winner_gap\": 0,"),
+            std::string::npos)
+      << exact_json.str();
+  // No winner: both fields are null, not absent.
+  RaceOptions strict = serial;
+  strict.accept_gap = 1e-9;
+  const RaceReport none =
+      engine::race(registry, inst, {{"busy/weighted-first-fit", 0.0}},
+                   RunContext(), strict);
+  ASSERT_EQ(none.winner, -1);
+  std::ostringstream none_json;
+  engine::write_race_json(none_json, inst, none);
+  EXPECT_NE(none_json.str().find("\"winner_solver\": null, \"winner_cost\": "
+                                 "null, \"winner_gap\": null,"),
+            std::string::npos)
+      << none_json.str();
 }
 
 TEST(Portfolio, NoAcceptableWinnerFallsBackToBestEffort) {

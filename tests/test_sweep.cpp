@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "busy/first_fit.hpp"
@@ -175,6 +177,91 @@ TEST(OccupancyIndex, MatchesNaiveRangeMaxOnRandomWorkloads) {
                   naive_range_max(inserted, qlo, qhi))
             << "range [" << qlo << ", " << qhi << ") after " << op + 1
             << " inserts";
+      }
+    }
+    EXPECT_EQ(occ.size(), static_cast<int>(inserted.size()));
+  }
+}
+
+/// One weighted insert for the brute-force step function below.
+struct WeightedIv {
+  Interval iv;
+  int weight;
+};
+
+/// Cumulative weight covering point t.
+int weighted_coverage_at(const std::vector<WeightedIv>& ivs, double t) {
+  int total = 0;
+  for (const WeightedIv& w : ivs) {
+    if (w.iv.contains(t)) total += w.weight;
+  }
+  return total;
+}
+
+/// Brute-force (max cumulative weight, covered measure) over [lo, hi): the
+/// step function is constant between consecutive endpoints, so evaluate it
+/// at the left end of every elementary piece of the query range.
+std::pair<int, double> weighted_reference(const std::vector<WeightedIv>& ivs,
+                                          double lo, double hi) {
+  if (hi <= lo) return {0, 0.0};
+  std::vector<double> cuts = {lo, hi};
+  for (const WeightedIv& w : ivs) {
+    for (const double t : {w.iv.lo, w.iv.hi}) {
+      if (t > lo && t < hi) cuts.push_back(t);
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  int best = 0;
+  double covered = 0.0;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    const int level = weighted_coverage_at(ivs, cuts[i]);
+    best = std::max(best, level);
+    if (level > 0) covered += cuts[i + 1] - cuts[i];
+  }
+  return {best, covered};
+}
+
+/// Property: with weighted inserts the levels are cumulative widths —
+/// max_coverage_in, covered_measure_in and the fused probe agree with the
+/// brute-force step function after every insert, past the block size (so
+/// block splits and the max-tree are exercised), on real and on integer
+/// coordinates (touching and duplicate endpoints). The audit walk runs
+/// after every insert under -DABT_AUDIT=ON.
+TEST(OccupancyIndex, WeightedInsertsMatchBruteForceStepFunction) {
+  Rng rng(1357);
+  // Real coordinates, or integers (touching and duplicate endpoints).
+  auto coord = [&rng](bool lattice, double lo, double hi) {
+    return lattice ? static_cast<double>(rng.uniform_int(
+                         static_cast<std::int64_t>(lo),
+                         static_cast<std::int64_t>(hi)))
+                   : rng.uniform_real(lo, hi);
+  };
+  for (int trial = 0; trial < 12; ++trial) {
+    const bool lattice = trial % 2 == 1;
+    OccupancyIndex occ;
+    std::vector<WeightedIv> inserted;
+    const int ops = static_cast<int>(rng.uniform_int(40, 200));
+    for (int op = 0; op < ops; ++op) {
+      const double lo = coord(lattice, 0.0, 150.0);
+      const WeightedIv w{{lo, lo + coord(lattice, 1.0, 6.0)},
+                         static_cast<int>(rng.uniform_int(1, 8))};
+      occ.insert(w.iv, w.weight);
+      occ.audit_invariants();
+      inserted.push_back(w);
+      for (int q = 0; q < 4; ++q) {
+        const double qlo = coord(lattice, -2.0, 156.0);
+        const double qhi = qlo + coord(lattice, 0.0, 30.0);
+        const auto [want_max, want_covered] =
+            weighted_reference(inserted, qlo, qhi);
+        SCOPED_TRACE("range [" + std::to_string(qlo) + ", " +
+                     std::to_string(qhi) + ") after " +
+                     std::to_string(op + 1) + " inserts");
+        EXPECT_EQ(occ.max_coverage_in(qlo, qhi), want_max);
+        EXPECT_NEAR(occ.covered_measure_in(qlo, qhi), want_covered, 1e-9);
+        double covered = -1.0;
+        EXPECT_EQ(occ.probe(qlo, qhi, &covered), want_max);
+        EXPECT_EQ(covered, occ.covered_measure_in(qlo, qhi));
       }
     }
     EXPECT_EQ(occ.size(), static_cast<int>(inserted.size()));

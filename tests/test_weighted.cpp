@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "busy/first_fit.hpp"
 #include "core/rng.hpp"
+#include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
+#include "weighted_oracle.hpp"
 
 namespace abt::busy {
 namespace {
@@ -155,6 +161,189 @@ TEST(Weighted, FlexiblePipelineFeasible) {
     std::string why;
     EXPECT_TRUE(check_weighted_schedule(inst, sched, &why)) << why;
   }
+}
+
+// --- Placement equivalence with the frozen copy-and-rescan heuristics ---
+// (tests/weighted_oracle.hpp). The index-backed driver must reproduce the
+// rescan placement for placement, not just in cost.
+
+::testing::AssertionResult same_placements(const core::BusySchedule& got,
+                                           const core::BusySchedule& want) {
+  if (got.placements.size() != want.placements.size()) {
+    return ::testing::AssertionFailure() << "placement count differs";
+  }
+  for (std::size_t j = 0; j < got.placements.size(); ++j) {
+    if (got.placements[j].machine != want.placements[j].machine ||
+        got.placements[j].start != want.placements[j].start) {
+      return ::testing::AssertionFailure()
+             << "job " << j << ": machine " << got.placements[j].machine
+             << " start " << got.placements[j].start << ", oracle machine "
+             << want.placements[j].machine << " start "
+             << want.placements[j].start;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Both interval heuristics against the oracle, plus the checker.
+void expect_interval_heuristics_match(const WeightedInstance& inst) {
+  const core::BusySchedule ff = weighted_first_fit(inst);
+  const core::BusySchedule nw = narrow_wide_split(inst);
+  EXPECT_TRUE(same_placements(ff, oracle::weighted_first_fit(inst)))
+      << "weighted first fit";
+  EXPECT_TRUE(same_placements(nw, oracle::narrow_wide_split(inst)))
+      << "narrow/wide split";
+  if (inst.structurally_valid()) {
+    std::string why;
+    EXPECT_TRUE(check_weighted_schedule(inst, ff, &why)) << why;
+    EXPECT_TRUE(check_weighted_schedule(inst, nw, &why)) << why;
+  }
+}
+
+/// Integer endpoints and lengths, so touching runs ([a,b) then [b,c)) and
+/// duplicate runs are common rather than measure-zero events.
+WeightedInstance lattice_weighted(core::Rng& rng, int n, int g) {
+  std::vector<WeightedJob> jobs;
+  const int horizon = 4 + n / 3;
+  for (int i = 0; i < n; ++i) {
+    const double lo = static_cast<double>(rng.uniform_int(0, horizon));
+    const double len = static_cast<double>(rng.uniform_int(1, 4));
+    jobs.push_back(
+        {{lo, lo + len, len}, static_cast<int>(rng.uniform_int(1, g))});
+  }
+  return WeightedInstance(std::move(jobs), g);
+}
+
+/// Seeds per size: many for the service-sized shapes, a few at the
+/// campaign's n = 1024 where the rescan oracle alone costs ~0.1 s.
+int seeds_for(int n) {
+  if (n <= 48) return 40;
+  if (n <= 100) return 12;
+  if (n <= 300) return 6;
+  return 2;
+}
+
+TEST(WeightedEquivalence, IntervalHeuristicsMatchTheRescanOracle) {
+  for (const int n : {1, 2, 5, 12, 24, 48, 100, 300, 1024}) {
+    for (const int g : {1, 2, 3, 8}) {
+      for (int seed = 0; seed < seeds_for(n); ++seed) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " g=" + std::to_string(g) +
+                     " seed=" + std::to_string(seed));
+        core::Rng rng(static_cast<std::uint64_t>(seed) * 7919ULL +
+                      static_cast<std::uint64_t>(n * 31 + g));
+        gen::WeightedParams params;
+        params.num_jobs = n;
+        params.capacity = g;
+        params.horizon = 10.0 + n / 4.0;  // the `weighted` scenario's density
+        expect_interval_heuristics_match(gen::random_weighted(rng, params));
+        expect_interval_heuristics_match(lattice_weighted(rng, n, g));
+      }
+    }
+  }
+}
+
+TEST(WeightedEquivalence, FlexibleMatchesTheRescanOracle) {
+  for (const int n : {1, 2, 5, 12, 24, 48, 100, 300}) {
+    for (const int g : {1, 2, 3, 8}) {
+      for (int seed = 0; seed < 10; ++seed) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " g=" + std::to_string(g) +
+                     " seed=" + std::to_string(seed));
+        core::Rng rng(static_cast<std::uint64_t>(seed) * 104729ULL +
+                      static_cast<std::uint64_t>(n * 31 + g));
+        gen::WeightedParams params;
+        params.num_jobs = n;
+        params.capacity = g;
+        params.horizon = 10.0 + n / 4.0;
+        params.max_slack = 1.0;
+        const WeightedInstance inst = gen::random_weighted(rng, params);
+        const core::BusySchedule sched = schedule_weighted_flexible(inst);
+        EXPECT_TRUE(
+            same_placements(sched, oracle::schedule_weighted_flexible(inst)));
+        std::string why;
+        EXPECT_TRUE(check_weighted_schedule(inst, sched, &why)) << why;
+      }
+    }
+  }
+}
+
+std::vector<int> machines_of(const core::BusySchedule& sched) {
+  std::vector<int> out;
+  for (const core::Placement& p : sched.placements) out.push_back(p.machine);
+  return out;
+}
+
+TEST(WeightedEquivalence, TouchingRunsShareAMachineAtFullWidth) {
+  // [0,2) then [2,3) then [3,4), each at the full width g: half-open runs
+  // never overlap, so one machine carries all three.
+  const auto inst = make({{0, 2, 3}, {2, 3, 3}, {3, 4, 3}}, 3);
+  expect_interval_heuristics_match(inst);
+  EXPECT_EQ(machines_of(weighted_first_fit(inst)), (std::vector<int>{0, 0, 0}));
+}
+
+TEST(WeightedEquivalence, DuplicateRunsStackUpToCapacity) {
+  const auto inst = make({{0, 2, 2}, {0, 2, 2}, {0, 2, 2}, {0, 2, 1}}, 4);
+  expect_interval_heuristics_match(inst);
+  EXPECT_EQ(machines_of(weighted_first_fit(inst)),
+            (std::vector<int>{0, 0, 1, 1}));
+}
+
+TEST(WeightedEquivalence, FullWidthJobExcludesAnyOverlap) {
+  // Width == g fills the machine over its run; a unit job overlapping it
+  // by a sliver opens a second machine, one just past it does not.
+  const auto inst = make({{0, 4, 4}, {3.5, 4.5, 1}, {4, 4.75, 1}}, 4);
+  expect_interval_heuristics_match(inst);
+  EXPECT_EQ(machines_of(weighted_first_fit(inst)), (std::vector<int>{0, 1, 0}));
+}
+
+TEST(WeightedEquivalence, UnitCapacity) {
+  const auto inst = make({{0, 3, 1}, {1, 2, 1}, {3, 5, 1}, {2, 3, 1}}, 1);
+  expect_interval_heuristics_match(inst);
+  EXPECT_EQ(machines_of(weighted_first_fit(inst)),
+            (std::vector<int>{0, 1, 0, 1}));
+}
+
+TEST(WeightedEquivalence, WideLaneCountsEveryWideJobAsOneUnit) {
+  // Wide (w > g/2) jobs pack with capacity 1 and unit widths: overlapping
+  // ones split, disjoint and touching ones share; narrow jobs start on the
+  // machines after the wide lane's.
+  const auto inst =
+      make({{0, 3, 3}, {1, 2.5, 4}, {3, 5, 3}, {0, 1, 2}, {0, 1, 2}}, 4);
+  expect_interval_heuristics_match(inst);
+  EXPECT_EQ(machines_of(narrow_wide_split(inst)),
+            (std::vector<int>{0, 1, 0, 2, 2}));
+}
+
+TEST(WeightedEquivalence, OverWidthJobsEachOpenAMachine) {
+  // Built through the direct API (the parsers reject width > g): a job
+  // wider than g fits nowhere — not even on machine 0, which is idle
+  // across both later runs — so each one opens a machine of its own.
+  const auto inst = make({{0, 3, 1}, {4, 6, 5}, {7, 8, 3}}, 2);
+  ASSERT_FALSE(inst.structurally_valid());
+  expect_interval_heuristics_match(inst);
+  EXPECT_EQ(machines_of(weighted_first_fit(inst)),
+            (std::vector<int>{0, 1, 2}));
+}
+
+TEST(WeightedEquivalence, OverWidthJobSealsItsMachine) {
+  // A machine holding an over-width job exceeds g forever, so the rescan
+  // never admits anything else to it — not even a disjoint job that would
+  // find that machine idle.
+  const auto inst = make({{0, 3, 5}, {4, 6, 1}, {4, 5, 1}, {7, 7.5, 1}}, 2);
+  expect_interval_heuristics_match(inst);
+  EXPECT_EQ(machines_of(weighted_first_fit(inst)),
+            (std::vector<int>{0, 1, 1, 1}));
+}
+
+TEST(WeightedEquivalence, EmptyRunDrawsNoWidth) {
+  // A zero-length job (direct API only) occupies no time, so the rescan
+  // accepts it on the first machine that is not over-full — whatever its
+  // width — and it seals nothing.
+  std::vector<WeightedJob> jobs = {
+      {{0, 2, 2}, 5}, {{0, 1, 1}, 1}, {{1, 1, 0}, 9}, {{5, 6, 1}, 1}};
+  const WeightedInstance inst(std::move(jobs), 2);
+  expect_interval_heuristics_match(inst);
+  EXPECT_EQ(machines_of(weighted_first_fit(inst)),
+            (std::vector<int>{0, 1, 1, 1}));
 }
 
 }  // namespace
