@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "active/slot_network.hpp"
 #include "core/assert.hpp"
 #include "flow/dinic.hpp"
 
@@ -12,80 +13,188 @@ using core::JobId;
 using core::SlotTime;
 using core::SlottedInstance;
 
+SlotNetwork::SlotNetwork(int num_jobs, int num_slots, int capacity)
+    : num_jobs_(num_jobs),
+      num_slots_(num_slots),
+      capacity_(capacity),
+      dinic_(2 + num_jobs + num_slots) {
+  source_edges_.reserve(static_cast<std::size_t>(num_jobs));
+}
+
+void SlotNetwork::add_job(Cap length) {
+  ABT_ASSERT(static_cast<int>(source_edges_.size()) < num_jobs_,
+             "more jobs than the network was sized for");
+  const int job = static_cast<int>(source_edges_.size());
+  source_edges_.push_back(dinic_.add_edge(0, 1 + job, length));
+  total_work_ += length;
+}
+
+void SlotNetwork::add_job_slot(int slot) {
+  ABT_ASSERT(!source_edges_.empty(), "add a job before its slots");
+  ABT_ASSERT(slot >= 0 && slot < num_slots_, "slot out of range");
+  const int job = static_cast<int>(source_edges_.size()) - 1;
+  job_slot_edges_.push_back(
+      {job, slot, dinic_.add_edge(1 + job, slot_node(slot), 1)});
+}
+
+SlotNetwork::Cap SlotNetwork::solve(const std::function<bool()>& should_stop,
+                                    bool* cancelled) {
+  ABT_ASSERT(static_cast<int>(source_edges_.size()) == num_jobs_,
+             "solve before every job was added");
+  ABT_ASSERT(sink_edges_.empty(), "solve called twice");
+  sink_edges_.reserve(static_cast<std::size_t>(num_slots_));
+  for (int slot = 0; slot < num_slots_; ++slot) {
+    sink_edges_.push_back(dinic_.add_edge(slot_node(slot), sink(), capacity_));
+  }
+  flow::Dinic::Options options;
+  options.should_stop = should_stop;
+  const Cap flow = dinic_.max_flow(0, sink(), options, cancelled);
+  return total_work_ - flow;
+}
+
+void SlotNetwork::bucket_by_slot() {
+  incoming_begin_.assign(static_cast<std::size_t>(num_slots_) + 1, 0);
+  for (const JobSlotEdge& e : job_slot_edges_) {
+    ++incoming_begin_[static_cast<std::size_t>(e.slot) + 1];
+  }
+  for (std::size_t i = 1; i < incoming_begin_.size(); ++i) {
+    incoming_begin_[i] += incoming_begin_[i - 1];
+  }
+  std::vector<int> fill(incoming_begin_.begin(), incoming_begin_.end() - 1);
+  incoming_.resize(job_slot_edges_.size());
+  for (std::size_t k = 0; k < job_slot_edges_.size(); ++k) {
+    const auto slot = static_cast<std::size_t>(job_slot_edges_[k].slot);
+    incoming_[static_cast<std::size_t>(fill[slot]++)] = static_cast<int>(k);
+  }
+}
+
+bool SlotNetwork::try_close(int slot) {
+  ABT_ASSERT(!sink_edges_.empty(), "try_close before solve");
+  ABT_ASSERT(slot >= 0 && slot < num_slots_, "slot out of range");
+  if (incoming_begin_.empty()) bucket_by_slot();
+  const auto first =
+      incoming_.begin() + incoming_begin_[static_cast<std::size_t>(slot)];
+  const auto last =
+      incoming_.begin() + incoming_begin_[static_cast<std::size_t>(slot) + 1];
+
+  // Withdraw every unit routed through the slot, back to its source edge.
+  Cap freed = 0;
+  for (auto it = first; it != last; ++it) {
+    const JobSlotEdge& e = job_slot_edges_[static_cast<std::size_t>(*it)];
+    if (dinic_.flow_on(e.edge) == 0) continue;
+    dinic_.cancel_flow(e.edge, 1);
+    dinic_.cancel_flow(source_edges_[static_cast<std::size_t>(e.job)], 1);
+    ++freed;
+  }
+  const flow::Dinic::EdgeRef sink_edge =
+      sink_edges_[static_cast<std::size_t>(slot)];
+  ABT_ASSERT(dinic_.flow_on(sink_edge) == freed, "slot flow not conserved");
+  dinic_.cancel_flow(sink_edge, freed);
+  dinic_.set_capacity(sink_edge, 0);
+
+  // The rest of the flow is untouched and maximum minus `freed`, so the
+  // slot can close iff `freed` more units still find a way to the sink.
+  const Cap rerouted = dinic_.augment(0, sink(), freed);
+  if (rerouted == freed) {
+    // Closed for good: drop its job edges so later searches skip it.
+    for (auto it = first; it != last; ++it) {
+      dinic_.set_capacity(job_slot_edges_[static_cast<std::size_t>(*it)].edge,
+                          0);
+    }
+    return true;
+  }
+  dinic_.set_capacity(sink_edge, capacity_);
+  const Cap restored = dinic_.augment(0, sink(), freed - rerouted);
+  ABT_ASSERT(restored == freed - rerouted,
+             "reopening a slot must restore a feasible flow");
+  return false;
+}
+
+std::vector<std::vector<int>> SlotNetwork::routed_slots() const {
+  std::vector<std::vector<int>> routed(static_cast<std::size_t>(num_jobs_));
+  for (const JobSlotEdge& e : job_slot_edges_) {
+    if (dinic_.flow_on(e.edge) > 0) {
+      routed[static_cast<std::size_t>(e.job)].push_back(e.slot);
+    }
+  }
+  return routed;
+}
+
+std::optional<std::vector<SlotTime>> close_slots(
+    SlotNetwork& network, const std::vector<SlotTime>& slots,
+    const std::vector<std::size_t>& order, const core::RunContext* context,
+    bool* cancelled) {
+  const std::function<bool()> cancel =
+      context == nullptr ? std::function<bool()>{}
+                         : [context] { return context->cancelled(); };
+  bool flow_cancelled = false;
+  const auto deficit = network.solve(cancel, &flow_cancelled);
+  if (cancelled != nullptr) *cancelled = flow_cancelled;
+  if (flow_cancelled || deficit != 0) return std::nullopt;
+  // One pass suffices: closing slots only shrinks the feasible set, so a
+  // slot that could not be closed earlier can never be closed later.
+  std::vector<char> open(slots.size(), 1);
+  for (std::size_t slot : order) {
+    if (cancel && cancel()) break;
+    if (network.try_close(static_cast<int>(slot))) open[slot] = 0;
+  }
+  std::vector<SlotTime> kept;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (open[i] != 0) kept.push_back(slots[i]);
+  }
+  return kept;
+}
+
+SlotNetwork slot_network(const SlottedInstance& inst,
+                         const std::vector<SlotTime>& active_slots,
+                         const std::vector<JobId>* jobs_subset) {
+  const int num_jobs = jobs_subset != nullptr
+                           ? static_cast<int>(jobs_subset->size())
+                           : inst.size();
+  SlotNetwork network(num_jobs, static_cast<int>(active_slots.size()),
+                      inst.capacity());
+  for (int ji = 0; ji < num_jobs; ++ji) {
+    const core::SlottedJob& job = inst.job(
+        jobs_subset != nullptr ? (*jobs_subset)[static_cast<std::size_t>(ji)]
+                               : ji);
+    network.add_job(job.length);
+    // Job -> live slot edges. active_slots is sorted; restrict to window.
+    const auto lo = std::upper_bound(active_slots.begin(), active_slots.end(),
+                                     job.release);
+    for (auto it = lo; it != active_slots.end() && *it <= job.deadline; ++it) {
+      network.add_job_slot(static_cast<int>(it - active_slots.begin()));
+    }
+  }
+  return network;
+}
+
 namespace {
 
-/// Builds G_feas and runs max-flow. Returns the deficit (0 iff feasible),
-/// plus (optionally) the per-(job, slot) routed units through
-/// `assignment_out`. When `should_stop` trips mid-flow, sets `*cancelled`
-/// and the returned deficit is meaningless.
+/// Runs G_feas over `active_slots`. Returns the deficit (0 iff feasible),
+/// plus (optionally) each job's routed slots through `assignment_out`.
+/// When `should_stop` trips mid-flow, sets `*cancelled` and the returned
+/// deficit is meaningless.
 flow::Dinic::Cap run_feasibility_flow(
     const SlottedInstance& inst, const std::vector<SlotTime>& active_slots,
     const std::function<bool()>& should_stop, bool* cancelled,
     const std::vector<JobId>* jobs_subset,
     std::vector<std::vector<SlotTime>>* assignment_out) {
-  std::vector<JobId> jobs;
-  if (jobs_subset != nullptr) {
-    jobs = *jobs_subset;
-  } else {
-    jobs.resize(static_cast<std::size_t>(inst.size()));
-    for (JobId j = 0; j < inst.size(); ++j) {
-      jobs[static_cast<std::size_t>(j)] = j;
-    }
-  }
-
-  const int num_jobs = static_cast<int>(jobs.size());
-  const int num_slots = static_cast<int>(active_slots.size());
-  // Node layout: 0 = source, 1..num_jobs = jobs, then slots, then sink.
-  const int source = 0;
-  const int sink = 1 + num_jobs + num_slots;
-  flow::Dinic dinic(sink + 1);
-
-  struct JobSlotEdge {
-    JobId job;
-    SlotTime slot;
-    flow::Dinic::EdgeRef edge;
-  };
-  std::vector<JobSlotEdge> job_slot_edges;
-
-  flow::Dinic::Cap total_work = 0;
-  for (int ji = 0; ji < num_jobs; ++ji) {
-    const core::SlottedJob& job =
-        inst.job(jobs[static_cast<std::size_t>(ji)]);
-    dinic.add_edge(source, 1 + ji, job.length);
-    total_work += job.length;
-    // Job -> live slot edges. active_slots is sorted; restrict to window.
-    const auto lo = std::upper_bound(active_slots.begin(), active_slots.end(),
-                                     job.release);
-    for (auto it = lo; it != active_slots.end() && *it <= job.deadline; ++it) {
-      const int slot_node =
-          1 + num_jobs + static_cast<int>(it - active_slots.begin());
-      const auto edge = dinic.add_edge(1 + ji, slot_node, 1);
-      if (assignment_out != nullptr) {
-        job_slot_edges.push_back(
-            {jobs[static_cast<std::size_t>(ji)], *it, edge});
-      }
-    }
-  }
-  for (int si = 0; si < num_slots; ++si) {
-    dinic.add_edge(1 + num_jobs + si, sink, inst.capacity());
-  }
-
-  flow::Dinic::Options flow_options;
-  flow_options.should_stop = should_stop;
-  bool flow_cancelled = false;
-  const auto flow_value =
-      dinic.max_flow(source, sink, flow_options, &flow_cancelled);
-  if (cancelled != nullptr) *cancelled = flow_cancelled;
-  if (flow_cancelled) return total_work;  // deficit is meaningless here
-  if (assignment_out != nullptr && flow_value == total_work) {
+  SlotNetwork network = slot_network(inst, active_slots, jobs_subset);
+  const auto deficit = network.solve(should_stop, cancelled);
+  if (*cancelled) return deficit;
+  if (assignment_out != nullptr && deficit == 0) {
+    const auto routed = network.routed_slots();
     assignment_out->assign(static_cast<std::size_t>(inst.size()), {});
-    for (const JobSlotEdge& e : job_slot_edges) {
-      if (dinic.flow_on(e.edge) > 0) {
-        (*assignment_out)[static_cast<std::size_t>(e.job)].push_back(e.slot);
+    for (std::size_t ji = 0; ji < routed.size(); ++ji) {
+      const JobId job = jobs_subset != nullptr ? (*jobs_subset)[ji]
+                                               : static_cast<JobId>(ji);
+      auto& out = (*assignment_out)[static_cast<std::size_t>(job)];
+      for (int slot : routed[ji]) {
+        out.push_back(active_slots[static_cast<std::size_t>(slot)]);
       }
     }
   }
-  return total_work - flow_value;  // deficit: 0 iff feasible
+  return deficit;
 }
 
 }  // namespace
@@ -119,12 +228,12 @@ std::optional<ActiveSchedule> extract_assignment(
     const std::function<bool()>& should_stop, bool* cancelled) {
   ABT_ASSERT(std::is_sorted(active_slots.begin(), active_slots.end()),
              "active slots must be sorted");
-  if (cancelled != nullptr) *cancelled = false;
+  bool flow_cancelled = false;
   std::vector<std::vector<SlotTime>> assignment;
-  if (run_feasibility_flow(inst, active_slots, should_stop, cancelled,
-                           nullptr, &assignment) != 0) {
-    return std::nullopt;
-  }
+  const auto deficit = run_feasibility_flow(
+      inst, active_slots, should_stop, &flow_cancelled, nullptr, &assignment);
+  if (cancelled != nullptr) *cancelled = flow_cancelled;
+  if (flow_cancelled || deficit != 0) return std::nullopt;
   ActiveSchedule sched;
   sched.active_slots = std::move(active_slots);
   sched.job_slots = std::move(assignment);

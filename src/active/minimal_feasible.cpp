@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "active/feasibility.hpp"
+#include "active/slot_network.hpp"
 #include "core/rng.hpp"
 
 namespace abt::active {
@@ -53,50 +54,17 @@ std::vector<std::size_t> closing_order(const SlottedInstance& inst,
 std::optional<ActiveSchedule> solve_minimal_feasible(
     const SlottedInstance& inst, MinimalFeasibleOptions options,
     bool* cancelled) {
-  if (cancelled != nullptr) *cancelled = false;
   // Cancellation only — never the budget. A deadline must not change what
   // this polynomial solver returns; a hard cancel may stop the closing
   // pass early because any prefix of it leaves a feasible set.
-  const std::function<bool()> cancel_poll =
-      options.context == nullptr
-          ? std::function<bool()>{}
-          : [ctx = options.context] { return ctx->cancelled(); };
-
-  std::vector<SlotTime> slots = candidate_slots(inst);
-  switch (feasibility_with_slots(inst, slots, cancel_poll)) {
-    case FeasStatus::kInfeasible:
-      return std::nullopt;
-    case FeasStatus::kCancelled:
-      if (cancelled != nullptr) *cancelled = true;
-      return std::nullopt;
-    case FeasStatus::kFeasible:
-      break;
-  }
-
-  const std::vector<std::size_t> order = closing_order(inst, slots, options);
-  std::vector<char> open(slots.size(), 1);
-
-  // One pass suffices: closing slots only shrinks the feasible set, so a
-  // slot that could not be closed earlier can never be closed later.
-  for (std::size_t idx : order) {
-    open[idx] = 0;
-    std::vector<SlotTime> trial;
-    trial.reserve(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (open[i] != 0) trial.push_back(slots[i]);
-    }
-    const FeasStatus status = feasibility_with_slots(inst, trial, cancel_poll);
-    if (status != FeasStatus::kFeasible) open[idx] = 1;
-    if (status == FeasStatus::kCancelled) break;  // keep the feasible set
-  }
-
-  std::vector<SlotTime> final_slots;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (open[i] != 0) final_slots.push_back(slots[i]);
-  }
+  const std::vector<SlotTime> slots = candidate_slots(inst);
+  SlotNetwork network = slot_network(inst, slots);
+  auto kept = close_slots(network, slots, closing_order(inst, slots, options),
+                          options.context, cancelled);
+  if (!kept.has_value()) return std::nullopt;
   // The final extraction must complete to return anything at all — it is
   // one flow on an already-feasible set, so it is not worth interrupting.
-  return extract_assignment(inst, std::move(final_slots));
+  return extract_assignment(inst, std::move(*kept));
 }
 
 }  // namespace abt::active

@@ -34,8 +34,11 @@ struct MinimalFeasibleOptions {
 
 /// Computes a minimal feasible solution: starts from all candidate slots
 /// active, closes slots one at a time in the given order, keeping a closure
-/// whenever the remaining set is still feasible (checked by max-flow).
-/// Feasibility is monotone in the slot set, so one pass yields minimality.
+/// whenever the remaining set is still feasible. Feasibility is monotone in
+/// the slot set, so one pass yields minimality. The pass builds G_feas and
+/// runs one max-flow, then keeps that flow alive: a trial reroutes only
+/// the (at most g) units the slot carried (SlotNetwork::try_close). The
+/// returned assignment comes from a fresh flow on the kept slots.
 ///
 /// Returns nullopt when the instance itself is infeasible — or when
 /// cancellation tripped before feasibility was established, in which case

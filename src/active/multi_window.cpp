@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
+#include "active/slot_network.hpp"
 #include "core/assert.hpp"
 #include "flow/dinic.hpp"
 
@@ -63,75 +65,53 @@ std::vector<SlotTime> mw_candidate_slots(const MultiWindowInstance& inst) {
 
 namespace {
 
-/// Deficit (total work minus max flow) of the Fig 2-style network over the
-/// given slots. `should_stop` is forwarded into the max-flow; when it trips
-/// the returned deficit is meaningless (`*cancelled` is set) and no
+/// G_feas over the sorted `slots`: one job -> slot edge per live
+/// (job, slot) pair, window by window.
+SlotNetwork mw_slot_network(const MultiWindowInstance& inst,
+                            const std::vector<SlotTime>& slots) {
+  SlotNetwork network(inst.size(), static_cast<int>(slots.size()),
+                      inst.capacity());
+  for (const MultiWindowJob& job : inst.jobs()) {
+    network.add_job(job.length);
+    for (const auto& [r, d] : job.windows) {
+      const auto lo = std::lower_bound(slots.begin(), slots.end(), r + 1);
+      for (auto it = lo; it != slots.end() && *it <= d; ++it) {
+        network.add_job_slot(static_cast<int>(it - slots.begin()));
+      }
+    }
+  }
+  return network;
+}
+
+/// Deficit (total work minus max flow) of G_feas over the given slots.
+/// `should_stop` is forwarded into the max-flow; when it trips the
+/// returned deficit is meaningless (`*cancelled` is set) and no
 /// assignment is extracted.
 flow::Dinic::Cap mw_flow_deficit(
     const MultiWindowInstance& inst, const std::vector<SlotTime>& slots,
     std::vector<std::vector<SlotTime>>* assignment_out,
-    const std::function<bool()>& should_stop = {},
-    bool* cancelled = nullptr) {
-  if (cancelled != nullptr) *cancelled = false;
-  const int num_jobs = inst.size();
-  const int num_slots = static_cast<int>(slots.size());
-  const int source = 0;
-  const int sink = 1 + num_jobs + num_slots;
-  flow::Dinic dinic(sink + 1);
-
-  std::map<SlotTime, int> slot_node;
-  for (int s = 0; s < num_slots; ++s) {
-    slot_node[slots[static_cast<std::size_t>(s)]] = 1 + num_jobs + s;
-  }
-
-  struct JobSlotEdge {
-    JobId job;
-    SlotTime slot;
-    flow::Dinic::EdgeRef edge;
-  };
-  std::vector<JobSlotEdge> edges;
-
-  flow::Dinic::Cap total_work = 0;
-  for (JobId j = 0; j < num_jobs; ++j) {
-    const MultiWindowJob& job = inst.job(j);
-    dinic.add_edge(source, 1 + j, job.length);
-    total_work += job.length;
-    for (const auto& [r, d] : job.windows) {
-      const auto lo = std::lower_bound(slots.begin(), slots.end(), r + 1);
-      for (auto it = lo; it != slots.end() && *it <= d; ++it) {
-        const auto edge = dinic.add_edge(1 + j, slot_node.at(*it), 1);
-        if (assignment_out != nullptr) edges.push_back({j, *it, edge});
+    const std::function<bool()>& should_stop, bool* cancelled) {
+  SlotNetwork network = mw_slot_network(inst, slots);
+  const auto deficit = network.solve(should_stop, cancelled);
+  if (*cancelled) return deficit;
+  if (assignment_out != nullptr && deficit == 0) {
+    assignment_out->clear();
+    for (const std::vector<int>& routed : network.routed_slots()) {
+      auto& out = assignment_out->emplace_back();
+      for (int slot : routed) {
+        out.push_back(slots[static_cast<std::size_t>(slot)]);
       }
     }
   }
-  for (int s = 0; s < num_slots; ++s) {
-    dinic.add_edge(1 + num_jobs + s, sink, inst.capacity());
-  }
-  flow::Dinic::Options flow_options;
-  flow_options.should_stop = should_stop;
-  bool flow_cancelled = false;
-  const auto flow_value =
-      dinic.max_flow(source, sink, flow_options, &flow_cancelled);
-  if (flow_cancelled) {
-    if (cancelled != nullptr) *cancelled = true;
-    return total_work;  // deficit meaningless; caller must check the flag
-  }
-  if (assignment_out != nullptr && flow_value == total_work) {
-    assignment_out->assign(static_cast<std::size_t>(num_jobs), {});
-    for (const JobSlotEdge& e : edges) {
-      if (dinic.flow_on(e.edge) > 0) {
-        (*assignment_out)[static_cast<std::size_t>(e.job)].push_back(e.slot);
-      }
-    }
-  }
-  return total_work - flow_value;
+  return deficit;
 }
 
 }  // namespace
 
 bool mw_is_feasible_with_slots(const MultiWindowInstance& inst,
                                const std::vector<SlotTime>& active_slots) {
-  return mw_flow_deficit(inst, active_slots, nullptr) == 0;
+  return mw_feasibility_with_slots(inst, active_slots, {}) ==
+         FeasStatus::kFeasible;
 }
 
 FeasStatus mw_feasibility_with_slots(const MultiWindowInstance& inst,
@@ -147,7 +127,8 @@ FeasStatus mw_feasibility_with_slots(const MultiWindowInstance& inst,
 std::optional<ActiveSchedule> mw_extract_assignment(
     const MultiWindowInstance& inst, std::vector<SlotTime> active_slots) {
   std::vector<std::vector<SlotTime>> assignment;
-  if (mw_flow_deficit(inst, active_slots, &assignment) != 0) {
+  bool cancelled = false;
+  if (mw_flow_deficit(inst, active_slots, &assignment, {}, &cancelled) != 0) {
     return std::nullopt;
   }
   ActiveSchedule sched;
@@ -197,19 +178,15 @@ bool mw_check_schedule(const MultiWindowInstance& inst,
 }
 
 std::optional<ActiveSchedule> mw_solve_minimal_feasible(
-    const MultiWindowInstance& inst) {
-  std::vector<SlotTime> slots = mw_candidate_slots(inst);
-  if (!mw_is_feasible_with_slots(inst, slots)) return std::nullopt;
-  for (std::size_t i = 0; i < slots.size();) {
-    std::vector<SlotTime> trial = slots;
-    trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
-    if (mw_is_feasible_with_slots(inst, trial)) {
-      slots = std::move(trial);
-    } else {
-      ++i;
-    }
-  }
-  return mw_extract_assignment(inst, std::move(slots));
+    const MultiWindowInstance& inst, const core::RunContext* context,
+    bool* cancelled) {
+  const std::vector<SlotTime> slots = mw_candidate_slots(inst);
+  SlotNetwork network = mw_slot_network(inst, slots);
+  std::vector<std::size_t> left_to_right(slots.size());
+  std::iota(left_to_right.begin(), left_to_right.end(), std::size_t{0});
+  auto kept = close_slots(network, slots, left_to_right, context, cancelled);
+  if (!kept.has_value()) return std::nullopt;
+  return mw_extract_assignment(inst, std::move(*kept));
 }
 
 namespace {

@@ -98,10 +98,18 @@ class MultiWindowInstance {
                                      const core::ActiveSchedule& sched,
                                      std::string* why = nullptr);
 
-/// Minimal feasible solution by left-to-right closing. Heuristic: minimal,
-/// feasible, but no 3-approximation guarantee in this model.
+/// Minimal feasible solution by left-to-right closing on one warm G_feas
+/// (see SlotNetwork). Heuristic: minimal, feasible, but no
+/// 3-approximation guarantee in this model.
+///
+/// `context` (may be null) is polled for CANCELLATION ONLY, with the
+/// semantics of solve_minimal_feasible: a cancel before feasibility is
+/// established returns nullopt and sets `*cancelled` (when non-null); a
+/// cancel mid-pass stops closing and returns the feasible, possibly
+/// non-minimal, set kept so far.
 [[nodiscard]] std::optional<core::ActiveSchedule> mw_solve_minimal_feasible(
-    const MultiWindowInstance& inst);
+    const MultiWindowInstance& inst, const core::RunContext* context = nullptr,
+    bool* cancelled = nullptr);
 
 /// Brute-force optimum (subset enumeration); candidate slot count <= 22.
 /// Returns -1 when infeasible.

@@ -1,0 +1,108 @@
+#pragma once
+
+// Internal to src/active: the G_feas builder behind the feasibility checks
+// (active/feasibility.cpp, active/multi_window.cpp) and the closing passes
+// (active/minimal_feasible.cpp, active/multi_window.cpp). Callers outside
+// src/active use the functions in active/feasibility.hpp.
+
+#include <functional>
+#include <optional>
+#include <vector>
+
+#include "core/job.hpp"
+#include "core/run_context.hpp"
+#include "core/slotted_instance.hpp"
+#include "flow/dinic.hpp"
+
+namespace abt::active {
+
+/// The one builder of G_feas, shared by the single-window and multi-window
+/// models: source -> job (cap p_j), job -> slot (cap 1), slot -> sink
+/// (cap g), over slots numbered 0..num_slots-1. Node layout is 0 = source,
+/// 1..n = jobs, then slots, then sink; edges are emitted job by job
+/// (source edge, then the job's slot edges in the order given) and the
+/// slot -> sink edges last. That order decides which assignment a fresh
+/// flow routes, so keep it fixed: extracted schedules depend on it.
+///
+/// The network stays alive across a closing pass: try_close() shuts one
+/// slot by rerouting only the units it carried (at most g augmenting
+/// paths) instead of rebuilding the network and re-running the flow.
+class SlotNetwork {
+ public:
+  using Cap = flow::Dinic::Cap;
+
+  /// Jobs are added in id order 0..num_jobs-1, each followed by its slots.
+  SlotNetwork(int num_jobs, int num_slots, int capacity);
+
+  /// Adds the next job with `length` units of work.
+  void add_job(Cap length);
+  /// Lets the most recently added job run one unit in slot `slot`.
+  void add_job_slot(int slot);
+
+  /// Emits the slot -> sink edges and runs the max flow; call once, after
+  /// every job. Returns the deficit (total work minus flow, 0 iff
+  /// feasible). `should_stop` (may be empty) is polled inside the flow;
+  /// when it trips `*cancelled` is set and the deficit is meaningless.
+  [[nodiscard]] Cap solve(const std::function<bool()>& should_stop = {},
+                          bool* cancelled = nullptr);
+
+  /// On a feasible network (solve() returned 0): closes `slot` when the
+  /// remaining open slots still fit all work and returns true; otherwise
+  /// leaves it open (with a feasible flow) and returns false. Exact, and
+  /// costs at most g unit reroutes plus one more round on a refusal.
+  [[nodiscard]] bool try_close(int slot);
+
+  /// Per job (in add order), the slots carrying one of its units, in the
+  /// order the job's slots were added.
+  [[nodiscard]] std::vector<std::vector<int>> routed_slots() const;
+
+ private:
+  struct JobSlotEdge {
+    int job;
+    int slot;
+    flow::Dinic::EdgeRef edge;
+  };
+
+  [[nodiscard]] int slot_node(int slot) const { return 1 + num_jobs_ + slot; }
+  [[nodiscard]] int sink() const { return 1 + num_jobs_ + num_slots_; }
+  /// Fills incoming_begin_/incoming_ (first try_close only: one-shot
+  /// feasibility checks never pay for it).
+  void bucket_by_slot();
+
+  int num_jobs_;
+  int num_slots_;
+  int capacity_;
+  Cap total_work_ = 0;
+  flow::Dinic dinic_;
+  std::vector<flow::Dinic::EdgeRef> source_edges_;  // per job
+  std::vector<JobSlotEdge> job_slot_edges_;         // in emission order
+  std::vector<flow::Dinic::EdgeRef> sink_edges_;    // per slot
+  // Per-slot incoming job -> slot edges: indices into job_slot_edges_,
+  // slot s's at incoming_[incoming_begin_[s] .. incoming_begin_[s + 1]).
+  std::vector<int> incoming_begin_;
+  std::vector<int> incoming_;
+};
+
+/// The minimal-feasible closing pass shared by both models: solves the
+/// freshly built `network` over `slots` (slot i of the network is
+/// slots[i]), then tries to close slots in `order` and returns the kept
+/// ones, ascending. `context` (may be null) is polled for CANCELLATION
+/// ONLY — inside the first flow and once per trial — so a budget never
+/// changes the result. A cancel mid-pass leaves the untried slots open,
+/// which is still feasible. Returns nullopt when all slots together are
+/// infeasible or the first flow was cancelled (then `*cancelled` is set,
+/// when non-null).
+[[nodiscard]] std::optional<std::vector<core::SlotTime>> close_slots(
+    SlotNetwork& network, const std::vector<core::SlotTime>& slots,
+    const std::vector<std::size_t>& order, const core::RunContext* context,
+    bool* cancelled);
+
+/// G_feas for a slotted instance over the sorted `active_slots` (slot i of
+/// the network is active_slots[i]); `jobs_subset` as in
+/// feasibility_with_slots, job i of the network being (*jobs_subset)[i].
+[[nodiscard]] SlotNetwork slot_network(
+    const core::SlottedInstance& inst,
+    const std::vector<core::SlotTime>& active_slots,
+    const std::vector<core::JobId>* jobs_subset = nullptr);
+
+}  // namespace abt::active

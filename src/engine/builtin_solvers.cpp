@@ -516,11 +516,19 @@ void register_multi_window(core::SolverRegistry& registry) {
     s.guarantee_factor = 0.0;
     s.check = check_multi_window;
     s.applicable = applicable_multi_window;
-    s.run = [](const ProblemInstance& inst, const RunContext& /*ctx*/) {
+    s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
       Solution sol;
+      bool cancelled = false;
+      // Cancellation only; budgets cannot alter output.
       const auto sched =
-          active::mw_solve_minimal_feasible(multi_window_of(inst));
+          active::mw_solve_minimal_feasible(multi_window_of(inst), &ctx,
+                                            &cancelled);
       if (!sched.has_value()) {
+        if (cancelled) {
+          sol.timed_out = true;
+          sol.message = "cancelled before feasibility was established";
+          return sol;
+        }
         sol.message = "instance infeasible";
         return sol;
       }
@@ -626,28 +634,11 @@ void register_active(core::SolverRegistry& registry) {
     registry.add(std::move(s));
   }
 
-  {
-    Solver s;
-    s.name = "active/unit-greedy";
-    s.family = Family::kActive;
-    s.guarantee = "<= 3 OPT (minimal feasible); optimal for unit jobs";
-    s.guarantee_factor = 3.0;
-    s.applicable = always_applicable;
-    s.check = core::check_standard_solution;
-    s.run = [](const ProblemInstance& inst, const RunContext& /*ctx*/) {
-      Solution sol;
-      const auto schedule = active::solve_unit_greedy(inst.slotted);
-      if (!schedule.has_value()) {
-        sol.message = "instance infeasible";
-        return sol;
-      }
-      sol.ok = true;
-      sol.cost = static_cast<double>(schedule->cost());
-      sol.active = *schedule;
-      return sol;
-    };
-    registry.add(std::move(s));
-  }
+  // active::solve_unit_greedy is left-to-right minimal feasible.
+  registry.add(minimal_solver(
+      "active/unit-greedy",
+      "<= 3 OPT (minimal feasible); optimal for unit jobs",
+      active::CloseOrder::kLeftToRight));
 
   {
     Solver s;

@@ -103,6 +103,85 @@ Dinic::Cap Dinic::max_flow(int s, int t, const Options& options,
   return total;
 }
 
+bool Dinic::find_path(int s, int t) {
+  parent_.resize(graph_.size());  // sized on first use: one-shot flows skip it
+  std::fill(level_.begin(), level_.end(), -1);  // -1 = not reached yet
+  queue_.clear();
+  level_[static_cast<std::size_t>(s)] = 0;
+  queue_.push_back(s);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const int u = queue_[head];
+    const auto& edges = graph_[static_cast<std::size_t>(u)];
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const Edge& e = edges[i];
+      if (e.cap <= 0 || level_[static_cast<std::size_t>(e.to)] >= 0) continue;
+      level_[static_cast<std::size_t>(e.to)] =
+          level_[static_cast<std::size_t>(u)] + 1;
+      parent_[static_cast<std::size_t>(e.to)] = {u,
+                                                 static_cast<std::int32_t>(i)};
+      if (e.to == t) return true;
+      queue_.push_back(e.to);
+    }
+  }
+  return false;
+}
+
+Dinic::Cap Dinic::augment(int s, int t, Cap limit, const Options& options,
+                          bool* cancelled) {
+  ABT_ASSERT(s != t, "source equals sink");
+  ABT_ASSERT(limit >= 0, "negative augment limit");
+  if (cancelled != nullptr) *cancelled = false;
+  Cap total = 0;
+  while (total < limit) {
+    if (options.should_stop && options.should_stop()) {
+      if (cancelled != nullptr) *cancelled = true;
+      break;
+    }
+    if (!find_path(s, t)) break;
+    const auto entering = [this](int v) -> Edge& {
+      const auto [u, idx] = parent_[static_cast<std::size_t>(v)];
+      return graph_[static_cast<std::size_t>(u)][static_cast<std::size_t>(idx)];
+    };
+    Cap pushed = limit - total;
+    for (int v = t; v != s; v = parent_[static_cast<std::size_t>(v)].first) {
+      pushed = std::min(pushed, entering(v).cap);
+    }
+    for (int v = t; v != s; v = parent_[static_cast<std::size_t>(v)].first) {
+      Edge& e = entering(v);
+      e.cap -= pushed;
+      graph_[static_cast<std::size_t>(v)][static_cast<std::size_t>(e.rev)]
+          .cap += pushed;
+    }
+    total += pushed;
+  }
+  return total;
+}
+
+Dinic::Edge& Dinic::edge_at(EdgeRef e) {
+  ABT_ASSERT(e.index >= 0 &&
+                 static_cast<std::size_t>(e.index) < edge_locator_.size(),
+             "edge handle out of range");
+  const auto& [node, idx] = edge_locator_[static_cast<std::size_t>(e.index)];
+  return graph_[static_cast<std::size_t>(node)][static_cast<std::size_t>(idx)];
+}
+
+void Dinic::cancel_flow(EdgeRef e, Cap units) {
+  Edge& edge = edge_at(e);
+  ABT_ASSERT(units >= 0 && edge.original - edge.cap >= units,
+             "cancelling more flow than the edge carries");
+  edge.cap += units;
+  graph_[static_cast<std::size_t>(edge.to)][static_cast<std::size_t>(edge.rev)]
+      .cap -= units;
+}
+
+void Dinic::set_capacity(EdgeRef e, Cap cap) {
+  Edge& edge = edge_at(e);
+  const Cap flow = edge.original - edge.cap;
+  ABT_ASSERT(flow <= cap, "new capacity below the edge's current flow");
+  edge.original = cap;
+  edge.cap = cap - flow;
+}
+
 Dinic::Cap Dinic::flow_on(EdgeRef e) const {
   const auto& [node, idx] = edge_locator_[static_cast<std::size_t>(e.index)];
   const Edge& edge =

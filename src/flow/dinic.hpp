@@ -15,6 +15,11 @@ namespace abt::flow {
 ///   auto e = d.add_edge(u, v, cap);
 ///   d.max_flow(s, t);
 ///   d.flow_on(e);  // flow routed through that edge
+///
+/// Warm restarts: after a max_flow the network can be edited in place —
+/// cancel_flow() lowers an edge's flow, set_capacity() changes its bound —
+/// and augment() (or max_flow()) then routes more flow on top of what is
+/// already there instead of recomputing from zero.
 class Dinic {
  public:
   using Cap = std::int64_t;
@@ -45,9 +50,11 @@ class Dinic {
   /// whole phase.
   static constexpr int kStopPollPaths = 64;
 
-  /// Computes the maximum s-t flow. May be called once per network; add no
-  /// edges afterwards. Calling again re-runs on residual capacities (i.e.,
-  /// returns 0 the second time for the same s, t).
+  /// Routes a maximum s-t flow on top of the flow already in the network
+  /// and returns the amount it added: the full max flow on a fresh
+  /// network, 0 when called again with nothing edited, and the increment
+  /// after cancel_flow()/set_capacity() edits. Add no edges after the
+  /// first call.
   Cap max_flow(int s, int t);
 
   /// Cancellable variant: polls `options.should_stop` and, when it trips,
@@ -57,6 +64,26 @@ class Dinic {
   /// cancelled feasibility check is not "infeasible").
   Cap max_flow(int s, int t, const Options& options,
                bool* cancelled = nullptr);
+
+  /// Routes up to `limit` more units from `s` to `t` on top of the current
+  /// flow, one shortest augmenting path at a time; each path search is a
+  /// BFS that stops as soon as it reaches `t`. Returns the units routed:
+  /// less than `limit` only when no augmenting path is left (the flow is
+  /// then maximum) or when `options.should_stop` — polled before every
+  /// path search — tripped, which sets `*cancelled` (when non-null).
+  /// Cheaper than max_flow when only a few units are missing, since it
+  /// never builds a full level graph.
+  Cap augment(int s, int t, Cap limit, const Options& options = {},
+              bool* cancelled = nullptr);
+
+  /// Lowers the flow on edge `e` by `units` (the edge must carry at least
+  /// that much). The caller restores conservation, typically by cancelling
+  /// the same units along the rest of their path.
+  void cancel_flow(EdgeRef e, Cap units);
+
+  /// Sets edge `e`'s capacity to `cap`, keeping its flow (which must not
+  /// exceed `cap`).
+  void set_capacity(EdgeRef e, Cap cap);
 
   /// Flow currently routed on edge `e` (meaningful after max_flow).
   [[nodiscard]] Cap flow_on(EdgeRef e) const;
@@ -74,17 +101,23 @@ class Dinic {
   struct Edge {
     int to;
     Cap cap;        // remaining capacity
-    Cap original;   // capacity at construction
+    Cap original;   // current capacity bound (flow = original - cap)
     std::int32_t rev;  // index of reverse edge in graph_[to]
   };
 
   bool bfs(int s, int t);
   Cap dfs(int u, int t, Cap pushed);
+  /// BFS from s that stops on reaching t, recording each reached node's
+  /// entering edge in parent_. True when t was reached.
+  bool find_path(int s, int t);
+  Edge& edge_at(EdgeRef e);
 
   std::vector<std::vector<Edge>> graph_;
   std::vector<std::pair<int, std::int32_t>> edge_locator_;  // EdgeRef -> (node, idx)
   std::vector<int> level_;
   std::vector<std::size_t> iter_;
+  std::vector<std::pair<int, std::int32_t>> parent_;  // find_path's tree
+  std::vector<int> queue_;                            // find_path's queue
 };
 
 }  // namespace abt::flow

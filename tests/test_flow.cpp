@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/rng.hpp"
 #include "test_util.hpp"
 
@@ -146,6 +149,193 @@ TEST_P(DinicRandom, MatchesReferenceFlow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DinicRandom, ::testing::Range(1, 9));
+
+// --- Warm restarts: cancel_flow / set_capacity / augment -------------
+
+struct EdgeSpec {
+  int u;
+  int v;
+  Dinic::Cap cap;
+  Dinic::EdgeRef ref;
+};
+
+/// Net flow out of `s`.
+Dinic::Cap flow_value(const Dinic& d, const std::vector<EdgeSpec>& edges,
+                      int s) {
+  Dinic::Cap value = 0;
+  for (const EdgeSpec& e : edges) {
+    if (e.u == s) value += d.flow_on(e.ref);
+    if (e.v == s) value -= d.flow_on(e.ref);
+  }
+  return value;
+}
+
+/// Capacity bounds on every edge and conservation at every inner node.
+void expect_valid_flow(const Dinic& d, const std::vector<EdgeSpec>& edges,
+                       int s, int t) {
+  std::vector<Dinic::Cap> excess(static_cast<std::size_t>(d.num_nodes()), 0);
+  for (const EdgeSpec& e : edges) {
+    const Dinic::Cap f = d.flow_on(e.ref);
+    EXPECT_GE(f, 0);
+    EXPECT_LE(f, e.cap);
+    EXPECT_EQ(d.residual_on(e.ref), e.cap - f);
+    excess[static_cast<std::size_t>(e.v)] += f;
+    excess[static_cast<std::size_t>(e.u)] -= f;
+  }
+  for (int v = 0; v < d.num_nodes(); ++v) {
+    if (v != s && v != t) {
+      EXPECT_EQ(excess[static_cast<std::size_t>(v)], 0) << "node " << v;
+    }
+  }
+}
+
+/// Withdraws one unit of s-t flow along a path of flow-carrying edges;
+/// false when no flow leaves s.
+bool cancel_one_unit(Dinic& d, const std::vector<EdgeSpec>& edges, int s,
+                     int t) {
+  std::vector<int> via(static_cast<std::size_t>(d.num_nodes()), -1);
+  std::vector<int> stack = {s};
+  std::vector<bool> seen(static_cast<std::size_t>(d.num_nodes()), false);
+  seen[static_cast<std::size_t>(s)] = true;
+  while (!stack.empty() && !seen[static_cast<std::size_t>(t)]) {
+    const int u = stack.back();
+    stack.pop_back();
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const EdgeSpec& e = edges[i];
+      if (e.u != u || seen[static_cast<std::size_t>(e.v)] ||
+          d.flow_on(e.ref) == 0) {
+        continue;
+      }
+      seen[static_cast<std::size_t>(e.v)] = true;
+      via[static_cast<std::size_t>(e.v)] = static_cast<int>(i);
+      stack.push_back(e.v);
+    }
+  }
+  if (!seen[static_cast<std::size_t>(t)]) return false;
+  for (int v = t; v != s;) {
+    const EdgeSpec& e = edges[static_cast<std::size_t>(
+        via[static_cast<std::size_t>(v)])];
+    d.cancel_flow(e.ref, 1);
+    v = e.u;
+  }
+  return true;
+}
+
+class DinicWarmRestart : public ::testing::TestWithParam<int> {};
+
+TEST_P(DinicWarmRestart, EditsThenAugmentMatchFreshMaxFlow) {
+  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919ULL);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, 9));
+    const int s = 0;
+    const int t = n - 1;
+    Dinic d(n);
+    std::vector<EdgeSpec> edges;
+    const int num_edges = static_cast<int>(rng.uniform_int(0, 24));
+    for (int k = 0; k < num_edges; ++k) {
+      const int u = static_cast<int>(rng.uniform_int(0, n - 1));
+      const int v = static_cast<int>(rng.uniform_int(0, n - 1));
+      if (u == v) continue;
+      const Dinic::Cap cap = rng.uniform_int(0, 6);
+      edges.push_back({u, v, cap, d.add_edge(u, v, cap)});
+    }
+    Dinic::Cap value = d.max_flow(s, t);
+    for (int round = 0; round < 6; ++round) {
+      // Withdraw some units, re-bound some edges, then route a bounded
+      // amount back.
+      const int cancels = static_cast<int>(rng.uniform_int(0, 3));
+      for (int c = 0; c < cancels && cancel_one_unit(d, edges, s, t); ++c) {
+        --value;
+      }
+      ASSERT_EQ(flow_value(d, edges, s), value);
+      for (EdgeSpec& e : edges) {
+        if (rng.uniform_int(0, 3) != 0) continue;
+        e.cap = d.flow_on(e.ref) + rng.uniform_int(0, 4);
+        d.set_capacity(e.ref, e.cap);
+      }
+      expect_valid_flow(d, edges, s, t);
+      const Dinic::Cap limit = rng.uniform_int(0, 5);
+      const Dinic::Cap routed = d.augment(s, t, limit);
+      EXPECT_GE(routed, 0);
+      EXPECT_LE(routed, limit);
+      value += routed;
+      ASSERT_EQ(flow_value(d, edges, s), value);
+      expect_valid_flow(d, edges, s, t);
+      // Finish the sequence: an unbounded augment reaches the max flow of
+      // the edited capacities.
+      value += d.augment(s, t, std::numeric_limits<Dinic::Cap>::max());
+      Dinic fresh(n);
+      for (const EdgeSpec& e : edges) fresh.add_edge(e.u, e.v, e.cap);
+      EXPECT_EQ(value, fresh.max_flow(s, t)) << "trial " << trial;
+      EXPECT_EQ(flow_value(d, edges, s), value);
+      expect_valid_flow(d, edges, s, t);
+      // Nothing left to route, by either primitive.
+      EXPECT_EQ(d.augment(s, t, 1), 0);
+      EXPECT_EQ(d.max_flow(s, t), 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DinicWarmRestart, ::testing::Range(1, 9));
+
+TEST(DinicWarmRestart, MaxFlowContinuesFromEditedFlow) {
+  Dinic d(4);
+  const auto a = d.add_edge(0, 1, 2);
+  const auto b = d.add_edge(1, 3, 2);
+  const auto c = d.add_edge(0, 2, 1);
+  const auto e = d.add_edge(2, 3, 1);
+  ASSERT_EQ(d.max_flow(0, 3), 3);
+  d.cancel_flow(a, 2);
+  d.cancel_flow(b, 2);
+  d.set_capacity(b, 1);
+  EXPECT_EQ(d.flow_on(b), 0);
+  EXPECT_EQ(d.residual_on(b), 1);
+  EXPECT_EQ(d.max_flow(0, 3), 1);  // only the increment
+  EXPECT_EQ(d.flow_on(a), 1);
+  EXPECT_EQ(d.flow_on(c), 1);
+  EXPECT_EQ(d.flow_on(e), 1);
+}
+
+TEST(DinicWarmRestart, AugmentStopsAtLimit) {
+  constexpr int kPaths = 10;
+  Dinic d(2 + kPaths);
+  const int sink = 1 + kPaths;
+  for (int i = 0; i < kPaths; ++i) {
+    d.add_edge(0, 1 + i, 1);
+    d.add_edge(1 + i, sink, 1);
+  }
+  EXPECT_EQ(d.augment(0, sink, 3), 3);
+  EXPECT_EQ(d.augment(0, sink, 0), 0);
+  EXPECT_EQ(d.augment(0, sink, 100), kPaths - 3);
+}
+
+TEST(DinicWarmRestart, TrippedStopSetsCancelled) {
+  constexpr int kPaths = 10;
+  Dinic d(2 + kPaths);
+  const int sink = 1 + kPaths;
+  for (int i = 0; i < kPaths; ++i) {
+    d.add_edge(0, 1 + i, 1);
+    d.add_edge(1 + i, sink, 1);
+  }
+  Dinic::Options always;
+  always.should_stop = [] { return true; };
+  bool cancelled = false;
+  EXPECT_EQ(d.augment(0, sink, kPaths, always, &cancelled), 0);
+  EXPECT_TRUE(cancelled);
+
+  int polls = 0;
+  Dinic::Options later;
+  later.should_stop = [&polls] { return ++polls > 4; };
+  cancelled = false;
+  const Dinic::Cap partial = d.augment(0, sink, kPaths, later, &cancelled);
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(partial, 4);  // polled once per path search
+
+  cancelled = true;  // cleared when the predicate never trips
+  EXPECT_EQ(d.augment(0, sink, kPaths, Dinic::Options{}, &cancelled),
+            kPaths - partial);
+  EXPECT_FALSE(cancelled);
+}
 
 }  // namespace
 }  // namespace abt::flow

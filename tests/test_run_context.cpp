@@ -4,10 +4,13 @@
 // budget lifts the exact solvers' measured size gates.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "active/exact.hpp"
@@ -16,6 +19,7 @@
 #include "active/multi_window.hpp"
 #include "core/run_context.hpp"
 #include "core/solver.hpp"
+#include "engine/adapters.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/runner.hpp"
 
@@ -188,6 +192,69 @@ TEST(RunContext, CancellationSurfacesThroughFlowBasedSolvers) {
   const auto rounded = active::solve_lp_rounding(inst.slotted, &ctx);
   ASSERT_TRUE(rounded.has_value());
   EXPECT_TRUE(rounded->cancelled);
+
+  // The registered closing-pass solvers hand the context through: a
+  // cancelled first flow is a timed-out run, not "instance infeasible".
+  const core::SolverRegistry& registry = engine::shared_registry();
+  const core::Solver* unit_greedy = registry.find("active/unit-greedy");
+  ASSERT_NE(unit_greedy, nullptr);
+  const Solution greedy = unit_greedy->run(inst, ctx);
+  EXPECT_FALSE(greedy.ok);
+  EXPECT_TRUE(greedy.timed_out) << greedy.message;
+
+  const ProblemInstance mw = scenario_instance("multi-window", 12, 2, 11);
+  cancelled = false;
+  EXPECT_FALSE(active::mw_solve_minimal_feasible(engine::multi_window_of(mw),
+                                                 &ctx, &cancelled)
+                   .has_value());
+  EXPECT_TRUE(cancelled);
+  const core::Solver* mw_minimal =
+      registry.find("active/multi-window-minimal");
+  ASSERT_NE(mw_minimal, nullptr);
+  const Solution mw_sol = mw_minimal->run(mw, ctx);
+  EXPECT_FALSE(mw_sol.ok);
+  EXPECT_TRUE(mw_sol.timed_out) << mw_sol.message;
+}
+
+TEST(RunContext, CancelMidClosingPassReturnsCheckedSchedule) {
+  // A cancel that lands after the first flow stops the closing pass; the
+  // slots kept so far are feasible but not minimal, and the registry's
+  // checker must accept the schedule extracted from them. The cancel comes
+  // from another thread after a growing delay until one lands mid-pass.
+  const core::SolverRegistry& registry = engine::shared_registry();
+  for (const auto& [solver, scenario] :
+       {std::pair<const char*, const char*>{"active/unit-greedy", "slotted"},
+        std::pair<const char*, const char*>{"active/minimal-densest",
+                                            "slotted"},
+        std::pair<const char*, const char*>{"active/multi-window-minimal",
+                                            "multi-window"}}) {
+    const ProblemInstance inst = scenario_instance(scenario, 256, 2, 5);
+    const Solution free_run = registry.run(solver, inst);
+    ASSERT_TRUE(free_run.ok && free_run.feasible) << free_run.message;
+    bool saw_mid_pass = false;
+    double delay_us = 20.0;
+    for (int attempt = 0; attempt < 400 && !saw_mid_pass; ++attempt) {
+      CancelSource source;
+      const RunContext ctx = RunContext().set_cancel_token(source.token());
+      std::thread canceller([&source, delay_us] {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::micro>(delay_us));
+        source.cancel();
+      });
+      const Solution sol = registry.run(solver, inst, ctx);
+      canceller.join();
+      if (sol.ok) {
+        EXPECT_TRUE(sol.feasible) << solver << ": " << sol.message;
+        EXPECT_GE(sol.cost, free_run.cost) << solver;
+        saw_mid_pass = sol.cost > free_run.cost;
+      } else {
+        EXPECT_TRUE(sol.timed_out) << solver << ": " << sol.message;
+      }
+      // Walk the delay up through the pass, then start over.
+      delay_us = delay_us > 2e5 ? 20.0 : delay_us * 1.3;
+    }
+    EXPECT_TRUE(saw_mid_pass) << solver << ": no cancel landed mid-pass";
+  }
 }
 
 TEST(RunContext, IncumbentHookObservesImprovingCosts) {
