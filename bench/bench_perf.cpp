@@ -21,7 +21,7 @@
 #include "busy/demand_profile.hpp"
 #include "busy/dp_unbounded.hpp"
 #include "busy/first_fit.hpp"
-#include "busy/naive_baselines.hpp"
+#include "naive_baselines.hpp"
 #include "busy/greedy_tracking.hpp"
 #include "busy/online.hpp"
 #include "busy/preemptive.hpp"
@@ -79,8 +79,8 @@ BENCHMARK(BM_FlowFeasibility)->Range(8, 256)->Complexity();
 
 // The closing pass on one warm SlotNetwork (one flow, then at most g
 // unit reroutes per trial) against the frozen rebuild-per-trial loop it
-// replaced (tests/minimal_feasible_oracle.hpp), which built G_feas and ran
-// a full max-flow for every candidate slot.
+// replaced (tests/oracles/minimal_feasible_oracle.hpp), which built G_feas
+// and ran a full max-flow for every candidate slot.
 void BM_MinimalFeasible(benchmark::State& state) {
   const auto inst = make_slotted(static_cast<int>(state.range(0)), 2);
   for (auto _ : state) {
@@ -166,9 +166,9 @@ void BM_DemandProfile(benchmark::State& state) {
 BENCHMARK(BM_DemandProfile)->Range(16, 8192)->Complexity();
 
 // --------------------------------------------------------------------------
-// Pre-sweep quadratic baselines (busy/naive_baselines.hpp, shared with the
-// equivalence suite) so every BENCH_PR<k>.json records the speedup of the
-// sweep engine against the original hot paths.
+// Pre-sweep quadratic baselines (tests/oracles/naive_baselines.hpp, shared
+// with the equivalence suite) so every BENCH_PR<k>.json records the speedup
+// of the sweep engine against the original hot paths.
 
 void BM_FirstFitNaive(benchmark::State& state) {
   const auto inst = make_interval(static_cast<int>(state.range(0)), 7);
@@ -350,7 +350,7 @@ busy::WeightedInstance make_weighted(int n) {
 
 // Width-aware FIRSTFIT on the shared first-fit driver (O(log k) index probe
 // per machine tried, idle machines skipped) against the frozen
-// copy-and-rescan loop it replaced (tests/weighted_oracle.hpp), which
+// copy-and-rescan loop it replaced (tests/oracles/weighted_oracle.hpp), which
 // copied every tried machine's runs and rescanned them in O(k^2).
 void BM_WeightedFirstFit(benchmark::State& state) {
   const auto inst = make_weighted(static_cast<int>(state.range(0)));

@@ -14,7 +14,8 @@
 //   --solvers a,b,c   registry names (default: every applicable solver)
 //   --n K --g G --seed N --slack S --horizon H --eps E   scenario knobs
 //   --trials N        sweep N seeded trials of the scenario (needs --gen)
-//   --threads K       sweep worker threads (0 = hardware concurrency)
+//   --threads K       pool workers for the solvers of one instance, a
+//                     sweep or a campaign (0 = hardware concurrency)
 //   --budget-ms B     per-cell time budget; lifts the exact solvers' size
 //                     gates (anytime mode: incumbent + gap on timeout)
 //   --race a,b|auto   portfolio-race solvers on the shared pool; first
@@ -46,7 +47,6 @@
 #include "engine/builtin_solvers.hpp"
 #include "engine/campaign.hpp"
 #include "engine/parallel.hpp"
-#include "engine/portfolio.hpp"
 #include "engine/runner.hpp"
 #include "engine/selector.hpp"
 #include "report/gantt.hpp"
@@ -286,39 +286,102 @@ std::optional<engine::SelectorModel> load_selector(const std::string& path,
   return engine::parse_model(file, &error);
 }
 
-/// Explicit `--race a,b,c` contestants; unknown names are a usage error
-/// like --solvers (the library-level race would stamp refusal rows, but
-/// the CLI treats a typo as a typo).
-std::optional<std::vector<engine::RaceEntry>> explicit_entries(
-    const core::SolverRegistry& registry, const std::string& list) {
-  std::vector<engine::RaceEntry> entries;
-  for (const std::string& name : split_csv(list)) {
+/// Unknown solver names are a usage error, not a silent no-op (the library
+/// would stamp refusal rows, but the CLI treats a typo as a typo).
+bool known_solvers(const core::SolverRegistry& registry,
+                   const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
     if (registry.find(name) == nullptr) {
       std::cerr << "unknown solver '" << name << "' (see --list)\n";
-      return std::nullopt;
+      return false;
     }
-    entries.push_back({name, 0.0});
   }
-  if (entries.empty()) {
+  return true;
+}
+
+/// Explicit `--race a,b,c` contestants, validated like --solvers.
+std::optional<std::vector<std::string>> race_names(
+    const core::SolverRegistry& registry, const std::string& list) {
+  std::vector<std::string> names = split_csv(list);
+  if (!known_solvers(registry, names)) return std::nullopt;
+  if (names.empty()) {
     std::cerr << "--race needs 'auto' or at least one solver name\n";
     return std::nullopt;
   }
-  return entries;
+  return names;
 }
 
-void append_gantt(std::ostream& os, const engine::RunReport& report) {
+/// Client mode: the request shipped to abtd, same payload schema and exit
+/// contract as the local path (docs/SERVICE.md). Progress frames and
+/// service notes go to stderr so stdout stays exactly the report the local
+/// mode would print.
+int solve_remote(const CliOptions& options, const engine::Request& local) {
+  std::string error;
+  const auto address = service::parse_address(options.connect, &error);
+  if (!address.has_value()) {
+    std::cerr << "--connect: " << error << "\n";
+    return 1;
+  }
+  service::SolveRequest request;
+  request.race = local.race;
+  request.id = options.request_id;
+  request.solvers = local.solvers;
+  request.budget_ms = options.budget_ms;
+  request.accept_gap = local.accept_gap;
+  request.progress = options.progress;
+  request.format = local.format;
+  request.instance = local.instance;
+  service::Frame frame;
+  frame.type =
+      request.race ? service::FrameType::kRace : service::FrameType::kSolve;
+  if (!service::write_solve_payload(frame.payload, request, &error)) {
+    std::cerr << error << "\n";
+    return 1;
+  }
+  const auto exchange = service::client_roundtrip(*address, frame, &error);
+  if (!exchange.has_value()) {
+    std::cerr << "connect " << address->describe() << ": " << error << "\n";
+    return 1;
+  }
+  for (const service::Frame& event : exchange->progress) {
+    std::cerr << "progress: " << event.payload;
+  }
+  const service::Frame& final = exchange->final;
+  if (final.type == service::FrameType::kOverloaded) {
+    std::cerr << "server overloaded, request shed: " << final.payload;
+    return 3;
+  }
+  if (final.type != service::FrameType::kOk) {
+    std::cerr << "server error: " << final.payload;
+    return 1;
+  }
+  if (final.has_flag("cached")) std::cerr << "served from cache\n";
+  if (final.has_flag("budget-ms")) {
+    std::cerr << "budget shrunk to " << final.flag("budget-ms")
+              << " ms by admission control\n";
+  }
+  std::cout << final.payload;
+  int exit_code = 0;
+  if (!core::parse_number(final.flag("exit", "0"), &exit_code)) exit_code = 0;
+  return exit_code;
+}
+
+void append_gantt(std::ostream& os, const core::ProblemInstance& inst,
+                  const std::vector<core::Solution>& rows) {
+  // The charts draw the standard models' jobs; extended kinds carry theirs
+  // in the extension instead.
+  if (inst.kind != core::InstanceKind::kStandard) return;
   const core::Solution* best = nullptr;
-  for (const core::Solution& sol : report.solutions) {
+  for (const core::Solution& sol : rows) {
     if (!sol.ok || !sol.feasible || sol.preemptive.has_value()) continue;
     if (best == nullptr || sol.cost < best->cost) best = &sol;
   }
   if (best == nullptr) return;
   os << "\nbest feasible schedule (" << best->solver << "):\n";
   if (best->active.has_value()) {
-    os << report::render_active_gantt(report.instance.slotted, *best->active);
+    os << report::render_active_gantt(inst.slotted, *best->active);
   } else if (best->busy.has_value()) {
-    os << report::render_busy_gantt(report.instance.continuous, *best->busy,
-                                    96);
+    os << report::render_busy_gantt(inst.continuous, *best->busy, 96);
   }
 }
 
@@ -409,6 +472,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (!known_solvers(registry, options.solvers)) return 1;
+  const engine::Format format = options.json  ? engine::Format::kJson
+                                : options.csv ? engine::Format::kCsv
+                                              : engine::Format::kTable;
+
   // Campaign mode: a scenario grid (file or preset) through one shared
   // pool, reported as per-point aggregates.
   if (!options.campaign.empty()) {
@@ -441,12 +509,6 @@ int main(int argc, char** argv) {
       }
       return 1;
     }
-    for (const std::string& name : options.solvers) {
-      if (registry.find(name) == nullptr) {
-        std::cerr << "unknown solver '" << name << "' (see --list)\n";
-        return 1;
-      }
-    }
     engine::CampaignOptions campaign_options;
     campaign_options.trials = options.trials_given ? options.trials : 4;
     campaign_options.threads = options.threads;
@@ -456,9 +518,11 @@ int main(int argc, char** argv) {
       campaign_options.race.enabled = true;
       campaign_options.race.accept_gap = options.accept_gap;
       if (options.race != "auto") {
-        const auto entries = explicit_entries(registry, options.race);
-        if (!entries.has_value()) return 1;
-        campaign_options.race.entries = *entries;
+        const auto names = race_names(registry, options.race);
+        if (!names.has_value()) return 1;
+        for (const std::string& name : *names) {
+          campaign_options.race.entries.push_back({name, 0.0});
+        }
       } else if (selector_model.has_value()) {
         campaign_options.race.model = &*selector_model;
       }
@@ -469,23 +533,12 @@ int main(int argc, char** argv) {
       std::cerr << error << "\n";
       return 1;
     }
-    if (options.json) {
-      engine::write_campaign_json(std::cout, *report);
-    } else if (options.csv) {
-      engine::write_campaign_csv(std::cout, *report);
-    } else {
-      engine::print_campaign(std::cout, *report);
-    }
-    int ok_cells = 0;
-    for (const engine::CampaignPoint& point : report->points) {
-      if (point.infeasible_cells > 0) return 2;
-      ok_cells += point.ok_cells;
-    }
-    if (ok_cells == 0) {
+    engine::render(std::cout, format, *report);
+    const int code = engine::exit_code(*report);
+    if (code == 1) {
       std::cerr << "no solver produced a schedule at any grid point\n";
-      return 1;
     }
-    return 0;
+    return code;
   }
 
   // Trial-sweep mode: many seeds of one generated scenario through the
@@ -501,12 +554,6 @@ int main(int argc, char** argv) {
                    "with seeds seed..seed+N-1)\n";
       return 1;
     }
-    for (const std::string& name : options.solvers) {
-      if (registry.find(name) == nullptr) {
-        std::cerr << "unknown solver '" << name << "' (see --list)\n";
-        return 1;
-      }
-    }
     engine::SweepOptions sweep_options;
     sweep_options.trials = options.trials;
     sweep_options.threads = options.threads;
@@ -518,36 +565,21 @@ int main(int argc, char** argv) {
       std::cerr << error << "\n";
       return 1;
     }
-    if (options.json) {
-      engine::write_sweep_json(std::cout, *sweep);
-    } else if (options.csv) {
-      engine::write_sweep_csv(std::cout, *sweep);
-    } else {
-      engine::print_sweep(std::cout, *sweep);
-    }
-    bool any_ok = false;
-    for (const engine::RunReport& cell : sweep->cells) {
-      for (const core::Solution& sol : cell.solutions) {
-        if (sol.ok && !sol.feasible) return 2;
-        any_ok = any_ok || sol.ok;
-      }
-    }
-    if (!any_ok) {
-      std::cerr << "no solver produced a schedule in any trial\n";
-      return 1;
-    }
-    return 0;
+    engine::render(std::cout, format, *sweep);
+    const int code = engine::exit_code(*sweep);
+    if (code == 1) std::cerr << "no solver produced a schedule in any trial\n";
+    return code;
   }
 
   // Resolve the instance: generator scenario, stdin, or file.
-  core::ProblemInstance instance;
+  engine::Request request;
   if (!options.scenario.empty()) {
-    const auto generated = engine::make_scenario(options.spec, &error);
+    auto generated = engine::make_scenario(options.spec, &error);
     if (!generated.has_value()) {
       std::cerr << error << "\n";
       return 1;
     }
-    instance = *generated;
+    request.instance = std::move(*generated);
   } else if (!options.input.empty()) {
     // parse_instance returns the uniform carrier directly: extended-kind
     // files (model weighted / multi-window) arrive with their extension
@@ -568,160 +600,44 @@ int main(int argc, char** argv) {
       std::cerr << "parse error: " << error << "\n";
       return 1;
     }
-    instance = std::move(*parsed);
+    request.instance = std::move(*parsed);
   } else {
     std::cerr << "no instance given (file, '-', or --gen)\n" << kUsage;
     return 1;
   }
 
-  if (options.emit) return emit_instance(instance);
+  if (options.emit) return emit_instance(request.instance);
 
-  // Unknown solver names are a usage error, not a silent no-op.
-  for (const std::string& name : options.solvers) {
-    if (registry.find(name) == nullptr) {
-      std::cerr << "unknown solver '" << name << "' (see --list)\n";
-      return 1;
-    }
+  // A solve, or a portfolio race: contestants share the instance and the
+  // pool; the first acceptable finisher wins and the rest drain.
+  request.race = !options.race.empty();
+  if (request.race && options.race != "auto") {
+    auto names = race_names(registry, options.race);
+    if (!names.has_value()) return 1;
+    request.solvers = std::move(*names);
+  } else if (!request.race) {
+    request.solvers = options.solvers;
   }
+  request.accept_gap = options.accept_gap;
+  request.format = format;
+  if (!options.connect.empty()) return solve_remote(options, request);
 
-  // Client mode: same flags, same payload schema, same exit contract —
-  // the instance is serialized in the v2 format and solved by the daemon
-  // (docs/SERVICE.md). Progress frames and service notes go to stderr so
-  // stdout stays exactly the report the local mode would print.
-  if (!options.connect.empty()) {
-    const auto address = service::parse_address(options.connect, &error);
-    if (!address.has_value()) {
-      std::cerr << "--connect: " << error << "\n";
-      return 1;
-    }
-    service::SolveRequest request;
-    request.race = !options.race.empty();
-    request.id = options.request_id;
-    if (request.race && options.race != "auto") {
-      request.solvers = split_csv(options.race);
-      for (const std::string& name : request.solvers) {
-        if (registry.find(name) == nullptr) {
-          std::cerr << "unknown solver '" << name << "' (see --list)\n";
-          return 1;
-        }
-      }
-    } else if (!request.race) {
-      request.solvers = options.solvers;
-    }
-    request.budget_ms = options.budget_ms;
-    request.accept_gap = options.accept_gap;
-    request.progress = options.progress;
-    request.format = options.json ? "json" : options.csv ? "csv" : "table";
-    request.instance = instance;
-    service::Frame frame;
-    frame.type = request.race ? service::FrameType::kRace
-                              : service::FrameType::kSolve;
-    if (!service::write_solve_payload(frame.payload, request, &error)) {
-      std::cerr << error << "\n";
-      return 1;
-    }
-    const auto exchange = service::client_roundtrip(*address, frame, &error);
-    if (!exchange.has_value()) {
-      std::cerr << "connect " << address->describe() << ": " << error << "\n";
-      return 1;
-    }
-    for (const service::Frame& event : exchange->progress) {
-      std::cerr << "progress: " << event.payload;
-    }
-    const service::Frame& final = exchange->final;
-    if (final.type == service::FrameType::kOverloaded) {
-      std::cerr << "server overloaded, request shed: " << final.payload;
-      return 3;
-    }
-    if (final.type != service::FrameType::kOk) {
-      std::cerr << "server error: " << final.payload;
-      return 1;
-    }
-    if (final.has_flag("cached")) std::cerr << "served from cache\n";
-    if (final.has_flag("budget-ms")) {
-      std::cerr << "budget shrunk to " << final.flag("budget-ms")
-                << " ms by admission control\n";
-    }
-    std::cout << final.payload;
-    int exit_code = 0;
-    if (!core::parse_number(final.flag("exit", "0"), &exit_code)) exit_code = 0;
-    return exit_code;
-  }
-
-  // Portfolio race: contestants share the instance and the pool; the
-  // first acceptable finisher wins and the rest drain.
-  if (!options.race.empty()) {
-    engine::RunOptions run_options;
-    run_options.budget_ms = options.budget_ms;
-    const core::RunContext ctx = engine::make_run_context(run_options);
-    std::vector<engine::RaceEntry> entries;
-    if (options.race == "auto") {
-      entries = engine::auto_entries(
-          registry, instance,
-          selector_model.has_value() ? &*selector_model : nullptr, 3, ctx);
-      if (entries.empty()) {
-        std::cerr << "no applicable solver for this instance\n";
-        return 1;
-      }
-    } else {
-      const auto parsed_entries = explicit_entries(registry, options.race);
-      if (!parsed_entries.has_value()) return 1;
-      entries = *parsed_entries;
-    }
-    engine::RaceOptions race_options;
-    race_options.threads = options.threads;
-    race_options.accept_gap = options.accept_gap;
-    const engine::RaceReport race_report =
-        engine::race(registry, instance, entries, ctx, race_options);
-    if (options.json) {
-      engine::write_race_json(std::cout, instance, race_report);
-    } else if (options.csv) {
-      engine::write_race_csv(std::cout, race_report);
-    } else {
-      engine::print_race(std::cout, race_report);
-    }
-    // The plain-run exit contract over the race rows: a checker FAIL
-    // anywhere is 2, a winner (or best-effort feasible row) is 0.
-    for (const core::Solution& sol : race_report.rows) {
-      if (sol.ok && !sol.feasible) return 2;
-    }
-    if (race_report.winner < 0 && race_report.best < 0) {
-      std::cerr << "no contestant produced a schedule\n";
-      return 1;
-    }
-    return 0;
-  }
-
-  engine::RunOptions run_options;
-  run_options.solvers = options.solvers;
-  run_options.budget_ms = options.budget_ms;
-  const engine::RunReport report =
-      engine::run_instance(registry, instance, run_options);
-
-  if (report.solutions.empty()) {
+  if (selector_model.has_value()) request.model = &*selector_model;
+  const engine::Response response = engine::execute(
+      registry, request, core::RunContext::with_budget_ms(options.budget_ms),
+      options.threads);
+  if (response.rows.empty()) {
     std::cerr << "no applicable solver for this instance\n";
     return 1;
   }
-  if (options.json) {
-    engine::write_json(std::cout, report);
-  } else if (options.csv) {
-    engine::write_csv(std::cout, report);
-  } else {
-    engine::print_report(std::cout, report);
-    if (options.gantt) append_gantt(std::cout, report);
+  std::cout << response.payload;
+  if (options.gantt && !request.race && format == engine::Format::kTable) {
+    append_gantt(std::cout, request.instance, response.rows);
   }
-
-  // Exit contract: 2 when any produced schedule failed the checker, 1 when
-  // nothing was solved at all (e.g. an infeasible instance declines every
-  // solver), 0 otherwise.
-  bool any_ok = false;
-  for (const core::Solution& sol : report.solutions) {
-    if (sol.ok && !sol.feasible) return 2;
-    any_ok = any_ok || sol.ok;
+  if (response.exit == 1) {
+    std::cerr << (request.race ? "no contestant produced a schedule\n"
+                       : "no solver produced a schedule (infeasible "
+                         "instance?)\n");
   }
-  if (!any_ok) {
-    std::cerr << "no solver produced a schedule (infeasible instance?)\n";
-    return 1;
-  }
-  return 0;
+  return response.exit;
 }

@@ -22,7 +22,7 @@ Enforces the written-but-previously-unchecked conventions:
   hot-path-containers   The headers PR 6 flattened (busy/first_fit,
                         busy/preemptive, core/sweep) must not reintroduce
                         #include <map>/<set>; node-based containers belong
-                        only in busy/naive_baselines.hpp.
+                        only in tests/oracles/naive_baselines.hpp.
   hot-path-streams      The text codecs on abtd's request path (core/io,
                         core/text, service/protocol) must not use string
                         streams: no #include <sstream>, istringstream,
@@ -273,7 +273,7 @@ def check_hot_path_containers(root: Path) -> List[Finding]:
                     "hot-path-containers",
                     f"<{m.group(1)}> include in a flattened hot-path file; "
                     "node-based containers live only in "
-                    "busy/naive_baselines.hpp",
+                    "tests/oracles/naive_baselines.hpp",
                 )
             )
     return findings

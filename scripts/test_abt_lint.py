@@ -257,7 +257,8 @@ class HotPathContainersTest(unittest.TestCase):
 
     def test_naive_baselines_keeps_its_maps(self):
         root = make_tree({
-            "src/busy/naive_baselines.hpp": "#include <map>\n#include <set>\n",
+            "tests/oracles/naive_baselines.hpp":
+                "#include <map>\n#include <set>\n",
             "src/busy/first_fit.hpp": "#include <vector>\n",
         })
         self.assertEqual(abt_lint.check_hot_path_containers(root), [])

@@ -78,17 +78,6 @@ const Solver* SolverRegistry::find(std::string_view name) const {
   return it == solvers_.end() ? nullptr : &*it;
 }
 
-std::vector<const Solver*> SolverRegistry::applicable_to(
-    const ProblemInstance& inst, const RunContext& ctx) const {
-  std::vector<const Solver*> out;
-  for (const Solver& s : solvers_) {
-    if (s.family != inst.family || s.kind != inst.kind) continue;
-    if (s.applicable && !s.applicable(inst, ctx, nullptr)) continue;
-    out.push_back(&s);
-  }
-  return out;
-}
-
 Solution SolverRegistry::run(const Solver& solver, const ProblemInstance& inst,
                              const RunContext& ctx) const {
   Solution sol;
@@ -211,29 +200,6 @@ std::vector<const Solver*> SolverRegistry::selection(
       continue;
     }
     out.push_back(&s);
-  }
-  return out;
-}
-
-std::vector<Solution> SolverRegistry::run_applicable(
-    const ProblemInstance& inst, const std::vector<std::string>& only,
-    const RunContext& ctx) const {
-  std::vector<Solution> out;
-  for (const Solver* s : selection(inst, only, ctx)) {
-    // An explicitly requested solver always gets a row: run() turns a
-    // family mismatch or applicability refusal into a declined Solution
-    // instead of dropping the request on the floor.
-    out.push_back(run(*s, inst, ctx.restarted()));
-  }
-  // Unknown requested names get a refusal row too, not a silent drop.
-  for (const std::string& name : only) {
-    if (find(name) == nullptr) {
-      Solution sol;
-      sol.solver = name;
-      sol.family = inst.family;
-      sol.message = "unknown solver";
-      out.push_back(std::move(sol));
-    }
   }
   return out;
 }

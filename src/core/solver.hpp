@@ -189,18 +189,14 @@ class SolverRegistry {
   [[nodiscard]] const std::vector<Solver>& all() const { return solvers_; }
   [[nodiscard]] std::size_t size() const { return solvers_.size(); }
 
-  /// Solvers of `family` whose applicability predicate accepts `inst`
-  /// under `ctx` (a budget lifts the exact solvers' size gates).
-  [[nodiscard]] std::vector<const Solver*> applicable_to(
-      const ProblemInstance& inst, const RunContext& ctx = {}) const;
-
-  /// The solvers run_applicable would run on `inst`, in registration
-  /// order: every family/kind/applicability match when `only` is empty,
-  /// else the named subset verbatim (mismatches included — run() turns
-  /// them into declined rows). Unknown names have no Solver and are not
-  /// represented here; callers surface them as refusal rows. This is the
-  /// single definition of sweep/run selection semantics — extend gates
-  /// here, never in a caller.
+  /// The solvers a run on `inst` plans (engine::run_cells, and the auto
+  /// pick of a race), in registration order: every family/kind/
+  /// applicability match under `ctx` when `only` is empty (a budget lifts
+  /// the exact solvers' size gates), else the named subset verbatim
+  /// (mismatches included — run() turns them into declined rows). Unknown
+  /// names have no Solver and are not represented here; callers surface
+  /// them as refusal rows. This is the single definition of selection
+  /// semantics — extend gates here, never in a caller.
   [[nodiscard]] std::vector<const Solver*> selection(
       const ProblemInstance& inst, const std::vector<std::string>& only = {},
       const RunContext& ctx = {}) const;
@@ -218,13 +214,6 @@ class SolverRegistry {
   [[nodiscard]] Solution run(std::string_view name,
                              const ProblemInstance& inst,
                              const RunContext& ctx = {}) const;
-
-  /// Runs every applicable solver (or the named subset) in registration
-  /// order. Each run gets `ctx.restarted()` — the budget applies per
-  /// solver, not to the whole batch.
-  [[nodiscard]] std::vector<Solution> run_applicable(
-      const ProblemInstance& inst, const std::vector<std::string>& only = {},
-      const RunContext& ctx = {}) const;
 
  private:
   std::vector<Solver> solvers_;

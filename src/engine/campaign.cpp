@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -10,8 +11,6 @@
 #include "report/table.hpp"
 
 namespace abt::engine {
-
-using core::ProblemInstance;
 
 std::vector<ScenarioSpec> expand_grid(const CampaignGrid& grid) {
   const std::vector<int> ns = grid.ns.empty()
@@ -222,54 +221,31 @@ const std::vector<std::string>& point_solver_names(
   return subset.empty() ? options.run.solvers : subset;
 }
 
-/// Runs every (point, trial) cell as a portfolio race over one shared
-/// pool. Races nested inside pool workers execute their contestants
+/// Races every cell over one shared pool, returning the race reports in
+/// input order. Races nested inside pool workers execute their contestants
 /// inline (PR 7 nesting rule), so cross-cell parallelism comes from the
 /// campaign fan-out and each race still terminates early on first
 /// acceptance.
-CampaignReport run_campaign_races(
-    const core::SolverRegistry& registry, const CampaignGrid& grid,
-    CampaignReport report, const CampaignOptions& options,
-    const core::RunContext& base_ctx, const std::vector<ScenarioSpec>& specs,
-    std::vector<std::vector<ProblemInstance>> instances) {
-  report.raced = true;
-  const std::size_t points = specs.size();
-
+std::vector<RaceReport> run_races(const core::SolverRegistry& registry,
+                                  const std::vector<CellInput>& inputs,
+                                  const CampaignOptions& options,
+                                  const core::RunContext& base_ctx,
+                                  int threads) {
   // Resolve every cell's contestant list up front — auto picks depend on
   // the instance, explicit lists are shared verbatim. Explicit race
   // entries win over a grid solver subset, which wins over the auto pick.
-  std::vector<std::vector<std::vector<RaceEntry>>> entries(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    std::vector<RaceEntry> subset_entries;
-    if (options.race.entries.empty()) {
-      for (const std::string& name :
-           point_solver_names(grid, options, specs[p].name)) {
-        subset_entries.push_back({name, 0.0});
+  std::vector<std::vector<RaceEntry>> entries(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (!options.race.entries.empty()) {
+      entries[i] = options.race.entries;
+    } else if (!inputs[i].solvers.empty()) {
+      for (const std::string& name : inputs[i].solvers) {
+        entries[i].push_back({name, 0.0});
       }
-    }
-    entries[p].reserve(instances[p].size());
-    for (const ProblemInstance& inst : instances[p]) {
-      if (!options.race.entries.empty()) {
-        entries[p].push_back(options.race.entries);
-      } else if (!subset_entries.empty()) {
-        entries[p].push_back(subset_entries);
-      } else {
-        entries[p].push_back(auto_entries(registry, inst, options.race.model,
-                                          options.race.top_k, base_ctx));
-      }
-    }
-  }
-
-  struct RaceCell {
-    std::size_t point;
-    std::size_t trial;
-  };
-  std::vector<RaceCell> cells;
-  std::vector<std::vector<RaceReport>> race_out(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    race_out[p].resize(instances[p].size());
-    for (std::size_t t = 0; t < instances[p].size(); ++t) {
-      cells.push_back({p, t});
+    } else {
+      entries[i] = auto_entries(registry, inputs[i].instance,
+                                options.race.model, options.race.top_k,
+                                base_ctx);
     }
   }
 
@@ -282,76 +258,27 @@ CampaignReport run_campaign_races(
   race_options.accept_gap = options.race.accept_gap;
   race_options.span_bound_max_jobs = options.run.span_bound_max_jobs;
 
+  std::vector<RaceReport> races(inputs.size());
   ParallelOptions parallel_options;
   parallel_options.cancel = options.run.cancel;
   parallel_options.on_cancelled = [&](std::size_t i) {
-    const auto [p, t] = cells[i];
-    RaceReport& race_report = race_out[p][t];
-    race_report.entries = entries[p][t];
-    race_report.rows.reserve(entries[p][t].size());
-    for (const RaceEntry& entry : entries[p][t]) {
+    races[i].entries = entries[i];
+    for (const RaceEntry& entry : entries[i]) {
       const core::Solver* solver = registry.find(entry.solver);
-      if (solver != nullptr) {
-        race_report.rows.push_back(
-            cancelled_cell_row(*solver, base_ctx.budget_ms()));
-      } else {
-        core::Solution refusal;
-        refusal.solver = entry.solver;
-        refusal.family = instances[p][t].family;
-        refusal.message = "unknown solver";
-        race_report.rows.push_back(std::move(refusal));
-      }
+      races[i].rows.push_back(
+          solver != nullptr
+              ? cancelled_cell_row(*solver, base_ctx.budget_ms())
+              : unknown_solver_row(entry.solver, inputs[i].instance.family));
     }
   };
   parallel_for(
-      report.threads, cells.size(),
+      threads, inputs.size(),
       [&](std::size_t i) {
-        const auto [p, t] = cells[i];
-        race_out[p][t] = race(registry, instances[p][t], entries[p][t],
-                              base_ctx.restarted(), race_options);
+        races[i] = race(registry, inputs[i].instance, entries[i],
+                        base_ctx.restarted(), race_options);
       },
       parallel_options);
-
-  report.points.reserve(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    CampaignPoint point;
-    point.spec = specs[p];
-    point.solvers = point_solver_names(grid, options, specs[p].name);
-    std::vector<RunReport> trial_reports;
-    trial_reports.reserve(instances[p].size());
-    for (std::size_t t = 0; t < instances[p].size(); ++t) {
-      RaceReport& race_report = race_out[p][t];
-      point.races += 1;
-      if (race_report.winner >= 0) {
-        const std::string& name =
-            race_report.rows[static_cast<std::size_t>(race_report.winner)]
-                .solver;
-        auto it = std::find_if(point.race_wins.begin(), point.race_wins.end(),
-                               [&](const auto& w) { return w.first == name; });
-        if (it == point.race_wins.end()) {
-          point.race_wins.emplace_back(name, 1);
-        } else {
-          it->second += 1;
-        }
-      } else {
-        point.races_unwon += 1;
-      }
-      RunReport cell;
-      cell.instance = std::move(instances[p][t]);
-      cell.solutions = std::move(race_report.rows);
-      cell.lower_bound =
-          derive_lower_bound(cell.instance, cell.solutions, options.run);
-      for (const core::Solution& sol : cell.solutions) {
-        point.cells += 1;
-        if (sol.ok) point.ok_cells += 1;
-        if (sol.ok && !sol.feasible) point.infeasible_cells += 1;
-      }
-      trial_reports.push_back(std::move(cell));
-    }
-    point.aggregates = aggregate_cells(trial_reports);
-    report.points.push_back(std::move(point));
-  }
-  return report;
+  return races;
 }
 
 }  // namespace
@@ -363,6 +290,7 @@ std::optional<CampaignReport> run_campaign(
   report.trials = std::max(1, grid.trials > 0 ? grid.trials : options.trials);
   report.threads = resolve_threads(options.threads);
   report.budget_ms = options.run.budget_ms;
+  report.raced = options.race.enabled;
   const auto t0 = std::chrono::steady_clock::now();
   const core::RunContext base_ctx = make_run_context(options.run);
 
@@ -372,104 +300,84 @@ std::optional<CampaignReport> run_campaign(
     return std::nullopt;
   }
 
-  // Generate every point's trial instances and solver plans up front
-  // (sequential and cheap), so a bad grid fails before any cell runs and
-  // the cell fan-out below is pure solver work.
-  const std::size_t points = specs.size();
-  std::vector<std::vector<ProblemInstance>> instances(points);
-  std::vector<std::vector<std::vector<const core::Solver*>>> plans(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    for (int t = 0; t < report.trials; ++t) {
-      ScenarioSpec spec = specs[p];
-      spec.seed = specs[p].seed + static_cast<std::uint64_t>(t);
+  // Generate every point's trial instances up front (sequential and
+  // cheap), so a bad grid fails before any cell runs. One flat input list
+  // across ALL points, point-major: the whole campaign shares one pool, so
+  // a short point's workers immediately pick up the next point's cells
+  // instead of idling at a per-point barrier.
+  const auto trials = static_cast<std::size_t>(report.trials);
+  std::vector<CellInput> inputs;
+  inputs.reserve(specs.size() * trials);
+  for (const ScenarioSpec& point : specs) {
+    for (std::size_t t = 0; t < trials; ++t) {
+      ScenarioSpec spec = point;
+      spec.seed = point.seed + t;
       std::string why;
       auto inst = make_scenario(spec, &why);
       if (!inst.has_value()) {
         if (error != nullptr) {
-          *error = "point " + specs[p].name + " n=" +
-                   std::to_string(specs[p].n) + " g=" +
-                   std::to_string(specs[p].g) + ": " + why;
+          *error = "point " + point.name + " n=" + std::to_string(point.n) +
+                   " g=" + std::to_string(point.g) + ": " + why;
         }
         return std::nullopt;
       }
-      if (!options.race.enabled) {
-        plans[p].push_back(registry.selection(
-            *inst, point_solver_names(grid, options, specs[p].name),
-            base_ctx));
-      }
-      instances[p].push_back(std::move(*inst));
+      inputs.push_back({std::move(*inst),
+                        point_solver_names(grid, options, point.name)});
     }
   }
 
-  if (options.race.enabled) {
-    report = run_campaign_races(registry, grid, std::move(report), options,
-                                base_ctx, specs, std::move(instances));
-    report.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    return report;
-  }
-
-  // One flat cell list across ALL points — the whole campaign shares one
-  // pool, so a short point's workers immediately pick up the next point's
-  // cells instead of idling at a per-point barrier.
-  struct Cell {
-    std::size_t point;
-    std::size_t trial;
-    std::size_t slot;
-  };
-  std::vector<Cell> cells;
-  std::vector<std::vector<std::vector<core::Solution>>> grid_out(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    grid_out[p].resize(static_cast<std::size_t>(report.trials));
-    for (std::size_t t = 0; t < grid_out[p].size(); ++t) {
-      grid_out[p][t].resize(plans[p][t].size());
-      for (std::size_t s = 0; s < plans[p][t].size(); ++s) {
-        cells.push_back({p, t, s});
-      }
+  // Racing mode keeps the full race rows: losers show up in the aggregates
+  // as interrupted/cancelled runs, and their incumbents still tighten the
+  // per-trial lower bound.
+  std::vector<RaceReport> races;
+  std::vector<RunReport> cells;
+  if (report.raced) {
+    races = run_races(registry, inputs, options, base_ctx, report.threads);
+    cells.resize(inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      cells[i].instance = std::move(inputs[i].instance);
+      cells[i].solutions = std::move(races[i].rows);
+      cells[i].lower_bound = derive_lower_bound(
+          cells[i].instance, cells[i].solutions, options.run);
     }
+  } else {
+    cells = run_cells(registry, std::move(inputs), base_ctx, report.threads,
+                      options.run);
   }
-  // Cancellation drains at the scheduler: remaining cells are stamped with
-  // the registry's decline row in O(cells) memory writes, so a cancelled
-  // campaign stops after only the in-flight cells finish.
-  ParallelOptions parallel_options;
-  parallel_options.cancel = options.run.cancel;
-  parallel_options.on_cancelled = [&](std::size_t i) {
-    const auto [p, t, s] = cells[i];
-    grid_out[p][t][s] =
-        cancelled_cell_row(*plans[p][t][s], base_ctx.budget_ms());
-  };
-  parallel_for(
-      report.threads, cells.size(),
-      [&](std::size_t i) {
-        const auto [p, t, s] = cells[i];
-        grid_out[p][t][s] = registry.run(*plans[p][t][s], instances[p][t],
-                                         base_ctx.restarted());
-      },
-      parallel_options);
 
-  // Assemble per-point reports: refusal rows for unknown solver names,
-  // per-trial lower bounds, then the shared sweep aggregation.
-  report.points.reserve(points);
-  for (std::size_t p = 0; p < points; ++p) {
+  // Per-point assembly: verdict counters, race tallies, then the shared
+  // sweep aggregation over the point's trials.
+  report.points.reserve(specs.size());
+  for (std::size_t p = 0; p < specs.size(); ++p) {
     CampaignPoint point;
     point.spec = specs[p];
     point.solvers = point_solver_names(grid, options, specs[p].name);
-    std::vector<RunReport> trial_reports;
-    trial_reports.reserve(static_cast<std::size_t>(report.trials));
-    for (std::size_t t = 0; t < instances[p].size(); ++t) {
-      RunReport cell;
-      cell.instance = std::move(instances[p][t]);
-      cell.solutions = std::move(grid_out[p][t]);
-      append_unknown_solver_rows(registry, point.solvers, cell);
-      cell.lower_bound =
-          derive_lower_bound(cell.instance, cell.solutions, options.run);
+    const auto first = cells.begin() + static_cast<std::ptrdiff_t>(p * trials);
+    std::vector<RunReport> trial_reports(
+        std::make_move_iterator(first),
+        std::make_move_iterator(first + static_cast<std::ptrdiff_t>(trials)));
+    for (std::size_t t = 0; t < trials; ++t) {
+      const RunReport& cell = trial_reports[t];
       for (const core::Solution& sol : cell.solutions) {
         point.cells += 1;
         if (sol.ok) point.ok_cells += 1;
         if (sol.ok && !sol.feasible) point.infeasible_cells += 1;
       }
-      trial_reports.push_back(std::move(cell));
+      if (!report.raced) continue;
+      point.races += 1;
+      const int winner = races[p * trials + t].winner;
+      if (winner < 0) {
+        point.races_unwon += 1;
+        continue;
+      }
+      const std::string& name =
+          cell.solutions[static_cast<std::size_t>(winner)].solver;
+      auto it = std::find_if(point.race_wins.begin(), point.race_wins.end(),
+                             [&](const auto& w) { return w.first == name; });
+      if (it == point.race_wins.end()) {
+        it = point.race_wins.emplace(it, name, 0);
+      }
+      it->second += 1;
     }
     point.aggregates = aggregate_cells(trial_reports);
     report.points.push_back(std::move(point));
@@ -479,6 +387,26 @@ std::optional<CampaignReport> run_campaign(
                        std::chrono::steady_clock::now() - t0)
                        .count();
   return report;
+}
+
+int exit_code(const CampaignReport& report) {
+  // The points' verdict counters summarize the same rows exit_code(rows)
+  // would scan; the campaign keeps no per-cell rows.
+  int infeasible = 0;
+  int ok = 0;
+  for (const CampaignPoint& point : report.points) {
+    infeasible += point.infeasible_cells;
+    ok += point.ok_cells;
+  }
+  return infeasible > 0 ? 2 : ok > 0 ? 0 : 1;
+}
+
+void render(std::ostream& os, Format format, const CampaignReport& report) {
+  switch (format) {
+    case Format::kJson: write_campaign_json(os, report); return;
+    case Format::kCsv: write_campaign_csv(os, report); return;
+    case Format::kTable: print_campaign(os, report); return;
+  }
 }
 
 void print_campaign(std::ostream& os, const CampaignReport& report) {

@@ -138,6 +138,13 @@ struct CampaignReport {
     const core::SolverRegistry& registry, const CampaignGrid& grid,
     const CampaignOptions& options, std::string* error = nullptr);
 
+/// The exit contract over the points' verdict counters: 2 when any cell's
+/// schedule failed its checker, else 0 when any cell solved, else 1.
+[[nodiscard]] int exit_code(const CampaignReport& report);
+
+/// The format dispatch over the writers below.
+void render(std::ostream& os, Format format, const CampaignReport& report);
+
 /// Aligned text table: one row per (point, solver) aggregate.
 void print_campaign(std::ostream& os, const CampaignReport& report);
 

@@ -13,15 +13,6 @@ namespace abt::engine {
 
 namespace {
 
-core::Solution unknown_entry_row(const std::string& name,
-                                 const core::ProblemInstance& inst) {
-  core::Solution sol;
-  sol.solver = name;
-  sol.family = inst.family;
-  sol.message = "unknown solver";
-  return sol;
-}
-
 /// The budget a drained (never-started) contestant would have run under,
 /// for its stamped row's bookkeeping.
 double entry_budget_ms(const RaceEntry& entry, const core::RunContext& parent) {
@@ -80,7 +71,7 @@ RaceReport race(const core::SolverRegistry& registry,
                          ? cancelled_cell_row(*solver,
                                               entry_budget_ms(entries[i],
                                                               parent))
-                         : unknown_entry_row(entries[i].solver, inst);
+                         : unknown_solver_row(entries[i].solver, inst.family);
     cancel_interrupted[i] = 1;
   };
 
@@ -89,7 +80,7 @@ RaceReport race(const core::SolverRegistry& registry,
       [&](std::size_t i) {
         const core::Solver* solver = registry.find(entries[i].solver);
         if (solver == nullptr) {
-          report.rows[i] = unknown_entry_row(entries[i].solver, inst);
+          report.rows[i] = unknown_solver_row(entries[i].solver, inst.family);
           return;
         }
         const core::RunContext ctx =
@@ -145,25 +136,22 @@ std::vector<RaceEntry> auto_entries(const core::SolverRegistry& registry,
                                     const core::ProblemInstance& inst,
                                     const SelectorModel* model, int top_k,
                                     const core::RunContext& ctx) {
+  const std::vector<const core::Solver*> applicable =
+      registry.selection(inst, {}, ctx);
   std::vector<RaceEntry> entries;
   if (model != nullptr) {
-    const std::vector<std::string> picked =
-        select_solvers(*model, extract_features(inst), top_k);
-    for (const std::string& name : picked) {
-      const core::Solver* solver = registry.find(name);
-      if (solver == nullptr) continue;
-      std::string why;
-      if (solver->family != inst.family || solver->kind != inst.kind ||
-          (solver->applicable && !solver->applicable(inst, ctx, &why))) {
-        continue;
+    for (const std::string& name :
+         select_solvers(*model, extract_features(inst), top_k)) {
+      if (std::any_of(applicable.begin(), applicable.end(),
+                      [&](const core::Solver* s) { return s->name == name; })) {
+        entries.push_back({name, 0.0});
       }
-      entries.push_back({name, 0.0});
     }
     if (!entries.empty()) return entries;
     // A model trained on other kinds may pick nothing applicable; racing
     // everything is the honest fallback rather than failing the solve.
   }
-  for (const core::Solver* solver : registry.applicable_to(inst, ctx)) {
+  for (const core::Solver* solver : applicable) {
     entries.push_back({solver->name, 0.0});
   }
   return entries;
@@ -182,6 +170,19 @@ std::string race_verdict(const RaceReport& report, std::size_t i) {
 }
 
 }  // namespace
+
+int exit_code(const RaceReport& report) {
+  return exit_code(report.rows, report.winner >= 0 || report.best >= 0);
+}
+
+void render(std::ostream& os, Format format, const core::ProblemInstance& inst,
+            const RaceReport& report) {
+  switch (format) {
+    case Format::kJson: write_race_json(os, inst, report); return;
+    case Format::kCsv: write_race_csv(os, report); return;
+    case Format::kTable: print_race(os, report); return;
+  }
+}
 
 void print_race(std::ostream& os, const RaceReport& report) {
   os << "race: " << report.entries.size() << " contestants, "

@@ -97,6 +97,15 @@ struct RaceReport {
     const SelectorModel* model = nullptr, int top_k = 3,
     const core::RunContext& ctx = {});
 
+/// The exit contract over the race rows; solved = a winner or a
+/// best-effort feasible row exists.
+[[nodiscard]] int exit_code(const RaceReport& report);
+
+/// The format dispatch over the writers below (JSON names the instance's
+/// family and kind).
+void render(std::ostream& os, Format format, const core::ProblemInstance& inst,
+            const RaceReport& report);
+
 /// Aligned text table of the race (one row per contestant + winner line).
 void print_race(std::ostream& os, const RaceReport& report);
 

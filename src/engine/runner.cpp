@@ -11,6 +11,7 @@
 #include "core/rng.hpp"
 #include "engine/adapters.hpp"
 #include "engine/parallel.hpp"
+#include "engine/portfolio.hpp"
 #include "gen/extended_instances.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
@@ -216,16 +217,143 @@ LowerBound derive_lower_bound(const ProblemInstance& inst,
   return lb;
 }
 
+std::vector<RunReport> run_cells(const core::SolverRegistry& registry,
+                                 std::vector<CellInput> inputs,
+                                 const core::RunContext& ctx, int threads,
+                                 const RunOptions& options, bool eager) {
+  // The registry owns the selection semantics (budget-aware: a budget
+  // lifts the exact gates); every cell writes only its pre-sized slot.
+  std::vector<std::vector<const core::Solver*>> plans;
+  plans.reserve(inputs.size());
+  std::vector<RunReport> reports(inputs.size());
+  struct Cell {
+    std::size_t input;
+    std::size_t slot;
+  };
+  std::vector<Cell> cells;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    plans.push_back(
+        registry.selection(inputs[i].instance, inputs[i].solvers, ctx));
+    reports[i].solutions.resize(plans[i].size());
+    for (std::size_t s = 0; s < plans[i].size(); ++s) cells.push_back({i, s});
+  }
+  // A tripped token drains at the scheduler: unclaimed cells are stamped
+  // with the registry's decline row, with no begin_cell and no dispatch.
+  ParallelOptions parallel_options;
+  parallel_options.cancel = ctx.cancel_token();
+  parallel_options.eager_dispatch = eager;
+  parallel_options.on_cancelled = [&](std::size_t c) {
+    const auto [i, s] = cells[c];
+    reports[i].solutions[s] = cancelled_cell_row(*plans[i][s], ctx.budget_ms());
+  };
+  parallel_for(
+      threads, cells.size(),
+      [&](std::size_t c) {
+        const auto [i, s] = cells[c];
+        // A freshly armed deadline per cell; token and hooks are shared.
+        reports[i].solutions[s] =
+            registry.run(*plans[i][s], inputs[i].instance, ctx.restarted());
+      },
+      parallel_options);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    RunReport& report = reports[i];
+    report.instance = std::move(inputs[i].instance);
+    append_unknown_solver_rows(registry, inputs[i].solvers, report);
+    report.lower_bound =
+        derive_lower_bound(report.instance, report.solutions, options);
+  }
+  return reports;
+}
+
 RunReport run_instance(const core::SolverRegistry& registry,
                        const ProblemInstance& inst,
                        const RunOptions& options) {
-  RunReport report;
-  report.instance = inst;
-  report.solutions =
-      registry.run_applicable(inst, options.solvers, make_run_context(options));
-  report.lower_bound =
-      derive_lower_bound(inst, report.solutions, options);
-  return report;
+  std::vector<CellInput> inputs;
+  inputs.push_back({inst, options.solvers});
+  return std::move(run_cells(registry, std::move(inputs),
+                             make_run_context(options), 1, options)
+                       .front());
+}
+
+std::string_view format_name(Format format) {
+  switch (format) {
+    case Format::kCsv: return "csv";
+    case Format::kJson: return "json";
+    case Format::kTable: break;
+  }
+  return "table";
+}
+
+int exit_code(const std::vector<core::Solution>& rows, bool solved) {
+  for (const core::Solution& sol : rows) {
+    if (sol.ok && !sol.feasible) return 2;
+  }
+  return solved ? 0 : 1;
+}
+
+int exit_code(const RunReport& report) {
+  const std::vector<core::Solution>& rows = report.solutions;
+  return exit_code(rows, std::any_of(rows.begin(), rows.end(),
+                                     [](const auto& sol) { return sol.ok; }));
+}
+
+int exit_code(const SweepReport& report) {
+  int code = 1;
+  for (const RunReport& cell : report.cells) {
+    const int cell_code = exit_code(cell);
+    if (cell_code == 2) return 2;
+    if (cell_code == 0) code = 0;
+  }
+  return code;
+}
+
+void render(std::ostream& os, Format format, const RunReport& report) {
+  switch (format) {
+    case Format::kJson: write_json(os, report); return;
+    case Format::kCsv: write_csv(os, report); return;
+    case Format::kTable: print_report(os, report); return;
+  }
+}
+
+void render(std::ostream& os, Format format, const SweepReport& report) {
+  switch (format) {
+    case Format::kJson: write_sweep_json(os, report); return;
+    case Format::kCsv: write_sweep_csv(os, report); return;
+    case Format::kTable: print_sweep(os, report); return;
+  }
+}
+
+Response execute(const core::SolverRegistry& registry, Request request,
+                 const core::RunContext& ctx, int threads) {
+  Response response;
+  std::ostringstream body;
+  if (request.race) {
+    std::vector<RaceEntry> entries;
+    if (request.solvers.empty()) {
+      entries = auto_entries(registry, request.instance, request.model, 3, ctx);
+    }
+    for (const std::string& name : request.solvers) {
+      entries.push_back({name, 0.0});
+    }
+    RaceOptions options;
+    options.threads = threads;
+    options.accept_gap = request.accept_gap;
+    RaceReport report =
+        race(registry, request.instance, entries, ctx, options);
+    render(body, request.format, request.instance, report);
+    response.exit = exit_code(report);
+    response.rows = std::move(report.rows);
+  } else {
+    std::vector<CellInput> inputs;
+    inputs.push_back({std::move(request.instance), std::move(request.solvers)});
+    RunReport report = std::move(
+        run_cells(registry, std::move(inputs), ctx, threads, {}, true).front());
+    render(body, request.format, report);
+    response.exit = exit_code(report);
+    response.rows = std::move(report.solutions);
+  }
+  response.payload = body.str();
+  return response;
 }
 
 namespace {
@@ -253,13 +381,22 @@ std::string gap_cell(const core::Solution& sol) {
 }  // namespace
 
 void write_json_string(std::ostream& os, const std::string& text) {
+  constexpr char kHex[] = "0123456789abcdef";
   os << '"';
   for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
     switch (c) {
       case '"': os << "\\\""; break;
       case '\\': os << "\\\\"; break;
       case '\n': os << "\\n"; break;
-      default: os << c;
+      case '\r': os << "\\r"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (byte < 0x20) {
+          os << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xf];
+        } else {
+          os << c;
+        }
     }
   }
   os << '"';
@@ -287,16 +424,21 @@ void write_aggregate_json(std::ostream& os, const SolverAggregate& agg) {
   os << "}";
 }
 
+core::Solution unknown_solver_row(const std::string& name,
+                                  core::Family family) {
+  core::Solution sol;
+  sol.solver = name;
+  sol.family = family;
+  sol.message = "unknown solver";
+  return sol;
+}
+
 void append_unknown_solver_rows(const core::SolverRegistry& registry,
                                 const std::vector<std::string>& only,
                                 RunReport& cell) {
   for (const std::string& name : only) {
     if (registry.find(name) == nullptr) {
-      core::Solution sol;
-      sol.solver = name;
-      sol.family = cell.instance.family;
-      sol.message = "unknown solver";
-      cell.solutions.push_back(std::move(sol));
+      cell.solutions.push_back(unknown_solver_row(name, cell.instance.family));
     }
   }
 }
@@ -539,78 +681,21 @@ std::optional<SweepReport> run_sweep(const core::SolverRegistry& registry,
   report.threads = resolve_threads(options.threads);
   report.budget_ms = options.run.budget_ms;
   const auto t0 = std::chrono::steady_clock::now();
-  const core::RunContext base_ctx = make_run_context(options.run);
 
   // Instance generation is sequential: it is cheap, and trial t's workload
   // depends only on (scenario, base.seed + t), never on thread scheduling.
-  std::vector<ProblemInstance> instances;
-  instances.reserve(static_cast<std::size_t>(report.trials));
-  std::vector<std::vector<const core::Solver*>> plans;
-  plans.reserve(static_cast<std::size_t>(report.trials));
+  std::vector<CellInput> inputs;
+  inputs.reserve(static_cast<std::size_t>(report.trials));
   for (int t = 0; t < report.trials; ++t) {
     ScenarioSpec spec = base;
     spec.seed = base.seed + static_cast<std::uint64_t>(t);
     auto inst = make_scenario(spec, error);
     if (!inst.has_value()) return std::nullopt;
-    // The registry owns the selection semantics: the sweep's per-trial
-    // plan is exactly what run_applicable would run on this instance
-    // (budget-aware — a budget lifts the exact gates).
-    plans.push_back(registry.selection(*inst, options.run.solvers, base_ctx));
-    instances.push_back(std::move(*inst));
+    inputs.push_back({std::move(*inst), options.run.solvers});
   }
-
-  // Fan the (trial, solver) cells out over the pool. Every cell writes
-  // only its own pre-sized slot, so the collected grid — and everything
-  // aggregated from it — is identical for any worker count.
-  struct Cell {
-    int trial;
-    std::size_t slot;
-  };
-  std::vector<Cell> cells;
-  std::vector<std::vector<core::Solution>> grid(
-      static_cast<std::size_t>(report.trials));
-  for (int t = 0; t < report.trials; ++t) {
-    grid[static_cast<std::size_t>(t)].resize(
-        plans[static_cast<std::size_t>(t)].size());
-    for (std::size_t s = 0; s < plans[static_cast<std::size_t>(t)].size();
-         ++s) {
-      cells.push_back({t, s});
-    }
-  }
-  // The scheduler drains a cancelled sweep: once the token trips, workers
-  // claim whole remaining ranges and stamp each cell's slot with the same
-  // decline row the registry would produce — no begin_cell, no dispatch.
-  ParallelOptions parallel_options;
-  parallel_options.cancel = options.run.cancel;
-  parallel_options.on_cancelled = [&](std::size_t i) {
-    const auto [trial, slot] = cells[i];
-    grid[static_cast<std::size_t>(trial)][slot] = cancelled_cell_row(
-        *plans[static_cast<std::size_t>(trial)][slot], base_ctx.budget_ms());
-  };
-  parallel_for(
-      report.threads, cells.size(),
-      [&](std::size_t i) {
-        const auto [trial, slot] = cells[i];
-        // Each cell gets a freshly armed deadline; the cancel token and the
-        // incumbent hook are shared across the whole sweep.
-        grid[static_cast<std::size_t>(trial)][slot] = registry.run(
-            *plans[static_cast<std::size_t>(trial)][slot],
-            instances[static_cast<std::size_t>(trial)], base_ctx.restarted());
-      },
-      parallel_options);
-
-  // Assemble the per-trial reports (plus refusal rows for unknown solver
-  // names, mirroring run_applicable) and derive each trial's lower bound.
-  report.cells.reserve(static_cast<std::size_t>(report.trials));
-  for (int t = 0; t < report.trials; ++t) {
-    RunReport cell;
-    cell.instance = std::move(instances[static_cast<std::size_t>(t)]);
-    cell.solutions = std::move(grid[static_cast<std::size_t>(t)]);
-    append_unknown_solver_rows(registry, options.run.solvers, cell);
-    cell.lower_bound =
-        derive_lower_bound(cell.instance, cell.solutions, options.run);
-    report.cells.push_back(std::move(cell));
-  }
+  report.cells = run_cells(registry, std::move(inputs),
+                           make_run_context(options.run), report.threads,
+                           options.run);
 
   // Aggregate per solver, in first-seen (registration) order.
   report.aggregates = aggregate_cells(report.cells);

@@ -4,11 +4,14 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/solver.hpp"
 
 namespace abt::engine {
+
+struct SelectorModel;
 
 /// A named generated workload. One spec covers every generator the library
 /// ships — the random families of gen/random_instances and the paper's
@@ -77,8 +80,27 @@ struct RunReport {
   LowerBound lower_bound;
 };
 
+/// One instance of a cell batch and the solver names it runs (empty =
+/// every applicable solver).
+struct CellInput {
+  core::ProblemInstance instance;
+  std::vector<std::string> solvers;
+};
+
+/// The one cell fan-out behind run_instance, run_sweep, run_campaign and
+/// execute: plans each input with registry.selection, runs every (input,
+/// solver) cell in one parallel_for under ctx.restarted() (cancelled_cell_row
+/// once ctx's token trips; `eager` = ParallelOptions::eager_dispatch), and
+/// returns one RunReport per input with unknown-solver rows and the lower
+/// bound, identical for any `threads`.
+[[nodiscard]] std::vector<RunReport> run_cells(
+    const core::SolverRegistry& registry, std::vector<CellInput> inputs,
+    const core::RunContext& ctx, int threads, const RunOptions& options = {},
+    bool eager = false);
+
 /// Runs every selected applicable solver on the instance (timed and
 /// checker-validated by the registry) and derives the reference lower bound.
+/// One serial run_cells batch.
 [[nodiscard]] RunReport run_instance(const core::SolverRegistry& registry,
                                      const core::ProblemInstance& inst,
                                      const RunOptions& options = {});
@@ -147,14 +169,17 @@ struct SolverAggregate {
 
 /// Shared report plumbing (used by the sweep and campaign writers so the
 /// two schemas cannot silently diverge):
-/// `write_json_string` emits `text` as an escaped JSON string literal;
-/// `write_aggregate_json` emits one SolverAggregate as a single-line JSON
-/// object (solver/runs/ok/feasible/exact/declined/timed_out + optional
-/// ratio and wall_ms groups); `append_unknown_solver_rows` adds the
-/// refusal row every requested-but-unregistered solver name gets,
-/// mirroring run_applicable.
+/// `write_json_string` emits `text` as an escaped JSON string literal
+/// (every byte below 0x20 escaped); `write_aggregate_json` emits one
+/// SolverAggregate as a single-line JSON object
+/// (solver/runs/ok/feasible/exact/declined/timed_out + optional ratio and
+/// wall_ms groups); `unknown_solver_row` is the refusal row every
+/// requested-but-unregistered solver name gets, and
+/// `append_unknown_solver_rows` adds one per such name in `only`.
 void write_json_string(std::ostream& os, const std::string& text);
 void write_aggregate_json(std::ostream& os, const SolverAggregate& agg);
+[[nodiscard]] core::Solution unknown_solver_row(const std::string& name,
+                                                core::Family family);
 void append_unknown_solver_rows(const core::SolverRegistry& registry,
                                 const std::vector<std::string>& only,
                                 RunReport& cell);
@@ -177,6 +202,53 @@ struct SweepReport {
 [[nodiscard]] std::optional<SweepReport> run_sweep(
     const core::SolverRegistry& registry, const ScenarioSpec& base,
     const SweepOptions& options, std::string* error = nullptr);
+
+/// How a report is rendered: aligned text table, CSV rows or JSON.
+enum class Format { kTable, kCsv, kJson };
+
+/// "table", "csv" or "json" (the abtd payload's `format` values).
+[[nodiscard]] std::string_view format_name(Format format);
+
+/// The exit contract every report type shares (abt_solve's exit status and
+/// abtd's `exit=N` flag): 2 when any row's schedule failed its checker,
+/// else 0 when `solved`, else 1.
+[[nodiscard]] int exit_code(const std::vector<core::Solution>& rows,
+                            bool solved);
+/// solved = some row produced a schedule.
+[[nodiscard]] int exit_code(const RunReport& report);
+/// Over every trial: 2 on any checker failure, else 0 when any trial solved.
+[[nodiscard]] int exit_code(const SweepReport& report);
+
+/// The format dispatch over the writers below.
+void render(std::ostream& os, Format format, const RunReport& report);
+void render(std::ostream& os, Format format, const SweepReport& report);
+
+/// One single-instance solve or race: the one request path that abt_solve,
+/// its --connect client (through abtd) and abtd share.
+struct Request {
+  core::ProblemInstance instance;
+  /// Solve: the solver subset (empty = every applicable solver). Race: the
+  /// explicit contestants (empty = the auto pick).
+  std::vector<std::string> solvers;
+  bool race = false;
+  /// Ranks the auto pick (top 3); nullptr = every applicable solver.
+  const SelectorModel* model = nullptr;
+  double accept_gap = -1.0;  ///< RaceOptions::accept_gap.
+  Format format = Format::kJson;
+};
+
+struct Response {
+  std::vector<core::Solution> rows;  ///< Solve rows or race rows.
+  std::string payload;               ///< The report rendered in `format`.
+  int exit = 0;                      ///< exit_code of the report.
+};
+
+/// Runs `request` under `ctx` (budget, cancel token, incumbent ring) on up
+/// to `threads` pool workers (0 = hardware): a solve is one eager run_cells
+/// batch, a race goes through engine::race.
+[[nodiscard]] Response execute(const core::SolverRegistry& registry,
+                               Request request, const core::RunContext& ctx,
+                               int threads);
 
 /// Renders the sweep aggregate as an aligned text table.
 void print_sweep(std::ostream& os, const SweepReport& report);

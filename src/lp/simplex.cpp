@@ -128,13 +128,6 @@ class Tableau {
     for (int c = 0; c <= num_cols_; ++c) pr[c] *= inv;
     pr[pcol] = 1.0;  // avoid drift
 
-#ifdef _OPENMP
-    // Parallel elimination only pays off on large tableaus; on the small
-    // LPs of the test suite the fork/join overhead dominates badly.
-    const bool parallel_worthwhile =
-        static_cast<long>(num_rows_) * num_cols_ > 200000;
-#pragma omp parallel for schedule(static) if (parallel_worthwhile)
-#endif
     for (int i = 0; i < num_rows_; ++i) {
       if (i == prow) continue;
       double* row = row_ptr(i);

@@ -49,8 +49,7 @@ struct Solution {
 
 /// Dense two-phase primal simplex. GLPK/CBC are not available in this
 /// environment, so the library carries its own solver (see DESIGN.md,
-/// substitutions). Dantzig pricing with a Bland fallback for degeneracy;
-/// row-elimination pivots are OpenMP-parallel.
+/// substitutions). Dantzig pricing with a Bland fallback for degeneracy.
 class SimplexSolver {
  public:
   struct Options {

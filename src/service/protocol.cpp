@@ -203,9 +203,12 @@ bool parse_solve_payload(std::string_view payload, SolveRequest* out,
       }
     } else if (keyword == "format") {
       if (!once(5, "format")) return false;
-      out->format = args.next();
-      if (out->format != "json" && out->format != "csv" &&
-          out->format != "table") {
+      const std::string_view name = args.next();
+      if (name == engine::format_name(engine::Format::kCsv)) {
+        out->format = engine::Format::kCsv;
+      } else if (name == engine::format_name(engine::Format::kTable)) {
+        out->format = engine::Format::kTable;
+      } else if (name != engine::format_name(engine::Format::kJson)) {
         return fail_line(error, line_no,
                          "format must be json, csv or table");
       }
@@ -260,7 +263,8 @@ bool write_solve_payload(std::string& out, const SolveRequest& request,
   if (request.progress > 0) {
     core::append(out, "progress ", request.progress, '\n');
   }
-  core::append(out, "format ", request.format, "\ninstance\n");
+  core::append(out, "format ", engine::format_name(request.format),
+               "\ninstance\n");
   std::string why;
   if (!core::write_instance(out, request.instance, &why)) {
     out.resize(start);
@@ -281,7 +285,7 @@ std::string cache_key(const SolveRequest& request) {
   std::string key;
   key.reserve(request.canonical.size() + 128);
   core::append(key, request.race ? "verb race\n" : "verb solve\n", "format ",
-               request.format, "\nsolvers");
+               engine::format_name(request.format), "\nsolvers");
   for (const std::string& name : request.solvers) core::append(key, ' ', name);
   core::append(key, "\nbudget-ms ", request.budget_ms, "\naccept-gap ",
                request.accept_gap, "\ninstance\n", request.canonical);

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/solver.hpp"
+#include "engine/runner.hpp"
 
 namespace abt::service {
 
@@ -108,7 +109,7 @@ struct SolveRequest {
   double budget_ms = 0.0;             ///< 0 = unlimited (server may shrink).
   double accept_gap = -1.0;           ///< Race acceptance (< 0 = any).
   int progress = 0;                   ///< Max progress frames wanted.
-  std::string format = "json";        ///< json | csv | table.
+  engine::Format format = engine::Format::kJson;
   core::ProblemInstance instance;
   /// Canonical write_instance serialization of `instance` — the
   /// instance part of the cache key.

@@ -13,32 +13,11 @@
 
 #include "core/assert.hpp"
 #include "core/text.hpp"
-#include "engine/parallel.hpp"
-#include "engine/portfolio.hpp"
 #include "engine/runner.hpp"
 
 namespace abt::service {
 
 namespace {
-
-/// The CLI exit contract over one set of solution rows: a checker FAIL
-/// anywhere is 2, nothing solved is 1, otherwise 0 (abt_solve's local
-/// mode uses the same rules, so --connect is a drop-in).
-int solve_exit_code(const std::vector<core::Solution>& rows) {
-  bool any_ok = false;
-  for (const core::Solution& sol : rows) {
-    if (sol.ok && !sol.feasible) return 2;
-    any_ok = any_ok || sol.ok;
-  }
-  return any_ok ? 0 : 1;
-}
-
-int race_exit_code(const engine::RaceReport& report) {
-  for (const core::Solution& sol : report.rows) {
-    if (sol.ok && !sol.feasible) return 2;
-  }
-  return report.winner < 0 && report.best < 0 ? 1 : 0;
-}
 
 std::string progress_payload(const core::IncumbentRing::Snapshot& snap) {
   std::ostringstream os;
@@ -318,7 +297,7 @@ void Server::serve(Connection& conn, double factor) {
         return;
       }
       parsed.race = request.type == FrameType::kRace;
-      handle_solve(conn, parsed, factor);
+      handle_solve(conn, std::move(parsed), factor);
       return;
     }
     default:
@@ -342,19 +321,16 @@ void Server::handle_cancel(Connection& conn, const Frame& frame) {
     const std::lock_guard<std::mutex> lock(active_mutex_);
     const auto it = active_.find(id);
     if (it != active_.end()) {
-      it->second.cancel();
+      it->second.source.cancel();
       found = true;
     }
   }
   if (found) cancelled_.fetch_add(1, std::memory_order_relaxed);
-  Frame reply;
-  reply.type = FrameType::kOk;
-  reply.payload = std::string("{\"cancelled\": ") +
-                  (found ? "true" : "false") + ", \"id\": \"" + id + "\"}\n";
-  std::string ignored;
-  if (conn.write_frame(reply, &ignored)) {
-    served_.fetch_add(1, std::memory_order_relaxed);
-  }
+  std::ostringstream os;
+  os << "{\"cancelled\": " << (found ? "true" : "false") << ", \"id\": ";
+  engine::write_json_string(os, id);
+  os << "}\n";
+  send_ok(conn, os.str());
 }
 
 void Server::handle_stats(Connection& conn) {
@@ -374,16 +350,10 @@ void Server::handle_stats(Connection& conn) {
      << ", \"misses\": " << stats.cache.misses
      << ", \"insertions\": " << stats.cache.insertions
      << ", \"evictions\": " << stats.cache.evictions << "}}\n";
-  Frame reply;
-  reply.type = FrameType::kOk;
-  reply.payload = os.str();
-  std::string ignored;
-  if (conn.write_frame(reply, &ignored)) {
-    served_.fetch_add(1, std::memory_order_relaxed);
-  }
+  send_ok(conn, os.str());
 }
 
-void Server::handle_solve(Connection& conn, const SolveRequest& request,
+void Server::handle_solve(Connection& conn, SolveRequest request,
                           double factor) {
   // Effective budget under admission control: a shrunk request keeps its
   // anytime semantics (rows carry timed_out + best_bound/gap), it just
@@ -405,15 +375,8 @@ void Server::handle_solve(Connection& conn, const SolveRequest& request,
   // entry. Shrunk responses are never inserted.
   const std::string key = cache_key(request);
   if (auto hit = cache_.lookup(key)) {
-    Frame reply;
-    reply.type = FrameType::kOk;
-    reply.flags.emplace_back("exit", std::to_string(hit->exit_code));
-    reply.flags.emplace_back("cached", "1");
-    reply.payload = std::move(hit->payload);
-    std::string ignored;
-    if (conn.write_frame(reply, &ignored)) {
-      served_.fetch_add(1, std::memory_order_relaxed);
-    }
+    send_ok(conn, std::move(hit->payload),
+            {{"exit", std::to_string(hit->exit_code)}, {"cached", "1"}});
     return;
   }
 
@@ -432,78 +395,28 @@ void Server::handle_solve(Connection& conn, const SolveRequest& request,
     ring = std::make_shared<core::IncumbentRing>(capacity);
     ctx.set_schedule_ring(ring);
   }
+  // Last writer wins on id reuse; the serial lets a finishing request
+  // retire only its own entry, never a later request's under the same id.
+  const std::uint64_t serial =
+      next_serial_.fetch_add(1, std::memory_order_relaxed);
   if (!request.id.empty()) {
     const std::lock_guard<std::mutex> lock(active_mutex_);
-    active_[request.id] = request_source;  // last writer wins on id reuse
+    active_[request.id] = {serial, request_source};
   }
 
-  std::ostringstream body;
-  int exit_code = 0;
-  if (request.race) {
-    std::vector<engine::RaceEntry> entries;
-    if (request.solvers.empty()) {
-      entries = engine::auto_entries(registry_, request.instance, nullptr, 3,
-                                     ctx);
-    } else {
-      entries.reserve(request.solvers.size());
-      for (const std::string& name : request.solvers) {
-        entries.push_back({name, 0.0});
-      }
-    }
-    engine::RaceOptions options;
-    options.threads = config_.threads;
-    options.accept_gap = request.accept_gap;
-    const engine::RaceReport report =
-        engine::race(registry_, request.instance, entries, ctx, options);
-    if (request.format == "json") {
-      engine::write_race_json(body, request.instance, report);
-    } else if (request.format == "csv") {
-      engine::write_race_csv(body, report);
-    } else {
-      engine::print_race(body, report);
-    }
-    exit_code = race_exit_code(report);
-  } else {
-    // A one-instance run_sweep: the registry owns selection, the cells
-    // fan out over the shared pool, a tripped token drains the rest.
-    engine::RunOptions options;
-    options.solvers = request.solvers;
-    options.budget_ms = budget_ms;
-    options.cancel = ctx.cancel_token();
-    const std::vector<const core::Solver*> plan =
-        registry_.selection(request.instance, request.solvers, ctx);
-    std::vector<core::Solution> rows(plan.size());
-    engine::ParallelOptions parallel_options;
-    parallel_options.cancel = ctx.cancel_token();
-    parallel_options.eager_dispatch = true;
-    parallel_options.on_cancelled = [&](std::size_t i) {
-      rows[i] = engine::cancelled_cell_row(*plan[i], budget_ms);
-    };
-    engine::parallel_for(
-        config_.threads, plan.size(),
-        [&](std::size_t i) {
-          rows[i] = registry_.run(*plan[i], request.instance, ctx.restarted());
-        },
-        parallel_options);
-    engine::RunReport report;
-    report.instance = request.instance;
-    report.solutions = std::move(rows);
-    engine::append_unknown_solver_rows(registry_, request.solvers, report);
-    report.lower_bound =
-        engine::derive_lower_bound(report.instance, report.solutions, options);
-    if (request.format == "json") {
-      engine::write_json(body, report);
-    } else if (request.format == "csv") {
-      engine::write_csv(body, report);
-    } else {
-      engine::print_report(body, report);
-    }
-    exit_code = solve_exit_code(report.solutions);
-  }
+  engine::Request job;
+  job.instance = std::move(request.instance);
+  job.solvers = std::move(request.solvers);
+  job.race = request.race;
+  job.accept_gap = request.accept_gap;
+  job.format = request.format;
+  engine::Response response =
+      engine::execute(registry_, std::move(job), ctx, config_.threads);
 
   if (!request.id.empty()) {
     const std::lock_guard<std::mutex> lock(active_mutex_);
-    active_.erase(request.id);
+    const auto it = active_.find(request.id);
+    if (it != active_.end() && it->second.serial == serial) active_.erase(it);
   }
 
   // Progress frames: the ring retained the last K improving incumbents;
@@ -518,22 +431,28 @@ void Server::handle_solve(Connection& conn, const SolveRequest& request,
     }
   }
 
-  Frame reply;
-  reply.type = FrameType::kOk;
-  reply.flags.emplace_back("exit", std::to_string(exit_code));
+  Flags flags = {{"exit", std::to_string(response.exit)}};
   if (is_shrunk) {
     std::string shrunk;
     core::append_number(shrunk, budget_ms);
-    reply.flags.emplace_back("budget-ms", std::move(shrunk));
+    flags.emplace_back("budget-ms", std::move(shrunk));
   }
-  reply.payload = body.str();
 
   // Cache only full-budget, undisturbed responses: a shrunk or cancelled
   // run's payload is a degraded answer and must never shadow a full one.
   if (!is_shrunk && !request_source.cancelled() &&
       !stop_source_.cancelled()) {
-    cache_.insert(key, {reply.payload, exit_code});
+    cache_.insert(key, {response.payload, response.exit});
   }
+  send_ok(conn, std::move(response.payload), std::move(flags));
+}
+
+void Server::send_ok(Connection& conn, std::string payload, Flags flags) {
+  Frame reply;
+  reply.type = FrameType::kOk;
+  reply.flags = std::move(flags);
+  reply.payload = std::move(payload);
+  std::string ignored;
   if (conn.write_frame(reply, &ignored)) {
     served_.fetch_add(1, std::memory_order_relaxed);
   }

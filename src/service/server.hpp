@@ -4,11 +4,11 @@
 // (Unix-domain socket and/or loopback TCP) performs admission control at
 // accept time and enqueues accepted connections into a bounded queue; a
 // small crew of dispatcher threads pops requests and drives each one
-// through the existing engine — solver cells fan out over the shared
-// work-stealing pool exactly like a one-instance run_sweep, races go
-// through engine::race — under a per-request core::RunContext carrying
-// the (possibly shrunk) budget and a per-request cancel token chained
-// with the server's shutdown source.
+// through engine::execute, the request path abt_solve runs locally —
+// solver cells fan out over the shared work-stealing pool through the one
+// cell runner, races go through engine::race — under a per-request
+// core::RunContext carrying the (possibly shrunk) budget and a per-request
+// cancel token chained with the server's shutdown source.
 //
 // Admission policy (accept-fast / shed-fast):
 //   load = queued + executing requests, sampled at accept.
@@ -108,6 +108,8 @@ class Server {
   void audit_invariants() const;
 
  private:
+  using Flags = std::vector<std::pair<std::string, std::string>>;
+
   struct Pending {
     Connection conn;
     double factor = 1.0;  ///< Admission budget factor, sampled at accept.
@@ -119,10 +121,11 @@ class Server {
   void accept_loop(int listen_fd);
   void dispatch_loop();
   void serve(Connection& conn, double factor);
-  void handle_solve(Connection& conn, const SolveRequest& request,
-                    double factor);
+  void handle_solve(Connection& conn, SolveRequest request, double factor);
   void handle_cancel(Connection& conn, const Frame& frame);
   void handle_stats(Connection& conn);
+  /// Writes the final ok frame and counts it as served.
+  void send_ok(Connection& conn, std::string payload, Flags flags = {});
   void send_overloaded(Connection& conn, int queued);
   void send_error(Connection& conn, const std::string& message);
   void audit_queue_locked() const;
@@ -144,8 +147,14 @@ class Server {
   std::deque<Pending> queue_;
   int in_flight_ = 0;
 
+  /// A cancellable in-flight request; `serial` tells id reusers apart.
+  struct Active {
+    std::uint64_t serial = 0;
+    core::CancelSource source;
+  };
   mutable std::mutex active_mutex_;
-  std::map<std::string, core::CancelSource> active_;
+  std::map<std::string, Active> active_;
+  std::atomic<std::uint64_t> next_serial_{0};
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> served_{0};

@@ -88,7 +88,8 @@ TEST(Adapters, KindGateKeepsStandardAndExtendedSolversApart) {
   const ProblemInstance weighted = weighted_instance(7, 6, 3);
 
   // Unrestricted run on a weighted instance: only weighted solvers fire.
-  for (const Solution& sol : registry.run_applicable(weighted)) {
+  for (const Solution& sol :
+       engine::run_instance(registry, weighted).solutions) {
     EXPECT_NE(sol.solver.find("weighted"), std::string::npos) << sol.solver;
   }
   // A standard busy solver explicitly requested on a weighted instance is
@@ -161,7 +162,8 @@ TEST_P(AdapterGuarantees, WeightedSolversRespectFactorsAgainstExact) {
     const double opt = exact.cost;
     EXPECT_GE(opt, inst.extension->lower_bound() - kEps);
 
-    for (const Solution& sol : registry.run_applicable(inst)) {
+    for (const Solution& sol :
+         engine::run_instance(registry, inst).solutions) {
       ASSERT_TRUE(sol.ok) << sol.solver << ": " << sol.message;
       EXPECT_TRUE(sol.feasible) << sol.solver << ": " << sol.message;
       EXPECT_GE(sol.cost, opt - kEps)

@@ -4,7 +4,7 @@
 
 #include "busy/exact_busy.hpp"
 #include "busy/lower_bounds.hpp"
-#include "busy/naive_baselines.hpp"
+#include "naive_baselines.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "busy/naive_baselines.hpp"
+#include "naive_baselines.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
 #include "lp/simplex.hpp"

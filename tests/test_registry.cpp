@@ -157,7 +157,8 @@ TEST_P(RegistryGuarantees, BusySolversStayFeasibleOnFlexibleInstances) {
     const busy::BusyLowerBounds bounds =
         busy::busy_lower_bounds(inst.continuous);
     int ran = 0;
-    for (const Solution& sol : registry.run_applicable(inst)) {
+    for (const Solution& sol :
+         engine::run_instance(registry, inst).solutions) {
       if (!sol.ok) continue;
       ++ran;
       EXPECT_TRUE(sol.feasible) << sol.solver << ": " << sol.message;
@@ -183,7 +184,8 @@ TEST_P(RegistryGuarantees, ActiveSolversRespectGuaranteesVsExactAndLp) {
     const double opt = exact.cost;
     if (opt == 0.0) continue;
 
-    for (const Solution& sol : registry.run_applicable(inst)) {
+    for (const Solution& sol :
+         engine::run_instance(registry, inst).solutions) {
       ASSERT_TRUE(sol.ok) << sol.solver << ": " << sol.message;
       EXPECT_TRUE(sol.feasible) << sol.solver << ": " << sol.message;
       EXPECT_GE(sol.cost, opt - kEps)
@@ -209,7 +211,8 @@ TEST(Registry, InfeasibleActiveInstanceIsReportedNotCrashed) {
   // Two rigid 2-slot jobs in the same 2 slots, capacity 1: flow-infeasible.
   const core::SlottedInstance infeasible({{0, 2, 2}, {0, 2, 2}}, 1);
   const ProblemInstance inst = core::make_instance(infeasible);
-  for (const Solution& sol : engine::shared_registry().run_applicable(inst)) {
+  for (const Solution& sol :
+       engine::run_instance(engine::shared_registry(), inst).solutions) {
     EXPECT_FALSE(sol.ok) << sol.solver;
     EXPECT_FALSE(sol.message.empty()) << sol.solver;
   }

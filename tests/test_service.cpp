@@ -6,6 +6,7 @@
 // reaching an in-flight solve.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -132,7 +133,7 @@ void expect_payload_round_trip(const core::ProblemInstance& inst) {
   request.budget_ms = 125.5;
   request.accept_gap = 0.02;
   request.progress = 3;
-  request.format = "csv";
+  request.format = engine::Format::kCsv;
   request.instance = inst;
 
   std::ostringstream os;
@@ -254,11 +255,116 @@ TEST(ServiceProtocol, CacheKeyCanonicalizesTextualSpellings) {
   d.race = true;
   EXPECT_NE(service::cache_key(a), service::cache_key(d));
   SolveRequest e = a;
-  e.format = "csv";
+  e.format = engine::Format::kCsv;
   EXPECT_NE(service::cache_key(a), service::cache_key(e));
   SolveRequest f = a;
   f.solvers = {"busy/weighted-first-fit"};
   EXPECT_NE(service::cache_key(a), service::cache_key(f));
+}
+
+/// Strict RFC 8259 validation of a complete JSON text (one value, then
+/// only whitespace): raw control bytes inside strings are rejected, as a
+/// conforming parser would.
+class JsonValidator {
+ public:
+  explicit JsonValidator(const std::string& text) : text_(text) {}
+
+  bool valid() {
+    skip_ws();
+    if (!value()) return false;
+    skip_ws();
+    return at_ == text_.size();
+  }
+
+ private:
+  void skip_ws() {
+    while (at_ < text_.size() && (text_[at_] == ' ' || text_[at_] == '\t' ||
+                                  text_[at_] == '\n' || text_[at_] == '\r')) {
+      ++at_;
+    }
+  }
+  bool eat(char c) {
+    skip_ws();
+    if (at_ < text_.size() && text_[at_] == c) {
+      ++at_;
+      return true;
+    }
+    return false;
+  }
+  bool literal(const char* word) {
+    const std::string w(word);
+    if (text_.compare(at_, w.size(), w) != 0) return false;
+    at_ += w.size();
+    return true;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (at_ < text_.size()) {
+      const auto c = static_cast<unsigned char>(text_[at_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (at_ >= text_.size()) return false;
+      const char e = text_[at_++];
+      if (e == 'u') {
+        for (int i = 0; i < 4; ++i) {
+          if (at_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(
+                                         text_[at_++]))) {
+            return false;
+          }
+        }
+      } else if (std::string("\"\\/bfnrt").find(e) == std::string::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool number() {
+    const std::size_t begin = at_;
+    const std::string number_chars = "+-0123456789.eE";
+    while (at_ < text_.size() &&
+           number_chars.find(text_[at_]) != std::string::npos) {
+      ++at_;
+    }
+    return at_ > begin;
+  }
+  bool value() {
+    skip_ws();
+    if (at_ >= text_.size()) return false;
+    switch (text_[at_]) {
+      case '{':
+        ++at_;
+        if (eat('}')) return true;
+        do {
+          skip_ws();
+          if (!string() || !eat(':') || !value()) return false;
+        } while (eat(','));
+        return eat('}');
+      case '[':
+        ++at_;
+        if (eat(']')) return true;
+        do {
+          if (!value()) return false;
+        } while (eat(','));
+        return eat(']');
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+
+  const std::string& text_;
+  std::size_t at_ = 0;
+};
+
+bool is_json(const std::string& text) { return JsonValidator(text).valid(); }
+
+TEST(ServiceProtocol, JsonValidatorRejectsRawControlBytes) {
+  EXPECT_TRUE(is_json("{\"a\": [1, -2.5e3, true, null, \"x\\u0001\"]}\n"));
+  EXPECT_FALSE(is_json("{\"a\": \"x\x01\"}"));
+  EXPECT_FALSE(is_json("{\"id\": \"a\"b\\c\"}"));
 }
 
 // ---------------------------------------------------------------------------
@@ -486,6 +592,87 @@ TEST_F(ServiceFixture, CancelVerbAbortsAnInFlightSolve) {
   EXPECT_NE(victim_exchange.final.payload.find("\"timed_out\": true"),
             std::string::npos)
       << victim_exchange.final.payload;
+}
+
+}  // namespace
+}  // namespace abt
+
+namespace abt {
+namespace {
+
+TEST_F(ServiceFixture, CancelReplyEscapesTheId) {
+  start({});
+  Frame cancel;
+  cancel.type = FrameType::kCancel;
+  cancel.payload = "id a\"b\\c\x01\n";
+  const service::Exchange reply = roundtrip(cancel);
+  ASSERT_EQ(reply.final.type, FrameType::kOk) << reply.final.payload;
+  EXPECT_TRUE(is_json(reply.final.payload)) << reply.final.payload;
+  EXPECT_EQ(reply.final.payload,
+            "{\"cancelled\": false, \"id\": \"a\\\"b\\\\c\\u0001\"}\n");
+}
+
+TEST_F(ServiceFixture, ControlBytesInSolverNamesStayValidJson) {
+  start({});
+  for (const bool race : {false, true}) {
+    SolveRequest request;
+    request.race = race;
+    request.solvers = {"busy/weighted-first-fit", "bogus\x01\x1fname"};
+    request.instance = weighted_instance(8, 5);
+    const service::Exchange exchange = roundtrip(solve_frame(request));
+    ASSERT_EQ(exchange.final.type, FrameType::kOk) << exchange.final.payload;
+    EXPECT_TRUE(is_json(exchange.final.payload))
+        << (race ? "race" : "solve") << ": " << exchange.final.payload;
+    EXPECT_NE(exchange.final.payload.find("bogus\\u0001\\u001fname"),
+              std::string::npos)
+        << exchange.final.payload;
+  }
+}
+
+TEST_F(ServiceFixture, IdReuseKeepsTheLaterRequestCancellable) {
+  service::ServiceConfig config;
+  config.dispatchers = 3;
+  config.threads = 1;
+  config.queue_soft = 8;
+  config.queue_cap = 8;
+  start(config);
+
+  // Two solves under one id: a short one, then a long one that takes the
+  // id over (last writer wins). The short one finishing must not retire
+  // the long one's entry.
+  SolveRequest short_run;
+  short_run.id = "shared";
+  short_run.solvers = {"busy/weighted-exact"};
+  short_run.budget_ms = 1500.0;
+  short_run.instance = weighted_instance(26, 41);
+  SolveRequest long_run = short_run;
+  long_run.budget_ms = 60000.0;
+  long_run.instance = weighted_instance(26, 42);
+
+  service::Exchange short_exchange;
+  std::thread short_client(
+      [&] { short_exchange = roundtrip(solve_frame(short_run)); });
+  ASSERT_TRUE(wait_for_in_flight(2));
+  service::Exchange long_exchange;
+  std::thread long_client(
+      [&] { long_exchange = roundtrip(solve_frame(long_run)); });
+  ASSERT_TRUE(wait_for_in_flight(3));
+  short_client.join();
+  ASSERT_EQ(short_exchange.final.type, FrameType::kOk)
+      << short_exchange.final.payload;
+
+  Frame cancel;
+  cancel.type = FrameType::kCancel;
+  cancel.payload = "id shared\n";
+  const service::Exchange reply = roundtrip(cancel);
+  EXPECT_NE(reply.final.payload.find("\"cancelled\": true"), std::string::npos)
+      << reply.final.payload;
+  long_client.join();
+  ASSERT_EQ(long_exchange.final.type, FrameType::kOk)
+      << long_exchange.final.payload;
+  EXPECT_NE(long_exchange.final.payload.find("\"timed_out\": true"),
+            std::string::npos)
+      << long_exchange.final.payload;
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 
 #include "busy/first_fit.hpp"
 #include "busy/greedy_tracking.hpp"
-#include "busy/naive_baselines.hpp"
+#include "naive_baselines.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
 #include "test_util.hpp"
@@ -270,8 +270,8 @@ TEST(OccupancyIndex, WeightedInsertsMatchBruteForceStepFunction) {
 
 // ---------------------------------------------------------------------------
 // Equivalence: the sweep-backed algorithms must reproduce the pre-refactor
-// quadratic implementations (kept verbatim in busy/naive_baselines.hpp)
-// placement-for-placement.
+// quadratic implementations (kept verbatim in
+// tests/oracles/naive_baselines.hpp) placement-for-placement.
 
 bool same_schedule(const BusySchedule& a, const BusySchedule& b) {
   if (a.placements.size() != b.placements.size()) return false;

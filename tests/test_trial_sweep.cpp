@@ -750,5 +750,124 @@ TEST(Campaign, WritersCarryThePoints) {
   EXPECT_NE(json.str().find("\"declined\""), std::string::npos);
 }
 
+// ---------------------------------------------------------------------------
+// The one cell fan-out and the one request path.
+
+void expect_same_rows(const std::vector<Solution>& a,
+                      const std::vector<Solution>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].solver, b[i].solver);
+    EXPECT_EQ(a[i].ok, b[i].ok) << a[i].solver;
+    EXPECT_EQ(a[i].feasible, b[i].feasible) << a[i].solver;
+    EXPECT_EQ(a[i].cost, b[i].cost) << a[i].solver;
+    EXPECT_EQ(a[i].machines, b[i].machines) << a[i].solver;
+    EXPECT_EQ(a[i].message, b[i].message) << a[i].solver;
+  }
+}
+
+TEST(RunCells, OneReportPerInputMatchingStandaloneRuns) {
+  const core::SolverRegistry& registry = engine::shared_registry();
+  std::vector<engine::CellInput> inputs;
+  for (const char* name : {"interval", "slotted", "weighted"}) {
+    engine::ScenarioSpec spec;
+    spec.name = name;
+    spec.n = 8;
+    spec.seed = 4;
+    auto inst = engine::make_scenario(spec);
+    ASSERT_TRUE(inst.has_value()) << name;
+    inputs.push_back({std::move(*inst), {}});
+  }
+  inputs[1].solvers = {"active/minimal-feasible", "no-such-solver"};
+
+  // Mixed families and solver lists in one batch over four workers: each
+  // report equals a serial standalone run of its input.
+  const std::vector<engine::RunReport> reports =
+      engine::run_cells(registry, inputs, {}, 4);
+  ASSERT_EQ(reports.size(), inputs.size());
+  ASSERT_EQ(reports[1].solutions.size(), 2u);
+  EXPECT_EQ(reports[1].solutions[1].message, "unknown solver");
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    engine::RunOptions options;
+    options.solvers = inputs[i].solvers;
+    const engine::RunReport alone =
+        engine::run_instance(registry, inputs[i].instance, options);
+    EXPECT_EQ(reports[i].instance.kind, inputs[i].instance.kind);
+    EXPECT_EQ(reports[i].lower_bound.value, alone.lower_bound.value);
+    EXPECT_EQ(reports[i].lower_bound.kind, alone.lower_bound.kind);
+    expect_same_rows(reports[i].solutions, alone.solutions);
+  }
+}
+
+TEST(Execute, SolveRowsAreIdenticalForEveryThreadCount) {
+  engine::ScenarioSpec spec;
+  spec.name = "flexible";
+  spec.n = 16;
+  spec.seed = 9;
+  auto inst = engine::make_scenario(spec);
+  ASSERT_TRUE(inst.has_value());
+  engine::Request request;
+  request.instance = std::move(*inst);
+
+  const engine::Response serial =
+      engine::execute(engine::shared_registry(), request, {}, 1);
+  ASSERT_FALSE(serial.rows.empty());
+  EXPECT_EQ(serial.exit, 0);
+  for (const int threads : {2, 4}) {
+    const engine::Response fanned =
+        engine::execute(engine::shared_registry(), request, {}, threads);
+    expect_same_rows(fanned.rows, serial.rows);
+    EXPECT_EQ(fanned.exit, serial.exit);
+  }
+
+  // The payload is the report rendered in the requested format.
+  request.format = engine::Format::kCsv;
+  const engine::Response csv =
+      engine::execute(engine::shared_registry(), request, {}, 1);
+  EXPECT_EQ(csv.payload.rfind("solver,cost,", 0), 0u) << csv.payload;
+}
+
+TEST(Execute, RaceAtOneThreadCrownsTheFirstAcceptableEntry) {
+  engine::ScenarioSpec spec;
+  spec.name = "interval";
+  spec.n = 12;
+  auto inst = engine::make_scenario(spec);
+  ASSERT_TRUE(inst.has_value());
+  engine::Request request;
+  request.instance = std::move(*inst);
+  request.race = true;
+  request.solvers = {"busy/greedy-tracking", "busy/first-fit"};
+  const engine::Response response =
+      engine::execute(engine::shared_registry(), request, {}, 1);
+  ASSERT_EQ(response.rows.size(), 2u);
+  EXPECT_TRUE(response.rows[0].ok && response.rows[0].feasible);
+  EXPECT_EQ(response.exit, 0);
+  EXPECT_NE(response.payload.find(
+                "\"winner_solver\": \"busy/greedy-tracking\""),
+            std::string::npos)
+      << response.payload;
+}
+
+TEST(Execute, ExitContract) {
+  Solution fine;
+  fine.ok = fine.feasible = true;
+  Solution broken;
+  broken.ok = true;  // produced a schedule the checker rejected
+  Solution declined;
+  EXPECT_EQ(engine::exit_code({fine, declined}, true), 0);
+  EXPECT_EQ(engine::exit_code({declined}, false), 1);
+  EXPECT_EQ(engine::exit_code({fine, broken}, true), 2);
+  EXPECT_EQ(engine::exit_code({broken}, false), 2);
+
+  // Nothing solved: an infeasible instance declines every solver.
+  engine::Request request;
+  request.instance =
+      core::make_instance(core::SlottedInstance({{0, 2, 2}, {0, 2, 2}}, 1));
+  const engine::Response response =
+      engine::execute(engine::shared_registry(), request, {}, 1);
+  ASSERT_FALSE(response.rows.empty());
+  EXPECT_EQ(response.exit, 1);
+}
+
 }  // namespace
 }  // namespace abt

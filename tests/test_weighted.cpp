@@ -164,8 +164,8 @@ TEST(Weighted, FlexiblePipelineFeasible) {
 }
 
 // --- Placement equivalence with the frozen copy-and-rescan heuristics ---
-// (tests/weighted_oracle.hpp). The index-backed driver must reproduce the
-// rescan placement for placement, not just in cost.
+// (tests/oracles/weighted_oracle.hpp). The index-backed driver must
+// reproduce the rescan placement for placement, not just in cost.
 
 ::testing::AssertionResult same_placements(const core::BusySchedule& got,
                                            const core::BusySchedule& want) {
