@@ -39,6 +39,8 @@
 #include "gen/random_instances.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "dense_simplex_oracle.hpp"
+#include "dp_unbounded_oracle.hpp"
 #include "minimal_feasible_oracle.hpp"
 #include "weighted_oracle.hpp"
 
@@ -99,14 +101,46 @@ BENCHMARK(BM_MinimalFeasibleNaive)
     ->Range(8, 256)
     ->Unit(benchmark::kMicrosecond);
 
+// LP1 instances: the historical random ones up to n = 32, the campaign's
+// shape (slotted, g = 4) at n = 128.
+core::SlottedInstance lp_instance(int n) {
+  if (n <= 32) return make_slotted(n, 3);
+  engine::ScenarioSpec spec;
+  spec.name = "slotted";
+  spec.n = n;
+  spec.g = 4;
+  return engine::make_scenario(spec)->slotted;
+}
+
+// LP1 the way lp-rounding solves it: build the model, run the feasibility
+// flow and start the revised simplex from its crash basis.
 void BM_ActiveLpSolve(benchmark::State& state) {
-  const auto inst = make_slotted(static_cast<int>(state.range(0)), 3);
+  const auto inst = lp_instance(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     const active::ActiveTimeLp model(inst);
-    benchmark::DoNotOptimize(active::solve_active_lp(model));
+    const auto flow =
+        active::extract_assignment(inst, active::candidate_slots(inst));
+    const lp::StartBasis start = model.crash_basis(flow->job_slots);
+    benchmark::DoNotOptimize(active::solve_active_lp(model, nullptr, &start));
   }
 }
-BENCHMARK(BM_ActiveLpSolve)->Range(4, 32);
+BENCHMARK(BM_ActiveLpSolve)
+    ->Range(4, 32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
+
+// The frozen dense two-phase tableau on the same models.
+void BM_ActiveLpSolveNaive(benchmark::State& state) {
+  const auto inst = lp_instance(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const active::ActiveTimeLp model(inst);
+    benchmark::DoNotOptimize(lp::oracle::solve_dense(model.problem()));
+  }
+}
+BENCHMARK(BM_ActiveLpSolveNaive)
+    ->Range(4, 32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_LpRounding(benchmark::State& state) {
   const auto inst = make_slotted(static_cast<int>(state.range(0)), 4);
@@ -279,13 +313,41 @@ void BM_PreemptiveBoundedNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_PreemptiveBoundedNaive)->Range(16, 2048)->Complexity();
 
+// g = infinity DP instances: the historical slack-1 random jobs up to
+// n = 32, the campaign's flexible family (g = 8) from n = 256 on.
+core::ContinuousInstance dp_instance(int n) {
+  if (n <= 32) return make_interval(n, 8, 1.0);
+  engine::ScenarioSpec spec;
+  spec.name = "flexible";
+  spec.n = n;
+  spec.g = 8;
+  return engine::make_scenario(spec)->continuous;
+}
+
 void BM_UnboundedDp(benchmark::State& state) {
-  const auto inst = make_interval(static_cast<int>(state.range(0)), 8, 1.0);
+  const auto inst = dp_instance(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(busy::solve_unbounded(inst));
   }
 }
-BENCHMARK(BM_UnboundedDp)->Range(4, 32);
+BENCHMARK(BM_UnboundedDp)
+    ->Range(4, 32)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+// The frozen rescan DP on the same instances.
+void BM_UnboundedDpNaive(benchmark::State& state) {
+  const auto inst = dp_instance(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::oracle::solve_unbounded(inst));
+  }
+}
+BENCHMARK(BM_UnboundedDpNaive)
+    ->Range(4, 32)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PreemptiveBounded(benchmark::State& state) {
   const auto inst = make_interval(static_cast<int>(state.range(0)), 9, 2.0);

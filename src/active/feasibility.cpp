@@ -9,7 +9,6 @@
 namespace abt::active {
 
 using core::ActiveSchedule;
-using core::JobId;
 using core::SlotTime;
 using core::SlottedInstance;
 
@@ -37,19 +36,59 @@ void SlotNetwork::add_job_slot(int slot) {
       {job, slot, dinic_.add_edge(1 + job, slot_node(slot), 1)});
 }
 
-SlotNetwork::Cap SlotNetwork::solve(const std::function<bool()>& should_stop,
-                                    bool* cancelled) {
+void SlotNetwork::add_sink_edges(Cap cap) {
   ABT_ASSERT(static_cast<int>(source_edges_.size()) == num_jobs_,
-             "solve before every job was added");
-  ABT_ASSERT(sink_edges_.empty(), "solve called twice");
+             "network used before every job was added");
+  ABT_ASSERT(sink_edges_.empty(), "network started twice");
   sink_edges_.reserve(static_cast<std::size_t>(num_slots_));
   for (int slot = 0; slot < num_slots_; ++slot) {
-    sink_edges_.push_back(dinic_.add_edge(slot_node(slot), sink(), capacity_));
+    sink_edges_.push_back(dinic_.add_edge(slot_node(slot), sink(), cap));
   }
+}
+
+SlotNetwork::Cap SlotNetwork::solve(const std::function<bool()>& should_stop,
+                                    bool* cancelled) {
+  add_sink_edges(capacity_);
   flow::Dinic::Options options;
   options.should_stop = should_stop;
-  const Cap flow = dinic_.max_flow(0, sink(), options, cancelled);
-  return total_work_ - flow;
+  routed_ = dinic_.max_flow(0, sink(), options, cancelled);
+  return total_work_ - routed_;
+}
+
+void SlotNetwork::start_empty() {
+  add_sink_edges(0);
+  withheld_.reserve(source_edges_.size());
+  for (const flow::Dinic::EdgeRef e : source_edges_) {
+    withheld_.push_back(dinic_.residual_on(e));
+    dinic_.set_capacity(e, 0);
+  }
+  total_work_ = 0;
+}
+
+void SlotNetwork::admit_job(int job) {
+  ABT_ASSERT(job >= 0 && job < num_jobs_, "job out of range");
+  const auto uj = static_cast<std::size_t>(job);
+  ABT_ASSERT(uj < withheld_.size() && withheld_[uj] >= 0,
+             "admit_job needs start_empty() and admits each job once");
+  dinic_.set_capacity(source_edges_[uj], withheld_[uj]);
+  total_work_ += withheld_[uj];
+  withheld_[uj] = -1;
+}
+
+void SlotNetwork::open_slot(int slot) {
+  ABT_ASSERT(!sink_edges_.empty(), "open_slot before start_empty");
+  ABT_ASSERT(slot >= 0 && slot < num_slots_, "slot out of range");
+  dinic_.set_capacity(sink_edges_[static_cast<std::size_t>(slot)], capacity_);
+}
+
+SlotNetwork::Cap SlotNetwork::route(const std::function<bool()>& should_stop,
+                                    bool* cancelled) {
+  ABT_ASSERT(!sink_edges_.empty(), "route before start_empty");
+  flow::Dinic::Options options;
+  options.should_stop = should_stop;
+  routed_ += dinic_.augment(0, sink(), total_work_ - routed_, options,
+                            cancelled);
+  return total_work_ - routed_;
 }
 
 void SlotNetwork::bucket_by_slot() {
@@ -146,17 +185,10 @@ std::optional<std::vector<SlotTime>> close_slots(
 }
 
 SlotNetwork slot_network(const SlottedInstance& inst,
-                         const std::vector<SlotTime>& active_slots,
-                         const std::vector<JobId>* jobs_subset) {
-  const int num_jobs = jobs_subset != nullptr
-                           ? static_cast<int>(jobs_subset->size())
-                           : inst.size();
-  SlotNetwork network(num_jobs, static_cast<int>(active_slots.size()),
+                         const std::vector<SlotTime>& active_slots) {
+  SlotNetwork network(inst.size(), static_cast<int>(active_slots.size()),
                       inst.capacity());
-  for (int ji = 0; ji < num_jobs; ++ji) {
-    const core::SlottedJob& job = inst.job(
-        jobs_subset != nullptr ? (*jobs_subset)[static_cast<std::size_t>(ji)]
-                               : ji);
+  for (const core::SlottedJob& job : inst.jobs()) {
     network.add_job(job.length);
     // Job -> live slot edges. active_slots is sorted; restrict to window.
     const auto lo = std::upper_bound(active_slots.begin(), active_slots.end(),
@@ -177,19 +209,16 @@ namespace {
 flow::Dinic::Cap run_feasibility_flow(
     const SlottedInstance& inst, const std::vector<SlotTime>& active_slots,
     const std::function<bool()>& should_stop, bool* cancelled,
-    const std::vector<JobId>* jobs_subset,
     std::vector<std::vector<SlotTime>>* assignment_out) {
-  SlotNetwork network = slot_network(inst, active_slots, jobs_subset);
+  SlotNetwork network = slot_network(inst, active_slots);
   const auto deficit = network.solve(should_stop, cancelled);
   if (*cancelled) return deficit;
   if (assignment_out != nullptr && deficit == 0) {
     const auto routed = network.routed_slots();
-    assignment_out->assign(static_cast<std::size_t>(inst.size()), {});
-    for (std::size_t ji = 0; ji < routed.size(); ++ji) {
-      const JobId job = jobs_subset != nullptr ? (*jobs_subset)[ji]
-                                               : static_cast<JobId>(ji);
-      auto& out = (*assignment_out)[static_cast<std::size_t>(job)];
-      for (int slot : routed[ji]) {
+    assignment_out->assign(routed.size(), {});
+    for (std::size_t job = 0; job < routed.size(); ++job) {
+      auto& out = (*assignment_out)[job];
+      for (int slot : routed[job]) {
         out.push_back(active_slots[static_cast<std::size_t>(slot)]);
       }
     }
@@ -201,21 +230,19 @@ flow::Dinic::Cap run_feasibility_flow(
 
 FeasStatus feasibility_with_slots(const SlottedInstance& inst,
                                   const std::vector<SlotTime>& active_slots,
-                                  const std::function<bool()>& should_stop,
-                                  const std::vector<JobId>* jobs_subset) {
+                                  const std::function<bool()>& should_stop) {
   ABT_ASSERT(std::is_sorted(active_slots.begin(), active_slots.end()),
              "active slots must be sorted");
   bool cancelled = false;
   const auto deficit = run_feasibility_flow(inst, active_slots, should_stop,
-                                            &cancelled, jobs_subset, nullptr);
+                                            &cancelled, nullptr);
   if (cancelled) return FeasStatus::kCancelled;
   return deficit == 0 ? FeasStatus::kFeasible : FeasStatus::kInfeasible;
 }
 
 bool is_feasible_with_slots(const SlottedInstance& inst,
-                            const std::vector<SlotTime>& active_slots,
-                            const std::vector<JobId>* jobs_subset) {
-  return feasibility_with_slots(inst, active_slots, {}, jobs_subset) ==
+                            const std::vector<SlotTime>& active_slots) {
+  return feasibility_with_slots(inst, active_slots, {}) ==
          FeasStatus::kFeasible;
 }
 
@@ -230,8 +257,8 @@ std::optional<ActiveSchedule> extract_assignment(
              "active slots must be sorted");
   bool flow_cancelled = false;
   std::vector<std::vector<SlotTime>> assignment;
-  const auto deficit = run_feasibility_flow(
-      inst, active_slots, should_stop, &flow_cancelled, nullptr, &assignment);
+  const auto deficit = run_feasibility_flow(inst, active_slots, should_stop,
+                                            &flow_cancelled, &assignment);
   if (cancelled != nullptr) *cancelled = flow_cancelled;
   if (flow_cancelled || deficit != 0) return std::nullopt;
   ActiveSchedule sched;

@@ -30,20 +30,15 @@ enum class FeasStatus {
 /// pattern) so callers decide whether "stop" means cancellation only
 /// (polynomial solvers, whose output a budget must not change) or
 /// cancellation + budget (budgeted exact search).
-///
-/// `jobs_subset` (optional) restricts the check to those job ids; used by
-/// the LP rounding which checks prefixes "all jobs with deadline <= t_di".
 [[nodiscard]] FeasStatus feasibility_with_slots(
     const core::SlottedInstance& inst,
     const std::vector<core::SlotTime>& active_slots,
-    const std::function<bool()>& should_stop,
-    const std::vector<core::JobId>* jobs_subset = nullptr);
+    const std::function<bool()>& should_stop);
 
 /// Boolean convenience wrapper (no cancellation): kFeasible => true.
 [[nodiscard]] bool is_feasible_with_slots(
     const core::SlottedInstance& inst,
-    const std::vector<core::SlotTime>& active_slots,
-    const std::vector<core::JobId>* jobs_subset = nullptr);
+    const std::vector<core::SlotTime>& active_slots);
 
 /// True when the instance is feasible with every slot 1..T active.
 [[nodiscard]] bool is_feasible(const core::SlottedInstance& inst);

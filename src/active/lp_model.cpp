@@ -24,10 +24,10 @@ ActiveTimeLp::ActiveTimeLp(const SlottedInstance& inst,
     slot_position_[static_cast<std::size_t>(slots_[i])] = static_cast<int>(i);
   }
 
-  // y variables, objective 1.
+  // y variables, objective 1, bounded by 1.
   y_vars_.reserve(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    y_vars_.push_back(problem_.add_variable(1.0));
+    y_vars_.push_back(problem_.add_variable(1.0, 1.0));
   }
   // x variables, objective 0.
   x_vars_.resize(static_cast<std::size_t>(inst.size()));
@@ -88,10 +88,6 @@ ActiveTimeLp::ActiveTimeLp(const SlottedInstance& inst,
     problem_.add_row(std::move(coeffs), lp::Sense::kGreaterEqual,
                      static_cast<double>(job.length));
   }
-  // y_t <= 1.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    problem_.add_row({{y_vars_[i], 1.0}}, lp::Sense::kLessEqual, 1.0);
-  }
 }
 
 int ActiveTimeLp::y_index(SlotTime t) const {
@@ -119,8 +115,34 @@ std::vector<double> ActiveTimeLp::y_values(const std::vector<double>& x) const {
   return y;
 }
 
+lp::StartBasis ActiveTimeLp::crash_basis(
+    const std::vector<std::vector<SlotTime>>& job_slots) const {
+  // Row layout from the constructor: link rows in x order (x variables
+  // follow the y variables, so x_v's link row is v - |slots|), then one
+  // capacity row per slot, then one demand row per job. Every logical
+  // starts basic; a used x_{t,j} takes its link row's place.
+  const int num_y = static_cast<int>(slots_.size());
+  lp::StartBasis start;
+  start.vars.assign(static_cast<std::size_t>(problem_.num_vars),
+                    lp::VarStatus::kAtLower);
+  start.rows.assign(problem_.rows.size(), lp::VarStatus::kBasic);
+  for (std::size_t j = 0; j < job_slots.size(); ++j) {
+    for (const SlotTime t : job_slots[j]) {
+      const int xv = x_index(static_cast<JobId>(j), t);
+      ABT_ASSERT(xv >= 0, "assignment uses a slot outside the job's window");
+      start.vars[static_cast<std::size_t>(xv)] = lp::VarStatus::kBasic;
+      start.rows[static_cast<std::size_t>(xv - num_y)] =
+          lp::VarStatus::kAtLower;
+      start.vars[static_cast<std::size_t>(y_index(t))] =
+          lp::VarStatus::kAtUpper;
+    }
+  }
+  return start;
+}
+
 ActiveLpSolution solve_active_lp(const ActiveTimeLp& model,
-                                 const core::RunContext* ctx) {
+                                 const core::RunContext* ctx,
+                                 const lp::StartBasis* start) {
   if (model.build_cancelled()) {
     ActiveLpSolution out;
     out.status = lp::SolveStatus::kCancelled;
@@ -131,9 +153,10 @@ ActiveLpSolution solve_active_lp(const ActiveTimeLp& model,
     options.should_stop = [ctx] { return ctx->should_stop(); };
   }
   const lp::SimplexSolver solver(options);
-  const lp::Solution sol = solver.solve(model.problem());
+  const lp::Solution sol = solver.solve(model.problem(), start);
   ActiveLpSolution out;
   out.status = sol.status;
+  out.pivots = sol.pivots;
   if (sol.status == lp::SolveStatus::kOptimal) {
     out.objective = sol.objective;
     out.y = model.y_values(sol.x);

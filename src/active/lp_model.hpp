@@ -16,7 +16,9 @@ namespace abt::active {
 ///   0 <= y_t <= 1, x_{t,j} >= 0, x only inside job windows.
 ///
 /// Variables are created only where meaningful: y_t for candidate slots,
-/// x_{t,j} for slots in job j's window.
+/// x_{t,j} for slots in job j's window. y_t <= 1 is a variable bound, so
+/// the rows are one link row per x (in x order), then one capacity row per
+/// slot, then one demand row per job.
 class ActiveTimeLp {
  public:
   /// Builds the model. When `ctx` is given, `should_stop()` is polled
@@ -47,6 +49,16 @@ class ActiveTimeLp {
   [[nodiscard]] std::vector<double> y_values(
       const std::vector<double>& x) const;
 
+  /// A primal-feasible starting basis from an integral assignment
+  /// (`job_slots[j]` = the candidate slots job j runs in, e.g. a max-flow
+  /// over all candidate slots): y_t nonbasic at 1 on used slots and at 0
+  /// elsewhere; x_{t,j} basic where used, else the slack of its link row;
+  /// every capacity and demand logical basic. Ordering the link rows
+  /// first makes the basis lower triangular with a unit diagonal, so the
+  /// solver skips phase 1.
+  [[nodiscard]] lp::StartBasis crash_basis(
+      const std::vector<std::vector<core::SlotTime>>& job_slots) const;
+
  private:
   lp::LinearProblem problem_;
   bool build_cancelled_ = false;
@@ -63,13 +75,17 @@ struct ActiveLpSolution {
   double objective = 0.0;
   std::vector<double> y;            ///< y_t per candidate slot.
   std::vector<double> raw;          ///< full LP variable vector
+  long pivots = 0;                  ///< simplex iterations spent
 };
 
 /// When `ctx` is given, its should_stop() is polled inside the simplex
 /// iteration loop; a trip surfaces as lp::SolveStatus::kCancelled, so a
 /// budget-capped campaign can abandon a long LP solve mid-flight instead
-/// of only between solver calls.
+/// of only between solver calls. `start` (optional, e.g. crash_basis())
+/// is handed to the solver, which falls back to its two-phase start when
+/// the basis is unusable.
 [[nodiscard]] ActiveLpSolution solve_active_lp(
-    const ActiveTimeLp& model, const core::RunContext* ctx = nullptr);
+    const ActiveTimeLp& model, const core::RunContext* ctx = nullptr,
+    const lp::StartBasis* start = nullptr);
 
 }  // namespace abt::active

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 
 #include "active/feasibility.hpp"
 #include "active/lp_model.hpp"
+#include "active/slot_network.hpp"
 #include "core/assert.hpp"
 
 namespace abt::active {
@@ -76,9 +78,55 @@ class SlotLedger {
         std::count(open_.begin(), open_.end(), char{1}));
   }
 
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  [[nodiscard]] bool is_open(std::size_t i) const { return open_[i] != 0; }
+
  private:
   std::vector<SlotTime> slots_;
   std::vector<char> open_;
+};
+
+/// The rounding pass's prefix check, "do all jobs due by td fit in the
+/// slots opened so far?", asked once or twice per deadline. Both the job
+/// prefix and the open slots only grow, so one SlotNetwork over every job
+/// and candidate slot grows with them (SlotNetwork::start_empty): each
+/// check admits the newly due jobs, opens the newly opened slots and
+/// routes only the work not yet routed.
+class PrefixFlow {
+ public:
+  PrefixFlow(const SlottedInstance& inst, const std::vector<SlotTime>& slots)
+      : inst_(inst),
+        network_(slot_network(inst, slots)),
+        by_deadline_(static_cast<std::size_t>(inst.size())) {
+    network_.start_empty();
+    std::iota(by_deadline_.begin(), by_deadline_.end(), JobId{0});
+    std::stable_sort(by_deadline_.begin(), by_deadline_.end(),
+                     [&inst](JobId a, JobId b) {
+                       return inst.job(a).deadline < inst.job(b).deadline;
+                     });
+  }
+
+  FeasStatus check(SlotTime td, const SlotLedger& ledger,
+                   const std::function<bool()>& stop) {
+    for (; admitted_ < by_deadline_.size() &&
+           inst_.job(by_deadline_[admitted_]).deadline <= td;
+         ++admitted_) {
+      network_.admit_job(by_deadline_[admitted_]);
+    }
+    for (std::size_t i = 0; i < ledger.size(); ++i) {
+      if (ledger.is_open(i)) network_.open_slot(static_cast<int>(i));
+    }
+    bool cancelled = false;
+    const SlotNetwork::Cap deficit = network_.route(stop, &cancelled);
+    if (cancelled) return FeasStatus::kCancelled;
+    return deficit == 0 ? FeasStatus::kFeasible : FeasStatus::kInfeasible;
+  }
+
+ private:
+  const SlottedInstance& inst_;
+  SlotNetwork network_;
+  std::vector<JobId> by_deadline_;
+  std::size_t admitted_ = 0;  // prefix of by_deadline_ admitted
 };
 
 }  // namespace
@@ -97,31 +145,30 @@ std::optional<LpRoundingResult> solve_lp_rounding(const SlottedInstance& inst,
     return cancelled;
   };
 
+  // The feasibility flow over every candidate slot doubles as LP1's
+  // starting point: its integral assignment is a primal-feasible basis.
   std::vector<SlotTime> candidates = candidate_slots(inst);
-  switch (feasibility_with_slots(inst, candidates, stop)) {
-    case FeasStatus::kInfeasible:
-      return std::nullopt;
-    case FeasStatus::kCancelled:
-      return cancelled_result();
-    case FeasStatus::kFeasible:
-      break;
-  }
+  bool flow_cancelled = false;
+  const auto all_open =
+      extract_assignment(inst, candidates, stop, &flow_cancelled);
+  if (flow_cancelled) return cancelled_result();
+  if (!all_open.has_value()) return std::nullopt;
 
   const ActiveTimeLp model(inst, ctx);
-  const ActiveLpSolution lp = solve_active_lp(model, ctx);
-  if (lp.status == lp::SolveStatus::kCancelled) {
-    LpRoundingResult cancelled;
-    cancelled.cancelled = true;
-    return cancelled;
-  }
+  if (model.build_cancelled()) return cancelled_result();
+  const lp::StartBasis start = model.crash_basis(all_open->job_slots);
+  const ActiveLpSolution lp = solve_active_lp(model, ctx, &start);
+  if (lp.status == lp::SolveStatus::kCancelled) return cancelled_result();
   ABT_ASSERT(lp.status == lp::SolveStatus::kOptimal,
              "LP must be solvable for a feasible instance");
 
   const RightShiftedLp rs = right_shift(inst, model.slots(), lp.y);
 
   SlotLedger ledger(candidates);
+  PrefixFlow prefix(inst, candidates);
   LpRoundingResult result;
   result.lp_objective = lp.objective;
+  result.lp_pivots = lp.pivots;
 
   constexpr double kEps = 1e-7;
   double carry = 0.0;  // the paper's proxy value, always < 1/2
@@ -135,15 +182,10 @@ std::optional<LpRoundingResult> solve_lp_rounding(const SlottedInstance& inst,
     double frac = total - full;
     if (frac < kEps) frac = 0.0;
 
-    // Jobs of the current prefix: everything due by td.
-    std::vector<JobId> prefix_jobs;
-    for (JobId j = 0; j < inst.size(); ++j) {
-      if (inst.job(j).deadline <= td) prefix_jobs.push_back(j);
-    }
+    // Can everything due by td run in the slots opened so far?
     bool prefix_cancelled = false;
     auto prefix_feasible = [&]() {
-      const FeasStatus status = feasibility_with_slots(
-          inst, ledger.open_slots(), stop, &prefix_jobs);
+      const FeasStatus status = prefix.check(td, ledger, stop);
       if (status == FeasStatus::kCancelled) prefix_cancelled = true;
       return status == FeasStatus::kFeasible;
     };

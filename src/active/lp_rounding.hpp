@@ -21,6 +21,7 @@ struct RightShiftedLp {
 struct LpRoundingResult {
   core::ActiveSchedule schedule;
   double lp_objective = 0.0;  ///< Optimal LP1 value (lower bound on OPT).
+  long lp_pivots = 0;         ///< Simplex iterations spent on LP1.
   /// Slots opened by the defensive repair loop; the paper's analysis
   /// guarantees this stays 0, and tests assert it.
   int repair_opens = 0;

@@ -1,8 +1,9 @@
 #pragma once
 
 // Internal to src/active: the G_feas builder behind the feasibility checks
-// (active/feasibility.cpp, active/multi_window.cpp) and the closing passes
-// (active/minimal_feasible.cpp, active/multi_window.cpp). Callers outside
+// (active/feasibility.cpp, active/multi_window.cpp), the closing passes
+// (active/minimal_feasible.cpp, active/multi_window.cpp) and the LP
+// rounding's prefix checks (active/lp_rounding.cpp). Callers outside
 // src/active use the functions in active/feasibility.hpp.
 
 #include <functional>
@@ -27,6 +28,9 @@ namespace abt::active {
 /// The network stays alive across a closing pass: try_close() shuts one
 /// slot by rerouting only the units it carried (at most g augmenting
 /// paths) instead of rebuilding the network and re-running the flow.
+/// It can also grow instead: after start_empty(), admit_job() and
+/// open_slot() add work and room, and route() extends the flow over the
+/// work admitted so far.
 class SlotNetwork {
  public:
   using Cap = flow::Dinic::Cap;
@@ -44,6 +48,23 @@ class SlotNetwork {
   /// feasible). `should_stop` (may be empty) is polled inside the flow;
   /// when it trips `*cancelled` is set and the deficit is meaningless.
   [[nodiscard]] Cap solve(const std::function<bool()>& should_stop = {},
+                          bool* cancelled = nullptr);
+
+  /// Instead of solve(), for checks whose job and slot sets only grow:
+  /// emits the slot -> sink edges with every slot closed and withholds
+  /// every job's work, so the network starts empty. Call once, after
+  /// every job.
+  void start_empty();
+  /// Gives job `job` its work back (at most once per job).
+  void admit_job(int job);
+  /// Opens slot `slot` to the sink (capacity g); opening it again is a
+  /// no-op.
+  void open_slot(int slot);
+  /// Routes admitted work not yet routed on top of the current flow and
+  /// returns the deficit over the admitted work (0 iff it all fits in the
+  /// open slots). The verdict depends only on the two sets, so it matches
+  /// a fresh network's. `should_stop` and `cancelled` as in solve().
+  [[nodiscard]] Cap route(const std::function<bool()>& should_stop = {},
                           bool* cancelled = nullptr);
 
   /// On a feasible network (solve() returned 0): closes `slot` when the
@@ -68,15 +89,19 @@ class SlotNetwork {
   /// Fills incoming_begin_/incoming_ (first try_close only: one-shot
   /// feasibility checks never pay for it).
   void bucket_by_slot();
+  /// Emits the slot -> sink edges, each with capacity `cap`.
+  void add_sink_edges(Cap cap);
 
   int num_jobs_;
   int num_slots_;
   int capacity_;
-  Cap total_work_ = 0;
+  Cap total_work_ = 0;  // admitted work (all of it, unless start_empty())
+  Cap routed_ = 0;      // flow currently routed
   flow::Dinic dinic_;
   std::vector<flow::Dinic::EdgeRef> source_edges_;  // per job
   std::vector<JobSlotEdge> job_slot_edges_;         // in emission order
   std::vector<flow::Dinic::EdgeRef> sink_edges_;    // per slot
+  std::vector<Cap> withheld_;  // per job after start_empty(), -1 = admitted
   // Per-slot incoming job -> slot edges: indices into job_slot_edges_,
   // slot s's at incoming_[incoming_begin_[s] .. incoming_begin_[s + 1]).
   std::vector<int> incoming_begin_;
@@ -98,11 +123,9 @@ class SlotNetwork {
     bool* cancelled);
 
 /// G_feas for a slotted instance over the sorted `active_slots` (slot i of
-/// the network is active_slots[i]); `jobs_subset` as in
-/// feasibility_with_slots, job i of the network being (*jobs_subset)[i].
+/// the network is active_slots[i], job j of the network is job j).
 [[nodiscard]] SlotNetwork slot_network(
     const core::SlottedInstance& inst,
-    const std::vector<core::SlotTime>& active_slots,
-    const std::vector<core::JobId>* jobs_subset = nullptr);
+    const std::vector<core::SlotTime>& active_slots);
 
 }  // namespace abt::active

@@ -29,9 +29,10 @@ struct UnboundedOptions {
   /// push-left upper bound (every job at its release) with exact = false.
   /// The paper's workloads stay far below this.
   long state_limit = 2'000'000;
-  /// Deadline / cancellation polled on the state counter (nullptr = free
-  /// run). A stop takes the same push-left fallback as the state limit,
-  /// with `timed_out = true` so callers can tell the two apart.
+  /// Deadline / cancellation (nullptr = free run), polled once per anchor
+  /// a state tries and every 1024th state. A stop takes the same
+  /// push-left fallback as the state limit, with `timed_out = true` so
+  /// callers can tell the two apart.
   const core::RunContext* context = nullptr;
 };
 

@@ -628,6 +628,7 @@ void register_active(core::SolverRegistry& registry) {
       sol.cost = static_cast<double>(result->schedule.cost());
       sol.active = result->schedule;
       sol.add_stat("lp_objective", result->lp_objective);
+      sol.add_stat("lp_pivots", static_cast<double>(result->lp_pivots));
       sol.add_stat("repair_opens", result->repair_opens);
       return sol;
     };

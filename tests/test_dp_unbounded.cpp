@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
+#include "core/io.hpp"
 #include "core/rng.hpp"
+#include "core/run_context.hpp"
+#include "dp_unbounded_oracle.hpp"
+#include "engine/runner.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
 #include "test_util.hpp"
@@ -173,6 +180,144 @@ TEST_P(DpVsBrute, MatchesBruteForceOnIntegerInstances) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DpVsBrute, ::testing::Range(1, 17));
+
+// ---------------------------------------------------------------------------
+// Equivalence with the frozen rescan DP (tests/oracles/dp_unbounded_oracle.hpp):
+// the dead-pair test must reject exactly the pairs the rescan rejected, so
+// every output field is identical, including the search statistics.
+
+void expect_same_as_oracle(const ContinuousInstance& inst,
+                           const std::string& what) {
+  const UnboundedSolution got = solve_unbounded(inst);
+  const UnboundedSolution want = oracle::solve_unbounded(inst);
+  EXPECT_EQ(got.starts, want.starts) << what;
+  ASSERT_EQ(got.windows.size(), want.windows.size()) << what;
+  for (std::size_t i = 0; i < got.windows.size(); ++i) {
+    EXPECT_EQ(got.windows[i].lo, want.windows[i].lo) << what;
+    EXPECT_EQ(got.windows[i].hi, want.windows[i].hi) << what;
+  }
+  EXPECT_EQ(got.busy_time, want.busy_time) << what;
+  EXPECT_EQ(got.exact, want.exact) << what;
+  EXPECT_EQ(got.timed_out, want.timed_out) << what;
+  EXPECT_EQ(got.nodes, want.nodes) << what;
+  EXPECT_EQ(got.interned, want.interned) << what;
+}
+
+TEST(DpOracle, HandWrittenCasesMatch) {
+  const std::vector<ContinuousInstance> cases = {
+      ContinuousInstance({}, 1),
+      ContinuousInstance({{2, 9, 3}}, 1),
+      ContinuousInstance({{0, 10, 4}, {0, 10, 3}}, 1),
+      ContinuousInstance({{0, 2, 2}, {8, 10, 2}, {0, 10, 2}}, 1),
+      ContinuousInstance({{0, 10, 5}, {8, 13, 5}}, 1),
+      ContinuousInstance({{0, 10, 10}, {20, 21, 1}, {0, 1000, 10}}, 1),
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    expect_same_as_oracle(cases[i], "case " + std::to_string(i));
+  }
+  std::vector<core::ContinuousJob> stragglers;
+  for (int k = 0; k < 3; ++k) stragglers.push_back({10.0 * k, 10.0 * k + 2, 2.0});
+  for (int i = 0; i < 12; ++i) stragglers.push_back({0.0, 100.0, 1.5});
+  expect_same_as_oracle(ContinuousInstance(std::move(stragglers), 1),
+                        "identical stragglers");
+  for (int seed = 1; seed < 17; ++seed) {
+    core::Rng rng(static_cast<std::uint64_t>(seed) * 60013ULL);
+    for (int trial = 0; trial < 12; ++trial) {
+      const int n = static_cast<int>(rng.uniform_int(1, 6));
+      std::vector<core::ContinuousJob> jobs;
+      for (int i = 0; i < n; ++i) {
+        const double p = static_cast<double>(rng.uniform_int(1, 4));
+        const double r = static_cast<double>(rng.uniform_int(0, 8));
+        const double slack = static_cast<double>(rng.uniform_int(0, 5));
+        jobs.push_back({r, r + p + slack, p});
+      }
+      expect_same_as_oracle(ContinuousInstance(std::move(jobs), 1),
+                            "brute-force seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(DpOracle, GadgetFamiliesMatch) {
+  expect_same_as_oracle(gen::fig1_example(), "fig1");
+  for (int g = 2; g <= 6; ++g) {
+    for (const double eps : {0.01, 0.1}) {
+      const std::string tag =
+          " g=" + std::to_string(g) + " eps=" + std::to_string(eps);
+      expect_same_as_oracle(gen::fig6_instance(g, eps), "fig6" + tag);
+      expect_same_as_oracle(gen::fig7_adversarial_freeze(g, eps), "fig7" + tag);
+      expect_same_as_oracle(gen::fig9_instance(g, eps), "fig9" + tag);
+      expect_same_as_oracle(gen::fig9_adversarial_freeze(g, eps),
+                            "fig9 adversarial" + tag);
+      expect_same_as_oracle(gen::fig9_optimal_freeze(g, eps),
+                            "fig9 optimal" + tag);
+      expect_same_as_oracle(gen::fig10_instance(g, eps, eps / 10), "fig10" + tag);
+      expect_same_as_oracle(gen::fig10_adversarial_freeze(g, eps, eps / 10),
+                            "fig10 adversarial" + tag);
+    }
+  }
+  expect_same_as_oracle(gen::fig8_instance(0.01, 0.001), "fig8");
+}
+
+TEST(DpOracle, ReplayCorpusMatches) {
+  int checked = 0;
+  for (const char* name : {"continuous_interval.txt", "fig6_tracking_tight.txt"}) {
+    std::ifstream in(std::string(ABT_DATA_DIR) + "/" + name);
+    ASSERT_TRUE(in.is_open()) << name;
+    std::string error;
+    const auto parsed = core::parse_instance(in, &error);
+    ASSERT_TRUE(parsed.has_value()) << name << ": " << error;
+    expect_same_as_oracle(parsed->continuous, name);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2);
+}
+
+TEST(DpOracle, RandomScenariosUpTo1024Match) {
+  for (const char* scenario : {"flexible", "bursty", "interval"}) {
+    for (const int n : {8, 32, 128, 512, 1024}) {
+      for (int seed = 1; seed <= (n >= 512 ? 2 : 4); ++seed) {
+        engine::ScenarioSpec spec;
+        spec.name = scenario;
+        spec.n = n;
+        spec.g = 8;
+        spec.seed = static_cast<std::uint64_t>(seed);
+        const auto inst = engine::make_scenario(spec);
+        ASSERT_TRUE(inst.has_value());
+        expect_same_as_oracle(inst->continuous,
+                              std::string(scenario) + " n=" +
+                                  std::to_string(n) + " seed=" +
+                                  std::to_string(seed));
+      }
+    }
+  }
+}
+
+TEST(DpCancellation, CancelledContextStopsWithinTheFirstState) {
+  // A flexible instance expands only a handful of states, so a poll on the
+  // state counter alone never fires; the per-anchor poll must.
+  engine::ScenarioSpec spec;
+  spec.name = "flexible";
+  spec.n = 256;
+  spec.g = 8;
+  const auto inst = engine::make_scenario(spec);
+  ASSERT_TRUE(inst.has_value());
+  core::CancelSource source;
+  source.cancel();
+  core::RunContext ctx;
+  ctx.set_cancel_token(source.token());
+  UnboundedOptions options;
+  options.context = &ctx;
+  const UnboundedSolution stopped = solve_unbounded(inst->continuous, options);
+  EXPECT_FALSE(stopped.exact);
+  EXPECT_TRUE(stopped.timed_out);
+  expect_valid_solution(inst->continuous, stopped);
+
+  core::RunContext free_run;
+  options.context = &free_run;
+  const UnboundedSolution full = solve_unbounded(inst->continuous, options);
+  EXPECT_TRUE(full.exact);
+  EXPECT_FALSE(full.timed_out);
+}
 
 }  // namespace
 }  // namespace abt::busy

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "active/slot_network.hpp"
 #include "core/active_schedule.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
@@ -26,15 +27,6 @@ TEST(Feasibility, CapacityBindsConcurrentJobs) {
   EXPECT_FALSE(is_feasible(inst));
   const SlottedInstance ok({{0, 1, 1}, {0, 1, 1}}, 2);
   EXPECT_TRUE(is_feasible(ok));
-}
-
-TEST(Feasibility, SubsetRestrictsToGivenJobs) {
-  // Jobs: one impossible (3 units, window 2), one fine.
-  const SlottedInstance inst({{0, 2, 2}, {0, 1, 1}}, 1);
-  // Full set infeasible with capacity 1 at slot 1..2: total work 3 > 2.
-  EXPECT_FALSE(is_feasible(inst));
-  const std::vector<core::JobId> only_second = {1};
-  EXPECT_TRUE(is_feasible_with_slots(inst, {1, 2}, &only_second));
 }
 
 TEST(Feasibility, CancelledFlowIsNeverReportedInfeasible) {
@@ -123,6 +115,48 @@ TEST_P(FeasibilityRandom, ExtractionAgreesWithDecisionAndIsValid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FeasibilityRandom, ::testing::Range(1, 9));
+
+/// Property: a SlotNetwork grown from empty (admit_job / open_slot, then
+/// route) gives every intermediate job and slot set the same verdict as a
+/// fresh flow over just those jobs and slots.
+TEST_P(FeasibilityRandom, GrownNetworkAgreesWithFreshFlow) {
+  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 131ULL + 7);
+  for (int trial = 0; trial < 20; ++trial) {
+    gen::SlottedParams params;
+    params.num_jobs = static_cast<int>(rng.uniform_int(1, 10));
+    params.horizon = 12;
+    params.capacity = static_cast<int>(rng.uniform_int(1, 3));
+    params.max_length = 3;
+    params.max_slack = 4;
+    const SlottedInstance inst = gen::random_slotted(rng, params);
+    const std::vector<core::SlotTime> slots = candidate_slots(inst);
+
+    SlotNetwork network = slot_network(inst, slots);
+    network.start_empty();
+    EXPECT_EQ(network.route(), 0);  // nothing admitted yet
+    std::vector<SlottedJob> admitted;
+    std::vector<core::SlotTime> open;
+    int next_job = 0;
+    std::size_t next_slot = 0;
+    while (next_job < inst.size() || next_slot < slots.size()) {
+      const bool add_job =
+          next_slot == slots.size() ||
+          (next_job < inst.size() && rng.flip(0.5));
+      if (add_job) {
+        network.admit_job(next_job);
+        admitted.push_back(inst.job(next_job++));
+      } else {
+        network.open_slot(static_cast<int>(next_slot));
+        if (rng.flip(0.3)) network.open_slot(static_cast<int>(next_slot));
+        open.push_back(slots[next_slot++]);
+      }
+      const SlottedInstance prefix(admitted, inst.capacity());
+      EXPECT_EQ(network.route() == 0, is_feasible_with_slots(prefix, open))
+          << "trial " << trial << ", " << admitted.size() << " jobs, "
+          << open.size() << " slots";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace abt::active

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "active/feasibility.hpp"
 #include "active/lp_rounding.hpp"
 #include "core/rng.hpp"
+#include "dense_simplex_oracle.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
 
@@ -24,6 +28,19 @@ TEST(LpModel, VariableLayout) {
   EXPECT_GE(model.x_index(0, 3), 0);
   EXPECT_EQ(model.x_index(0, 4), -1) << "slot 4 outside job 0's window";
   EXPECT_EQ(model.x_index(1, 1), -1) << "slot 1 before job 1's release";
+}
+
+TEST(LpModel, SlotBoundsAreVariableBoundsNotRows) {
+  const SlottedInstance inst({{0, 3, 2}, {1, 4, 1}}, 2);
+  const ActiveTimeLp model(inst);
+  // One link row per x, one capacity row per slot, one demand row per job.
+  EXPECT_EQ(model.problem().rows.size(), 6U + 4U + 2U);
+  for (const core::SlotTime t : model.slots()) {
+    EXPECT_EQ(model.problem().upper[static_cast<std::size_t>(model.y_index(t))],
+              1.0);
+  }
+  EXPECT_EQ(model.problem().upper[static_cast<std::size_t>(model.x_index(0, 2))],
+            lp::kInfinity);
 }
 
 TEST(LpModel, ObjectiveCountsOnlyYVariables) {
@@ -100,6 +117,61 @@ TEST(RightShift, MassFitsSegmentCapacity) {
           << "segment mass cannot exceed the number of slots in it";
       prev = rs.deadlines[i];
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The crash basis from a feasibility flow, and agreement with the dense
+// tableau oracle (tests/oracles/dense_simplex_oracle.hpp) on the cases above.
+
+TEST(LpModel, CrashBasisFromTheFlowSkipsPhaseOne) {
+  core::Rng rng(12);
+  for (int trial = 0; trial < 20; ++trial) {
+    gen::SlottedParams params;
+    params.num_jobs = static_cast<int>(rng.uniform_int(2, 12));
+    params.horizon = 14;
+    params.capacity = static_cast<int>(rng.uniform_int(1, 4));
+    const SlottedInstance inst = gen::random_feasible_slotted(rng, params);
+    const ActiveTimeLp model(inst);
+    const auto flow = extract_assignment(inst, candidate_slots(inst));
+    ASSERT_TRUE(flow.has_value());
+    const lp::StartBasis start = model.crash_basis(flow->job_slots);
+    const lp::Solution warm = lp::SimplexSolver().solve(model.problem(), &start);
+    const lp::Solution cold = lp::SimplexSolver().solve(model.problem());
+    ASSERT_EQ(warm.status, lp::SolveStatus::kOptimal);
+    ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+    EXPECT_TRUE(warm.warm_start) << "the flow's basis is triangular and feasible";
+    EXPECT_FALSE(cold.warm_start);
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * std::max(1.0, cold.objective));
+    std::string why;
+    EXPECT_TRUE(lp::is_feasible(model.problem(), warm.x, 1e-6, &why)) << why;
+  }
+}
+
+TEST(LpModel, CasesMatchTheDenseOracle) {
+  std::vector<SlottedInstance> cases = {
+      SlottedInstance({{0, 3, 2}, {1, 4, 1}}, 2),
+      SlottedInstance({{0, 3, 2}}, 1),
+      SlottedInstance({{1, 4, 3}}, 1),
+      SlottedInstance({{0, 2, 1}, {0, 2, 1}}, 2),
+      gen::lp_gap_instance(2),
+  };
+  core::Rng rng(9);
+  for (int trial = 0; trial < 10; ++trial) {
+    gen::SlottedParams params;
+    params.num_jobs = static_cast<int>(rng.uniform_int(2, 8));
+    params.horizon = 10;
+    params.capacity = 2;
+    cases.push_back(gen::random_feasible_slotted(rng, params));
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const ActiveTimeLp model(cases[i]);
+    const ActiveLpSolution lp = solve_active_lp(model);
+    const lp::Solution dense = lp::oracle::solve_dense(model.problem());
+    ASSERT_EQ(lp.status, dense.status) << "case " << i;
+    EXPECT_NEAR(lp.objective, dense.objective,
+                1e-9 * std::max(1.0, dense.objective))
+        << "case " << i;
   }
 }
 

@@ -5,8 +5,11 @@
 #include <cmath>
 
 #include "active/exact.hpp"
+#include "active/feasibility.hpp"
 #include "active/lp_model.hpp"
 #include "core/rng.hpp"
+#include "dense_simplex_oracle.hpp"
+#include "engine/runner.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
 #include "test_util.hpp"
@@ -139,6 +142,123 @@ TEST(LpRounding, WithinTwiceExactOptimum) {
     ASSERT_TRUE(result.has_value());
     EXPECT_LE(result->schedule.cost(), 2 * opt);
     EXPECT_GE(result->schedule.cost(), opt);
+  }
+}
+
+/// The instances the tests above round: lp-rounding's LP value must be the
+/// dense tableau's (tests/oracles/dense_simplex_oracle.hpp).
+TEST(LpOracle, RoundingCasesMatchTheDenseOptimum) {
+  std::vector<SlottedInstance> cases = {SlottedInstance({{2, 5, 3}}, 4)};
+  for (int g = 2; g <= 5; ++g) cases.push_back(gen::lp_gap_instance(g));
+  for (int g = 3; g <= 5; ++g) cases.push_back(gen::fig3_instance(g));
+  for (int seed = 1; seed < 9; ++seed) {
+    core::Rng rng(static_cast<std::uint64_t>(seed) * 9176ULL + 3);
+    for (int trial = 0; trial < 10; ++trial) {
+      gen::SlottedParams params;
+      params.num_jobs = static_cast<int>(rng.uniform_int(2, 9));
+      params.horizon = static_cast<core::SlotTime>(rng.uniform_int(6, 14));
+      params.capacity = static_cast<int>(rng.uniform_int(1, 4));
+      params.max_length = 4;
+      params.max_slack = 6;
+      cases.push_back(gen::random_feasible_slotted(rng, params));
+    }
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto rounded = solve_lp_rounding(cases[i]);
+    ASSERT_TRUE(rounded.has_value()) << "case " << i;
+    const lp::Solution dense =
+        lp::oracle::solve_dense(ActiveTimeLp(cases[i]).problem());
+    ASSERT_EQ(dense.status, lp::SolveStatus::kOptimal) << "case " << i;
+    EXPECT_NEAR(rounded->lp_objective, dense.objective,
+                1e-9 * std::max(1.0, dense.objective))
+        << "case " << i;
+  }
+}
+
+/// LP1 on the revised simplex, warm-started from the feasibility flow, must
+/// reach the dense tableau's optimum (tests/oracles/dense_simplex_oracle.hpp)
+/// on the campaign's instance families, and the rounding on top of it must
+/// keep Theorem 2's guarantees. Sizes lean small: the dense oracle needs
+/// about half a second at n = 256.
+TEST(LpOracle, CampaignFamiliesMatchTheDenseOptimum) {
+  const std::vector<int> sizes = {8,  10, 12, 14,  16,  20,  24, 28, 32,
+                                  40, 48, 56, 64,  72,  80,  96, 112, 128,
+                                  8,  16, 32, 64, 160, 192, 256};
+  for (int i = 0; i < 200; ++i) {
+    engine::ScenarioSpec spec;
+    spec.name = i % 2 == 0 ? "slotted" : "slotted-unit";
+    spec.n = sizes[static_cast<std::size_t>(i) % sizes.size()];
+    spec.g = 2 + i % 5;
+    spec.seed = static_cast<std::uint64_t>(i) + 1;
+    const auto inst = engine::make_scenario(spec);
+    ASSERT_TRUE(inst.has_value());
+    const SlottedInstance& si = inst->slotted;
+    const std::string what = spec.name + " n=" + std::to_string(spec.n) +
+                             " g=" + std::to_string(spec.g) +
+                             " seed=" + std::to_string(spec.seed);
+
+    const ActiveTimeLp model(si);
+    const auto flow = extract_assignment(si, candidate_slots(si));
+    ASSERT_TRUE(flow.has_value()) << what;
+    const lp::StartBasis start = model.crash_basis(flow->job_slots);
+    const lp::Solution warm = lp::SimplexSolver().solve(model.problem(), &start);
+    const lp::Solution dense = lp::oracle::solve_dense(model.problem());
+    ASSERT_EQ(warm.status, lp::SolveStatus::kOptimal) << what;
+    ASSERT_EQ(dense.status, lp::SolveStatus::kOptimal) << what;
+    EXPECT_TRUE(warm.warm_start) << what;
+    EXPECT_NEAR(warm.objective, dense.objective, 1e-9 * dense.objective)
+        << what;
+    std::string why;
+    EXPECT_TRUE(lp::is_feasible(model.problem(), warm.x, 1e-6, &why))
+        << what << ": " << why;
+
+    const auto rounded = solve_lp_rounding(si);
+    ASSERT_TRUE(rounded.has_value()) << what;
+    EXPECT_NEAR(rounded->lp_objective, dense.objective, 1e-9 * dense.objective)
+        << what;
+    EXPECT_EQ(rounded->lp_pivots, warm.pivots) << what;
+    EXPECT_LE(static_cast<double>(rounded->schedule.cost()),
+              2.0 * rounded->lp_objective + 1e-6)
+        << what;
+    EXPECT_EQ(rounded->repair_opens, 0) << what;
+    EXPECT_TRUE(core::check_active_schedule(si, rounded->schedule, &why))
+        << what << ": " << why;
+  }
+}
+
+/// Pins the rounding's cost on the instances of
+/// `abt_solve --campaign abtbench/grids/active.grid` (slotted and
+/// slotted-unit, n = 128, g = 4, seeds 1-4). LP1 has many optimal vertices and the rounding's cost
+/// depends on which one the solver returns, so any change to pivoting,
+/// pricing or the crash basis that moves these costs must update this
+/// table on purpose. The dense tableau's vertices rounded to 131 129 122
+/// 123 and 56 57 51 50.
+TEST(LpRounding, CampaignGridCostsArePinned) {
+  struct Cell {
+    const char* scenario;
+    std::uint64_t seed;
+    long cost;
+  };
+  const Cell cells[] = {
+      {"slotted", 1, 128},      {"slotted", 2, 128},
+      {"slotted", 3, 122},      {"slotted", 4, 121},
+      {"slotted-unit", 1, 56},  {"slotted-unit", 2, 57},
+      {"slotted-unit", 3, 52},  {"slotted-unit", 4, 50},
+  };
+  for (const Cell& cell : cells) {
+    engine::ScenarioSpec spec;
+    spec.name = cell.scenario;
+    spec.n = 128;
+    spec.g = 4;
+    spec.seed = cell.seed;
+    const auto inst = engine::make_scenario(spec);
+    ASSERT_TRUE(inst.has_value());
+    const auto rounded = solve_lp_rounding(inst->slotted);
+    ASSERT_TRUE(rounded.has_value()) << cell.scenario << " seed " << cell.seed;
+    EXPECT_EQ(rounded->schedule.cost(), cell.cost)
+        << cell.scenario << " seed " << cell.seed;
+    EXPECT_EQ(rounded->repair_opens, 0)
+        << cell.scenario << " seed " << cell.seed;
   }
 }
 
