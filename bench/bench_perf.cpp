@@ -41,6 +41,7 @@
 #include "service/server.hpp"
 #include "dense_simplex_oracle.hpp"
 #include "dp_unbounded_oracle.hpp"
+#include "feasible_slotted_oracle.hpp"
 #include "minimal_feasible_oracle.hpp"
 #include "weighted_oracle.hpp"
 
@@ -99,6 +100,44 @@ void BM_MinimalFeasibleNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_MinimalFeasibleNaive)
     ->Range(8, 256)
+    ->Unit(benchmark::kMicrosecond);
+
+// Feasible instance generation on one warm G_feas (at most p_j augmenting
+// paths per candidate) against the frozen generator it replaced
+// (tests/oracles/feasible_slotted_oracle.hpp), which copied the prefix and
+// ran a fresh max-flow per candidate. Args: n, horizon, g. The campaign's
+// shape (128, 256, 4) and a refusal-heavy one (64, 20, 2) where most
+// candidates are refused and rolled back; seed 1 every iteration.
+gen::SlottedParams feasible_params(const benchmark::State& state) {
+  gen::SlottedParams params;
+  params.num_jobs = static_cast<int>(state.range(0));
+  params.horizon = state.range(1);
+  params.capacity = static_cast<int>(state.range(2));
+  return params;
+}
+
+void BM_RandomFeasibleSlotted(benchmark::State& state) {
+  const gen::SlottedParams params = feasible_params(state);
+  for (auto _ : state) {
+    core::Rng rng(1);
+    benchmark::DoNotOptimize(gen::random_feasible_slotted(rng, params));
+  }
+}
+BENCHMARK(BM_RandomFeasibleSlotted)
+    ->Args({128, 256, 4})
+    ->Args({64, 20, 2})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_RandomFeasibleSlottedNaive(benchmark::State& state) {
+  const gen::SlottedParams params = feasible_params(state);
+  for (auto _ : state) {
+    core::Rng rng(1);
+    benchmark::DoNotOptimize(gen::oracle::random_feasible_slotted(rng, params));
+  }
+}
+BENCHMARK(BM_RandomFeasibleSlottedNaive)
+    ->Args({128, 256, 4})
+    ->Args({64, 20, 2})
     ->Unit(benchmark::kMicrosecond);
 
 // LP1 instances: the historical random ones up to n = 32, the campaign's

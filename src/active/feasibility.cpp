@@ -1,6 +1,7 @@
 #include "active/feasibility.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "active/slot_network.hpp"
 #include "core/assert.hpp"
@@ -37,8 +38,6 @@ void SlotNetwork::add_job_slot(int slot) {
 }
 
 void SlotNetwork::add_sink_edges(Cap cap) {
-  ABT_ASSERT(static_cast<int>(source_edges_.size()) == num_jobs_,
-             "network used before every job was added");
   ABT_ASSERT(sink_edges_.empty(), "network started twice");
   sink_edges_.reserve(static_cast<std::size_t>(num_slots_));
   for (int slot = 0; slot < num_slots_; ++slot) {
@@ -48,6 +47,8 @@ void SlotNetwork::add_sink_edges(Cap cap) {
 
 SlotNetwork::Cap SlotNetwork::solve(const std::function<bool()>& should_stop,
                                     bool* cancelled) {
+  ABT_ASSERT(static_cast<int>(source_edges_.size()) == num_jobs_,
+             "network solved before every job was added");
   add_sink_edges(capacity_);
   flow::Dinic::Options options;
   options.should_stop = should_stop;
@@ -56,6 +57,8 @@ SlotNetwork::Cap SlotNetwork::solve(const std::function<bool()>& should_stop,
 }
 
 void SlotNetwork::start_empty() {
+  ABT_ASSERT(static_cast<int>(source_edges_.size()) == num_jobs_,
+             "network started before every job was added");
   add_sink_edges(0);
   withheld_.reserve(source_edges_.size());
   for (const flow::Dinic::EdgeRef e : source_edges_) {
@@ -89,6 +92,43 @@ SlotNetwork::Cap SlotNetwork::route(const std::function<bool()>& should_stop,
   routed_ += dinic_.augment(0, sink(), total_work_ - routed_, options,
                             cancelled);
   return total_work_ - routed_;
+}
+
+void SlotNetwork::start_growing() {
+  ABT_ASSERT(source_edges_.empty(), "start_growing after a job was added");
+  add_sink_edges(capacity_);
+}
+
+bool SlotNetwork::try_add_job(Cap length, int first_slot, int last_slot) {
+  ABT_ASSERT(static_cast<int>(sink_edges_.size()) == num_slots_,
+             "try_add_job before start_growing");
+  const std::size_t kept_slot_edges = job_slot_edges_.size();
+  add_job(length);
+  for (int slot = first_slot; slot <= last_slot; ++slot) add_job_slot(slot);
+  // The kept jobs' flow is maximum and saturates them, so the job fits
+  // iff all its units find augmenting paths on top of it.
+  const Cap routed = dinic_.augment(0, sink(), length);
+  if (routed == length) {
+    routed_ += length;
+    return true;
+  }
+  // Every unit the job routed ends on one of its own slot edges; cancel
+  // each along source -> job -> slot -> sink. What remains conserves flow
+  // and still saturates every kept job, and the job's edges, added last,
+  // are the last in every adjacency list they touch.
+  for (std::size_t k = kept_slot_edges; k < job_slot_edges_.size(); ++k) {
+    const JobSlotEdge& e = job_slot_edges_[k];
+    if (dinic_.flow_on(e.edge) == 0) continue;
+    dinic_.cancel_flow(e.edge, 1);
+    dinic_.cancel_flow(sink_edges_[static_cast<std::size_t>(e.slot)], 1);
+  }
+  const flow::Dinic::EdgeRef source = source_edges_.back();
+  dinic_.cancel_flow(source, routed);
+  dinic_.truncate(source);
+  source_edges_.pop_back();
+  job_slot_edges_.resize(kept_slot_edges);
+  total_work_ -= length;
+  return false;
 }
 
 void SlotNetwork::bucket_by_slot() {
@@ -266,6 +306,20 @@ std::optional<ActiveSchedule> extract_assignment(
   sched.job_slots = std::move(assignment);
   for (auto& slots : sched.job_slots) std::sort(slots.begin(), slots.end());
   return sched;
+}
+
+FeasibleJobSet::FeasibleJobSet(int max_jobs, SlotTime horizon, int capacity)
+    : network_(std::make_unique<SlotNetwork>(
+          max_jobs, static_cast<int>(horizon), capacity)) {
+  network_->start_growing();
+}
+
+FeasibleJobSet::~FeasibleJobSet() = default;
+
+bool FeasibleJobSet::try_add(const core::SlottedJob& job) {
+  // Network slot i is slot time i + 1; the job may run in release+1..d.
+  return network_->try_add_job(job.length, static_cast<int>(job.release),
+                               static_cast<int>(job.deadline) - 1);
 }
 
 std::vector<SlotTime> candidate_slots(const SlottedInstance& inst) {

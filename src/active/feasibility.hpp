@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -8,6 +9,8 @@
 #include "core/slotted_instance.hpp"
 
 namespace abt::active {
+
+class SlotNetwork;
 
 /// Tri-state verdict of a cancellable feasibility check. The third state
 /// exists so an abandoned flow computation can never be misread as
@@ -52,6 +55,27 @@ enum class FeasStatus {
     const core::SlottedInstance& inst,
     std::vector<core::SlotTime> active_slots,
     const std::function<bool()>& should_stop = {}, bool* cancelled = nullptr);
+
+/// Grows a job set that stays feasible, one candidate at a time, on one
+/// G_feas over slots 1..horizon at capacity g (the generator behind
+/// gen::random_feasible_slotted). Each test routes at most p_j augmenting
+/// paths on top of the kept jobs' flow instead of a fresh max-flow, and a
+/// refused candidate's edges are taken back out. The verdict is exact: it
+/// matches is_feasible on the kept jobs plus the candidate.
+class FeasibleJobSet {
+ public:
+  /// Keeps at most `max_jobs` jobs.
+  FeasibleJobSet(int max_jobs, core::SlotTime horizon, int capacity);
+  ~FeasibleJobSet();
+
+  /// Keeps `job` and returns true when the kept jobs plus it are feasible;
+  /// otherwise keeps the set as it was and returns false. The job's
+  /// window must lie inside [0, horizon].
+  [[nodiscard]] bool try_add(const core::SlottedJob& job);
+
+ private:
+  std::unique_ptr<SlotNetwork> network_;
+};
 
 /// Slots in which at least one job is live — the only candidates worth
 /// opening. Sorted ascending.

@@ -2,9 +2,10 @@
 
 // Internal to src/active: the G_feas builder behind the feasibility checks
 // (active/feasibility.cpp, active/multi_window.cpp), the closing passes
-// (active/minimal_feasible.cpp, active/multi_window.cpp) and the LP
-// rounding's prefix checks (active/lp_rounding.cpp). Callers outside
-// src/active use the functions in active/feasibility.hpp.
+// (active/minimal_feasible.cpp, active/multi_window.cpp), the LP
+// rounding's prefix checks (active/lp_rounding.cpp) and the feasible
+// instance generator (FeasibleJobSet). Callers outside src/active use
+// active/feasibility.hpp.
 
 #include <functional>
 #include <optional>
@@ -30,7 +31,9 @@ namespace abt::active {
 /// paths) instead of rebuilding the network and re-running the flow.
 /// It can also grow instead: after start_empty(), admit_job() and
 /// open_slot() add work and room, and route() extends the flow over the
-/// work admitted so far.
+/// work admitted so far. Or it grows by whole jobs: after start_growing(),
+/// try_add_job() keeps a job only when it still fits, and takes a refused
+/// job's edges back out (there the slot -> sink edges come first).
 class SlotNetwork {
  public:
   using Cap = flow::Dinic::Cap;
@@ -66,6 +69,18 @@ class SlotNetwork {
   /// a fresh network's. `should_stop` and `cancelled` as in solve().
   [[nodiscard]] Cap route(const std::function<bool()>& should_stop = {},
                           bool* cancelled = nullptr);
+
+  /// Grow-by-jobs mode, instead of add_job(): emits the slot -> sink edges
+  /// (capacity g) on a network that has no job yet. Jobs then arrive only
+  /// through try_add_job(), at most num_jobs of them kept.
+  void start_growing();
+  /// Adds a job of `length` units that may run in slots first..last
+  /// (inclusive; empty when first > last) when the kept jobs plus it still
+  /// fit, and returns true. Otherwise restores the network to the kept
+  /// jobs, with their flow still maximum, and returns false; the next
+  /// candidate reuses the refused job's node. Exact, and costs at most
+  /// `length` augmenting paths on top of the kept jobs' flow.
+  [[nodiscard]] bool try_add_job(Cap length, int first_slot, int last_slot);
 
   /// On a feasible network (solve() returned 0): closes `slot` when the
   /// remaining open slots still fit all work and returns true; otherwise

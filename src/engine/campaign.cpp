@@ -300,11 +300,14 @@ std::optional<CampaignReport> run_campaign(
     return std::nullopt;
   }
 
-  // Generate every point's trial instances up front (sequential and
-  // cheap), so a bad grid fails before any cell runs. One flat input list
-  // across ALL points, point-major: the whole campaign shares one pool, so
-  // a short point's workers immediately pick up the next point's cells
-  // instead of idling at a per-point barrier.
+  // Generate every point's trial instances up front, so a bad grid fails
+  // before any cell runs. Sequential and cheap: a random feasible slotted
+  // instance at n = 128, g = 4 takes ~0.1 ms, a continuous one at
+  // n = 1024 under 0.1 ms (4-CPU VM, Release; report.generate_ms). One
+  // flat input list across ALL points, point-major: the whole campaign
+  // shares one pool, so a short point's workers immediately pick up the
+  // next point's cells instead of idling at a per-point barrier.
+  const auto generate_start = std::chrono::steady_clock::now();
   const auto trials = static_cast<std::size_t>(report.trials);
   std::vector<CellInput> inputs;
   inputs.reserve(specs.size() * trials);
@@ -325,6 +328,9 @@ std::optional<CampaignReport> run_campaign(
                         point_solver_names(grid, options, point.name)});
     }
   }
+  report.generate_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - generate_start)
+                           .count();
 
   // Racing mode keeps the full race rows: losers show up in the aggregates
   // as interrupted/cancelled runs, and their incumbents still tighten the
@@ -413,7 +419,8 @@ void print_campaign(std::ostream& os, const CampaignReport& report) {
   os << "campaign: " << report.points.size() << " grid points x "
      << report.trials << " trials, " << report.threads << " thread"
      << (report.threads == 1 ? "" : "s") << " (shared pool), "
-     << report::Table::num(report.wall_ms) << " ms total";
+     << report::Table::num(report.wall_ms) << " ms total (generation "
+     << report::Table::num(report.generate_ms) << " ms)";
   if (report.budget_ms > 0.0) {
     os << ", budget " << report::Table::num(report.budget_ms) << " ms/cell";
   }
@@ -491,7 +498,9 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
      << ", \"threads\": " << report.threads
      << ", \"raced\": " << (report.raced ? "true" : "false")
      << ", \"budget_ms\": " << report.budget_ms
-     << ", \"wall_ms\": " << report.wall_ms << "},\n  \"points\": [";
+     << ", \"wall_ms\": " << report.wall_ms
+     << ", \"generate_ms\": " << report.generate_ms
+     << "},\n  \"points\": [";
   for (std::size_t p = 0; p < report.points.size(); ++p) {
     const CampaignPoint& point = report.points[p];
     os << (p == 0 ? "\n" : ",\n") << "    {\"scenario\": ";

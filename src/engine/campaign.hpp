@@ -128,6 +128,9 @@ struct CampaignReport {
   bool raced = false;      ///< Cells were portfolio races, not full sweeps.
   double budget_ms = 0.0;  ///< Per-cell budget every point ran under.
   double wall_ms = 0.0;    ///< Whole-campaign wall clock.
+  /// Part of wall_ms spent generating the instances, before any cell
+  /// runs. A timing field like wall_ms: mask both when comparing outputs.
+  double generate_ms = 0.0;
   std::vector<CampaignPoint> points;
 };
 

@@ -81,6 +81,12 @@ std::optional<ProblemInstance> make_scenario(const ScenarioSpec& spec,
     if (error != nullptr) *error = why;
     return std::nullopt;
   };
+  if (spec.g < 1) {
+    return fail("g must be >= 1 (got " + std::to_string(spec.g) + ")");
+  }
+  if (spec.n < 0) {
+    return fail("n must be >= 0 (got " + std::to_string(spec.n) + ")");
+  }
   core::Rng rng(spec.seed);
   if (spec.name == "slotted" || spec.name == "slotted-unit") {
     gen::SlottedParams params = slotted_params(spec);

@@ -37,7 +37,8 @@ struct ScenarioInfo {
 [[nodiscard]] const std::vector<ScenarioInfo>& scenarios();
 
 /// Instantiates a scenario; nullopt (with `error`) for unknown names or
-/// out-of-range parameters (e.g. fig3 needs g >= 3).
+/// out-of-range parameters (every scenario needs g >= 1 and n >= 0; fig3
+/// needs g >= 3). n = 0 gives an empty random instance.
 [[nodiscard]] std::optional<core::ProblemInstance> make_scenario(
     const ScenarioSpec& spec, std::string* error = nullptr);
 

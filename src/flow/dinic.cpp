@@ -182,6 +182,26 @@ void Dinic::set_capacity(EdgeRef e, Cap cap) {
   edge.cap = cap - flow;
 }
 
+void Dinic::truncate(EdgeRef first) {
+  ABT_ASSERT(first.index >= 0 &&
+                 static_cast<std::size_t>(first.index) <= edge_locator_.size(),
+             "edge handle out of range");
+  while (edge_locator_.size() > static_cast<std::size_t>(first.index)) {
+    const auto [u, idx] = edge_locator_.back();
+    auto& out = graph_[static_cast<std::size_t>(u)];
+    const Edge& fwd = out[static_cast<std::size_t>(idx)];
+    ABT_ASSERT(fwd.cap == fwd.original, "truncating an edge that carries flow");
+    auto& in = graph_[static_cast<std::size_t>(fwd.to)];
+    ABT_ASSERT(static_cast<std::size_t>(fwd.rev) + 1 == in.size() &&
+                   static_cast<std::size_t>(idx) + 1 + (fwd.to == u ? 1 : 0) ==
+                       out.size(),
+               "truncated edges must be the last in their adjacency lists");
+    in.pop_back();  // the reverse edge (for a self loop, the later entry)
+    out.pop_back();
+    edge_locator_.pop_back();
+  }
+}
+
 Dinic::Cap Dinic::flow_on(EdgeRef e) const {
   const auto& [node, idx] = edge_locator_[static_cast<std::size_t>(e.index)];
   const Edge& edge =

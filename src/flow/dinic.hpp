@@ -19,7 +19,9 @@ namespace abt::flow {
 /// Warm restarts: after a max_flow the network can be edited in place —
 /// cancel_flow() lowers an edge's flow, set_capacity() changes its bound —
 /// and augment() (or max_flow()) then routes more flow on top of what is
-/// already there instead of recomputing from zero.
+/// already there instead of recomputing from zero. A batch of edges added
+/// last can also be taken back out with truncate(), once its flow is
+/// cancelled.
 class Dinic {
  public:
   using Cap = std::int64_t;
@@ -84,6 +86,13 @@ class Dinic {
   /// Sets edge `e`'s capacity to `cap`, keeping its flow (which must not
   /// exceed `cap`).
   void set_capacity(EdgeRef e, Cap cap);
+
+  /// Removes edge `first` and every edge added after it, newest first.
+  /// Each removed edge (and its reverse) must be the last entry of its
+  /// node's adjacency list, which holds for a batch added last and popped
+  /// whole, and must carry no flow: cancel it first. Handles of the
+  /// removed edges become invalid; the next add_edge reuses them.
+  void truncate(EdgeRef first);
 
   /// Flow currently routed on edge `e` (meaningful after max_flow).
   [[nodiscard]] Cap flow_on(EdgeRef e) const;

@@ -46,6 +46,8 @@ SlottedInstance random_feasible_slotted(Rng& rng,
   // When the machine's total capacity g * horizon is nearly exhausted no
   // further job may fit, so the loop also stops after a fixed attempt
   // budget and returns the (feasible) prefix built so far.
+  abt::active::FeasibleJobSet kept(params.num_jobs, params.horizon,
+                                   params.capacity);
   int attempts = 0;
   const int attempt_budget = 60 * params.num_jobs + 200;
   while (static_cast<int>(jobs.size()) < params.num_jobs &&
@@ -54,9 +56,7 @@ SlottedInstance random_feasible_slotted(Rng& rng,
     if (++attempts > 40 * params.num_jobs) {
       job = {0, params.horizon, 1};  // low-impact filler
     }
-    jobs.push_back(job);
-    const SlottedInstance trial(jobs, params.capacity);
-    if (!abt::active::is_feasible(trial)) jobs.pop_back();
+    if (kept.try_add(job)) jobs.push_back(job);
   }
   return SlottedInstance(std::move(jobs), params.capacity);
 }

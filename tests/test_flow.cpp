@@ -337,5 +337,93 @@ TEST(DinicWarmRestart, TrippedStopSetsCancelled) {
   EXPECT_FALSE(cancelled);
 }
 
+// --- truncate: taking a refused batch of edges back out ----------------
+
+class DinicTruncate : public ::testing::TestWithParam<int> {};
+
+// G_feas-shaped networks grown one job at a time, the way
+// active::FeasibleJobSet grows them: slot -> sink edges first, then per
+// candidate a source edge and unit job -> slot edges, at most p_j
+// augmenting paths, and on a refusal a rollback through truncate().
+TEST_P(DinicTruncate, RolledBackCandidateLeavesAValidMaximumFlow) {
+  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729ULL);
+  const int jobs = 12;
+  const int slots = static_cast<int>(rng.uniform_int(2, 8));
+  const int capacity = static_cast<int>(rng.uniform_int(1, 3));
+  const int source = 0;
+  const int sink = 1 + jobs + slots;
+  const auto slot_node = [jobs](int slot) { return 1 + jobs + slot; };
+  Dinic d(sink + 1);
+  std::vector<EdgeSpec> edges;
+  std::vector<Dinic::EdgeRef> sink_edges;
+  for (int slot = 0; slot < slots; ++slot) {
+    sink_edges.push_back(d.add_edge(slot_node(slot), sink, capacity));
+    edges.push_back({slot_node(slot), sink, capacity, sink_edges.back()});
+  }
+  Dinic::Cap value = 0;
+  int kept = 0;
+  int refused = 0;
+  for (int attempt = 0; attempt < 40 && kept < jobs; ++attempt) {
+    const int job = 1 + kept;
+    const Dinic::Cap length = rng.uniform_int(1, 3);
+    const std::size_t first = edges.size();
+    edges.push_back({source, job, length, d.add_edge(source, job, length)});
+    for (int slot = 0; slot < slots; ++slot) {
+      if (rng.uniform_int(0, 2) == 0) continue;
+      edges.push_back(
+          {job, slot_node(slot), 1, d.add_edge(job, slot_node(slot), 1)});
+    }
+    const Dinic::Cap routed = d.augment(source, sink, length);
+    if (routed == length) {
+      value += length;
+      ++kept;
+      continue;
+    }
+    ++refused;
+    for (std::size_t k = first + 1; k < edges.size(); ++k) {
+      if (d.flow_on(edges[k].ref) == 0) continue;
+      d.cancel_flow(edges[k].ref, 1);
+      const int slot = edges[k].v - slot_node(0);
+      d.cancel_flow(sink_edges[static_cast<std::size_t>(slot)], 1);
+    }
+    d.cancel_flow(edges[first].ref, routed);
+    d.truncate(edges[first].ref);
+    edges.resize(first);
+    ASSERT_EQ(flow_value(d, edges, source), value);
+    expect_valid_flow(d, edges, source, sink);
+    // Every kept job is still saturated, and nothing more can be routed.
+    Dinic fresh(sink + 1);
+    for (const EdgeSpec& e : edges) fresh.add_edge(e.u, e.v, e.cap);
+    EXPECT_EQ(fresh.max_flow(source, sink), value);
+    EXPECT_EQ(d.augment(source, sink, 1), 0);
+  }
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(refused, 0) << "seed " << GetParam() << " never refused";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DinicTruncate, ::testing::Range(1, 9));
+
+TEST(DinicTruncate, ReusedHandlesAndFurtherAugmentsMatchAFreshNetwork) {
+  Dinic d(4);
+  const auto a = d.add_edge(0, 1, 2);
+  d.add_edge(1, 3, 1);
+  ASSERT_EQ(d.max_flow(0, 3), 1);
+  const auto b = d.add_edge(0, 2, 5);
+  d.add_edge(2, 2, 3);  // a self loop pops cleanly too
+  d.truncate(b);
+  EXPECT_EQ(d.flow_on(a), 1);
+  const auto c = d.add_edge(0, 2, 4);
+  EXPECT_EQ(c.index, b.index);  // the freed handle is reused
+  d.add_edge(2, 3, 3);
+  EXPECT_EQ(d.augment(0, 3, 10), 3);
+  Dinic fresh(4);
+  fresh.add_edge(0, 1, 2);
+  fresh.add_edge(1, 3, 1);
+  fresh.add_edge(0, 2, 4);
+  fresh.add_edge(2, 3, 3);
+  EXPECT_EQ(fresh.max_flow(0, 3), 4);
+  EXPECT_EQ(d.flow_on(a) + d.flow_on(c), 4);
+}
+
 }  // namespace
 }  // namespace abt::flow

@@ -99,6 +99,48 @@ TEST(Registry, EveryScenarioInstantiatesWithItsFamily) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(Registry, ScenarioRejectsCapacityBelowOne) {
+  for (const char* name : {"interval", "slotted", "multi-window"}) {
+    for (const int g : {0, -2}) {
+      engine::ScenarioSpec spec;
+      spec.name = name;
+      spec.n = 4;
+      spec.g = g;
+      std::string error;
+      EXPECT_FALSE(engine::make_scenario(spec, &error).has_value()) << name;
+      EXPECT_EQ(error, "g must be >= 1 (got " + std::to_string(g) + ")");
+    }
+  }
+}
+
+TEST(Registry, ScenarioRejectsNegativeJobCount) {
+  for (const char* name : {"slotted", "interval", "weighted"}) {
+    engine::ScenarioSpec spec;
+    spec.name = name;
+    spec.n = -3;
+    spec.g = 2;
+    std::string error;
+    EXPECT_FALSE(engine::make_scenario(spec, &error).has_value()) << name;
+    EXPECT_EQ(error, "n must be >= 0 (got -3)");
+  }
+}
+
+TEST(Registry, ScenarioWithNoJobsIsEmpty) {
+  for (const char* name : {"slotted", "slotted-unit", "interval"}) {
+    engine::ScenarioSpec spec;
+    spec.name = name;
+    spec.n = 0;
+    spec.g = 2;
+    std::string error;
+    const auto inst = engine::make_scenario(spec, &error);
+    ASSERT_TRUE(inst.has_value()) << name << ": " << error;
+    EXPECT_EQ(inst->family == Family::kBusy ? inst->continuous.size()
+                                            : inst->slotted.size(),
+              0)
+        << name;
+  }
+}
+
 class RegistryGuarantees : public ::testing::TestWithParam<int> {};
 
 TEST_P(RegistryGuarantees, BusySolversRespectGuaranteesOnIntervalInstances) {

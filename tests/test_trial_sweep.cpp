@@ -750,6 +750,21 @@ TEST(Campaign, WritersCarryThePoints) {
   EXPECT_NE(json.str().find("\"declined\""), std::string::npos);
 }
 
+TEST(Campaign, ReportsGenerationTimeInsideTheWallClock) {
+  const engine::CampaignReport report = campaign_with_threads(2);
+  EXPECT_GT(report.generate_ms, 0.0);
+  EXPECT_LE(report.generate_ms, report.wall_ms);
+
+  std::ostringstream table;
+  engine::print_campaign(table, report);
+  EXPECT_NE(table.str().find(" ms total (generation "), std::string::npos)
+      << table.str();
+  std::ostringstream json;
+  engine::write_campaign_json(json, report);
+  EXPECT_NE(json.str().find("\"generate_ms\": "), std::string::npos)
+      << json.str();
+}
+
 // ---------------------------------------------------------------------------
 // The one cell fan-out and the one request path.
 
