@@ -343,6 +343,16 @@ void BM_OnlineBestFitNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineBestFitNaive)->Range(16, 2048)->Complexity();
 
+// The campaign's shape for the preemptive benchmarks: its bursty family
+// at g = 8 (range = n).
+core::ContinuousInstance bursty_instance(int n) {
+  engine::ScenarioSpec spec;
+  spec.name = "bursty";
+  spec.n = n;
+  spec.g = 8;
+  return engine::make_scenario(spec)->continuous;
+}
+
 void BM_PreemptiveBoundedNaive(benchmark::State& state) {
   const auto inst = make_interval(static_cast<int>(state.range(0)), 9, 2.0);
   for (auto _ : state) {
@@ -351,6 +361,17 @@ void BM_PreemptiveBoundedNaive(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_PreemptiveBoundedNaive)->Range(16, 2048)->Complexity();
+
+void BM_PreemptiveBoundedNaiveBursty(benchmark::State& state) {
+  const auto inst = bursty_instance(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::naive::solve_preemptive_bounded(inst));
+  }
+}
+BENCHMARK(BM_PreemptiveBoundedNaiveBursty)
+    ->Name("BM_PreemptiveBoundedNaive/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 // g = infinity DP instances: the historical slack-1 random jobs up to
 // n = 32, the campaign's flexible family (g = 8) from n = 256 on.
@@ -398,6 +419,17 @@ void BM_PreemptiveBounded(benchmark::State& state) {
 // Range extended from 256 to 8192 in PR 4: the OpenSet removed the
 // per-job full-scan/re-union, so the path now scales with the others.
 BENCHMARK(BM_PreemptiveBounded)->Range(16, 8192)->Complexity();
+
+void BM_PreemptiveBoundedBursty(benchmark::State& state) {
+  const auto inst = bursty_instance(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::solve_preemptive_bounded(inst));
+  }
+}
+BENCHMARK(BM_PreemptiveBoundedBursty)
+    ->Name("BM_PreemptiveBounded/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_WeightedExactBudget(benchmark::State& state) {
   // Anytime incumbent quality vs budget: one fixed weighted instance past

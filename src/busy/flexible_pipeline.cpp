@@ -14,7 +14,12 @@ using core::JobId;
 FlexiblePipelineResult schedule_flexible(const ContinuousInstance& inst,
                                          IntervalAlgorithm algorithm,
                                          UnboundedOptions dp_options) {
-  const UnboundedSolution unbounded = solve_unbounded(inst, dp_options);
+  return schedule_flexible(inst, solve_unbounded(inst, dp_options), algorithm);
+}
+
+FlexiblePipelineResult schedule_flexible(const ContinuousInstance& inst,
+                                         const UnboundedSolution& unbounded,
+                                         IntervalAlgorithm algorithm) {
   const ContinuousInstance frozen =
       freeze_to_interval_instance(inst, unbounded);
 
@@ -46,6 +51,7 @@ FlexiblePipelineResult schedule_flexible(const ContinuousInstance& inst,
   }
   result.opt_infinity = unbounded.busy_time;
   result.dp_exact = unbounded.exact;
+  result.timed_out = unbounded.timed_out;
   return result;
 }
 

@@ -18,6 +18,7 @@ struct FlexiblePipelineResult {
   core::BusySchedule schedule;
   double opt_infinity = 0.0;  ///< Busy time of the g=infinity DP (span LB).
   bool dp_exact = true;       ///< g=infinity solve stayed within budget.
+  bool timed_out = false;     ///< A RunContext stopped the DP (push-left).
 };
 
 /// The paper's recipe for flexible jobs (section 4.3): solve g = infinity
@@ -29,5 +30,13 @@ struct FlexiblePipelineResult {
     const core::ContinuousInstance& inst,
     IntervalAlgorithm algorithm = IntervalAlgorithm::kGreedyTracking,
     UnboundedOptions dp_options = {});
+
+/// The freeze-and-schedule half of the pipeline on a g = infinity solution
+/// computed elsewhere (one DP solve shared by several consumers). A
+/// non-exact `unbounded` (its push-left fallback) still yields a feasible
+/// schedule; `dp_exact` / `timed_out` report it.
+[[nodiscard]] FlexiblePipelineResult schedule_flexible(
+    const core::ContinuousInstance& inst, const UnboundedSolution& unbounded,
+    IntervalAlgorithm algorithm = IntervalAlgorithm::kGreedyTracking);
 
 }  // namespace abt::busy

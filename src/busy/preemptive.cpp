@@ -107,12 +107,7 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
                            [](double a, double b) { return std::abs(a - b) < kEps; }),
                points.end());
 
-  // Non-degenerate cells with their midpoints (ascending). A piece covers
-  // a contiguous run of cells, so instead of rescanning every job's pieces
-  // per cell (the old O(cells * pieces) loop), each piece locates its cell
-  // range with two binary searches on the midpoints; iterating jobs in id
-  // order keeps every cell's running list in ascending job order, exactly
-  // as the per-cell scan produced it.
+  // Non-degenerate cells with their midpoints (ascending).
   std::vector<Interval> cells;
   std::vector<double> mids;
   for (std::size_t c = 0; c + 1 < points.size(); ++c) {
@@ -121,83 +116,120 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
     cells.push_back(cell);
     mids.push_back(cell.lo + cell.length() / 2);
   }
-  // Per-cell running lists in CSR form on arena scratch (flat counts /
-  // offsets / ids instead of a vector-of-vectors): the buffers are bump
-  // allocations a worker thread reuses across trials, and the fill order
-  // (jobs ascending, pieces in order) reproduces the per-cell lists of the
-  // nested-vector predecessor element for element.
+
+  // One time-ordered sweep deals every cell. A piece covers the cells whose
+  // midpoint lies in [run.lo, run.hi) (the per-cell scan's predicate), a
+  // contiguous range found by two binary searches on the midpoints, so the
+  // job enters the running set at the range's first cell and leaves it at
+  // its end. Enter and leave events are bucketed by cell on arena scratch;
+  // filling the buckets with jobs ascending keeps each bucket, and hence
+  // the running set, in ascending job order — every cell's running list is
+  // the per-cell scan's list element for element.
   core::MonotonicArena& arena = core::thread_arena();
   const core::ArenaScope scope(arena);
+  const auto n = static_cast<std::size_t>(inst.size());
+  const std::size_t num_cells = cells.size();
   std::size_t num_pieces = 0;
-  for (JobId j = 0; j < inst.size(); ++j) {
-    num_pieces += unbounded.schedule.pieces[static_cast<std::size_t>(j)].size();
+  for (std::size_t j = 0; j < n; ++j) {
+    num_pieces += unbounded.schedule.pieces[j].size();
   }
   struct PieceCells {
     std::size_t first;
     std::size_t last;
-    JobId job;
   };
   const std::span<PieceCells> ranges = arena.alloc<PieceCells>(num_pieces);
-  const std::span<int> counts = arena.alloc<int>(cells.size());
-  std::fill(counts.begin(), counts.end(), 0);
+  // Counting sort of the events by cell: bucket c is [offsets[c],
+  // offsets[c + 1]) once the fill has advanced each start to its end. A
+  // piece running to the last cell never leaves.
+  const std::span<std::size_t> enter_offsets =
+      arena.alloc<std::size_t>(num_cells + 2);
+  const std::span<std::size_t> leave_offsets =
+      arena.alloc<std::size_t>(num_cells + 2);
+  std::fill(enter_offsets.begin(), enter_offsets.end(), 0);
+  std::fill(leave_offsets.begin(), leave_offsets.end(), 0);
   std::size_t nr = 0;
-  for (JobId j = 0; j < inst.size(); ++j) {
-    for (const auto& piece :
-         unbounded.schedule.pieces[static_cast<std::size_t>(j)]) {
-      // Cells whose midpoint lies in [run.lo, run.hi) — the same predicate
-      // the per-cell scan evaluated.
-      const std::size_t first = core::flat_lower_bound(
-          mids.data(), mids.size(), piece.run.lo);
-      const std::size_t last = core::flat_lower_bound(
-          mids.data(), mids.size(), piece.run.hi);
-      ranges[nr++] = {first, last, j};
-      for (std::size_t c = first; c < last; ++c) ++counts[c];
+  for (std::size_t j = 0; j < n; ++j) {
+    for (const auto& piece : unbounded.schedule.pieces[j]) {
+      const PieceCells range{
+          core::flat_lower_bound(mids.data(), mids.size(), piece.run.lo),
+          core::flat_lower_bound(mids.data(), mids.size(), piece.run.hi)};
+      ranges[nr++] = range;
+      if (range.first >= range.last) continue;
+      ++enter_offsets[range.first + 2];
+      if (range.last < num_cells) ++leave_offsets[range.last + 2];
     }
   }
-  const std::span<std::size_t> offsets =
-      arena.alloc<std::size_t>(cells.size() + 1);
-  offsets[0] = 0;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    offsets[c + 1] = offsets[c] + static_cast<std::size_t>(counts[c]);
+  for (std::size_t c = 2; c < num_cells + 2; ++c) {
+    enter_offsets[c] += enter_offsets[c - 1];
+    leave_offsets[c] += leave_offsets[c - 1];
   }
-  const std::span<JobId> ids = arena.alloc<JobId>(offsets[cells.size()]);
-  const std::span<std::size_t> cursor =
-      arena.alloc<std::size_t>(cells.size());
-  std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
-  for (std::size_t r = 0; r < nr; ++r) {
-    for (std::size_t c = ranges[r].first; c < ranges[r].last; ++c) {
-      ids[cursor[c]++] = ranges[r].job;
-    }
-  }
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    // Deal onto ceil(count/g) machines, filling g at a time: at most one
-    // machine per cell is below capacity (charged to the span bound).
-    for (std::size_t idx = 0; idx + offsets[c] < offsets[c + 1]; ++idx) {
-      const int machine = static_cast<int>(idx) / inst.capacity();
-      out.schedule.pieces[static_cast<std::size_t>(ids[offsets[c] + idx])]
-          .push_back({machine, cells[c]});
+  const std::span<JobId> enters =
+      arena.alloc<JobId>(enter_offsets[num_cells + 1]);
+  const std::span<JobId> leaves =
+      arena.alloc<JobId>(leave_offsets[num_cells + 1]);
+  nr = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t k = 0; k < unbounded.schedule.pieces[j].size(); ++k) {
+      const PieceCells range = ranges[nr++];
+      if (range.first >= range.last) continue;
+      enters[enter_offsets[range.first + 1]++] = static_cast<JobId>(j);
+      if (range.last < num_cells) {
+        leaves[leave_offsets[range.last + 1]++] = static_cast<JobId>(j);
+      }
     }
   }
 
-  // Merge adjacent same-machine pieces per job (cosmetic; keeps piece
-  // counts linear).
-  for (JobId j = 0; j < inst.size(); ++j) {
-    auto& pieces = out.schedule.pieces[static_cast<std::size_t>(j)];
-    std::sort(pieces.begin(), pieces.end(),
-              [](const PreemptiveBusySchedule::Piece& a,
-                 const PreemptiveBusySchedule::Piece& b) {
-                return a.run.lo < b.run.lo;
-              });
-    std::vector<PreemptiveBusySchedule::Piece> merged;
-    for (const auto& piece : pieces) {
-      if (!merged.empty() && merged.back().machine == piece.machine &&
-          std::abs(merged.back().run.hi - piece.run.lo) < kEps) {
-        merged.back().run.hi = piece.run.hi;
+  // The running set (ascending job ids), a buffer to rebuild it into, and
+  // one open piece per job: a job's pieces arrive in cell order, so
+  // extending the open piece while the machine is unchanged and the next
+  // cell abuts it yields each job's pieces already sorted and merged.
+  std::span<JobId> running = arena.alloc<JobId>(n);
+  std::span<JobId> next = arena.alloc<JobId>(n);
+  const std::span<PreemptiveBusySchedule::Piece> open =
+      arena.alloc<PreemptiveBusySchedule::Piece>(n);
+  std::fill(open.begin(), open.end(), PreemptiveBusySchedule::Piece{});
+  std::size_t size = 0;
+  const int g = inst.capacity();
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    // Both buckets are ascending, like the running set.
+    if (leave_offsets[c] < leave_offsets[c + 1]) {
+      const JobId* end = std::set_difference(
+          running.data(), running.data() + size,
+          leaves.data() + leave_offsets[c],
+          leaves.data() + leave_offsets[c + 1], next.data());
+      size = static_cast<std::size_t>(end - next.data());
+      std::swap(running, next);
+    }
+    if (enter_offsets[c] < enter_offsets[c + 1]) {
+      const JobId* end = std::merge(
+          running.data(), running.data() + size,
+          enters.data() + enter_offsets[c],
+          enters.data() + enter_offsets[c + 1], next.data());
+      size = static_cast<std::size_t>(end - next.data());
+      std::swap(running, next);
+    }
+    // Deal onto ceil(count/g) machines, filling g at a time: at most one
+    // machine per cell is below capacity (charged to the span bound).
+    const Interval cell = cells[c];
+    int machine = 0;
+    int fill = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      const auto j = static_cast<std::size_t>(running[i]);
+      PreemptiveBusySchedule::Piece& piece = open[j];
+      if (piece.machine == machine && std::abs(piece.run.hi - cell.lo) < kEps) {
+        piece.run.hi = cell.hi;
       } else {
-        merged.push_back(piece);
+        if (piece.machine >= 0) out.schedule.pieces[j].push_back(piece);
+        piece = {machine, cell};
+      }
+      if (++fill == g) {
+        fill = 0;
+        ++machine;
       }
     }
-    pieces = std::move(merged);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    if (open[j].machine >= 0) out.schedule.pieces[j].push_back(open[j]);
   }
 
   out.busy_time = core::busy_cost(inst, out.schedule);

@@ -284,7 +284,11 @@ std::optional<BusySchedule> solve_exact_weighted(const WeightedInstance& inst,
 }
 
 BusySchedule schedule_weighted_flexible(const WeightedInstance& inst) {
-  const UnboundedSolution dp = solve_unbounded(inst.unweighted());
+  return schedule_weighted_flexible(inst, solve_unbounded(inst.unweighted()));
+}
+
+BusySchedule schedule_weighted_flexible(const WeightedInstance& inst,
+                                        const UnboundedSolution& dp) {
   std::vector<WeightedJob> frozen;
   frozen.reserve(static_cast<std::size_t>(inst.size()));
   for (JobId j = 0; j < inst.size(); ++j) {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "busy/dp_unbounded.hpp"
 #include "core/busy_schedule.hpp"
 #include "core/continuous_instance.hpp"
 #include "core/run_context.hpp"
@@ -115,5 +116,11 @@ struct WeightedExactResult {
 /// Khandekar et al.'s recipe, mirrored from section 4.3.
 [[nodiscard]] core::BusySchedule schedule_weighted_flexible(
     const WeightedInstance& inst);
+
+/// The same recipe on a g = infinity solution of `inst.unweighted()`
+/// computed elsewhere; a non-exact `dp` (its push-left fallback) still
+/// yields a feasible schedule.
+[[nodiscard]] core::BusySchedule schedule_weighted_flexible(
+    const WeightedInstance& inst, const UnboundedSolution& dp);
 
 }  // namespace abt::busy

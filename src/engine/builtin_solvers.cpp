@@ -20,6 +20,7 @@
 #include "busy/weighted.hpp"
 #include "core/sweep.hpp"
 #include "engine/adapters.hpp"
+#include "engine/scratch.hpp"
 
 namespace abt::engine {
 
@@ -84,7 +85,9 @@ Solver interval_solver(std::string name, std::string guarantee, double factor,
 
 /// Section 4.3 pipeline: freeze with the g=infinity DP, then run the given
 /// interval algorithm. Registered for flexible instances only — on interval
-/// jobs the pipeline degenerates to the direct algorithm.
+/// jobs the pipeline degenerates to the direct algorithm. The DP comes from
+/// the worker's shared solve; a stopped DP keeps its push-left fallback,
+/// still feasible, and reports dp_exact 0 without an opt_inf bound.
 Solver pipeline_solver(std::string name, std::string guarantee, double factor,
                        busy::IntervalAlgorithm algorithm) {
   Solver s;
@@ -94,11 +97,12 @@ Solver pipeline_solver(std::string name, std::string guarantee, double factor,
   s.guarantee_factor = factor;
   s.applicable = flexible_jobs;
   s.check = core::check_standard_solution;
-  s.run = [algorithm](const ProblemInstance& inst, const RunContext& /*ctx*/) {
-    const busy::FlexiblePipelineResult result =
-        busy::schedule_flexible(inst.continuous, algorithm);
+  s.run = [algorithm](const ProblemInstance& inst, const RunContext& ctx) {
+    const busy::FlexiblePipelineResult result = busy::schedule_flexible(
+        inst.continuous, shared_unbounded(inst.continuous, ctx), algorithm);
     Solution sol = busy_solution(result.schedule, inst);
-    sol.add_stat("opt_inf", result.opt_infinity);
+    sol.timed_out = result.timed_out;
+    if (result.dp_exact) sol.add_stat("opt_inf", result.opt_infinity);
     sol.add_stat("dp_exact", result.dp_exact ? 1.0 : 0.0);
     return sol;
   };
@@ -312,10 +316,8 @@ void register_busy(core::SolverRegistry& registry) {
     s.applicable = always_applicable;
     s.check = core::check_standard_solution;
     s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
-      busy::UnboundedOptions options;
-      options.context = &ctx;
-      const busy::UnboundedSolution dp =
-          busy::solve_unbounded(inst.continuous, options);
+      const busy::UnboundedSolution& dp =
+          shared_unbounded(inst.continuous, ctx);
       const core::ContinuousInstance frozen =
           busy::freeze_to_interval_instance(inst.continuous, dp);
       const int peak = core::max_concurrency(frozen.forced_intervals());
@@ -336,7 +338,7 @@ void register_busy(core::SolverRegistry& registry) {
       }
       sol.add_stat("dp_states", static_cast<double>(dp.nodes));
       sol.add_stat("dp_interned", static_cast<double>(dp.interned));
-      sol.add_stat("opt_inf", dp.busy_time);
+      if (dp.exact) sol.add_stat("opt_inf", dp.busy_time);
       return sol;
     };
     registry.add(std::move(s));
@@ -480,9 +482,18 @@ void register_weighted(core::SolverRegistry& registry) {
     s.guarantee_factor = 0.0;
     s.applicable = weighted_flexible;
     s.check = check_weighted;
-    s.run = [](const ProblemInstance& inst, const RunContext& /*ctx*/) {
-      return weighted_solution(
-          busy::schedule_weighted_flexible(weighted_of(inst)), inst);
+    s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
+      const busy::WeightedInstance& winst = weighted_of(inst);
+      const busy::UnboundedSolution& dp =
+          shared_unbounded(winst.unweighted(), ctx);
+      Solution sol =
+          weighted_solution(busy::schedule_weighted_flexible(winst, dp), inst);
+      // A stopped DP keeps its push-left fallback, still feasible.
+      if (!dp.exact) {
+        sol.timed_out = dp.timed_out;
+        sol.add_stat("dp_exact", 0.0);
+      }
+      return sol;
     };
     registry.add(std::move(s));
   }

@@ -12,6 +12,7 @@
 #include "engine/adapters.hpp"
 #include "engine/parallel.hpp"
 #include "engine/portfolio.hpp"
+#include "engine/scratch.hpp"
 #include "gen/extended_instances.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
@@ -200,12 +201,14 @@ LowerBound derive_lower_bound(const ProblemInstance& inst,
       for (const core::Solution& sol : solutions) {
         harvested_span = std::max(harvested_span, sol.stat("opt_inf", -1.0));
       }
-      const bool with_span =
-          inst.continuous.all_interval_jobs(1e-6) ||
-          (harvested_span < 0.0 &&
-           inst.continuous.size() <= options.span_bound_max_jobs);
-      busy::BusyLowerBounds bounds =
-          busy::busy_lower_bounds(inst.continuous, with_span);
+      busy::BusyLowerBounds bounds = busy::busy_lower_bounds(
+          inst.continuous, /*compute_span_for_flexible=*/false);
+      if (harvested_span < 0.0 && !inst.continuous.all_interval_jobs(1e-6) &&
+          inst.continuous.size() <= options.span_bound_max_jobs) {
+        const busy::UnboundedSolution& dp =
+            shared_unbounded(inst.continuous, core::RunContext{});
+        if (dp.exact) harvested_span = dp.busy_time;
+      }
       bounds.span = std::max(bounds.span, harvested_span);
       lb.value = bounds.best();
       lb.kind = bounds.best() == bounds.profile  ? "profile"

@@ -1,7 +1,11 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
+#include "busy/dp_unbounded.hpp"
+#include "core/continuous_instance.hpp"
+#include "core/run_context.hpp"
 #include "core/scratch.hpp"
 
 namespace abt::engine {
@@ -25,6 +29,22 @@ struct WorkerScratch {
 
   /// High-water mark of arena capacity observed at cell boundaries.
   std::size_t peak_arena_bytes = 0;
+
+  /// One-entry memo of the g = infinity DP (see shared_unbounded): the
+  /// last exact solve on this worker, keyed on the instance's job vector,
+  /// byte for byte, and the DP's state limit. `valid` is false while the
+  /// entry holds no published solve.
+  struct UnboundedMemo {
+    std::vector<core::ContinuousJob> jobs;
+    long state_limit = 0;
+    bool valid = false;
+    busy::UnboundedSolution solution;
+  };
+  UnboundedMemo unbounded;
+
+  /// shared_unbounded calls served from the memo / that ran the DP.
+  std::size_t dp_hits = 0;
+  std::size_t dp_misses = 0;
 };
 
 /// The calling thread's scratch record: the bound worker slot's when the
@@ -36,6 +56,18 @@ struct WorkerScratch {
 /// restores the thread_local fallback). Installed by ThreadPool workers at
 /// thread start; thread-affine, pointee must outlive the binding.
 void bind_worker_scratch(WorkerScratch* scratch);
+
+/// The g = infinity DP (busy::solve_unbounded) of `inst` through the
+/// calling worker's one-entry memo, so the solvers that consume it (the
+/// section 4.3 pipelines, dp-unbounded, weighted-flexible) and the runner's
+/// span bound solve it once per instance. A miss runs the DP under `ctx`
+/// (polled for budget and cancellation) and publishes the result only when
+/// it is exact; a hit serves the published solve whatever `ctx` says. The
+/// DP is a pure function of the jobs, so a result never depends on which
+/// consumer, worker or thread count paid for it. The reference stays valid
+/// until the calling thread's next call.
+[[nodiscard]] const busy::UnboundedSolution& shared_unbounded(
+    const core::ContinuousInstance& inst, const core::RunContext& ctx);
 
 /// Marks the start of one sweep/campaign cell on the calling worker
 /// thread: rewinds the thread arena (O(1), keeps blocks) and, every

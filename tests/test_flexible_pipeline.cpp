@@ -4,6 +4,11 @@
 
 #include "busy/lower_bounds.hpp"
 #include "core/rng.hpp"
+#include "core/run_context.hpp"
+#include "core/solver.hpp"
+#include "engine/builtin_solvers.hpp"
+#include "engine/runner.hpp"
+#include "engine/scratch.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
 
@@ -87,6 +92,57 @@ TEST(FlexiblePipeline, Fig6FamilyStaysWithinThree) {
   const double opt = gen::fig6_optimal_cost(g, eps);
   const double cost = core::busy_cost(inst, result.schedule);
   EXPECT_LE(cost, 3 * opt + 1e-6);
+}
+
+/// A stopped g = infinity DP must not sink the pipeline: under a
+/// pre-cancelled context it keeps the push-left fallback, which is still
+/// checker-valid, and says so (timed_out, dp_exact 0, no opt_inf bound).
+TEST(FlexiblePipeline, CancelledContextKeepsTheFallbackSchedule) {
+  engine::ScenarioSpec spec;
+  spec.name = "flexible";
+  spec.n = 1024;
+  spec.g = 8;
+  spec.seed = 5;
+  const auto inst = engine::make_scenario(spec);
+  ASSERT_TRUE(inst.has_value());
+  core::CancelSource source;
+  source.cancel();
+  core::RunContext ctx;
+  ctx.set_cancel_token(source.token());
+
+  UnboundedOptions options;
+  options.context = &ctx;
+  const FlexiblePipelineResult direct = schedule_flexible(
+      inst->continuous, IntervalAlgorithm::kGreedyTracking, options);
+  EXPECT_FALSE(direct.dp_exact);
+  EXPECT_TRUE(direct.timed_out);
+  std::string why;
+  EXPECT_TRUE(core::check_busy_schedule(inst->continuous, direct.schedule,
+                                        &why))
+      << why;
+
+  // The registered pipelines, run directly: the registry declines a
+  // cancelled batch before any solver starts. A solve of another instance
+  // leaves the worker's memo cold for this one.
+  spec.n = 8;
+  const auto other = engine::make_scenario(spec);
+  ASSERT_TRUE(other.has_value());
+  for (const char* name :
+       {"busy/pipeline-greedy-tracking", "busy/pipeline-two-track-peeling",
+        "busy/pipeline-first-fit"}) {
+    const core::Solver* solver = engine::shared_registry().find(name);
+    ASSERT_NE(solver, nullptr) << name;
+    const core::RunContext free_run;
+    ASSERT_TRUE(engine::shared_unbounded(other->continuous, free_run).exact);
+    const core::Solution sol = solver->run(*inst, ctx);
+    ASSERT_TRUE(sol.ok) << name;
+    ASSERT_TRUE(sol.busy.has_value()) << name;
+    EXPECT_TRUE(core::check_busy_schedule(inst->continuous, *sol.busy, &why))
+        << name << ": " << why;
+    EXPECT_TRUE(sol.timed_out) << name;
+    EXPECT_EQ(sol.stat("dp_exact", 1.0), 0.0) << name;
+    EXPECT_LT(sol.stat("opt_inf", -1.0), 0.0) << name;
+  }
 }
 
 }  // namespace

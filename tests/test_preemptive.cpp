@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "naive_baselines.hpp"
 #include "core/rng.hpp"
+#include "engine/runner.hpp"
 #include "gen/random_instances.hpp"
 #include "lp/simplex.hpp"
 
@@ -160,6 +164,52 @@ TEST(PreemptiveEquivalence, MatchesNaiveBaselineExactly) {
       for (std::size_t k = 0; k < fp.size(); ++k) {
         EXPECT_EQ(fp[k].machine, sp[k].machine) << "job " << j;
         EXPECT_EQ(fp[k].run, sp[k].run) << "job " << j;
+      }
+    }
+  }
+}
+
+/// The dealing sweep against the frozen per-cell scan, bit for bit: same
+/// bound, same pieces, same machines, same cost.
+void expect_bounded_matches_naive(const ContinuousInstance& inst,
+                                  const std::string& label) {
+  const auto fast = solve_preemptive_bounded(inst);
+  const auto slow = naive::solve_preemptive_bounded(inst);
+  EXPECT_EQ(fast.busy_time, slow.busy_time) << label;
+  EXPECT_EQ(fast.opt_infinity, slow.opt_infinity) << label;
+  ASSERT_EQ(fast.schedule.pieces.size(), slow.schedule.pieces.size()) << label;
+  for (std::size_t j = 0; j < fast.schedule.pieces.size(); ++j) {
+    const auto& fp = fast.schedule.pieces[j];
+    const auto& sp = slow.schedule.pieces[j];
+    ASSERT_EQ(fp.size(), sp.size()) << label << " piece count of job " << j;
+    for (std::size_t k = 0; k < fp.size(); ++k) {
+      EXPECT_EQ(fp[k].machine, sp[k].machine) << label << " job " << j;
+      EXPECT_EQ(fp[k].run, sp[k].run) << label << " job " << j;
+    }
+  }
+}
+
+/// The campaign's own shapes (its three random busy families at n = 1024,
+/// g = 8), plus the empty and one-job instances and g = 1, where every
+/// running job gets a machine of its own.
+TEST(PreemptiveEquivalence, MatchesNaiveBaselineAtCampaignScale) {
+  for (const char* scenario : {"interval", "flexible", "bursty"}) {
+    for (const auto& [n, g] :
+         {std::pair{1024, 8}, std::pair{0, 8}, std::pair{1, 8},
+          std::pair{1024, 1}}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        engine::ScenarioSpec spec;
+        spec.name = scenario;
+        spec.n = n;
+        spec.g = g;
+        spec.seed = seed;
+        const auto inst = engine::make_scenario(spec);
+        ASSERT_TRUE(inst.has_value()) << scenario;
+        expect_bounded_matches_naive(
+            inst->continuous, std::string(scenario) + " n=" +
+                                  std::to_string(n) + " g=" +
+                                  std::to_string(g) + " seed=" +
+                                  std::to_string(seed));
       }
     }
   }

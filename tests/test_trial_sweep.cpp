@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "busy/dp_unbounded.hpp"
+#include "core/run_context.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/campaign.hpp"
 #include "engine/parallel.hpp"
 #include "engine/runner.hpp"
+#include "engine/scratch.hpp"
 
 namespace abt {
 namespace {
@@ -882,6 +888,218 @@ TEST(Execute, ExitContract) {
       engine::execute(engine::shared_registry(), request, {}, 1);
   ASSERT_FALSE(response.rows.empty());
   EXPECT_EQ(response.exit, 1);
+}
+
+// ----------------------------------------------------------------------
+// The shared g = infinity DP: one memo entry per worker, keyed on the
+// instance's bytes, serving the pipelines, dp-unbounded and the span bound.
+
+core::ProblemInstance scenario_instance(const std::string& name, int n, int g,
+                                        std::uint64_t seed) {
+  engine::ScenarioSpec spec;
+  spec.name = name;
+  spec.n = n;
+  spec.g = g;
+  spec.seed = seed;
+  auto inst = engine::make_scenario(spec);
+  EXPECT_TRUE(inst.has_value()) << name;
+  return std::move(*inst);
+}
+
+/// Overwrites the calling thread's memo with an unrelated instance.
+void chill_memo() {
+  const core::ProblemInstance other = scenario_instance("interval", 3, 2, 99);
+  ASSERT_TRUE(
+      engine::shared_unbounded(other.continuous, core::RunContext{}).exact);
+}
+
+void expect_same_row(const Solution& a, const Solution& b,
+                     const std::string& label) {
+  EXPECT_EQ(a.ok, b.ok) << label;
+  EXPECT_EQ(a.feasible, b.feasible) << label;
+  EXPECT_EQ(a.exact, b.exact) << label;
+  EXPECT_EQ(a.timed_out, b.timed_out) << label;
+  EXPECT_EQ(a.message, b.message) << label;
+  EXPECT_EQ(a.cost, b.cost) << label;
+  EXPECT_EQ(a.machines, b.machines) << label;
+  EXPECT_EQ(a.stats, b.stats) << label;
+  ASSERT_EQ(a.busy.has_value(), b.busy.has_value()) << label;
+  if (!a.busy.has_value()) return;
+  ASSERT_EQ(a.busy->placements.size(), b.busy->placements.size()) << label;
+  for (std::size_t j = 0; j < a.busy->placements.size(); ++j) {
+    EXPECT_EQ(a.busy->placements[j].machine, b.busy->placements[j].machine)
+        << label << " job " << j;
+    EXPECT_EQ(a.busy->placements[j].start, b.busy->placements[j].start)
+        << label << " job " << j;
+  }
+}
+
+TEST(SharedDp, RowsIdenticalWhetherTheMemoWasColdOrWarm) {
+  const auto& registry = engine::shared_registry();
+  std::vector<core::ProblemInstance> instances;
+  for (const char* name : {"flexible", "bursty"}) {
+    for (const int n : {8, 33, 256, 1024}) {
+      instances.push_back(scenario_instance(name, n, 8, 11));
+    }
+  }
+  for (const int g : {2, 3, 5}) {
+    instances.push_back(scenario_instance("fig6", 0, g, 1));
+    instances.push_back(scenario_instance("fig10", 0, g, 1));
+  }
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const core::ProblemInstance& inst = instances[i];
+    for (const char* name :
+         {"busy/pipeline-greedy-tracking", "busy/pipeline-two-track-peeling",
+          "busy/pipeline-first-fit", "busy/dp-unbounded"}) {
+      const core::Solver* solver = registry.find(name);
+      ASSERT_NE(solver, nullptr) << name;
+      const std::string label = "instance " + std::to_string(i) + " " + name;
+      chill_memo();
+      const engine::WorkerScratch& scratch = engine::worker_scratch();
+      const std::size_t misses = scratch.dp_misses;
+      const std::size_t hits = scratch.dp_hits;
+      const Solution cold = registry.run(*solver, inst, core::RunContext{});
+      const Solution warm = registry.run(*solver, inst, core::RunContext{});
+      expect_same_row(cold, warm, label);
+      if (cold.ok || cold.stat("dp_states", 0.0) > 0.0) {
+        // The solver consumed the DP: one solve, then one hit.
+        EXPECT_EQ(scratch.dp_misses, misses + 1) << label;
+        EXPECT_EQ(scratch.dp_hits, hits + 1) << label;
+      }
+    }
+  }
+}
+
+TEST(SharedDp, OneUlpDeadlineChangeMisses) {
+  const core::ProblemInstance inst = scenario_instance("flexible", 64, 4, 3);
+  std::vector<core::ContinuousJob> jobs = inst.continuous.jobs();
+  jobs[17].deadline = std::nextafter(jobs[17].deadline,
+                                     std::numeric_limits<double>::infinity());
+  const core::ContinuousInstance nudged(std::move(jobs),
+                                        inst.continuous.capacity());
+  const core::RunContext free_run;
+  const engine::WorkerScratch& scratch = engine::worker_scratch();
+
+  (void)engine::shared_unbounded(inst.continuous, free_run);
+  const std::size_t misses = scratch.dp_misses;
+  const std::size_t hits = scratch.dp_hits;
+  (void)engine::shared_unbounded(inst.continuous, free_run);
+  EXPECT_EQ(scratch.dp_hits, hits + 1);
+  const busy::UnboundedSolution& got =
+      engine::shared_unbounded(nudged, free_run);
+  EXPECT_EQ(scratch.dp_misses, misses + 1) << "a one-ulp change must miss";
+  const busy::UnboundedSolution want = busy::solve_unbounded(nudged);
+  EXPECT_EQ(got.starts, want.starts);
+  EXPECT_EQ(got.busy_time, want.busy_time);
+}
+
+TEST(SharedDp, TimedOutSolveIsNotPublished) {
+  const core::ProblemInstance inst = scenario_instance("flexible", 1024, 8, 4);
+  chill_memo();
+  core::CancelSource source;
+  source.cancel();
+  core::RunContext cancelled;
+  cancelled.set_cancel_token(source.token());
+  const engine::WorkerScratch& scratch = engine::worker_scratch();
+  const std::size_t misses = scratch.dp_misses;
+
+  const busy::UnboundedSolution& stopped =
+      engine::shared_unbounded(inst.continuous, cancelled);
+  EXPECT_TRUE(stopped.timed_out);
+  EXPECT_FALSE(stopped.exact);
+  const busy::UnboundedSolution& free_run =
+      engine::shared_unbounded(inst.continuous, core::RunContext{});
+  EXPECT_TRUE(free_run.exact) << "a timed-out solve was served";
+  EXPECT_FALSE(free_run.timed_out);
+  EXPECT_EQ(scratch.dp_misses, misses + 2);
+  EXPECT_EQ(free_run.starts, busy::solve_unbounded(inst.continuous).starts);
+}
+
+TEST(SharedDp, SerialRunInstanceSolvesTheDpOnce) {
+  // n <= span_bound_max_jobs, so the runner's span bound would want the
+  // DP as well when no row reports it.
+  const core::ProblemInstance inst = scenario_instance("flexible", 40, 8, 6);
+  chill_memo();
+  const engine::WorkerScratch& scratch = engine::worker_scratch();
+  const std::size_t misses = scratch.dp_misses;
+  const std::size_t hits = scratch.dp_hits;
+  const engine::RunReport report =
+      engine::run_instance(engine::shared_registry(), inst, {});
+  // Three pipelines and dp-unbounded consume it; the span bound is
+  // harvested from their rows.
+  int consumers = 0;
+  for (const Solution& sol : report.solutions) {
+    if (sol.solver.find("pipeline") != std::string::npos ||
+        sol.solver == "busy/dp-unbounded") {
+      ++consumers;
+    }
+  }
+  EXPECT_EQ(consumers, 4);
+  EXPECT_EQ(scratch.dp_misses, misses + 1);
+  EXPECT_EQ(scratch.dp_hits, hits + 3);
+
+  // A run whose rows report no opt_inf computes the span bound itself,
+  // from the same memo.
+  engine::RunOptions options;
+  options.solvers = {"busy/first-fit"};
+  const engine::RunReport bound_only =
+      engine::run_instance(engine::shared_registry(), inst, options);
+  EXPECT_EQ(scratch.dp_misses, misses + 1);
+  EXPECT_EQ(scratch.dp_hits, hits + 4);
+  EXPECT_EQ(bound_only.lower_bound.value, report.lower_bound.value);
+  EXPECT_EQ(bound_only.lower_bound.kind, report.lower_bound.kind);
+}
+
+engine::CampaignReport flexible_campaign_with_threads(int threads) {
+  engine::CampaignGrid grid;
+  grid.scenarios = {"flexible", "bursty"};
+  grid.ns = {64, 256};
+  grid.gs = {3, 8};
+  grid.base.seed = 23;
+  engine::CampaignOptions options;
+  options.trials = 3;
+  options.threads = threads;
+  std::string error;
+  const auto report = engine::run_campaign(engine::shared_registry(), grid,
+                                           options, &error);
+  EXPECT_TRUE(report.has_value()) << error;
+  return *report;
+}
+
+/// With the DP shared per worker, which consumer pays for it depends on
+/// the schedule, but no row may: aggregates stay bit-identical.
+TEST(Campaign, SharedDpAggregatesDeterministicAcrossThreadCounts) {
+  const engine::CampaignReport one = flexible_campaign_with_threads(1);
+  for (const int threads : {2, 4}) {
+    const engine::CampaignReport many = flexible_campaign_with_threads(threads);
+    ASSERT_EQ(one.points.size(), 8u);
+    ASSERT_EQ(one.points.size(), many.points.size());
+    for (std::size_t p = 0; p < one.points.size(); ++p) {
+      const engine::CampaignPoint& a = one.points[p];
+      const engine::CampaignPoint& b = many.points[p];
+      EXPECT_EQ(a.spec.name, b.spec.name);
+      EXPECT_EQ(a.cells, b.cells);
+      EXPECT_EQ(a.ok_cells, b.ok_cells);
+      EXPECT_EQ(a.infeasible_cells, 0);
+      ASSERT_EQ(a.aggregates.size(), b.aggregates.size()) << a.spec.name;
+      for (std::size_t i = 0; i < a.aggregates.size(); ++i) {
+        const engine::SolverAggregate& x = a.aggregates[i];
+        const engine::SolverAggregate& y = b.aggregates[i];
+        EXPECT_EQ(x.solver, y.solver);
+        EXPECT_EQ(x.runs, y.runs);
+        EXPECT_EQ(x.ok, y.ok);
+        EXPECT_EQ(x.feasible, y.feasible);
+        EXPECT_EQ(x.exact_runs, y.exact_runs);
+        EXPECT_EQ(x.declined, y.declined);
+        EXPECT_EQ(x.timed_out, y.timed_out);
+        EXPECT_EQ(x.ratio_mean, y.ratio_mean)
+            << a.spec.name << " " << x.solver << " threads=" << threads;
+        EXPECT_EQ(x.ratio_median, y.ratio_median);
+        EXPECT_EQ(x.ratio_p95, y.ratio_p95);
+        EXPECT_EQ(x.ratio_max, y.ratio_max);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,6 +8,12 @@
 
 #include "busy/first_fit.hpp"
 #include "core/rng.hpp"
+#include "core/run_context.hpp"
+#include "core/solver.hpp"
+#include "engine/adapters.hpp"
+#include "engine/builtin_solvers.hpp"
+#include "engine/runner.hpp"
+#include "engine/scratch.hpp"
 #include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
 #include "weighted_oracle.hpp"
@@ -344,6 +350,52 @@ TEST(WeightedEquivalence, EmptyRunDrawsNoWidth) {
   expect_interval_heuristics_match(inst);
   EXPECT_EQ(machines_of(weighted_first_fit(inst)),
             (std::vector<int>{0, 1, 1, 1}));
+}
+
+/// busy/weighted-flexible honours its RunContext: under a pre-cancelled
+/// context the g = infinity DP stops, the push-left fallback is still a
+/// feasible weighted schedule, and the row reports timed_out, dp_exact 0.
+TEST(Weighted, FlexibleCancelledContextKeepsTheFallbackSchedule) {
+  engine::ScenarioSpec spec;
+  spec.name = "weighted-flexible";
+  spec.n = 1024;
+  spec.g = 8;
+  spec.seed = 5;
+  const auto inst = engine::make_scenario(spec);
+  ASSERT_TRUE(inst.has_value());
+  const WeightedInstance& winst = engine::weighted_of(*inst);
+  core::CancelSource source;
+  source.cancel();
+  core::RunContext ctx;
+  ctx.set_cancel_token(source.token());
+
+  UnboundedOptions options;
+  options.context = &ctx;
+  const UnboundedSolution dp = solve_unbounded(winst.unweighted(), options);
+  EXPECT_FALSE(dp.exact);
+  EXPECT_TRUE(dp.timed_out);
+  std::string why;
+  EXPECT_TRUE(check_weighted_schedule(
+      winst, schedule_weighted_flexible(winst, dp), &why))
+      << why;
+
+  // The registered solver, run directly (the registry declines a cancelled
+  // batch up front), with the worker's memo holding another instance.
+  spec.n = 8;
+  const auto other = engine::make_scenario(spec);
+  ASSERT_TRUE(other.has_value());
+  ASSERT_TRUE(engine::shared_unbounded(engine::weighted_of(*other).unweighted(),
+                                       core::RunContext{})
+                  .exact);
+  const core::Solver* solver =
+      engine::shared_registry().find("busy/weighted-flexible");
+  ASSERT_NE(solver, nullptr);
+  const core::Solution sol = solver->run(*inst, ctx);
+  ASSERT_TRUE(sol.ok);
+  ASSERT_TRUE(sol.busy.has_value());
+  EXPECT_TRUE(check_weighted_schedule(winst, *sol.busy, &why)) << why;
+  EXPECT_TRUE(sol.timed_out);
+  EXPECT_EQ(sol.stat("dp_exact", 1.0), 0.0);
 }
 
 }  // namespace
