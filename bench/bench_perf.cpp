@@ -240,8 +240,8 @@ BENCHMARK(BM_DemandProfile)->Range(16, 8192)->Complexity();
 
 // --------------------------------------------------------------------------
 // Pre-sweep quadratic baselines (tests/oracles/naive_baselines.hpp, shared
-// with the equivalence suite) so every BENCH_PR<k>.json records the speedup
-// of the sweep engine against the original hot paths.
+// with the equivalence suite) so bench_perf reports the speedup of the
+// sweep engine against the original hot paths.
 
 void BM_FirstFitNaive(benchmark::State& state) {
   const auto inst = make_interval(static_cast<int>(state.range(0)), 7);
@@ -300,7 +300,7 @@ BENCHMARK(BM_DemandProfileNaive)->Range(16, 4096)->Complexity();
 // --------------------------------------------------------------------------
 // PR 4: the online and preemptive paths moved off their quadratic scans
 // (per-machine OccupancyIndex probes; OpenSet + per-piece cell lookup).
-// The frozen originals stay as BM_*Naive so BENCH_PR<k>.json records the
+// The frozen originals stay as BM_*Naive so bench_perf reports the
 // speedup, like the other sweep-backed paths.
 
 void BM_OnlineFirstFit(benchmark::State& state) {
@@ -512,7 +512,7 @@ BENCHMARK(BM_WeightedFirstFitNaive)
 
 namespace naive_sched {
 
-// The PR 6 engine, frozen verbatim so BENCH_PR<k>.json keeps an honest
+// The PR 6 engine, frozen verbatim so the scheduler curve keeps an honest
 // denominator: a pool is constructed PER parallel_for call, every cell is
 // a heap-allocated closure pushed through one mutex-guarded queue, and the
 // workers are joined when the call ends.

@@ -18,14 +18,11 @@
 //                     sweep or a campaign (0 = hardware concurrency)
 //   --budget-ms B     per-cell time budget; lifts the exact solvers' size
 //                     gates (anytime mode: incumbent + gap on timeout)
-//   --race a,b|auto   portfolio-race solvers on the shared pool; first
-//                     acceptable finisher wins, losers are cancelled
+//   --race a,b|auto   portfolio-race solvers on the shared pool ('auto' =
+//                     every applicable solver); first acceptable finisher
+//                     wins, losers are cancelled
 //   --accept-gap G    race acceptance: winner must be within (1+G) of the
 //                     tightest certified bound (default: any checker pass)
-//   --selector M      nearest-centroid model file ('-' = stdin) ranking
-//                     the contestants '--race auto' picks
-//   --train-selector C  train a selector from campaign CSV ('-' = stdin),
-//                     write the model to stdout and exit
 //   --json | --csv    machine-readable report instead of the text table
 //   --emit            print the generated instance (core/io format) and exit
 //   --gantt           append a Gantt chart of the best feasible schedule
@@ -48,7 +45,6 @@
 #include "engine/campaign.hpp"
 #include "engine/parallel.hpp"
 #include "engine/runner.hpp"
-#include "engine/selector.hpp"
 #include "report/gantt.hpp"
 #include "report/table.hpp"
 #include "service/protocol.hpp"
@@ -65,8 +61,8 @@ constexpr const char* kUsage =
     "       abt_solve --demo-slotted | --demo-continuous\n"
     "options: --solvers a,b,c  --n K --g G --seed N --slack S --horizon H\n"
     "         --eps E  --trials N --threads K  --budget-ms B\n"
-    "         --race a,b|auto  --accept-gap G  --selector <model|->\n"
-    "         --train-selector <csv|->  --json | --csv  --emit  --gantt\n"
+    "         --race a,b|auto  --accept-gap G  --json | --csv  --emit\n"
+    "         --gantt\n"
     "         --connect <socket|host:port>  --progress K  --id NAME   "
     "(abtd client)\n";
 
@@ -96,8 +92,6 @@ struct CliOptions {
   std::string connect;           ///< abtd address; empty = solve locally.
   std::string request_id;        ///< Daemon request id (cancel target).
   int progress = 0;              ///< Daemon progress events wanted.
-  std::string selector;          ///< Selector model path ('-' = stdin).
-  std::string train_selector;    ///< Campaign CSV to train from.
   double accept_gap = -1.0;      ///< Race acceptance gap (< 0 = checker only).
   int trials = 1;
   bool trials_given = false;     ///< Campaigns default to 4 unless set.
@@ -176,12 +170,6 @@ bool parse_args(int argc, char** argv, CliOptions& options,
         error = "bad value for --progress: '" + value + "'";
         return false;
       }
-    } else if (arg == "--selector") {
-      if (!need_value(i, arg)) return false;
-      options.selector = argv[++i];
-    } else if (arg == "--train-selector") {
-      if (!need_value(i, arg)) return false;
-      options.train_selector = argv[++i];
     } else if (arg == "--accept-gap") {
       if (!need_value(i, arg)) return false;
       const std::string value = argv[++i];
@@ -269,21 +257,6 @@ int emit_instance(const core::ProblemInstance& inst) {
     return 1;
   }
   return 0;
-}
-
-/// Loads a selector model from a file or stdin ('-'); nullopt + message on
-/// any failure (unreadable file, line-numbered parse error).
-std::optional<engine::SelectorModel> load_selector(const std::string& path,
-                                                   std::string& error) {
-  if (path == "-") {
-    return engine::parse_model(std::cin, &error);
-  }
-  std::ifstream file(path);
-  if (!file) {
-    error = "cannot open '" + path + "'";
-    return std::nullopt;
-  }
-  return engine::parse_model(file, &error);
 }
 
 /// Unknown solver names are a usage error, not a silent no-op (the library
@@ -410,50 +383,18 @@ int main(int argc, char** argv) {
 
   const core::SolverRegistry& registry = engine::shared_registry();
 
-  // Offline training mode: campaign CSV in, versioned model text out.
-  if (!options.train_selector.empty()) {
-    std::optional<engine::SelectorModel> model;
-    if (options.train_selector == "-") {
-      model = engine::train_selector(std::cin, &error);
-    } else {
-      std::ifstream file(options.train_selector);
-      if (!file) {
-        std::cerr << "cannot open '" << options.train_selector << "'\n";
-        return 1;
-      }
-      model = engine::train_selector(file, &error);
-    }
-    if (!model.has_value()) {
-      std::cerr << "train-selector: " << error << "\n";
-      return 1;
-    }
-    engine::write_model(std::cout, *model);
-    return 0;
-  }
-
   // Client mode is a single-instance solve/race shipped to a daemon; the
   // batch modes and local-only rendering stay local on purpose.
   if (!options.connect.empty() &&
-      (!options.campaign.empty() || options.trials > 1 ||
-       !options.selector.empty() || options.gantt)) {
+      (!options.campaign.empty() || options.trials > 1 || options.gantt)) {
     std::cerr << "--connect supports single-instance solve/race only "
-                 "(--campaign, --trials, --selector and --gantt are "
-                 "local-mode flags)\n";
+                 "(--campaign, --trials and --gantt are local-mode flags)\n";
     return 1;
   }
 
   // A race wants real concurrency: unless the user pinned --threads, use
   // every hardware worker so contestants actually overlap.
   if (!options.race.empty() && !options.threads_given) options.threads = 0;
-
-  std::optional<engine::SelectorModel> selector_model;
-  if (!options.selector.empty()) {
-    selector_model = load_selector(options.selector, error);
-    if (!selector_model.has_value()) {
-      std::cerr << "selector: " << error << "\n";
-      return 1;
-    }
-  }
 
   // Size the shared persistent pool once, up front: every sweep/campaign
   // this process runs (including back-to-back invocations in one session)
@@ -523,8 +464,6 @@ int main(int argc, char** argv) {
         for (const std::string& name : *names) {
           campaign_options.race.entries.push_back({name, 0.0});
         }
-      } else if (selector_model.has_value()) {
-        campaign_options.race.model = &*selector_model;
       }
     }
     const auto report =
@@ -622,7 +561,6 @@ int main(int argc, char** argv) {
   request.format = format;
   if (!options.connect.empty()) return solve_remote(options, request);
 
-  if (selector_model.has_value()) request.model = &*selector_model;
   const engine::Response response = engine::execute(
       registry, request, core::RunContext::with_budget_ms(options.budget_ms),
       options.threads);

@@ -243,9 +243,7 @@ std::vector<RaceReport> run_races(const core::SolverRegistry& registry,
         entries[i].push_back({name, 0.0});
       }
     } else {
-      entries[i] = auto_entries(registry, inputs[i].instance,
-                                options.race.model, options.race.top_k,
-                                base_ctx);
+      entries[i] = auto_entries(registry, inputs[i].instance, base_ctx);
     }
   }
 

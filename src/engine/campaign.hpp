@@ -84,16 +84,14 @@ struct CampaignPresetInfo {
     std::string_view name);
 
 /// Per-point portfolio racing: instead of running every selected solver to
-/// completion, each (point, trial) cell races `entries` (or the selector /
+/// completion, each (point, trial) cell races `entries` (or the
 /// applicability auto pick) under engine::race and keeps the full race
 /// rows — losers show up in the aggregates as interrupted/cancelled runs,
 /// and their incumbents still tighten the per-trial lower bound.
 struct CampaignRace {
   bool enabled = false;
-  std::vector<RaceEntry> entries;        ///< Explicit contestants; empty = auto.
-  const SelectorModel* model = nullptr;  ///< Optional selector for auto picks.
-  int top_k = 3;                         ///< Auto pick width with a model.
-  double accept_gap = -1.0;              ///< RaceOptions::accept_gap per cell.
+  std::vector<RaceEntry> entries;  ///< Explicit contestants; empty = auto.
+  double accept_gap = -1.0;        ///< RaceOptions::accept_gap per cell.
 };
 
 struct CampaignOptions {

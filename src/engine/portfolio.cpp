@@ -134,24 +134,9 @@ RaceReport race(const core::SolverRegistry& registry,
 
 std::vector<RaceEntry> auto_entries(const core::SolverRegistry& registry,
                                     const core::ProblemInstance& inst,
-                                    const SelectorModel* model, int top_k,
                                     const core::RunContext& ctx) {
-  const std::vector<const core::Solver*> applicable =
-      registry.selection(inst, {}, ctx);
   std::vector<RaceEntry> entries;
-  if (model != nullptr) {
-    for (const std::string& name :
-         select_solvers(*model, extract_features(inst), top_k)) {
-      if (std::any_of(applicable.begin(), applicable.end(),
-                      [&](const core::Solver* s) { return s->name == name; })) {
-        entries.push_back({name, 0.0});
-      }
-    }
-    if (!entries.empty()) return entries;
-    // A model trained on other kinds may pick nothing applicable; racing
-    // everything is the honest fallback rather than failing the solve.
-  }
-  for (const core::Solver* solver : applicable) {
+  for (const core::Solver* solver : registry.selection(inst, {}, ctx)) {
     entries.push_back({solver->name, 0.0});
   }
   return entries;

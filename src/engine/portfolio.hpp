@@ -28,7 +28,6 @@
 
 #include "core/solver.hpp"
 #include "engine/runner.hpp"
-#include "engine/selector.hpp"
 
 namespace abt::engine {
 
@@ -89,12 +88,10 @@ struct RaceReport {
                               const core::RunContext& parent = {},
                               const RaceOptions& options = {});
 
-/// Entries for `--race auto`: the selector model's ranked pick (top_k)
-/// filtered to solvers registered and applicable under `ctx`; without a
-/// model, every applicable solver in registration order.
+/// Entries for `--race auto`: every solver applicable under `ctx`, in
+/// registration order.
 [[nodiscard]] std::vector<RaceEntry> auto_entries(
     const core::SolverRegistry& registry, const core::ProblemInstance& inst,
-    const SelectorModel* model = nullptr, int top_k = 3,
     const core::RunContext& ctx = {});
 
 /// The exit contract over the race rows; solved = a winner or a

@@ -9,6 +9,7 @@
 
 #include "busy/lower_bounds.hpp"
 #include "core/rng.hpp"
+#include "core/text.hpp"
 #include "engine/adapters.hpp"
 #include "engine/parallel.hpp"
 #include "engine/portfolio.hpp"
@@ -43,6 +44,13 @@ gen::ContinuousParams continuous_params(const ScenarioSpec& spec,
   params.horizon = spec.horizon > 0 ? spec.horizon : 10.0 + spec.n / 4.0;
   params.max_slack = slack;
   return params;
+}
+
+/// "<requirement> (got <value>)", the value written as %.17g.
+std::string range_error(std::string_view requirement, double value) {
+  std::string out;
+  core::append(out, requirement, " (got ", value, ")");
+  return out;
 }
 
 }  // namespace
@@ -88,6 +96,12 @@ std::optional<ProblemInstance> make_scenario(const ScenarioSpec& spec,
   if (spec.n < 0) {
     return fail("n must be >= 0 (got " + std::to_string(spec.n) + ")");
   }
+  if (spec.slack < 0.0) {
+    return fail(range_error("slack must be >= 0", spec.slack));
+  }
+  if (spec.horizon < 0.0) {
+    return fail(range_error("horizon must be >= 0", spec.horizon));
+  }
   core::Rng rng(spec.seed);
   if (spec.name == "slotted" || spec.name == "slotted-unit") {
     gen::SlottedParams params = slotted_params(spec);
@@ -131,14 +145,25 @@ std::optional<ProblemInstance> make_scenario(const ScenarioSpec& spec,
   }
   if (spec.name == "fig6") {
     if (spec.g < 2) return fail("fig6 requires g >= 2");
+    if (!(spec.eps > 0.0 && spec.eps < 0.5)) {
+      return fail(range_error("fig6 requires 0 < eps < 1/2", spec.eps));
+    }
     return core::make_instance(gen::fig6_instance(spec.g, spec.eps));
   }
+  // fig8 and fig10 also take eps' = eps / 3, which must stay positive: the
+  // smallest subnormal eps would underflow it to 0.
   if (spec.name == "fig8") {
+    if (!(spec.eps / 3.0 > 0.0 && spec.eps < 1.0)) {
+      return fail(range_error("fig8 requires 0 < eps < 1", spec.eps));
+    }
     return core::make_instance(
         gen::fig8_instance(spec.eps, spec.eps / 3.0));
   }
   if (spec.name == "fig10") {
     if (spec.g < 2) return fail("fig10 requires g >= 2");
+    if (!(spec.eps / 3.0 > 0.0 && spec.eps < 0.5)) {
+      return fail(range_error("fig10 requires 0 < eps < 1/2", spec.eps));
+    }
     return core::make_instance(
         gen::fig10_instance(spec.g, spec.eps, spec.eps / 3.0));
   }
@@ -339,7 +364,7 @@ Response execute(const core::SolverRegistry& registry, Request request,
   if (request.race) {
     std::vector<RaceEntry> entries;
     if (request.solvers.empty()) {
-      entries = auto_entries(registry, request.instance, request.model, 3, ctx);
+      entries = auto_entries(registry, request.instance, ctx);
     }
     for (const std::string& name : request.solvers) {
       entries.push_back({name, 0.0});

@@ -11,8 +11,6 @@
 
 namespace abt::engine {
 
-struct SelectorModel;
-
 /// A named generated workload. One spec covers every generator the library
 /// ships — the random families of gen/random_instances and the paper's
 /// adversarial gadget families of gen/gadgets — so "scenario x solver" is a
@@ -37,8 +35,9 @@ struct ScenarioInfo {
 [[nodiscard]] const std::vector<ScenarioInfo>& scenarios();
 
 /// Instantiates a scenario; nullopt (with `error`) for unknown names or
-/// out-of-range parameters (every scenario needs g >= 1 and n >= 0; fig3
-/// needs g >= 3). n = 0 gives an empty random instance.
+/// out-of-range parameters (every scenario needs g >= 1, n >= 0, slack >= 0
+/// and horizon >= 0; fig3 needs g >= 3; fig6 and fig10 need 0 < eps < 1/2,
+/// fig8 0 < eps < 1). n = 0 gives an empty random instance.
 [[nodiscard]] std::optional<core::ProblemInstance> make_scenario(
     const ScenarioSpec& spec, std::string* error = nullptr);
 
@@ -232,8 +231,6 @@ struct Request {
   /// explicit contestants (empty = the auto pick).
   std::vector<std::string> solvers;
   bool race = false;
-  /// Ranks the auto pick (top 3); nullptr = every applicable solver.
-  const SelectorModel* model = nullptr;
   double accept_gap = -1.0;  ///< RaceOptions::accept_gap.
   Format format = Format::kJson;
 };

@@ -7,8 +7,8 @@
 // (a) the equivalence suites (tests/test_sweep.cpp, tests/test_online.cpp,
 // tests/test_preemptive.cpp, tests/test_flat_layout.cpp), which assert the
 // optimized algorithms reproduce these placement-for-placement, and
-// (b) the BM_*Naive baselines in bench/bench_perf.cpp, which record the
-// speedup in every BENCH_PR<k>.json. Do not optimize this header; its
+// (b) the BM_*Naive baselines in bench/bench_perf.cpp, the denominators
+// of every optimized curve there. Do not optimize this header; its
 // value is staying frozen.
 
 #include <algorithm>

@@ -388,32 +388,15 @@ TEST(Portfolio, AutoEntriesCoverApplicableSolversPerKind) {
       EXPECT_TRUE(seen.insert(entry.solver).second)
           << entry.solver << " listed twice";
     }
+    // The auto pick is exactly the applicable set, in registration order.
+    std::vector<std::string> names;
+    for (const RaceEntry& entry : entries) names.push_back(entry.solver);
+    std::vector<std::string> expected;
+    for (const core::Solver* solver : registry.selection(inst, {}, {})) {
+      expected.push_back(solver->name);
+    }
+    EXPECT_EQ(names, expected) << kind.scenario;
   }
-}
-
-TEST(Portfolio, AutoEntriesFollowTheSelectorRanking) {
-  const core::SolverRegistry& registry = engine::shared_registry();
-  const ProblemInstance inst = scenario_instance("weighted", 10, 3);
-  engine::SelectorModel model;
-  model.mu.fill(0.0);
-  model.sigma.fill(1.0);
-  engine::SelectorCentroid centroid;
-  centroid.label = "weighted";
-  centroid.center = engine::extract_features(inst).values;
-  centroid.ranking = {"busy/weighted-narrow-wide", "not/registered",
-                      "busy/weighted-exact"};
-  model.centroids.push_back(centroid);
-  const std::vector<RaceEntry> entries =
-      engine::auto_entries(registry, inst, &model, 3);
-  ASSERT_EQ(entries.size(), 2u);  // the unregistered pick is dropped
-  EXPECT_EQ(entries[0].solver, "busy/weighted-narrow-wide");
-  EXPECT_EQ(entries[1].solver, "busy/weighted-exact");
-  // A model whose picks apply nowhere falls back to every applicable
-  // solver instead of racing nothing.
-  model.centroids[0].ranking = {"not/registered"};
-  const std::vector<RaceEntry> fallback =
-      engine::auto_entries(registry, inst, &model, 3);
-  EXPECT_GT(fallback.size(), 2u);
 }
 
 /// 200 back-to-back race/cancel cycles on the shared pool: every cycle

@@ -6,6 +6,9 @@
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "busy/lower_bounds.hpp"
 #include "core/rng.hpp"
@@ -122,6 +125,63 @@ TEST(Registry, ScenarioRejectsNegativeJobCount) {
     std::string error;
     EXPECT_FALSE(engine::make_scenario(spec, &error).has_value()) << name;
     EXPECT_EQ(error, "n must be >= 0 (got -3)");
+  }
+}
+
+TEST(Registry, ScenarioRejectsOutOfRangeEps) {
+  struct Case {
+    const char* name;
+    double eps;
+    const char* error;
+  };
+  // 5e-324 is the smallest subnormal: positive, but eps / 3 underflows.
+  for (const Case& c : std::vector<Case>{
+           {"fig6", 5.0, "fig6 requires 0 < eps < 1/2 (got 5)"},
+           {"fig6", 0.5, "fig6 requires 0 < eps < 1/2 (got 0.5)"},
+           {"fig6", 0.0, "fig6 requires 0 < eps < 1/2 (got 0)"},
+           {"fig8", 0.0, "fig8 requires 0 < eps < 1 (got 0)"},
+           {"fig8", 1.0, "fig8 requires 0 < eps < 1 (got 1)"},
+           {"fig8", -0.25, "fig8 requires 0 < eps < 1 (got -0.25)"},
+           {"fig8", 5e-324,
+            "fig8 requires 0 < eps < 1 (got 4.9406564584124654e-324)"},
+           {"fig10", 0.9,
+            "fig10 requires 0 < eps < 1/2 (got 0.90000000000000002)"},
+           {"fig10", 5e-324,
+            "fig10 requires 0 < eps < 1/2 (got 4.9406564584124654e-324)"},
+       }) {
+    engine::ScenarioSpec spec;
+    spec.name = c.name;
+    spec.g = 3;
+    spec.eps = c.eps;
+    std::string error;
+    EXPECT_FALSE(engine::make_scenario(spec, &error).has_value()) << c.name;
+    EXPECT_EQ(error, c.error);
+  }
+  // The open ranges' inner edges still generate.
+  for (const auto& [name, eps] : std::vector<std::pair<const char*, double>>{
+           {"fig6", 0.49}, {"fig8", 0.99}, {"fig10", 0.49}, {"fig8", 1e-9}}) {
+    engine::ScenarioSpec spec;
+    spec.name = name;
+    spec.g = 3;
+    spec.eps = eps;
+    std::string error;
+    EXPECT_TRUE(engine::make_scenario(spec, &error).has_value())
+        << name << " eps " << eps << ": " << error;
+  }
+}
+
+TEST(Registry, ScenarioRejectsNegativeSlackAndHorizon) {
+  for (const char* name : {"flexible", "slotted", "interval"}) {
+    engine::ScenarioSpec spec;
+    spec.name = name;
+    spec.slack = -3.0;
+    std::string error;
+    EXPECT_FALSE(engine::make_scenario(spec, &error).has_value()) << name;
+    EXPECT_EQ(error, "slack must be >= 0 (got -3)");
+    spec.slack = 0.0;
+    spec.horizon = -4.0;
+    EXPECT_FALSE(engine::make_scenario(spec, &error).has_value()) << name;
+    EXPECT_EQ(error, "horizon must be >= 0 (got -4)");
   }
 }
 

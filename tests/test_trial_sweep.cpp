@@ -736,6 +736,21 @@ TEST(Campaign, BadGridPointFailsUpFrontWithContext) {
   EXPECT_NE(error.find("fig3"), std::string::npos) << error;
 }
 
+TEST(Campaign, OutOfRangeEpsFailsWithThePointsError) {
+  std::istringstream file(
+      "scenario fig6\n"
+      "n 8\n"
+      "g 3\n"
+      "eps 3\n");
+  std::string error;
+  const auto grid = engine::parse_campaign(file, &error);
+  ASSERT_TRUE(grid.has_value()) << error;
+  EXPECT_FALSE(engine::run_campaign(engine::shared_registry(), *grid, {},
+                                    &error)
+                   .has_value());
+  EXPECT_EQ(error, "point fig6 n=8 g=3: fig6 requires 0 < eps < 1/2 (got 3)");
+}
+
 TEST(Campaign, WritersCarryThePoints) {
   const engine::CampaignReport report = campaign_with_threads(2);
 
