@@ -4,11 +4,11 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "busy/exact_busy.hpp"
 #include "busy/first_fit.hpp"
 #include "busy/greedy_tracking.hpp"
 #include "busy/lower_bounds.hpp"
 #include "busy/two_track_peeling.hpp"
+#include "busy/weighted.hpp"
 #include "core/busy_schedule.hpp"
 #include "gen/gadgets.hpp"
 
@@ -19,7 +19,9 @@ int main() {
                 "total busy time 6; approximation algorithms for comparison.");
 
   const core::ContinuousInstance inst = gen::fig1_example();
-  const auto exact = busy::solve_exact_interval(inst);
+  const core::BusySchedule exact =
+      busy::solve_exact_busy(busy::WeightedInstance::with_unit_widths(inst))
+          .schedule;
   const busy::BusyLowerBounds lb = busy::busy_lower_bounds(inst);
 
   report::Table jobs({"job", "interval", "length"});
@@ -38,14 +40,14 @@ int main() {
   jobs.print(std::cout);
 
   report::Table results({"algorithm", "busy time", "machines", "vs OPT"});
-  const double opt = core::busy_cost(inst, *exact);
+  const double opt = core::busy_cost(inst, exact);
   auto add = [&](const std::string& name, const core::BusySchedule& s) {
     const double cost = core::busy_cost(inst, s);
     results.add_row({name, report::Table::num(cost),
                      std::to_string(s.machine_count()),
                      report::Table::num(cost / opt)});
   };
-  add("exact (OPT)", *exact);
+  add("exact (OPT)", exact);
   add("GreedyTracking", busy::greedy_tracking(inst));
   add("TwoTrackPeeling", busy::two_track_peeling(inst));
   add("FirstFit", busy::first_fit(inst));
@@ -57,15 +59,15 @@ int main() {
 
   // Show the optimal bundles (the packing of Fig 1 (B)).
   std::cout << "\noptimal bundles:\n";
-  for (int m = 0; m < exact->machine_count(); ++m) {
+  for (int m = 0; m < exact.machine_count(); ++m) {
     std::cout << "  machine " << m << ":";
     for (int j = 0; j < inst.size(); ++j) {
-      if (exact->placements[static_cast<std::size_t>(j)].machine == m) {
+      if (exact.placements[static_cast<std::size_t>(j)].machine == m) {
         std::cout << " " << (j + 1);
       }
     }
     std::cout << "  (busy "
-              << report::Table::num(core::machine_busy_time(inst, *exact, m))
+              << report::Table::num(core::machine_busy_time(inst, exact, m))
               << ")\n";
   }
   return 0;

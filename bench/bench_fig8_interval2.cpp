@@ -6,9 +6,9 @@
 
 #include "bench_util.hpp"
 #include "busy/demand_profile.hpp"
-#include "busy/exact_busy.hpp"
 #include "busy/greedy_tracking.hpp"
 #include "busy/two_track_peeling.hpp"
+#include "busy/weighted.hpp"
 #include "core/busy_schedule.hpp"
 #include "gen/gadgets.hpp"
 
@@ -26,8 +26,10 @@ int main() {
     const double eps_prime = eps / 2.5;
     const core::ContinuousInstance inst = gen::fig8_instance(eps, eps_prime);
 
-    const auto exact = busy::solve_exact_interval(inst);
-    const double opt = core::busy_cost(inst, *exact);
+    const core::BusySchedule exact =
+        busy::solve_exact_busy(busy::WeightedInstance::with_unit_widths(inst))
+            .schedule;
+    const double opt = core::busy_cost(inst, exact);
     const double peel = core::busy_cost(inst, busy::two_track_peeling(inst));
     const double gt = core::busy_cost(inst, busy::greedy_tracking(inst));
     const double profile = busy::DemandProfile(inst).cost();

@@ -451,12 +451,9 @@ void BM_WeightedExactBudget(benchmark::State& state) {
   for (auto _ : state) {
     const core::RunContext ctx =
         core::RunContext::with_budget_ms(budget_ms).restarted();
-    busy::WeightedExactOptions options;
-    options.max_jobs = inst.size();
-    options.context = &ctx;
-    const auto result = busy::solve_exact_weighted_anytime(inst, options);
-    cost = core::busy_cost(unweighted, result->schedule);
-    proven = result->proven_optimal ? 1.0 : 0.0;
+    const busy::ExactBusyResult result = busy::solve_exact_busy(inst, {&ctx});
+    cost = core::busy_cost(unweighted, result.schedule);
+    proven = result.proven_optimal ? 1.0 : 0.0;
     benchmark::DoNotOptimize(result);
   }
   const double lb = std::max(inst.mass_lower_bound(), inst.span_lower_bound());

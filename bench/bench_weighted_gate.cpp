@@ -5,13 +5,14 @@
 // observed worst case) and near-clique (horizon 4, the easy end: widths
 // saturate g quickly, so the capacity prune bites early). Rerun after any
 // change to the partition search before trusting the gate in
-// WeightedExactOptions::max_jobs.
+// engine::kWeightedExactFreeRunMaxJobs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 
 #include "busy/weighted.hpp"
 #include "core/rng.hpp"
+#include "engine/builtin_solvers.hpp"
 #include "gen/extended_instances.hpp"
 
 namespace {
@@ -28,17 +29,11 @@ double worst_ms_at(int n, double horizon) {
       params.capacity = g;
       params.horizon = horizon;
       const busy::WeightedInstance inst = gen::random_weighted(rng, params);
-      busy::WeightedExactOptions options;
-      options.max_jobs = n;  // Probe past the registered gate.
       const auto t0 = std::chrono::steady_clock::now();
-      const auto sched = busy::solve_exact_weighted(inst, options);
+      static_cast<void>(busy::solve_exact_busy(inst));
       const double ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-      if (!sched.has_value()) {
-        std::printf("unexpected refusal at n=%d g=%d seed=%llu\n", n, g,
-                    static_cast<unsigned long long>(seed));
-      }
       worst = std::max(worst, ms);
     }
   }
@@ -59,7 +54,7 @@ int main() {
     std::fflush(stdout);
     if (std::max(moderate, clique) > 10000.0) break;  // runaway guard
   }
-  std::printf("\nregistered gate: n <= %d (WeightedExactOptions)\n",
-              busy::WeightedExactOptions{}.max_jobs);
+  std::printf("\nregistered gate: n <= %d (kWeightedExactFreeRunMaxJobs)\n",
+              engine::kWeightedExactFreeRunMaxJobs);
   return 0;
 }

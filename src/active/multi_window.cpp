@@ -267,12 +267,6 @@ long mw_brute_force_opt(const MultiWindowInstance& inst) {
   return best.has_value() ? static_cast<long>(best->open.size()) : -1;
 }
 
-std::optional<ActiveSchedule> mw_solve_exact(const MultiWindowInstance& inst) {
-  auto best = mw_best_slot_subset(inst);
-  if (!best.has_value()) return std::nullopt;
-  return mw_extract_assignment(inst, std::move(best->open));
-}
-
 std::optional<MultiWindowExactResult> mw_solve_exact_anytime(
     const MultiWindowInstance& inst, MultiWindowExactOptions options) {
   auto best = mw_best_slot_subset(inst, options.context);

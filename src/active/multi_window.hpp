@@ -115,14 +115,10 @@ class MultiWindowInstance {
 /// Returns -1 when infeasible.
 [[nodiscard]] long mw_brute_force_opt(const MultiWindowInstance& inst);
 
-/// Brute-force optimum with an extracted integral assignment (same subset
-/// enumeration as mw_brute_force_opt); nullopt when infeasible. This is the
+/// Optimum with an extracted integral assignment, by the same subset
+/// enumeration as mw_brute_force_opt; nullopt when infeasible. This is the
 /// calibration oracle the solver registry exposes as
-/// `active/multi-window-exact`.
-[[nodiscard]] std::optional<core::ActiveSchedule> mw_solve_exact(
-    const MultiWindowInstance& inst);
-
-/// Anytime variant of the subset enumeration: seeds its incumbent with the
+/// `active/multi-window-exact`. It seeds its incumbent with the
 /// minimal-feasible solution, then polls the context on a mask counter —
 /// an interrupted run returns the best subset seen so far with
 /// `proven_optimal = false`. The 22-candidate structural cap (64-bit mask

@@ -1,7 +1,6 @@
 #include "busy/weighted.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -51,10 +50,22 @@ bool WeightedInstance::structurally_valid(std::string* why) const {
       return false;
     };
     if (!wj.job.window_fits()) return fail("window shorter than length");
+    if (wj.job.release + wj.job.length <= wj.job.release) {
+      return fail("length vanishes at its release (release + length == "
+                  "release)");
+    }
     if (wj.width < 1) return fail("width must be >= 1");
     if (wj.width > capacity_) return fail("width exceeds capacity g");
   }
   return true;
+}
+
+WeightedInstance WeightedInstance::with_unit_widths(
+    const core::ContinuousInstance& inst) {
+  std::vector<WeightedJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(inst.size()));
+  for (const ContinuousJob& job : inst.jobs()) jobs.push_back({job, 1});
+  return WeightedInstance(std::move(jobs), inst.capacity());
 }
 
 core::ContinuousInstance WeightedInstance::unweighted() const {
@@ -188,99 +199,112 @@ BusySchedule narrow_wide_split(const WeightedInstance& inst) {
   return sched;
 }
 
-std::optional<WeightedExactResult> solve_exact_weighted_anytime(
-    const WeightedInstance& inst, WeightedExactOptions options) {
-  if (inst.size() > options.max_jobs) return std::nullopt;
-  ABT_ASSERT(inst.all_interval_jobs(1e-6), "exact expects interval jobs");
+namespace {
 
-  std::vector<JobId> order(static_cast<std::size_t>(inst.size()));
-  std::iota(order.begin(), order.end(), JobId{0});
-  std::stable_sort(order.begin(), order.end(), [&](JobId a, JobId b) {
-    return inst.job(a).job.length > inst.job(b).job.length;
-  });
+class PartitionSearch {
+ public:
+  PartitionSearch(const WeightedInstance& inst, const core::RunContext* context)
+      : inst_(inst),
+        context_(context),
+        order_(static_cast<std::size_t>(inst.size())),
+        assignment_(static_cast<std::size_t>(inst.size()), -1),
+        best_assignment_(assignment_),
+        machines_(static_cast<std::size_t>(inst.size())),
+        spans_(static_cast<std::size_t>(inst.size()), 0.0) {
+    // Assign longer jobs first: better pruning.
+    std::iota(order_.begin(), order_.end(), JobId{0});
+    std::stable_sort(order_.begin(), order_.end(), [&](JobId a, JobId b) {
+      return inst_.job(a).job.length > inst_.job(b).job.length;
+    });
+  }
 
-  std::vector<int> assignment(static_cast<std::size_t>(inst.size()), -1);
-  std::vector<int> best_assignment = assignment;
-  double best_cost = std::numeric_limits<double>::infinity();
-  const core::RunContext* context = options.context;
-  long nodes = 0;
-  bool stopped = false;
-
-  auto machine_runs = [&](int m) {
-    std::vector<WeightedRun> runs;
-    for (JobId j = 0; j < inst.size(); ++j) {
-      if (assignment[static_cast<std::size_t>(j)] == m) {
-        runs.push_back({{inst.job(j).job.release,
-                         inst.job(j).job.release + inst.job(j).job.length},
-                        inst.job(j).width});
-      }
+  ExactBusyResult run() {
+    dfs(0, 0, 0.0);
+    ExactBusyResult result;
+    result.proven_optimal = !stopped_;
+    result.nodes = nodes_;
+    result.schedule.placements.assign(static_cast<std::size_t>(inst_.size()),
+                                      {});
+    for (JobId j = 0; j < inst_.size(); ++j) {
+      result.schedule.placements[static_cast<std::size_t>(j)] = {
+          best_assignment_[static_cast<std::size_t>(j)],
+          inst_.job(j).job.release};
     }
-    return runs;
-  };
-  auto machine_span = [&](int m) {
-    std::vector<Interval> ivs;
-    for (const WeightedRun& r : machine_runs(m)) ivs.push_back(r.run);
-    return core::span_of(ivs);
-  };
+    return result;
+  }
 
-  std::function<void(std::size_t, int, double)> dfs = [&](std::size_t index,
-                                                          int used,
-                                                          double cost) {
-    if (stopped) return;
-    // Context poll on a node counter, only once an incumbent exists — the
-    // first depth-first descent always completes, so even an
+ private:
+  void dfs(std::size_t index, int used, double cost) {
+    if (stopped_) return;
+    // Poll the context on a node counter, but only once an incumbent
+    // exists: the first depth-first descent always completes, so even an
     // instantly-expired budget yields a feasible schedule.
-    if ((++nodes & 1023) == 0 && context != nullptr &&
-        best_cost < std::numeric_limits<double>::infinity() &&
-        context->should_stop()) {
-      stopped = true;
+    if ((++nodes_ & 1023) == 0 && context_ != nullptr &&
+        best_cost_ < std::numeric_limits<double>::infinity() &&
+        context_->should_stop()) {
+      stopped_ = true;
       return;
     }
-    if (cost >= best_cost - 1e-12) return;
-    if (index == order.size()) {
-      best_cost = cost;
-      best_assignment = assignment;
-      if (context != nullptr) {
-        // Snapshot render is lazy: the partition string is only built when
-        // a schedule ring is attached (service `progress` events).
-        context->report_incumbent(best_cost, [&] {
-          return core::render_partition("machine", best_assignment);
+    if (cost >= best_cost_ - 1e-12) return;
+    if (index == order_.size()) {
+      best_cost_ = cost;
+      best_assignment_ = assignment_;
+      if (context_ != nullptr) {
+        // The render is lazy: only a context with a schedule ring attached
+        // (service `progress` events) pays for the partition string.
+        context_->report_incumbent(best_cost_, [&] {
+          return core::render_partition("machine", best_assignment_);
         });
       }
       return;
     }
-    const JobId j = order[index];
+    const JobId j = order_[index];
+    const core::ContinuousJob& job = inst_.job(j).job;
+    // Existing machines plus one fresh machine (symmetry-broken).
     for (int m = 0; m <= used; ++m) {
-      std::vector<WeightedRun> trial = machine_runs(m);
-      trial.push_back({{inst.job(j).job.release,
-                        inst.job(j).job.release + inst.job(j).job.length},
-                       inst.job(j).width});
-      if (peak_width(trial) > inst.capacity()) continue;
-      const double before = machine_span(m);
-      assignment[static_cast<std::size_t>(j)] = m;
-      const double after = machine_span(m);
-      dfs(index + 1, std::max(used, m + 1), cost - before + after);
-      assignment[static_cast<std::size_t>(j)] = -1;
+      std::vector<WeightedRun>& runs = machines_[static_cast<std::size_t>(m)];
+      runs.push_back({{job.release, job.release + job.length},
+                      inst_.job(j).width});
+      if (peak_width(runs) <= inst_.capacity()) {
+        double& span = spans_[static_cast<std::size_t>(m)];
+        const double before = span;
+        span = span_of(runs);
+        assignment_[static_cast<std::size_t>(j)] = m;
+        dfs(index + 1, std::max(used, m + 1), cost - before + span);
+        assignment_[static_cast<std::size_t>(j)] = -1;
+        span = before;
+      }
+      runs.pop_back();
     }
-  };
-  dfs(0, 0, 0.0);
-
-  WeightedExactResult result;
-  result.proven_optimal = !stopped;
-  result.nodes = nodes;
-  result.schedule.placements.assign(static_cast<std::size_t>(inst.size()), {});
-  for (JobId j = 0; j < inst.size(); ++j) {
-    result.schedule.placements[static_cast<std::size_t>(j)] = {
-        best_assignment[static_cast<std::size_t>(j)], inst.job(j).job.release};
   }
-  return result;
-}
 
-std::optional<BusySchedule> solve_exact_weighted(const WeightedInstance& inst,
-                                                 WeightedExactOptions options) {
-  auto result = solve_exact_weighted_anytime(inst, options);
-  if (!result.has_value()) return std::nullopt;
-  return std::move(result->schedule);
+  /// Busy time of one machine: the measure of the union of its runs.
+  static double span_of(const std::vector<WeightedRun>& runs) {
+    std::vector<Interval> ivs;
+    ivs.reserve(runs.size());
+    for (const WeightedRun& r : runs) ivs.push_back(r.run);
+    return core::span_of(ivs);
+  }
+
+  const WeightedInstance& inst_;
+  const core::RunContext* context_;
+  std::vector<JobId> order_;
+  std::vector<int> assignment_;
+  std::vector<int> best_assignment_;
+  /// Per machine: the runs assigned on the current path and their span.
+  std::vector<std::vector<WeightedRun>> machines_;
+  std::vector<double> spans_;
+  double best_cost_ = std::numeric_limits<double>::infinity();
+  long nodes_ = 0;
+  bool stopped_ = false;
+};
+
+}  // namespace
+
+ExactBusyResult solve_exact_busy(const WeightedInstance& inst,
+                                 ExactBusyOptions options) {
+  ABT_ASSERT(inst.all_interval_jobs(1e-6), "exact expects interval jobs");
+  return PartitionSearch(inst, options.context).run();
 }
 
 BusySchedule schedule_weighted_flexible(const WeightedInstance& inst) {

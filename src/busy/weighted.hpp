@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,10 @@ class WeightedInstance {
   }
   [[nodiscard]] int size() const { return static_cast<int>(jobs_.size()); }
   [[nodiscard]] int capacity() const { return capacity_; }
+
+  /// The standard model as a weighted instance: every width is 1.
+  [[nodiscard]] static WeightedInstance with_unit_widths(
+      const core::ContinuousInstance& inst);
 
   /// Width-weighted mass lower bound: sum_j w_j p_j / g.
   [[nodiscard]] double mass_lower_bound() const;
@@ -80,36 +83,30 @@ class WeightedInstance {
 [[nodiscard]] core::BusySchedule narrow_wide_split(
     const WeightedInstance& inst);
 
-/// Exact solver for weighted interval instances (partition search). A free
-/// run refuses instances over `max_jobs`; under a RunContext budget the
-/// search runs anytime-style and returns its best incumbent with
-/// `proven_optimal = false` when the deadline interrupts it.
-/// The gate is measured, not guessed (docs/ALGORITHMS.md): worst observed
-/// ~240 ms at n = 14 over random moderate-density and near-clique families
-/// (n = 16 already risks ~5 s — the width dimension weakens pruning, so the
-/// gate sits below the unweighted oracle's n = 18).
-struct WeightedExactOptions {
-  int max_jobs = 14;
-  /// Deadline / cancellation polled by the search (nullptr = free run).
-  /// The first full assignment always completes, so an interrupted run
-  /// still returns a feasible schedule.
+/// The exact busy-time oracle for interval jobs, behind both `busy/exact`
+/// (standard instances, through with_unit_widths) and
+/// `busy/weighted-exact`: a partition search that assigns jobs in
+/// non-increasing length order to an existing machine or one fresh machine,
+/// prunes a machine whose peak width would exceed g (a rescan of its runs,
+/// sharing no code with the heuristics' occupancy indexes) and every branch
+/// whose busy time reaches the incumbent's. The problem is NP-hard even for
+/// g = 2 [Winkler-Zhang 14]; the search has no size gate of its own (the
+/// registry's free-run gates sit on the solvers' applicability predicates).
+struct ExactBusyOptions {
+  /// Deadline / cancellation polled by the search (nullptr = free run),
+  /// only once an incumbent exists: the first full assignment always
+  /// completes, so an interrupted run still returns a feasible schedule.
   const core::RunContext* context = nullptr;
 };
 
-struct WeightedExactResult {
+struct ExactBusyResult {
   core::BusySchedule schedule;
   bool proven_optimal = true;  ///< False when the context stopped the search.
   long nodes = 0;              ///< Search nodes expanded.
 };
 
-/// Anytime entry point; nullopt only for instances over the `max_jobs`
-/// gate (raise it when a budget bounds the run).
-[[nodiscard]] std::optional<WeightedExactResult> solve_exact_weighted_anytime(
-    const WeightedInstance& inst, WeightedExactOptions options = {});
-
-/// Legacy gate-or-nothing entry point (schedule only).
-[[nodiscard]] std::optional<core::BusySchedule> solve_exact_weighted(
-    const WeightedInstance& inst, WeightedExactOptions options = {});
+[[nodiscard]] ExactBusyResult solve_exact_busy(const WeightedInstance& inst,
+                                               ExactBusyOptions options = {});
 
 /// Flexible weighted jobs: freeze positions with the (width-oblivious,
 /// exact for g = infinity) unbounded DP, then run the interval algorithm —

@@ -19,6 +19,11 @@ bool ContinuousInstance::structurally_valid(std::string* why) const {
       return false;
     };
     if (!(j.length > 0.0)) return fail("length must be positive");
+    // The g = infinity DP would re-enter its own state on such a job.
+    if (j.release + j.length <= j.release) {
+      return fail("length vanishes at its release (release + length == "
+                  "release)");
+    }
     if (!j.window_fits()) return fail("window shorter than length");
   }
   return true;

@@ -29,8 +29,9 @@ class ContinuousInstance {
     return total_mass_ / capacity_;
   }
 
-  /// True when every job is individually schedulable (length > 0,
-  /// window >= length). Busy-time instances are always globally feasible.
+  /// True when every job is individually schedulable (length > 0 and not
+  /// rounded away at its release, window >= length). Busy-time instances
+  /// are always globally feasible.
   [[nodiscard]] bool structurally_valid(std::string* why = nullptr) const;
 
   /// True when every job is an interval job (deadline == release + length).

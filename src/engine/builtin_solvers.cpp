@@ -8,7 +8,6 @@
 #include "active/lp_rounding.hpp"
 #include "active/minimal_feasible.hpp"
 #include "busy/dp_unbounded.hpp"
-#include "busy/exact_busy.hpp"
 #include "busy/first_fit.hpp"
 #include "busy/flexible_pipeline.hpp"
 #include "busy/greedy_tracking.hpp"
@@ -197,8 +196,7 @@ void register_busy(core::SolverRegistry& registry) {
       if (!interval_jobs(inst, ctx, why)) return false;
       // The measured gate is the free-run guard; a budget retires it —
       // the search runs anytime to the deadline and reports its gap.
-      if (!ctx.has_budget() &&
-          inst.continuous.size() > busy::ExactBusyOptions{}.max_jobs) {
+      if (!ctx.has_budget() && inst.continuous.size() > kExactFreeRunMaxJobs) {
         if (why != nullptr) {
           *why = "instance too large for the exact oracle (give it a "
                  "budget to run anytime)";
@@ -208,25 +206,17 @@ void register_busy(core::SolverRegistry& registry) {
       return true;
     };
     s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
-      busy::ExactBusyOptions options;
-      options.context = &ctx;
-      if (ctx.has_budget()) options.max_jobs = inst.continuous.size();
-      const auto result =
-          busy::solve_exact_interval_anytime(inst.continuous, options);
-      Solution sol;
-      if (!result.has_value()) {
-        sol.message = "exact oracle refused the instance";
-        return sol;
-      }
-      sol = busy_solution(result->schedule, inst);
-      sol.exact = result->proven_optimal;
-      sol.timed_out = !result->proven_optimal;
-      if (!result->proven_optimal) {
+      const busy::ExactBusyResult result = busy::solve_exact_busy(
+          busy::WeightedInstance::with_unit_widths(inst.continuous), {&ctx});
+      Solution sol = busy_solution(result.schedule, inst);
+      sol.exact = result.proven_optimal;
+      sol.timed_out = !result.proven_optimal;
+      if (!result.proven_optimal) {
         sol.best_bound =
             busy::busy_lower_bounds(inst.continuous, /*with_span=*/true)
                 .best();
       }
-      sol.add_stat("nodes", static_cast<double>(result->nodes));
+      sol.add_stat("nodes", static_cast<double>(result.nodes));
       return sol;
     };
     registry.add(std::move(s));
@@ -440,7 +430,7 @@ void register_weighted(core::SolverRegistry& registry) {
                       std::string* why) {
       if (!weighted_interval(inst, ctx, why)) return false;
       if (!ctx.has_budget() &&
-          weighted_of(inst).size() > busy::WeightedExactOptions{}.max_jobs) {
+          weighted_of(inst).size() > kWeightedExactFreeRunMaxJobs) {
         if (why != nullptr) {
           *why = "instance too large for the exact oracle (give it a "
                  "budget to run anytime)";
@@ -451,23 +441,16 @@ void register_weighted(core::SolverRegistry& registry) {
     };
     s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
       const busy::WeightedInstance& winst = weighted_of(inst);
-      busy::WeightedExactOptions options;
-      options.context = &ctx;
-      if (ctx.has_budget()) options.max_jobs = winst.size();
-      const auto result = busy::solve_exact_weighted_anytime(winst, options);
-      Solution sol;
-      if (!result.has_value()) {
-        sol.message = "exact oracle refused the instance";
-        return sol;
-      }
-      sol = weighted_solution(result->schedule, inst);
-      sol.exact = result->proven_optimal;
-      sol.timed_out = !result->proven_optimal;
-      if (!result->proven_optimal) {
+      const busy::ExactBusyResult result =
+          busy::solve_exact_busy(winst, {&ctx});
+      Solution sol = weighted_solution(result.schedule, inst);
+      sol.exact = result.proven_optimal;
+      sol.timed_out = !result.proven_optimal;
+      if (!result.proven_optimal) {
         sol.best_bound =
             std::max(winst.mass_lower_bound(), winst.span_lower_bound());
       }
-      sol.add_stat("nodes", static_cast<double>(result->nodes));
+      sol.add_stat("nodes", static_cast<double>(result.nodes));
       return sol;
     };
     registry.add(std::move(s));

@@ -254,7 +254,6 @@ std::vector<RaceReport> run_races(const core::SolverRegistry& registry,
   // whole pool when the campaign itself runs serially.
   race_options.threads = 1;
   race_options.accept_gap = options.race.accept_gap;
-  race_options.span_bound_max_jobs = options.run.span_bound_max_jobs;
 
   std::vector<RaceReport> races(inputs.size());
   ParallelOptions parallel_options;

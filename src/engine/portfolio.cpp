@@ -34,9 +34,7 @@ RaceReport race(const core::SolverRegistry& registry,
   RaceReport report;
   report.entries = entries;
   report.accept_gap = options.accept_gap;
-  RunOptions bound_options;
-  bound_options.span_bound_max_jobs = options.span_bound_max_jobs;
-  report.reference = derive_lower_bound(inst, {}, bound_options);
+  report.reference = derive_lower_bound(inst, {}, RunOptions{});
   report.rows.resize(entries.size());
   if (entries.empty()) return report;
 

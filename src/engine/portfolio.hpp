@@ -50,8 +50,6 @@ struct RaceOptions {
   /// max(its own best_bound, the race's reference bound)). accept_gap < 0
   /// means any checker-verified schedule wins.
   double accept_gap = -1.0;
-  /// Reference-bound knob, as RunOptions::span_bound_max_jobs.
-  int span_bound_max_jobs = 48;
 };
 
 /// Outcome of one race. rows[i] is entry i's Solution and is written by

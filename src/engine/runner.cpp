@@ -26,6 +26,12 @@ using core::ProblemInstance;
 
 namespace {
 
+/// The reference bound runs the g = infinity DP for flexible busy instances
+/// no larger than this (the DP can be expensive); mass and profile bounds
+/// are always on. Raising it tightens flexible bounds, so `cost_ratio`
+/// moves with it.
+constexpr int kSpanBoundMaxJobs = 48;
+
 gen::SlottedParams slotted_params(const ScenarioSpec& spec) {
   gen::SlottedParams params;
   params.num_jobs = spec.n;
@@ -151,21 +157,30 @@ std::optional<ProblemInstance> make_scenario(const ScenarioSpec& spec,
     return core::make_instance(gen::fig6_instance(spec.g, spec.eps));
   }
   // fig8 and fig10 also take eps' = eps / 3, which must stay positive: the
-  // smallest subnormal eps would underflow it to 0.
+  // smallest subnormal eps would underflow it to 0. An eps below the
+  // rounding step at a job's release (1 + eps == 1 in fig8) makes that
+  // job's run empty, which the instance check rejects.
+  const auto gadget =
+      [&](core::ContinuousInstance inst) -> std::optional<ProblemInstance> {
+    std::string why;
+    if (!inst.structurally_valid(&why)) {
+      return fail(range_error(spec.name + " eps is too small", spec.eps) +
+                  ": " + why);
+    }
+    return core::make_instance(std::move(inst));
+  };
   if (spec.name == "fig8") {
     if (!(spec.eps / 3.0 > 0.0 && spec.eps < 1.0)) {
       return fail(range_error("fig8 requires 0 < eps < 1", spec.eps));
     }
-    return core::make_instance(
-        gen::fig8_instance(spec.eps, spec.eps / 3.0));
+    return gadget(gen::fig8_instance(spec.eps, spec.eps / 3.0));
   }
   if (spec.name == "fig10") {
     if (spec.g < 2) return fail("fig10 requires g >= 2");
     if (!(spec.eps / 3.0 > 0.0 && spec.eps < 0.5)) {
       return fail(range_error("fig10 requires 0 < eps < 1/2", spec.eps));
     }
-    return core::make_instance(
-        gen::fig10_instance(spec.g, spec.eps, spec.eps / 3.0));
+    return gadget(gen::fig10_instance(spec.g, spec.eps, spec.eps / 3.0));
   }
   if (spec.name == "bursty") {
     gen::BurstyParams params;
@@ -196,7 +211,6 @@ std::optional<ProblemInstance> make_scenario(const ScenarioSpec& spec,
 core::RunContext make_run_context(const RunOptions& options) {
   core::RunContext ctx = core::RunContext::with_budget_ms(options.budget_ms);
   ctx.set_cancel_token(options.cancel);
-  if (options.incumbent_hook) ctx.set_incumbent_hook(options.incumbent_hook);
   return ctx;
 }
 
@@ -205,7 +219,7 @@ core::RunContext make_run_context(const RunOptions& options) {
 /// for the extended kinds).
 LowerBound derive_lower_bound(const ProblemInstance& inst,
                               const std::vector<core::Solution>& solutions,
-                              const RunOptions& options) {
+                              const RunOptions& /*options*/) {
   LowerBound lb;
   for (const core::Solution& sol : solutions) {
     if (sol.ok && sol.feasible && sol.exact && !sol.preemptive.has_value()) {
@@ -229,7 +243,7 @@ LowerBound derive_lower_bound(const ProblemInstance& inst,
       busy::BusyLowerBounds bounds = busy::busy_lower_bounds(
           inst.continuous, /*compute_span_for_flexible=*/false);
       if (harvested_span < 0.0 && !inst.continuous.all_interval_jobs(1e-6) &&
-          inst.continuous.size() <= options.span_bound_max_jobs) {
+          inst.continuous.size() <= kSpanBoundMaxJobs) {
         const busy::UnboundedSolution& dp =
             shared_unbounded(inst.continuous, core::RunContext{});
         if (dp.exact) harvested_span = dp.busy_time;

@@ -37,7 +37,8 @@ struct ScenarioInfo {
 /// Instantiates a scenario; nullopt (with `error`) for unknown names or
 /// out-of-range parameters (every scenario needs g >= 1, n >= 0, slack >= 0
 /// and horizon >= 0; fig3 needs g >= 3; fig6 and fig10 need 0 < eps < 1/2,
-/// fig8 0 < eps < 1). n = 0 gives an empty random instance.
+/// fig8 0 < eps < 1, and fig8/fig10 an eps large enough that no job's
+/// run rounds to empty). n = 0 gives an empty random instance.
 [[nodiscard]] std::optional<core::ProblemInstance> make_scenario(
     const ScenarioSpec& spec, std::string* error = nullptr);
 
@@ -52,9 +53,6 @@ struct LowerBound {
 struct RunOptions {
   /// Restrict to these solver names (empty = every applicable solver).
   std::vector<std::string> solvers;
-  /// Compute the g=infinity span bound for flexible instances no larger
-  /// than this (the DP can be expensive); mass/profile bounds are always on.
-  int span_bound_max_jobs = 48;
   /// Per-cell wall-clock budget in ms (0 = unlimited). Every solver run
   /// gets a fresh deadline; a budget also lifts the exact solvers' size
   /// gates — they run anytime to the deadline and report incumbent + gap.
@@ -63,11 +61,9 @@ struct RunOptions {
   /// message "cancelled" and running anytime solvers return their
   /// incumbent at the next poll.
   core::CancelToken cancel;
-  /// Observer for incumbents the anytime solvers report mid-run.
-  core::IncumbentHook incumbent_hook;
 };
 
-/// The invocation context `options` describes: budget, token, hook. The
+/// The invocation context `options` describes: budget and token. The
 /// clock starts now — callers arm it per cell (registry/sweep drivers call
 /// restarted() per run).
 [[nodiscard]] core::RunContext make_run_context(const RunOptions& options);
@@ -163,6 +159,7 @@ struct SolverAggregate {
 /// Reference lower bound of one run: an exact certificate from
 /// `solutions` beats everything; otherwise the combinatorial bounds of
 /// the instance's family (the extension's own bound for extended kinds).
+/// No field of `options` changes the bound today.
 [[nodiscard]] LowerBound derive_lower_bound(
     const core::ProblemInstance& inst,
     const std::vector<core::Solution>& solutions, const RunOptions& options);

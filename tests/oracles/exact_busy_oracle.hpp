@@ -1,19 +1,33 @@
-#include "busy/exact_busy.hpp"
+#pragma once
+
+// The unit-width partition search that busy/exact ran before it moved onto
+// the one width-aware search in busy/weighted.cpp (solve_exact_busy), kept
+// verbatim as the reference for the equivalence suite in
+// tests/test_exact_busy.cpp. Test-side only, never linked into the library.
+// Do not optimize this header; its value is staying frozen.
 
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <vector>
 
 #include "core/assert.hpp"
+#include "core/busy_schedule.hpp"
+#include "core/continuous_instance.hpp"
+#include "core/interval.hpp"
+#include "core/run_context.hpp"
 
-namespace abt::busy {
+namespace abt::busy::oracle {
 
-using core::BusySchedule;
 using core::ContinuousInstance;
 using core::Interval;
 using core::JobId;
 
-namespace {
+struct ExactResult {
+  core::BusySchedule schedule;
+  bool proven_optimal = true;  ///< False when the context stopped the search.
+  long nodes = 0;              ///< Search nodes expanded.
+};
 
 class PartitionSearch {
  public:
@@ -31,9 +45,9 @@ class PartitionSearch {
     best_assignment_ = assignment_;
   }
 
-  ExactBusyResult run() {
+  ExactResult run() {
     dfs(0, 0, 0.0);
-    ExactBusyResult result;
+    ExactResult result;
     result.proven_optimal = !stopped_;
     result.nodes = nodes_;
     result.schedule.placements.assign(static_cast<std::size_t>(inst_.size()),
@@ -131,22 +145,14 @@ class PartitionSearch {
   bool stopped_ = false;
 };
 
-}  // namespace
-
-std::optional<ExactBusyResult> solve_exact_interval_anytime(
-    const ContinuousInstance& inst, ExactBusyOptions options) {
-  if (inst.size() > options.max_jobs) return std::nullopt;
+/// The frozen entry point (the old gate is left to the caller).
+inline ExactResult exact_interval_search(
+    const ContinuousInstance& inst,
+    const core::RunContext* context = nullptr) {
   ABT_ASSERT(inst.all_interval_jobs(1e-6),
              "exact busy solver expects interval jobs");
-  PartitionSearch search(inst, options.context);
+  PartitionSearch search(inst, context);
   return search.run();
 }
 
-std::optional<BusySchedule> solve_exact_interval(const ContinuousInstance& inst,
-                                                 ExactBusyOptions options) {
-  auto result = solve_exact_interval_anytime(inst, options);
-  if (!result.has_value()) return std::nullopt;
-  return std::move(result->schedule);
-}
-
-}  // namespace abt::busy
+}  // namespace abt::busy::oracle

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "busy/demand_profile.hpp"
-#include "busy/exact_busy.hpp"
 #include "busy/first_fit.hpp"
 #include "busy/greedy_tracking.hpp"
 #include "busy/lower_bounds.hpp"
 #include "busy/two_track_peeling.hpp"
+#include "busy/weighted.hpp"
 #include "core/rng.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
@@ -62,9 +62,9 @@ TEST(GreedyTracking, BundlesGTracksPerMachine) {
 
 TEST(GreedyTracking, Fig1ExampleMatchesOptimal) {
   const ContinuousInstance inst = gen::fig1_example();
-  const auto exact = solve_exact_interval(inst);
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_NEAR(core::busy_cost(inst, *exact), 6.0, 1e-9)
+  const core::BusySchedule exact =
+      solve_exact_busy(WeightedInstance::with_unit_widths(inst)).schedule;
+  EXPECT_NEAR(core::busy_cost(inst, exact), 6.0, 1e-9)
       << "Fig 1 optimum uses two machines of busy time 3";
   const BusySchedule s = greedy_tracking(inst);
   expect_feasible(inst, s, "greedy_tracking");
@@ -79,9 +79,9 @@ TEST(TwoTrackPeeling, ReproducesFig8TightExample) {
   const BusySchedule s = two_track_peeling(inst, &trace);
   expect_feasible(inst, s, "two_track_peeling");
   const double cost = core::busy_cost(inst, s);
-  const auto exact = solve_exact_interval(inst);
-  ASSERT_TRUE(exact.has_value());
-  const double opt = core::busy_cost(inst, *exact);
+  const core::BusySchedule exact =
+      solve_exact_busy(WeightedInstance::with_unit_widths(inst)).schedule;
+  const double opt = core::busy_cost(inst, exact);
   EXPECT_NEAR(opt, 1 + eps, 1e-9) << "Fig 8 optimum is 1 + eps";
   EXPECT_NEAR(cost, 2 + eps, 0.05) << "algorithm output approaches 2 OPT";
 }
@@ -131,9 +131,9 @@ TEST_P(IntervalAlgos, FactorsAgainstLowerBoundsAndExact) {
     params.capacity = capacity;
     params.horizon = 12;
     const ContinuousInstance inst = gen::random_continuous(rng, params);
-    const auto exact = solve_exact_interval(inst);
-    ASSERT_TRUE(exact.has_value());
-    const double opt = core::busy_cost(inst, *exact);
+    const core::BusySchedule exact =
+        solve_exact_busy(WeightedInstance::with_unit_widths(inst)).schedule;
+    const double opt = core::busy_cost(inst, exact);
     const BusyLowerBounds lb = busy_lower_bounds(inst);
     EXPECT_LE(lb.best(), opt + 1e-6);
 

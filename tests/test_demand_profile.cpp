@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "busy/exact_busy.hpp"
+#include "busy/weighted.hpp"
 #include "core/busy_schedule.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
@@ -92,9 +92,9 @@ TEST_P(ProfileLowerBound, ProfileCostBelowExactOptimum) {
     params.capacity = static_cast<int>(rng.uniform_int(1, 3));
     params.horizon = 10;
     const ContinuousInstance inst = gen::random_continuous(rng, params);
-    const auto exact = solve_exact_interval(inst);
-    ASSERT_TRUE(exact.has_value());
-    const double opt = core::busy_cost(inst, *exact);
+    const core::BusySchedule exact =
+        solve_exact_busy(WeightedInstance::with_unit_widths(inst)).schedule;
+    const double opt = core::busy_cost(inst, exact);
     EXPECT_LE(DemandProfile(inst).cost(), opt + 1e-6);
     EXPECT_LE(inst.mass_lower_bound(), opt + 1e-6);
   }

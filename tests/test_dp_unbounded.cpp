@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include "core/rng.hpp"
 #include "core/run_context.hpp"
 #include "dp_unbounded_oracle.hpp"
+#include "engine/builtin_solvers.hpp"
 #include "engine/runner.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
@@ -290,6 +292,50 @@ TEST(DpOracle, RandomScenariosUpTo1024Match) {
       }
     }
   }
+}
+
+/// A job whose length rounds away at its release (release + length ==
+/// release) made the DP re-enter its own unmemoized state until the stack
+/// overflowed. The instance check now rejects it; every instance it lets
+/// through must solve and pass the checker, down to lengths of 1e-20.
+TEST(DpUnbounded, VanishingLengthsAreRejectedOrSolved) {
+  const ContinuousInstance repro({{0, 1, 1}, {1, 1.0000001, 1e-20}}, 2);
+  std::string why;
+  EXPECT_FALSE(repro.structurally_valid(&why));
+  EXPECT_NE(why.find("job 1: length vanishes"), std::string::npos) << why;
+
+  const core::SolverRegistry& registry = engine::shared_registry();
+  core::Rng rng(2024);
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 6));
+    std::vector<core::ContinuousJob> jobs;
+    for (int i = 0; i < n; ++i) {
+      // Releases far from 0 and at small integers; lengths log-uniform.
+      const double release = rng.uniform_int(0, 1) == 0
+                                  ? rng.uniform_real(0.0, 1e6)
+                                  : static_cast<double>(rng.uniform_int(0, 3));
+      const double length = std::pow(10.0, rng.uniform_real(-20.0, 0.0));
+      const double slack =
+          rng.uniform_int(0, 1) == 0 ? 0.0 : rng.uniform_real(0.0, 2.0);
+      jobs.push_back({release, release + length + slack, length});
+    }
+    // Capacity n: the g = infinity schedule must fit one machine.
+    const ContinuousInstance inst(std::move(jobs), n);
+    if (!inst.structurally_valid()) {
+      ++rejected;
+      continue;
+    }
+    const UnboundedSolution sol = solve_unbounded(inst);
+    EXPECT_TRUE(sol.exact) << "trial " << trial;
+    expect_valid_solution(inst, sol);
+    const core::Solution row =
+        registry.run("busy/dp-unbounded", core::make_instance(inst));
+    EXPECT_TRUE(row.ok && row.feasible)
+        << "trial " << trial << ": " << row.message;
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, 2000);
 }
 
 TEST(DpCancellation, CancelledContextStopsWithinTheFirstState) {

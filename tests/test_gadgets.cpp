@@ -6,7 +6,7 @@
 
 #include "active/feasibility.hpp"
 #include "busy/demand_profile.hpp"
-#include "busy/exact_busy.hpp"
+#include "busy/weighted.hpp"
 #include "core/busy_schedule.hpp"
 
 namespace abt::gen {
@@ -17,10 +17,11 @@ TEST(Gadgets, Fig1HasSevenJobsCapacityThree) {
   EXPECT_EQ(inst.size(), 7);
   EXPECT_EQ(inst.capacity(), 3);
   EXPECT_TRUE(inst.all_interval_jobs());
-  const auto exact = abt::busy::solve_exact_interval(inst);
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_NEAR(core::busy_cost(inst, *exact), 6.0, 1e-9);
-  EXPECT_EQ(exact->machine_count(), 2);
+  const core::BusySchedule exact =
+      busy::solve_exact_busy(busy::WeightedInstance::with_unit_widths(inst))
+          .schedule;
+  EXPECT_NEAR(core::busy_cost(inst, exact), 6.0, 1e-9);
+  EXPECT_EQ(exact.machine_count(), 2);
 }
 
 TEST(Gadgets, Fig3JobCountAndFeasibility) {

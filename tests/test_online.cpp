@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "busy/exact_busy.hpp"
 #include "busy/lower_bounds.hpp"
+#include "busy/weighted.hpp"
 #include "naive_baselines.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
@@ -64,8 +64,9 @@ TEST_P(OnlineRandom, FeasibleAndAboveOptimum) {
     params.capacity = static_cast<int>(rng.uniform_int(1, 3));
     params.horizon = 12;
     const ContinuousInstance inst = gen::random_continuous(rng, params);
-    const auto exact = solve_exact_interval(inst);
-    const double opt = core::busy_cost(inst, *exact);
+    const core::BusySchedule exact =
+        solve_exact_busy(WeightedInstance::with_unit_widths(inst)).schedule;
+    const double opt = core::busy_cost(inst, exact);
     for (const auto policy : {OnlinePolicy::kFirstFit, OnlinePolicy::kBestFit,
                               OnlinePolicy::kNextFit}) {
       const auto s = schedule_online(inst, policy);

@@ -148,6 +148,14 @@ TEST(Registry, ScenarioRejectsOutOfRangeEps) {
             "fig10 requires 0 < eps < 1/2 (got 0.90000000000000002)"},
            {"fig10", 5e-324,
             "fig10 requires 0 < eps < 1/2 (got 4.9406564584124654e-324)"},
+           // In range, but 1 + eps == 1 (fig8) or a later release + eps
+           // == release (fig10): a job's run would be empty.
+           {"fig8", 1e-20,
+            "fig8 eps is too small (got 9.9999999999999995e-21): job 4: "
+            "length vanishes at its release (release + length == release)"},
+           {"fig10", 3e-16,
+            "fig10 eps is too small (got 2.9999999999999999e-16): job 6: "
+            "length vanishes at its release (release + length == release)"},
        }) {
     engine::ScenarioSpec spec;
     spec.name = c.name;

@@ -600,6 +600,27 @@ TEST_F(ServiceFixture, CancelVerbAbortsAnInFlightSolve) {
 namespace abt {
 namespace {
 
+TEST_F(ServiceFixture, VanishingLengthPayloadGetsAnErrorAndTheDaemonServesOn) {
+  start({});
+  // A job whose length rounds away at its release used to crash the g =
+  // infinity DP, and with it the daemon.
+  Frame solve;
+  solve.type = FrameType::kSolve;
+  solve.payload =
+      "instance\nmodel continuous\ncapacity 2\njob 0 1 1\n"
+      "job 1 1.0000001 1e-20\n";
+  const service::Exchange reply = roundtrip(solve);
+  ASSERT_EQ(reply.final.type, FrameType::kError) << reply.final.payload;
+  EXPECT_NE(reply.final.payload.find("length vanishes"), std::string::npos)
+      << reply.final.payload;
+
+  Frame stats;
+  stats.type = FrameType::kStats;
+  const service::Exchange after = roundtrip(stats);
+  ASSERT_EQ(after.final.type, FrameType::kOk) << after.final.payload;
+  EXPECT_TRUE(is_json(after.final.payload)) << after.final.payload;
+}
+
 TEST_F(ServiceFixture, CancelReplyEscapesTheId) {
   start({});
   Frame cancel;

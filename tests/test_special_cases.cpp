@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "busy/exact_busy.hpp"
 #include "busy/first_fit.hpp"
+#include "busy/weighted.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
 
@@ -53,8 +53,9 @@ TEST(ProperClique, SplitsWhenOverCapacity) {
   ASSERT_TRUE(sched.has_value());
   std::string why;
   EXPECT_TRUE(core::check_busy_schedule(inst, *sched, &why)) << why;
-  const auto exact = solve_exact_interval(inst);
-  EXPECT_NEAR(core::busy_cost(inst, *sched), core::busy_cost(inst, *exact),
+  const core::BusySchedule exact =
+      solve_exact_busy(WeightedInstance::with_unit_widths(inst)).schedule;
+  EXPECT_NEAR(core::busy_cost(inst, *sched), core::busy_cost(inst, exact),
               1e-9);
 }
 
@@ -79,9 +80,9 @@ TEST_P(ProperCliqueRandom, DpMatchesExactAndReleaseFitWithinTwo) {
     std::string why;
     EXPECT_TRUE(core::check_busy_schedule(inst, *dp, &why)) << why;
 
-    const auto exact = solve_exact_interval(inst);
-    ASSERT_TRUE(exact.has_value());
-    const double opt = core::busy_cost(inst, *exact);
+    const core::BusySchedule exact =
+        solve_exact_busy(WeightedInstance::with_unit_widths(inst)).schedule;
+    const double opt = core::busy_cost(inst, exact);
     EXPECT_NEAR(core::busy_cost(inst, *dp), opt, 1e-9)
         << "proper-clique DP must be exact";
 

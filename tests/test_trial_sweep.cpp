@@ -1031,7 +1031,7 @@ TEST(SharedDp, TimedOutSolveIsNotPublished) {
 }
 
 TEST(SharedDp, SerialRunInstanceSolvesTheDpOnce) {
-  // n <= span_bound_max_jobs, so the runner's span bound would want the
+  // n <= the span-bound cap (48), so the runner's span bound would want the
   // DP as well when no row reports it.
   const core::ProblemInstance inst = scenario_instance("flexible", 40, 8, 6);
   chill_memo();

@@ -38,6 +38,11 @@ TEST(Weighted, StructuralValidation) {
       << "width above g";
   EXPECT_FALSE(make({{0, 1, 0}}, 4).structurally_valid());
   EXPECT_TRUE(make({{0, 1, 4}}, 4).structurally_valid());
+  // A flexible job whose length rounds away at its release crashed the
+  // weighted-flexible g = infinity DP.
+  const WeightedInstance vanishing({{{1, 1.5, 1e-20}, 1}}, 2);
+  EXPECT_FALSE(vanishing.structurally_valid(&why));
+  EXPECT_NE(why.find("length vanishes"), std::string::npos) << why;
 }
 
 TEST(Weighted, MassBoundWeighsByWidth) {
@@ -99,10 +104,9 @@ TEST(Weighted, NarrowJobsPackByWidth) {
 TEST(Weighted, ExactBeatsOrMatchesHeuristics) {
   const auto inst =
       make({{0, 2, 2}, {1, 3, 2}, {0, 3, 1}, {2, 4, 3}, {0, 1, 1}}, 4);
-  const auto exact = solve_exact_weighted(inst);
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_TRUE(check_weighted_schedule(inst, *exact));
-  const double opt = core::busy_cost(inst.unweighted(), *exact);
+  const core::BusySchedule exact = solve_exact_busy(inst).schedule;
+  EXPECT_TRUE(check_weighted_schedule(inst, exact));
+  const double opt = core::busy_cost(inst.unweighted(), exact);
   const double ff = core::busy_cost(inst.unweighted(), weighted_first_fit(inst));
   const double nw = core::busy_cost(inst.unweighted(), narrow_wide_split(inst));
   EXPECT_LE(opt, ff + 1e-9);
@@ -130,9 +134,8 @@ TEST_P(WeightedRandom, FactorsAgainstExactOnSmallInstances) {
     const WeightedInstance inst(std::move(jobs), g);
     ASSERT_TRUE(inst.structurally_valid());
 
-    const auto exact = solve_exact_weighted(inst);
-    ASSERT_TRUE(exact.has_value());
-    const double opt = core::busy_cost(inst.unweighted(), *exact);
+    const core::BusySchedule exact = solve_exact_busy(inst).schedule;
+    const double opt = core::busy_cost(inst.unweighted(), exact);
 
     const auto ff = weighted_first_fit(inst);
     const auto nw = narrow_wide_split(inst);
