@@ -736,10 +736,9 @@ void BM_PortfolioRace(benchmark::State& state) {
   // clock — the claim is race <= 1.15x best single contestant.
   const core::ProblemInstance inst = race_gate_instance();
   const core::SolverRegistry& registry = engine::shared_registry();
-  const std::vector<engine::RaceEntry> entries = {
-      {"busy/weighted-exact", 0.0},
-      {"busy/weighted-narrow-wide", 0.0},
-      {"busy/weighted-first-fit", 0.0}};
+  const std::vector<std::string> entries = {"busy/weighted-exact",
+                                            "busy/weighted-narrow-wide",
+                                            "busy/weighted-first-fit"};
   engine::RaceOptions options;
   options.threads = static_cast<int>(state.range(0));
   options.accept_gap = 0.02;
@@ -784,8 +783,8 @@ void BM_PortfolioRaceFirstAcceptable(benchmark::State& state) {
   // single contestant (BM_PortfolioWorstSingle's full budget).
   const core::ProblemInstance inst = race_budget_instance();
   const core::SolverRegistry& registry = engine::shared_registry();
-  const std::vector<engine::RaceEntry> entries = {
-      {"busy/weighted-narrow-wide", 0.0}, {"busy/weighted-exact", 0.0}};
+  const std::vector<std::string> entries = {"busy/weighted-narrow-wide",
+                                            "busy/weighted-exact"};
   engine::RunOptions run_options;
   run_options.budget_ms = 200.0;
   engine::RaceOptions options;
@@ -850,9 +849,7 @@ service::Frame service_frame(int seed) {
   service::Frame frame;
   frame.type = service::FrameType::kSolve;
   std::string error;
-  if (!service::write_solve_payload(frame.payload, request, &error)) {
-    return {};
-  }
+  service::write_solve_payload(frame.payload, request, &error);
   return frame;
 }
 
@@ -977,10 +974,7 @@ void BM_ParseSolvePayload(benchmark::State& state, const char* scenario,
     request.instance = *engine::make_scenario(spec);
     std::string error;
     payloads.emplace_back();
-    if (!service::write_solve_payload(payloads.back(), request, &error)) {
-      state.SkipWithError(error.c_str());
-      return;
-    }
+    service::write_solve_payload(payloads.back(), request, &error);
   }
   std::size_t next = 0;
   std::size_t bytes = 0;

@@ -247,17 +247,6 @@ void list_scenarios() {
   std::cout << "\nknobs: --n --g --seed --slack --horizon --eps\n";
 }
 
-int emit_instance(const core::ProblemInstance& inst) {
-  // The uniform v2 writer covers all four kinds; an extension without
-  // serialization support is a hard error — emitting the lossy
-  // standard-model view instead would silently drop its payload.
-  std::string why;
-  if (!core::write_instance(std::cout, inst, &why)) {
-    std::cerr << "cannot emit instance: " << why << "\n";
-    return 1;
-  }
-  return 0;
-}
 
 /// Unknown solver names are a usage error, not a silent no-op (the library
 /// would stamp refusal rows, but the CLI treats a typo as a typo).
@@ -307,10 +296,7 @@ int solve_remote(const CliOptions& options, const engine::Request& local) {
   service::Frame frame;
   frame.type =
       request.race ? service::FrameType::kRace : service::FrameType::kSolve;
-  if (!service::write_solve_payload(frame.payload, request, &error)) {
-    std::cerr << error << "\n";
-    return 1;
-  }
+  service::write_solve_payload(frame.payload, request, &error);
   const auto exchange = service::client_roundtrip(*address, frame, &error);
   if (!exchange.has_value()) {
     std::cerr << "connect " << address->describe() << ": " << error << "\n";
@@ -341,8 +327,7 @@ int solve_remote(const CliOptions& options, const engine::Request& local) {
 
 void append_gantt(std::ostream& os, const core::ProblemInstance& inst,
                   const std::vector<core::Solution>& rows) {
-  // The charts draw the standard models' jobs; extended kinds carry theirs
-  // in the extension instead.
+  // The charts draw the standard models' jobs only.
   if (inst.kind != core::InstanceKind::kStandard) return;
   const core::Solution* best = nullptr;
   for (const core::Solution& sol : rows) {
@@ -459,11 +444,9 @@ int main(int argc, char** argv) {
       campaign_options.race.enabled = true;
       campaign_options.race.accept_gap = options.accept_gap;
       if (options.race != "auto") {
-        const auto names = race_names(registry, options.race);
+        auto names = race_names(registry, options.race);
         if (!names.has_value()) return 1;
-        for (const std::string& name : *names) {
-          campaign_options.race.entries.push_back({name, 0.0});
-        }
+        campaign_options.race.entries = std::move(*names);
       }
     }
     const auto report =
@@ -521,9 +504,8 @@ int main(int argc, char** argv) {
     request.instance = std::move(*generated);
   } else if (!options.input.empty()) {
     // parse_instance returns the uniform carrier directly: extended-kind
-    // files (model weighted / multi-window) arrive with their extension
-    // payload attached and flow through the same registry path as the
-    // standard models.
+    // files (model weighted / multi-window) flow through the same registry
+    // path as the standard models.
     std::optional<core::ProblemInstance> parsed;
     if (options.input == "-") {
       parsed = core::parse_instance(std::cin, &error);
@@ -545,7 +527,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (options.emit) return emit_instance(request.instance);
+  if (options.emit) {
+    core::write_instance(std::cout, request.instance);
+    return 0;
+  }
 
   // A solve, or a portfolio race: contestants share the instance and the
   // pool; the first acceptable finisher wins and the rest drain.

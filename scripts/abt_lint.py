@@ -31,6 +31,12 @@ Enforces the written-but-previously-unchecked conventions:
                         string_view) and write with to_chars into a
                         std::string; a per-line istringstream made parsing
                         most of a cache hit's cost.
+  core-layering         Nothing under src/core/ includes a header of a layer
+                        above it (busy/, active/, flow/, lp/, gen/,
+                        engine/, service/, report/). core holds the
+                        instance models, schedules and the shared
+                        kernels; the algorithm layers build on it, never
+                        the other way round.
   wall-clock            No date-like wall-clock reads (system_clock,
                         time(), localtime, ...) outside core/run_context.
                         Monotonic steady_clock timing is allowed; calendar
@@ -312,6 +318,33 @@ def check_hot_path_streams(root: Path) -> List[Finding]:
     return findings
 
 
+UPPER_LAYERS = ("busy", "active", "flow", "lp", "gen", "engine", "service",
+                "report")
+UPPER_LAYER_INCLUDE_RE = re.compile(
+    r'^[ \t]*#[ \t]*include[ \t]*"(' + "|".join(UPPER_LAYERS) + r')/[^"]*"',
+    re.M,
+)
+
+
+def check_core_layering(root: Path) -> List[Finding]:
+    findings: List[Finding] = []
+    for path in cxx_sources(root, ["src/core"]):
+        # Include paths are string literals, so match the raw text; the
+        # line anchor keeps `// #include ...` comments out.
+        text = path.read_text(encoding="utf-8")
+        for m in UPPER_LAYER_INCLUDE_RE.finditer(text):
+            findings.append(
+                Finding(
+                    rel(root, path),
+                    line_of(text, m.start()),
+                    "core-layering",
+                    f"core includes the {m.group(1)}/ layer above it; "
+                    "move the shared piece into core or the include out",
+                )
+            )
+    return findings
+
+
 WALL_CLOCK_RE = re.compile(
     r"\bsystem_clock\b|\bgettimeofday\s*\(|\blocaltime(_r)?\s*\(|"
     r"\bgmtime(_r)?\s*\(|\bstrftime\s*\(|\bput_time\s*\(|"
@@ -345,6 +378,7 @@ RULES = (
     check_bare_assert,
     check_hot_path_containers,
     check_hot_path_streams,
+    check_core_layering,
     check_wall_clock,
 )
 

@@ -305,12 +305,44 @@ class HotPathStreamsTest(unittest.TestCase):
                 "const char* k = \"ostringstream\";\n"
                 "void f(std::istream& in) { in.read(nullptr, 0); }\n"
             ),
-            "src/engine/adapters.cpp": (
+            "src/engine/runner.cpp": (
                 "#include <sstream>\n"
                 "void d() { std::ostringstream os; }\n"
             ),
         })
         self.assertEqual(abt_lint.check_hot_path_streams(root), [])
+
+
+class CoreLayeringTest(unittest.TestCase):
+    def test_upper_layer_includes_are_flagged(self):
+        root = make_tree({
+            "src/core/io.cpp": (
+                "#include \"core/io.hpp\"\n"
+                "#include \"engine/runner.hpp\"\n"
+                "  #  include \"busy/weighted.hpp\"\n"
+            ),
+            "src/core/solver.hpp": "#include \"service/protocol.hpp\"\n",
+        })
+        findings = abt_lint.check_core_layering(root)
+        self.assertEqual(
+            sorted((f.path, f.line) for f in findings),
+            [("src/core/io.cpp", 2), ("src/core/io.cpp", 3),
+             ("src/core/solver.hpp", 1)],
+        )
+        self.assertEqual(rules_of(findings), ["core-layering"])
+
+    def test_core_and_system_includes_and_other_layers_pass(self):
+        root = make_tree({
+            "src/core/io.cpp": (
+                "#include <vector>\n"
+                "#include \"core/text.hpp\"\n"
+                "// #include \"engine/runner.hpp\" (commented out)\n"
+                "const char* k = \"see busy/weighted.hpp\";\n"
+            ),
+            "src/busy/weighted.hpp": "#include \"engine/runner.hpp\"\n",
+            "src/engine/runner.cpp": "#include \"busy/weighted.hpp\"\n",
+        })
+        self.assertEqual(abt_lint.check_core_layering(root), [])
 
 
 class WallClockTest(unittest.TestCase):

@@ -7,67 +7,20 @@
 
 #include "active/feasibility.hpp"
 #include "core/active_schedule.hpp"
-#include "core/job.hpp"
+#include "core/multi_window_instance.hpp"
 #include "core/run_context.hpp"
 
 namespace abt::active {
 
-/// The generalization studied by Chang, Gabow and Khuller [2] and recalled
-/// in the paper's related work: a job may be scheduled in a *union of time
-/// intervals* instead of one window. Minimizing active time under this
+/// Algorithms for the multi-window generalization of Chang, Gabow and
+/// Khuller [2] (core/multi_window_instance): a job may run in a *union of
+/// time intervals* instead of one window. Minimizing active time under this
 /// model is NP-hard once g >= 3 (reduction from 3-EXACT-COVER), so the
 /// library offers feasibility, extraction, a minimal-feasible heuristic
 /// (no approximation guarantee carries over — Theorem 1's charging needs
 /// single windows) and a brute-force optimum for calibration.
-struct MultiWindowJob {
-  /// Disjoint (release, deadline) pairs; the job may run in slots
-  /// {r+1..d} of any of them.
-  std::vector<std::pair<core::SlotTime, core::SlotTime>> windows;
-  core::SlotTime length = 0;
-
-  [[nodiscard]] bool live_in_slot(core::SlotTime t) const {
-    for (const auto& [r, d] : windows) {
-      if (t > r && t <= d) return true;
-    }
-    return false;
-  }
-  /// Total number of slots across windows.
-  [[nodiscard]] core::SlotTime window_slots() const {
-    core::SlotTime total = 0;
-    for (const auto& [r, d] : windows) total += d - r;
-    return total;
-  }
-
-  friend bool operator==(const MultiWindowJob&,
-                         const MultiWindowJob&) = default;
-};
-
-class MultiWindowInstance {
- public:
-  MultiWindowInstance() = default;
-  MultiWindowInstance(std::vector<MultiWindowJob> jobs, int capacity);
-
-  [[nodiscard]] const std::vector<MultiWindowJob>& jobs() const {
-    return jobs_;
-  }
-  [[nodiscard]] const MultiWindowJob& job(core::JobId j) const {
-    return jobs_[static_cast<std::size_t>(j)];
-  }
-  [[nodiscard]] int size() const { return static_cast<int>(jobs_.size()); }
-  [[nodiscard]] int capacity() const { return capacity_; }
-  [[nodiscard]] core::SlotTime horizon() const { return horizon_; }
-  [[nodiscard]] core::SlotTime total_work() const { return total_work_; }
-
-  /// Sanity: windows sorted, disjoint, nonempty; length positive and at
-  /// most the union of windows.
-  [[nodiscard]] bool structurally_valid(std::string* why = nullptr) const;
-
- private:
-  std::vector<MultiWindowJob> jobs_;
-  int capacity_ = 1;
-  core::SlotTime horizon_ = 0;
-  core::SlotTime total_work_ = 0;
-};
+using core::MultiWindowInstance;
+using core::MultiWindowJob;
 
 /// Slots where at least one job is live, ascending.
 [[nodiscard]] std::vector<core::SlotTime> mw_candidate_slots(

@@ -1,6 +1,8 @@
 #include "core/io.hpp"
 
+#include <algorithm>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -9,65 +11,50 @@ namespace abt::core {
 
 namespace {
 
-/// model-name -> parser factory, registration order preserved.
-std::vector<std::pair<std::string, ExtensionParserFactory>>& codecs() {
-  static std::vector<std::pair<std::string, ExtensionParserFactory>> registry;
-  return registry;
-}
+/// The `model` directive's tokens, indexed by Model.
+enum class Model { kSlotted, kContinuous, kWeighted, kMultiWindow, kNone };
+constexpr std::string_view kModelNames[] = {"slotted", "continuous",
+                                            "weighted", "multi-window"};
 
-const ExtensionParserFactory* find_codec(std::string_view name) {
-  for (const auto& [key, factory] : codecs()) {
-    if (key == name) return &factory;
-  }
-  return nullptr;
+std::string_view model_name(Model model) {
+  return kModelNames[static_cast<std::size_t>(model)];
 }
 
 /// Reserve hint: a job line is at most ~80 bytes at 17 digits.
 constexpr std::size_t kBytesPerJob = 80;
 
-void append_header(std::string& out, std::string_view model, int capacity) {
-  append(out, "model ", model, "\ncapacity ", capacity, '\n');
+void append_header(std::string& out, Model model, int capacity,
+                   std::size_t jobs) {
+  out.reserve(out.size() + 32 + kBytesPerJob * jobs);
+  append(out, "model ", model_name(model), "\ncapacity ", capacity, '\n');
 }
 
 template <typename Instance>
-void write_standard(std::string& out, std::string_view model,
-                    const Instance& inst) {
-  out.reserve(out.size() + 32 + kBytesPerJob * inst.jobs().size());
-  append_header(out, model, inst.capacity());
+void write_standard(std::string& out, Model model, const Instance& inst) {
+  append_header(out, model, inst.capacity(), inst.jobs().size());
   for (const auto& j : inst.jobs()) {
     append(out, "job ", j.release, ' ', j.deadline, ' ', j.length, '\n');
   }
 }
 
+/// Reads `release deadline length` of a slotted or continuous job.
+template <typename Job>
+bool read_job(TokenCursor& args, Job* j) {
+  return args.number(&j->release) && args.number(&j->deadline) &&
+         args.number(&j->length);
+}
+
 }  // namespace
-
-void register_instance_model(const std::string& model_name,
-                             ExtensionParserFactory factory) {
-  for (auto& [key, existing] : codecs()) {
-    if (key == model_name) {
-      existing = std::move(factory);
-      return;
-    }
-  }
-  codecs().emplace_back(model_name, std::move(factory));
-}
-
-std::vector<std::string> registered_instance_models() {
-  std::vector<std::string> out;
-  out.reserve(codecs().size());
-  for (const auto& [key, factory] : codecs()) out.push_back(key);
-  return out;
-}
 
 std::optional<ProblemInstance> parse_instance(std::string_view text,
                                               std::string* error,
                                               int line_base) {
-  enum class Model { kNone, kSlotted, kContinuous, kExtended };
   Model model = Model::kNone;
-  std::unique_ptr<ExtensionParser> extension_parser;
   int capacity = -1;
   std::vector<SlottedJob> slotted_jobs;
   std::vector<ContinuousJob> continuous_jobs;
+  std::vector<WeightedJob> weighted_jobs;
+  std::vector<MultiWindowJob> multi_window_jobs;
 
   LineCursor lines(text, line_base);
   int line_no = line_base;
@@ -88,28 +75,14 @@ std::optional<ProblemInstance> parse_instance(std::string_view text,
       if (model != Model::kNone) return report("duplicate model directive");
       const std::string_view name = args.next();
       if (name.empty()) return report("model needs a name");
-      if (name == "slotted") {
-        model = Model::kSlotted;
-      } else if (name == "continuous") {
-        model = Model::kContinuous;
-      } else if (const ExtensionParserFactory* codec = find_codec(name)) {
-        model = Model::kExtended;
-        extension_parser = (*codec)();
-      } else {
-        std::string known = "slotted, continuous";
-        for (const std::string& key : registered_instance_models()) {
-          known += ", " + key;
-        }
-        std::string what =
-            "unknown model '" + std::string(name) + "' (known: " + known;
-        if (codecs().empty()) {
-          // Distinguish a typo from a binary that never linked the codecs
-          // (engine/adapters registers them at load time).
-          what += "; no extended-model codecs are registered — link "
-                  "engine/adapters or call engine::register_instance_codecs()";
-        }
-        return report(what + ")");
+      const auto* known = std::find(std::begin(kModelNames),
+                                    std::end(kModelNames), name);
+      if (known == std::end(kModelNames)) {
+        return report("unknown model '" + std::string(name) +
+                      "' (known: slotted, continuous, weighted, "
+                      "multi-window)");
       }
+      model = static_cast<Model>(known - std::begin(kModelNames));
     } else if (keyword == "capacity") {
       // A repeated capacity silently changing every preceding job's
       // context is exactly the silent-data-change class v2 eliminates.
@@ -117,29 +90,48 @@ std::optional<ProblemInstance> parse_instance(std::string_view text,
       if (!args.number(&capacity) || capacity < 1) {
         return report("capacity needs a positive integer");
       }
-    } else if (model == Model::kExtended) {
-      // Everything but the shared header belongs to the model's codec.
-      std::string why;
-      if (!extension_parser->directive(keyword, args, &why)) {
-        return report(why);
-      }
-    } else if (keyword == "job") {
-      if (model == Model::kNone) return report("job before model directive");
-      if (model == Model::kSlotted) {
+    } else if (keyword == "job" && model != Model::kNone) {
+      if (model == Model::kMultiWindow) {
+        SlotTime length = 0;
+        if (!args.number(&length)) return report("job needs: length");
+        multi_window_jobs.push_back({{}, length});
+      } else if (model == Model::kSlotted) {
         SlottedJob j{};
-        if (!args.number(&j.release) || !args.number(&j.deadline) ||
-            !args.number(&j.length)) {
+        if (!read_job(args, &j)) {
           return report("job needs: release deadline length");
         }
         slotted_jobs.push_back(j);
       } else {
         ContinuousJob j{};
-        if (!args.number(&j.release) || !args.number(&j.deadline) ||
-            !args.number(&j.length)) {
+        if (!read_job(args, &j)) {
           return report("job needs: release deadline length");
         }
-        continuous_jobs.push_back(j);
+        if (model == Model::kWeighted) {
+          weighted_jobs.push_back({j, 1});
+        } else {
+          continuous_jobs.push_back(j);
+        }
       }
+    } else if (keyword == "weight" && model == Model::kWeighted) {
+      if (weighted_jobs.empty()) return report("weight before any job");
+      int width = 0;
+      if (!args.number(&width) || width < 1) {
+        return report("weight needs a positive integer");
+      }
+      weighted_jobs.back().width = width;
+    } else if (keyword == "window" && model == Model::kMultiWindow) {
+      if (multi_window_jobs.empty()) return report("window before any job");
+      SlotTime r = 0;
+      SlotTime d = 0;
+      if (!args.number(&r) || !args.number(&d)) {
+        return report("window needs: release deadline");
+      }
+      multi_window_jobs.back().windows.emplace_back(r, d);
+    } else if (keyword == "job") {
+      return report("job before model directive");
+    } else if (model == Model::kWeighted || model == Model::kMultiWindow) {
+      return report("unknown directive '" + std::string(keyword) +
+                    "' in model " + std::string(model_name(model)));
     } else {
       return report("unknown directive '" + std::string(keyword) + "'");
     }
@@ -152,20 +144,21 @@ std::optional<ProblemInstance> parse_instance(std::string_view text,
   if (model == Model::kNone) return report("missing 'model' directive");
   if (capacity < 1) return report("missing 'capacity' directive");
 
-  std::string why;
-  if (model == Model::kExtended) {
-    ProblemInstance out;
-    if (!extension_parser->finish(capacity, &out, &why)) return report(why);
-    return out;
-  }
-  if (model == Model::kSlotted) {
-    SlottedInstance inst(std::move(slotted_jobs), capacity);
+  auto finish = [&](auto inst) -> std::optional<ProblemInstance> {
+    std::string why;
     if (!inst.structurally_valid(&why)) return report(why);
     return make_instance(std::move(inst));
+  };
+  if (model == Model::kSlotted) {
+    return finish(SlottedInstance(std::move(slotted_jobs), capacity));
   }
-  ContinuousInstance inst(std::move(continuous_jobs), capacity);
-  if (!inst.structurally_valid(&why)) return report(why);
-  return make_instance(std::move(inst));
+  if (model == Model::kContinuous) {
+    return finish(ContinuousInstance(std::move(continuous_jobs), capacity));
+  }
+  if (model == Model::kWeighted) {
+    return finish(WeightedInstance(std::move(weighted_jobs), capacity));
+  }
+  return finish(MultiWindowInstance(std::move(multi_window_jobs), capacity));
 }
 
 std::optional<ProblemInstance> parse_instance(std::istream& in,
@@ -178,49 +171,42 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
   return parse_instance(text, error);
 }
 
-bool write_instance(std::string& out, const ProblemInstance& inst,
-                    std::string* why) {
-  if (inst.kind == InstanceKind::kStandard) {
-    if (inst.family == Family::kActive) {
-      write_standard(out, "slotted", inst.slotted);
-    } else {
-      write_standard(out, "continuous", inst.continuous);
-    }
-    return true;
+void write_instance(std::string& out, const ProblemInstance& inst) {
+  switch (inst.kind) {
+    case InstanceKind::kStandard:
+      if (inst.family == Family::kActive) {
+        write_standard(out, Model::kSlotted, inst.slotted);
+      } else {
+        write_standard(out, Model::kContinuous, inst.continuous);
+      }
+      return;
+    case InstanceKind::kWeighted:
+      // %.17g doubles, exactly like the continuous writer: they survive
+      // the text round trip bit-for-bit.
+      append_header(out, Model::kWeighted, inst.weighted.capacity(),
+                    inst.weighted.jobs().size());
+      for (const WeightedJob& wj : inst.weighted.jobs()) {
+        append(out, "job ", wj.job.release, ' ', wj.job.deadline, ' ',
+               wj.job.length, "\nweight ", wj.width, '\n');
+      }
+      return;
+    case InstanceKind::kMultiWindow:
+      append_header(out, Model::kMultiWindow, inst.multi_window.capacity(),
+                    inst.multi_window.jobs().size());
+      for (const MultiWindowJob& job : inst.multi_window.jobs()) {
+        append(out, "job ", job.length, '\n');
+        for (const auto& [r, d] : job.windows) {
+          append(out, "window ", r, ' ', d, '\n');
+        }
+      }
+      return;
   }
-  const InstanceExtension* ext = inst.extension.get();
-  if (ext == nullptr || ext->model_name().empty()) {
-    if (why != nullptr) {
-      *why = "instance kind '" +
-             std::string(instance_kind_name(inst.kind)) +
-             "' has no serialization support (emitting the standard-model "
-             "view would silently drop the extension payload)";
-    }
-    return false;
-  }
-  const std::size_t start = out.size();
-  out.reserve(start + 32 +
-              kBytesPerJob * static_cast<std::size_t>(ext->size()));
-  append_header(out, ext->model_name(), ext->capacity());
-  if (!ext->write_body(out)) {
-    // A truncated-but-plausible instance text is the artifact this
-    // function exists to prevent: drop everything this call appended.
-    out.resize(start);
-    if (why != nullptr) {
-      *why = "model '" + std::string(ext->model_name()) +
-             "' failed to serialize its job payload";
-    }
-    return false;
-  }
-  return true;
 }
 
-bool write_instance(std::ostream& out, const ProblemInstance& inst,
-                    std::string* why) {
+void write_instance(std::ostream& out, const ProblemInstance& inst) {
   std::string text;
-  if (!write_instance(text, inst, why)) return false;
+  write_instance(text, inst);
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return true;
 }
 
 }  // namespace abt::core

@@ -1,15 +1,10 @@
 #pragma once
 
-#include <functional>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "core/continuous_instance.hpp"
-#include "core/slotted_instance.hpp"
 #include "core/solver.hpp"
 #include "core/text.hpp"
 
@@ -38,11 +33,9 @@ namespace abt::core {
 ///     window 0 4               # release deadline; one line per window
 ///     window 6 9
 ///
-/// The two standard models are built in; the extended models are plugged
-/// in through the ExtensionCodec registry below (engine/adapters registers
-/// `weighted` and `multi-window`), so core stays ignorant of their
-/// concrete types while `parse_instance` / `write_instance` remain a
-/// lossless inverse pair for every registered kind.
+/// These four models are the closed set ProblemInstance carries; one loop
+/// parses them all and `parse_instance` / `write_instance` are a lossless
+/// inverse pair for every one of them, with no registration step.
 ///
 /// Lines, comments, tokens and numbers follow core/text.hpp: whitespace
 /// includes '\t' and '\r' (CRLF files read fine), a number must be its
@@ -54,9 +47,8 @@ namespace abt::core {
 /// of, so they are deliberately kept rather than switched to the shortest
 /// round-trip form.
 
-/// Parses an instance into the uniform carrier the registry trades in:
-/// standard models fill the matching member, extended models carry an
-/// InstanceExtension built by their registered codec. On failure returns
+/// Parses an instance into the uniform carrier the registry trades in,
+/// filling the member of the file's model. On failure returns
 /// nullopt and explains in `error` with a "line N: " prefix; N counts
 /// from `line_base + 1`, so a format that embeds an instance after lines
 /// of its own reports positions in the enclosing text.
@@ -68,51 +60,10 @@ namespace abt::core {
     std::istream& in, std::string* error = nullptr);
 
 /// Appends the canonical text of `inst` to `out` (the lossless inverse of
-/// parse_instance). Returns false (explaining in `why`, `out` unchanged)
-/// when the instance carries an extension that does not implement the
-/// serialization hooks — callers must surface that as an error, never
-/// fall back to emitting a lossy standard-model view.
-[[nodiscard]] bool write_instance(std::string& out, const ProblemInstance& inst,
-                                  std::string* why = nullptr);
+/// parse_instance).
+void write_instance(std::string& out, const ProblemInstance& inst);
 
-/// Stream form for the CLI: builds the text, then writes it whole, so a
-/// failure leaves nothing on `out`.
-[[nodiscard]] bool write_instance(std::ostream& out,
-                                  const ProblemInstance& inst,
-                                  std::string* why = nullptr);
-
-/// Per-model parser plugged into parse_instance for one extended model.
-/// The shared loop owns line reading, comments, line numbers, the
-/// `model`/`capacity` directives and the no-trailing-tokens check;
-/// everything else inside an extended-model file is forwarded here
-/// keyword by keyword.
-class ExtensionParser {
- public:
-  virtual ~ExtensionParser() = default;
-
-  /// Consumes one directive (`args` positioned after the keyword). Errors
-  /// are reported through `why` WITHOUT a line prefix; the caller adds it.
-  virtual bool directive(std::string_view keyword, TokenCursor& args,
-                         std::string* why) = 0;
-
-  /// Validates the accumulated jobs and produces the finished instance
-  /// (family, kind and extension all set).
-  virtual bool finish(int capacity, ProblemInstance* out,
-                      std::string* why) = 0;
-};
-
-/// Codec for one extended model name: a fresh parser per file.
-using ExtensionParserFactory =
-    std::function<std::unique_ptr<ExtensionParser>()>;
-
-/// Registers an extended model under its `model` directive token.
-/// Registering the same name twice replaces the codec (idempotent
-/// re-registration is fine). Not thread-safe: register during startup,
-/// before any concurrent parsing.
-void register_instance_model(const std::string& model_name,
-                             ExtensionParserFactory factory);
-
-/// Registered extended model names, registration order (for diagnostics).
-[[nodiscard]] std::vector<std::string> registered_instance_models();
+/// Stream form for the CLI: builds the text, then writes it whole.
+void write_instance(std::ostream& out, const ProblemInstance& inst);
 
 }  // namespace abt::core

@@ -220,20 +220,15 @@ class RunContext {
   }
 
   /// Derives the context a raced / nested sub-run gets: budget = whatever
-  /// remains of this context's budget, optionally capped by `cap_ms`
-  /// (> 0), with a fresh clock; cancellation = this context's token
-  /// chained with `extra`, so either side stops the child but the child's
-  /// source can never stop the parent; the incumbent hook carries over.
-  /// A parent already out of budget yields an immediately-expiring child
-  /// (1 microsecond), never an accidentally unlimited one.
-  [[nodiscard]] RunContext child(CancelToken extra = {},
-                                 double cap_ms = 0.0) const {
+  /// remains of this context's budget, with a fresh clock; cancellation =
+  /// this context's token chained with `extra`, so either side stops the
+  /// child but the child's source can never stop the parent; the
+  /// incumbent hook carries over. A parent already out of budget yields an
+  /// immediately-expiring child (1 microsecond), never an accidentally
+  /// unlimited one.
+  [[nodiscard]] RunContext child(CancelToken extra = {}) const {
     RunContext ctx;
-    double budget = has_budget() ? std::max(remaining_ms(), 1e-3) : 0.0;
-    if (cap_ms > 0.0) {
-      budget = has_budget() ? std::min(budget, cap_ms) : cap_ms;
-    }
-    ctx.budget_ms_ = budget;
+    ctx.budget_ms_ = has_budget() ? std::max(remaining_ms(), 1e-3) : 0.0;
     ctx.cancel_ = extra.chained(cancel_);
     ctx.hook_ = hook_;
     ctx.ring_ = ring_;

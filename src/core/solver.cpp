@@ -35,15 +35,19 @@ ProblemInstance make_instance(ContinuousInstance inst) {
   return out;
 }
 
-ProblemInstance make_instance(
-    Family family, std::shared_ptr<const InstanceExtension> extension) {
-  ABT_ASSERT(extension != nullptr, "extended instance without payload");
+ProblemInstance make_instance(WeightedInstance inst) {
   ProblemInstance out;
-  out.family = family;
-  out.kind = extension->kind();
-  ABT_ASSERT(out.kind != InstanceKind::kStandard,
-             "standard instances use the typed make_instance overloads");
-  out.extension = std::move(extension);
+  out.family = Family::kBusy;
+  out.kind = InstanceKind::kWeighted;
+  out.weighted = std::move(inst);
+  return out;
+}
+
+ProblemInstance make_instance(MultiWindowInstance inst) {
+  ProblemInstance out;
+  out.family = Family::kActive;
+  out.kind = InstanceKind::kMultiWindow;
+  out.multi_window = std::move(inst);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -11,8 +10,10 @@
 #include "core/active_schedule.hpp"
 #include "core/busy_schedule.hpp"
 #include "core/continuous_instance.hpp"
+#include "core/multi_window_instance.hpp"
 #include "core/run_context.hpp"
 #include "core/slotted_instance.hpp"
+#include "core/weighted_instance.hpp"
 
 namespace abt::core {
 
@@ -21,62 +22,32 @@ enum class Family { kBusy, kActive };
 
 [[nodiscard]] std::string_view family_name(Family family);
 
-/// Which instance representation a ProblemInstance carries. The two
-/// standard kinds are the paper's base models; the extended kinds are the
-/// generalizations (width-weighted busy time, multi-window active time)
-/// that ride through the registry via an InstanceExtension payload instead
-/// of a dedicated member, so core stays ignorant of their concrete types.
+/// Which instance model a ProblemInstance carries. The two standard kinds
+/// are the paper's base models (slotted active time, continuous busy time),
+/// told apart by `family`; the extended kinds are the generalizations the
+/// paper points to (width-weighted busy time, multi-window active time).
 enum class InstanceKind { kStandard, kWeighted, kMultiWindow };
 
 [[nodiscard]] std::string_view instance_kind_name(InstanceKind kind);
 
-/// Type-erased payload for the extended instance kinds. Concrete wrappers
-/// (engine/adapters) subclass this around busy::WeightedInstance /
-/// active::MultiWindowInstance and expose just enough shape for generic
-/// reporting and lower-bound derivation; solvers downcast through the
-/// adapter accessors.
-class InstanceExtension {
- public:
-  virtual ~InstanceExtension() = default;
-  [[nodiscard]] virtual InstanceKind kind() const = 0;
-  [[nodiscard]] virtual int size() const = 0;
-  [[nodiscard]] virtual int capacity() const = 0;
-  /// Family-appropriate combinatorial lower bound on OPT (mass/span).
-  [[nodiscard]] virtual double lower_bound() const = 0;
-  /// One-line instance summary for the report headers.
-  [[nodiscard]] virtual std::string describe() const = 0;
-
-  /// Instance I/O v2 serialization hooks. `model_name` is the token the
-  /// plain-text format's `model` directive carries (e.g. "weighted");
-  /// `write_body` appends the per-job directive lines that follow the shared
-  /// `model`/`capacity` header. The defaults mark the extension as
-  /// NOT serializable: core::write_instance then fails loudly instead of
-  /// letting a caller fall back to a lossy standard-model emit.
-  [[nodiscard]] virtual std::string_view model_name() const { return {}; }
-  virtual bool write_body(std::string& /*out*/) const { return false; }
-};
-
-/// Uniform instance carrier: for the standard kinds exactly one of the two
-/// instance members is meaningful, selected by `family`; the extended kinds
-/// carry their model in `extension` instead. This is the single currency
-/// the solver registry, the scenario engine and the CLI trade in, so that
-/// "run every applicable algorithm on this input" is one call regardless of
-/// model.
+/// Uniform instance carrier over the library's four instance models:
+/// exactly one member is meaningful, selected by `kind` (and, for the
+/// standard kind, by `family`). This is the single currency the solver
+/// registry, the scenario engine and the CLI trade in, so that "run every
+/// applicable algorithm on this input" is one call regardless of model.
 struct ProblemInstance {
   Family family = Family::kBusy;
   InstanceKind kind = InstanceKind::kStandard;
-  SlottedInstance slotted;        ///< Valid when family == kActive.
-  ContinuousInstance continuous;  ///< Valid when family == kBusy.
-  /// Set exactly when kind != kStandard.
-  std::shared_ptr<const InstanceExtension> extension;
+  SlottedInstance slotted;           ///< kStandard, family == kActive.
+  ContinuousInstance continuous;     ///< kStandard, family == kBusy.
+  WeightedInstance weighted;         ///< kWeighted (family kBusy).
+  MultiWindowInstance multi_window;  ///< kMultiWindow (family kActive).
 };
 
 [[nodiscard]] ProblemInstance make_instance(SlottedInstance inst);
 [[nodiscard]] ProblemInstance make_instance(ContinuousInstance inst);
-/// Extended-kind carrier: family per the extension's model, kind from the
-/// extension itself.
-[[nodiscard]] ProblemInstance make_instance(
-    Family family, std::shared_ptr<const InstanceExtension> extension);
+[[nodiscard]] ProblemInstance make_instance(WeightedInstance inst);
+[[nodiscard]] ProblemInstance make_instance(MultiWindowInstance inst);
 
 /// Uniform result of one solver run. Every solver — busy or active, exact
 /// or approximate, preemptive or not — reports through this struct so the

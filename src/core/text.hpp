@@ -1,12 +1,11 @@
 #pragma once
 
 // The one tokenizer behind every line-oriented text format in the repo:
-// instance I/O v2 (core/io), the extended-model codecs (engine/adapters),
-// the abtd frame header and solve payload (service/protocol), and the
-// command-line number flags. Everything works on std::string_view, so a
-// parse never copies a line; numbers go through std::from_chars and are
-// written with std::to_chars, so neither side touches a locale or an
-// iostream.
+// instance I/O v2 (core/io), the abtd frame header and solve payload
+// (service/protocol), and the command-line number flags. Everything works
+// on std::string_view, so a parse never copies a line; numbers go through
+// std::from_chars and are written with std::to_chars, so neither side
+// touches a locale or an iostream.
 //
 // Rules:
 //   * A line ends at '\n'. A trailing '\n' does not open an empty last

@@ -7,6 +7,7 @@
 #include "active/exact.hpp"
 #include "active/lp_rounding.hpp"
 #include "active/minimal_feasible.hpp"
+#include "active/multi_window.hpp"
 #include "busy/dp_unbounded.hpp"
 #include "busy/first_fit.hpp"
 #include "busy/flexible_pipeline.hpp"
@@ -18,7 +19,6 @@
 #include "busy/two_track_peeling.hpp"
 #include "busy/weighted.hpp"
 #include "core/sweep.hpp"
-#include "engine/adapters.hpp"
 #include "engine/scratch.hpp"
 
 namespace abt::engine {
@@ -196,7 +196,9 @@ void register_busy(core::SolverRegistry& registry) {
       if (!interval_jobs(inst, ctx, why)) return false;
       // The measured gate is the free-run guard; a budget retires it —
       // the search runs anytime to the deadline and reports its gap.
-      if (!ctx.has_budget() && inst.continuous.size() > kExactFreeRunMaxJobs) {
+      if (!ctx.has_budget() &&
+          inst.continuous.size() >
+              exact_free_run_max_jobs(inst.continuous.capacity())) {
         if (why != nullptr) {
           *why = "instance too large for the exact oracle (give it a "
                  "budget to run anytime)";
@@ -207,7 +209,7 @@ void register_busy(core::SolverRegistry& registry) {
     };
     s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
       const busy::ExactBusyResult result = busy::solve_exact_busy(
-          busy::WeightedInstance::with_unit_widths(inst.continuous), {&ctx});
+          core::WeightedInstance::with_unit_widths(inst.continuous), {&ctx});
       Solution sol = busy_solution(result.schedule, inst);
       sol.exact = result.proven_optimal;
       sol.timed_out = !result.proven_optimal;
@@ -337,9 +339,9 @@ void register_busy(core::SolverRegistry& registry) {
 
 // ----------------------------------------------------------------------
 // Extended kinds: the weighted (cumulative-width) busy-time model and the
-// multi-window active-time model register through the InstanceKind adapter
-// layer — their own applicability predicates, their own checkers, the same
-// timed + validated registry path as every standard solver.
+// multi-window active-time model — their own applicability predicates,
+// their own checkers, the same timed + validated registry path as every
+// standard solver.
 
 /// Applicability predicates may be probed directly (outside the registry's
 /// kind gate), so they refuse wrong-kind instances instead of asserting.
@@ -352,7 +354,7 @@ bool is_weighted(const ProblemInstance& inst, std::string* why) {
 bool weighted_interval(const ProblemInstance& inst, const RunContext& /*ctx*/,
                        std::string* why) {
   if (!is_weighted(inst, why)) return false;
-  if (weighted_of(inst).all_interval_jobs(1e-6)) return true;
+  if (inst.weighted.all_interval_jobs(1e-6)) return true;
   if (why != nullptr) *why = "needs interval jobs (no slack)";
   return false;
 }
@@ -360,7 +362,7 @@ bool weighted_interval(const ProblemInstance& inst, const RunContext& /*ctx*/,
 bool weighted_flexible(const ProblemInstance& inst, const RunContext& /*ctx*/,
                        std::string* why) {
   if (!is_weighted(inst, why)) return false;
-  if (!weighted_of(inst).all_interval_jobs(1e-6)) return true;
+  if (!inst.weighted.all_interval_jobs(1e-6)) return true;
   if (why != nullptr) {
     *why = "interval jobs: use the direct weighted algorithms";
   }
@@ -373,14 +375,14 @@ bool check_weighted(const ProblemInstance& inst, const Solution& sol,
     if (why != nullptr) *why = "weighted solver produced no schedule";
     return false;
   }
-  return busy::check_weighted_schedule(weighted_of(inst), *sol.busy, why);
+  return busy::check_weighted_schedule(inst.weighted, *sol.busy, why);
 }
 
 Solution weighted_solution(core::BusySchedule sched,
                            const ProblemInstance& inst) {
   Solution sol;
   sol.ok = true;
-  sol.cost = core::busy_cost(weighted_of(inst).unweighted(), sched);
+  sol.cost = core::busy_cost(inst.weighted.unweighted(), sched);
   sol.busy = std::move(sched);
   return sol;
 }
@@ -399,7 +401,7 @@ Solver weighted_solver(std::string name, std::string guarantee, double factor,
   s.applicable = weighted_interval;
   s.check = check_weighted;
   s.run = [fn](const ProblemInstance& inst, const RunContext& /*ctx*/) {
-    return weighted_solution(fn(weighted_of(inst)), inst);
+    return weighted_solution(fn(inst.weighted), inst);
   };
   return s;
 }
@@ -408,12 +410,12 @@ void register_weighted(core::SolverRegistry& registry) {
   registry.add(weighted_solver(
       "busy/weighted-first-fit",
       "heuristic (width-aware FIRSTFIT, non-increasing length)", 0.0,
-      [](const busy::WeightedInstance& inst) {
+      [](const core::WeightedInstance& inst) {
         return busy::weighted_first_fit(inst);
       }));
   registry.add(weighted_solver(
       "busy/weighted-narrow-wide", "<= 5 OPT (Khandekar et al. [9] split)",
-      5.0, [](const busy::WeightedInstance& inst) {
+      5.0, [](const core::WeightedInstance& inst) {
         return busy::narrow_wide_split(inst);
       }));
 
@@ -430,7 +432,8 @@ void register_weighted(core::SolverRegistry& registry) {
                       std::string* why) {
       if (!weighted_interval(inst, ctx, why)) return false;
       if (!ctx.has_budget() &&
-          weighted_of(inst).size() > kWeightedExactFreeRunMaxJobs) {
+          inst.weighted.size() >
+              weighted_exact_free_run_max_jobs(inst.weighted.capacity())) {
         if (why != nullptr) {
           *why = "instance too large for the exact oracle (give it a "
                  "budget to run anytime)";
@@ -440,7 +443,7 @@ void register_weighted(core::SolverRegistry& registry) {
       return true;
     };
     s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
-      const busy::WeightedInstance& winst = weighted_of(inst);
+      const core::WeightedInstance& winst = inst.weighted;
       const busy::ExactBusyResult result =
           busy::solve_exact_busy(winst, {&ctx});
       Solution sol = weighted_solution(result.schedule, inst);
@@ -466,7 +469,7 @@ void register_weighted(core::SolverRegistry& registry) {
     s.applicable = weighted_flexible;
     s.check = check_weighted;
     s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
-      const busy::WeightedInstance& winst = weighted_of(inst);
+      const core::WeightedInstance& winst = inst.weighted;
       const busy::UnboundedSolution& dp =
           shared_unbounded(winst.unweighted(), ctx);
       Solution sol =
@@ -497,7 +500,7 @@ bool check_multi_window(const ProblemInstance& inst, const Solution& sol,
     if (why != nullptr) *why = "multi-window solver produced no schedule";
     return false;
   }
-  return active::mw_check_schedule(multi_window_of(inst), *sol.active, why);
+  return active::mw_check_schedule(inst.multi_window, *sol.active, why);
 }
 
 void register_multi_window(core::SolverRegistry& registry) {
@@ -515,7 +518,7 @@ void register_multi_window(core::SolverRegistry& registry) {
       bool cancelled = false;
       // Cancellation only; budgets cannot alter output.
       const auto sched =
-          active::mw_solve_minimal_feasible(multi_window_of(inst), &ctx,
+          active::mw_solve_minimal_feasible(inst.multi_window, &ctx,
                                             &cancelled);
       if (!sched.has_value()) {
         if (cancelled) {
@@ -554,7 +557,7 @@ void register_multi_window(core::SolverRegistry& registry) {
       // ms at 18. A budget lifts the measured gate, but only up to the
       // 64-bit-mask structural cap of 22 candidates.
       const std::size_t candidates =
-          active::mw_candidate_slots(multi_window_of(inst)).size();
+          active::mw_candidate_slots(inst.multi_window).size();
       const std::size_t gate = ctx.has_budget() ? 22 : 18;
       if (candidates > gate) {
         if (why != nullptr) {
@@ -570,7 +573,7 @@ void register_multi_window(core::SolverRegistry& registry) {
       active::MultiWindowExactOptions options;
       options.context = &ctx;
       const auto result =
-          active::mw_solve_exact_anytime(multi_window_of(inst), options);
+          active::mw_solve_exact_anytime(inst.multi_window, options);
       if (!result.has_value()) {
         sol.message = "instance infeasible";
         return sol;
@@ -581,7 +584,7 @@ void register_multi_window(core::SolverRegistry& registry) {
       sol.exact = result->proven_optimal;
       sol.timed_out = !result->proven_optimal;
       if (!result->proven_optimal) {
-        const active::MultiWindowInstance& mw = multi_window_of(inst);
+        const core::MultiWindowInstance& mw = inst.multi_window;
         sol.best_bound = std::ceil(static_cast<double>(mw.total_work()) /
                                    static_cast<double>(mw.capacity()));
       }
@@ -695,11 +698,6 @@ void register_active(core::SolverRegistry& registry) {
 }  // namespace
 
 core::SolverRegistry builtin_registry() {
-  // Solving and serializing an extended kind travel together: anything
-  // holding the registry can also parse/emit `model weighted` and
-  // `model multi-window` files (idempotent; the adapters TU registers the
-  // codecs at load time already).
-  register_instance_codecs();
   core::SolverRegistry registry;
   register_busy(registry);
   register_active(registry);

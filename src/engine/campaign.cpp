@@ -234,14 +234,12 @@ std::vector<RaceReport> run_races(const core::SolverRegistry& registry,
   // Resolve every cell's contestant list up front — auto picks depend on
   // the instance, explicit lists are shared verbatim. Explicit race
   // entries win over a grid solver subset, which wins over the auto pick.
-  std::vector<std::vector<RaceEntry>> entries(inputs.size());
+  std::vector<std::vector<std::string>> entries(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     if (!options.race.entries.empty()) {
       entries[i] = options.race.entries;
     } else if (!inputs[i].solvers.empty()) {
-      for (const std::string& name : inputs[i].solvers) {
-        entries[i].push_back({name, 0.0});
-      }
+      entries[i] = inputs[i].solvers;
     } else {
       entries[i] = auto_entries(registry, inputs[i].instance, base_ctx);
     }
@@ -260,12 +258,12 @@ std::vector<RaceReport> run_races(const core::SolverRegistry& registry,
   parallel_options.cancel = options.run.cancel;
   parallel_options.on_cancelled = [&](std::size_t i) {
     races[i].entries = entries[i];
-    for (const RaceEntry& entry : entries[i]) {
-      const core::Solver* solver = registry.find(entry.solver);
+    for (const std::string& name : entries[i]) {
+      const core::Solver* solver = registry.find(name);
       races[i].rows.push_back(
           solver != nullptr
               ? cancelled_cell_row(*solver, base_ctx.budget_ms())
-              : unknown_solver_row(entry.solver, inputs[i].instance.family));
+              : unknown_solver_row(name, inputs[i].instance.family));
     }
   };
   parallel_for(

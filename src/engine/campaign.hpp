@@ -90,8 +90,8 @@ struct CampaignPresetInfo {
 /// and their incumbents still tighten the per-trial lower bound.
 struct CampaignRace {
   bool enabled = false;
-  std::vector<RaceEntry> entries;  ///< Explicit contestants; empty = auto.
-  double accept_gap = -1.0;        ///< RaceOptions::accept_gap per cell.
+  std::vector<std::string> entries;  ///< Explicit contestants; empty = auto.
+  double accept_gap = -1.0;          ///< RaceOptions::accept_gap per cell.
 };
 
 struct CampaignOptions {

@@ -11,24 +11,9 @@
 
 namespace abt::engine {
 
-namespace {
-
-/// The budget a drained (never-started) contestant would have run under,
-/// for its stamped row's bookkeeping.
-double entry_budget_ms(const RaceEntry& entry, const core::RunContext& parent) {
-  if (entry.budget_cap_ms > 0.0) {
-    return parent.has_budget()
-               ? std::min(entry.budget_cap_ms, parent.budget_ms())
-               : entry.budget_cap_ms;
-  }
-  return parent.budget_ms();
-}
-
-}  // namespace
-
 RaceReport race(const core::SolverRegistry& registry,
                 const core::ProblemInstance& inst,
-                const std::vector<RaceEntry>& entries,
+                const std::vector<std::string>& entries,
                 const core::RunContext& parent, const RaceOptions& options) {
   const auto t0 = std::chrono::steady_clock::now();
   RaceReport report;
@@ -64,25 +49,22 @@ RaceReport race(const core::SolverRegistry& registry,
   parallel_options.eager_dispatch = true;  // 2 contestants must still race
   parallel_options.cancel = stop.token().chained(parent.cancel_token());
   parallel_options.on_cancelled = [&](std::size_t i) {
-    const core::Solver* solver = registry.find(entries[i].solver);
+    const core::Solver* solver = registry.find(entries[i]);
     report.rows[i] = solver != nullptr
-                         ? cancelled_cell_row(*solver,
-                                              entry_budget_ms(entries[i],
-                                                              parent))
-                         : unknown_solver_row(entries[i].solver, inst.family);
+                         ? cancelled_cell_row(*solver, parent.budget_ms())
+                         : unknown_solver_row(entries[i], inst.family);
     cancel_interrupted[i] = 1;
   };
 
   parallel_for(
       resolve_threads(options.threads), entries.size(),
       [&](std::size_t i) {
-        const core::Solver* solver = registry.find(entries[i].solver);
+        const core::Solver* solver = registry.find(entries[i]);
         if (solver == nullptr) {
-          report.rows[i] = unknown_solver_row(entries[i].solver, inst.family);
+          report.rows[i] = unknown_solver_row(entries[i], inst.family);
           return;
         }
-        const core::RunContext ctx =
-            parent.child(stop.token(), entries[i].budget_cap_ms);
+        const core::RunContext ctx = parent.child(stop.token());
         report.rows[i] = registry.run(*solver, inst, ctx);
         if (report.rows[i].timed_out && ctx.cancelled()) {
           cancel_interrupted[i] = 1;
@@ -130,12 +112,12 @@ RaceReport race(const core::SolverRegistry& registry,
   return report;
 }
 
-std::vector<RaceEntry> auto_entries(const core::SolverRegistry& registry,
-                                    const core::ProblemInstance& inst,
-                                    const core::RunContext& ctx) {
-  std::vector<RaceEntry> entries;
+std::vector<std::string> auto_entries(const core::SolverRegistry& registry,
+                                      const core::ProblemInstance& inst,
+                                      const core::RunContext& ctx) {
+  std::vector<std::string> entries;
   for (const core::Solver* solver : registry.selection(inst, {}, ctx)) {
-    entries.push_back({solver->name, 0.0});
+    entries.push_back(solver->name);
   }
   return entries;
 }

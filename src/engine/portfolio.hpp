@@ -31,14 +31,6 @@
 
 namespace abt::engine {
 
-/// One contestant: a registry name plus an optional per-entry wall-clock
-/// cap in ms (<= 0 = inherit the caller's remaining budget unchanged).
-/// Entries may repeat a solver, e.g. under different caps.
-struct RaceEntry {
-  std::string solver;
-  double budget_cap_ms = 0.0;
-};
-
 struct RaceOptions {
   /// Pool workers racing (0 = resolved to hardware concurrency, i.e.
   /// every worker of the shared pool). At 1 the race runs inline and
@@ -52,11 +44,11 @@ struct RaceOptions {
   double accept_gap = -1.0;
 };
 
-/// Outcome of one race. rows[i] is entry i's Solution and is written by
-/// exactly one cell: the winner's completed run, a loser's drained or
+/// Outcome of one race. rows[i] is contestant i's Solution and is written
+/// by exactly one cell: the winner's completed run, a loser's drained or
 /// incumbent row, or a refusal row for unknown names.
 struct RaceReport {
-  std::vector<RaceEntry> entries;
+  std::vector<std::string> entries;  ///< Contestants' solver names.
   std::vector<core::Solution> rows;
   /// Row index of the acceptance-passing winner; -1 = none. A race whose
   /// CALLER cancelled never declares a winner, even when an interrupted
@@ -72,23 +64,24 @@ struct RaceReport {
   double wall_ms = 0.0;
   /// Contestants the race (or its caller) interrupted — drained unstarted
   /// or observed cancelled at return. A contestant that merely exhausted
-  /// its own per-entry budget cap is timed out, not cancelled.
+  /// the caller's budget is timed out, not cancelled.
   int cancelled = 0;
 };
 
-/// Races `entries` on `inst`. Each contestant gets parent.child(token,
-/// cap): the caller's remaining budget (per-entry capped), the caller's
-/// token chained with the race's own source, a fresh clock. Unknown entry
-/// names become refusal rows without occupying a worker beyond stamping.
+/// Races the solvers named in `entries` on `inst` (a name may repeat).
+/// Each contestant gets parent.child(token): the caller's remaining
+/// budget, the caller's token chained with the race's own source, a fresh
+/// clock. Unknown names become refusal rows without occupying a worker
+/// beyond stamping.
 [[nodiscard]] RaceReport race(const core::SolverRegistry& registry,
                               const core::ProblemInstance& inst,
-                              const std::vector<RaceEntry>& entries,
+                              const std::vector<std::string>& entries,
                               const core::RunContext& parent = {},
                               const RaceOptions& options = {});
 
 /// Entries for `--race auto`: every solver applicable under `ctx`, in
 /// registration order.
-[[nodiscard]] std::vector<RaceEntry> auto_entries(
+[[nodiscard]] std::vector<std::string> auto_entries(
     const core::SolverRegistry& registry, const core::ProblemInstance& inst,
     const core::RunContext& ctx = {});
 

@@ -10,7 +10,6 @@
 #include "busy/lower_bounds.hpp"
 #include "core/rng.hpp"
 #include "core/text.hpp"
-#include "engine/adapters.hpp"
 #include "engine/parallel.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/scratch.hpp"
@@ -31,6 +30,40 @@ namespace {
 /// are always on. Raising it tightens flexible bounds, so `cost_ratio`
 /// moves with it.
 constexpr int kSpanBoundMaxJobs = 48;
+
+/// Combinatorial lower bound of an extended-model instance. Weighted: the
+/// width-weighted mass, and the span projection when every run position is
+/// forced (interval jobs). Multi-window: Theorem 1's full-slots bound, which
+/// carries over verbatim (P units of work, at most g per active slot).
+double extended_lower_bound(const ProblemInstance& inst) {
+  if (inst.kind == core::InstanceKind::kWeighted) {
+    const core::WeightedInstance& w = inst.weighted;
+    double bound = w.mass_lower_bound();
+    if (w.all_interval_jobs(1e-6)) {
+      bound = std::max(bound, w.span_lower_bound());
+    }
+    return bound;
+  }
+  return std::ceil(static_cast<double>(inst.multi_window.total_work()) /
+                   static_cast<double>(inst.multi_window.capacity()));
+}
+
+/// One-line summary of an extended-model instance for the report headers.
+std::string describe_extended(const ProblemInstance& inst) {
+  std::ostringstream os;
+  if (inst.kind == core::InstanceKind::kWeighted) {
+    const core::WeightedInstance& w = inst.weighted;
+    os << "weighted busy-time instance: " << w.size() << " jobs, g = "
+       << w.capacity() << ", "
+       << (w.all_interval_jobs(1e-6) ? "interval" : "flexible")
+       << " jobs (cumulative-width model)";
+  } else {
+    const core::MultiWindowInstance& m = inst.multi_window;
+    os << "multi-window active-time instance: " << m.size() << " jobs, g = "
+       << m.capacity() << ", horizon " << m.horizon();
+  }
+  return os.str();
+}
 
 gen::SlottedParams slotted_params(const ScenarioSpec& spec) {
   gen::SlottedParams params;
@@ -196,14 +229,14 @@ std::optional<ProblemInstance> make_scenario(const ScenarioSpec& spec,
     if (spec.name == "weighted-flexible" && params.max_slack <= 0.0) {
       params.max_slack = 1.0;
     }
-    return make_weighted_instance(gen::random_weighted(rng, params));
+    return core::make_instance(gen::random_weighted(rng, params));
   }
   if (spec.name == "multi-window") {
     gen::MultiWindowParams params;
     params.num_jobs = spec.n;
     params.capacity = spec.g;
     params.horizon = static_cast<core::SlotTime>(spec.horizon);
-    return make_multi_window_instance(gen::random_multi_window(rng, params));
+    return core::make_instance(gen::random_multi_window(rng, params));
   }
   return fail("unknown scenario '" + spec.name + "' (see --scenarios)");
 }
@@ -215,8 +248,7 @@ core::RunContext make_run_context(const RunOptions& options) {
 }
 
 /// Reference lower bound: an exact certificate beats everything; else the
-/// combinatorial bounds of the relevant family (the extension's own bound
-/// for the extended kinds).
+/// combinatorial bounds of the relevant model.
 LowerBound derive_lower_bound(const ProblemInstance& inst,
                               const std::vector<core::Solution>& solutions,
                               const RunOptions& /*options*/) {
@@ -230,7 +262,7 @@ LowerBound derive_lower_bound(const ProblemInstance& inst,
   }
   if (lb.kind.empty()) {
     if (inst.kind != core::InstanceKind::kStandard) {
-      lb.value = inst.extension->lower_bound();
+      lb.value = extended_lower_bound(inst);
       lb.kind = "model";
     } else if (inst.family == Family::kBusy) {
       // Harvest the g=infinity span bound from any solver that already ran
@@ -376,13 +408,10 @@ Response execute(const core::SolverRegistry& registry, Request request,
   Response response;
   std::ostringstream body;
   if (request.race) {
-    std::vector<RaceEntry> entries;
-    if (request.solvers.empty()) {
-      entries = auto_entries(registry, request.instance, ctx);
-    }
-    for (const std::string& name : request.solvers) {
-      entries.push_back({name, 0.0});
-    }
+    const std::vector<std::string> entries =
+        request.solvers.empty()
+            ? auto_entries(registry, request.instance, ctx)
+            : request.solvers;
     RaceOptions options;
     options.threads = threads;
     options.accept_gap = request.accept_gap;
@@ -506,7 +535,7 @@ core::Solution cancelled_cell_row(const core::Solver& solver,
 void print_report(std::ostream& os, const RunReport& report) {
   const bool busy = report.instance.family == Family::kBusy;
   if (report.instance.kind != core::InstanceKind::kStandard) {
-    os << report.instance.extension->describe() << "\n";
+    os << describe_extended(report.instance) << "\n";
   } else if (busy) {
     os << "busy-time instance: " << report.instance.continuous.size()
        << " jobs, g = " << report.instance.continuous.capacity() << ", "
@@ -570,12 +599,18 @@ void write_json(std::ostream& os, const RunReport& report) {
      << "\",\n  \"kind\": \""
      << core::instance_kind_name(report.instance.kind) << "\",\n";
   if (report.instance.kind != core::InstanceKind::kStandard) {
-    os << "  \"jobs\": " << report.instance.extension->size()
-       << ",\n  \"capacity\": " << report.instance.extension->capacity()
+    const bool weighted =
+        report.instance.kind == core::InstanceKind::kWeighted;
+    os << "  \"jobs\": "
+       << (weighted ? report.instance.weighted.size()
+                    : report.instance.multi_window.size())
+       << ",\n  \"capacity\": "
+       << (weighted ? report.instance.weighted.capacity()
+                    : report.instance.multi_window.capacity())
        << ",\n  \"description\": ";
-    // Parity with the text report header: the extension's one-line model
-    // summary, since kind alone does not identify the concrete shape.
-    write_json_string(os, report.instance.extension->describe());
+    // Parity with the text report header: the one-line model summary,
+    // since kind alone does not identify the concrete shape.
+    write_json_string(os, describe_extended(report.instance));
   } else if (busy) {
     os << "  \"jobs\": " << report.instance.continuous.size()
        << ",\n  \"capacity\": " << report.instance.continuous.capacity()
@@ -768,7 +803,7 @@ void print_sweep(std::ostream& os, const SweepReport& report) {
   if (!report.cells.empty()) {
     const RunReport& first = report.cells.front();
     if (first.instance.kind != core::InstanceKind::kStandard) {
-      os << "per trial: " << first.instance.extension->describe() << "\n";
+      os << "per trial: " << describe_extended(first.instance) << "\n";
     }
   }
   os << "\n";

@@ -11,13 +11,13 @@ namespace abt::gen {
 using core::Rng;
 using core::SlotTime;
 
-busy::WeightedInstance random_weighted(Rng& rng,
+core::WeightedInstance random_weighted(Rng& rng,
                                        const WeightedParams& params) {
   ABT_ASSERT(params.capacity >= 1, "capacity must be positive");
   const int width_cap = params.max_width > 0
                             ? std::min(params.max_width, params.capacity)
                             : params.capacity;
-  std::vector<busy::WeightedJob> jobs;
+  std::vector<core::WeightedJob> jobs;
   jobs.reserve(static_cast<std::size_t>(params.num_jobs));
   for (int i = 0; i < params.num_jobs; ++i) {
     const double length =
@@ -31,10 +31,10 @@ busy::WeightedInstance random_weighted(Rng& rng,
     jobs.push_back({{release, release + window, length},
                     static_cast<int>(rng.uniform_int(1, width_cap))});
   }
-  return busy::WeightedInstance(std::move(jobs), params.capacity);
+  return core::WeightedInstance(std::move(jobs), params.capacity);
 }
 
-active::MultiWindowInstance random_multi_window(
+core::MultiWindowInstance random_multi_window(
     Rng& rng, const MultiWindowParams& params) {
   ABT_ASSERT(params.capacity >= 1, "capacity must be positive");
   ABT_ASSERT(params.max_windows >= 1, "need at least one window per job");
@@ -55,7 +55,7 @@ active::MultiWindowInstance random_multi_window(
   // job's windows around the assigned runs. Feasibility is by construction.
   std::vector<int> load(static_cast<std::size_t>(horizon) + 1, 0);
 
-  std::vector<active::MultiWindowJob> jobs;
+  std::vector<core::MultiWindowJob> jobs;
   for (int i = 0; i < params.num_jobs; ++i) {
     const SlotTime length = lengths[static_cast<std::size_t>(i)];
     std::vector<SlotTime> assigned;
@@ -114,7 +114,7 @@ active::MultiWindowInstance random_multi_window(
 
     // Windows: one per maximal run of assigned slots, padded by random
     // slack and merged when the padding makes them collide.
-    active::MultiWindowJob job;
+    core::MultiWindowJob job;
     job.length = length;
     std::size_t k = 0;
     while (k < assigned.size()) {
@@ -137,7 +137,7 @@ active::MultiWindowInstance random_multi_window(
     }
     jobs.push_back(std::move(job));
   }
-  active::MultiWindowInstance inst(std::move(jobs), params.capacity);
+  core::MultiWindowInstance inst(std::move(jobs), params.capacity);
   ABT_ASSERT(inst.structurally_valid(), "generator produced invalid windows");
   return inst;
 }

@@ -1,13 +1,12 @@
 #pragma once
 
 // Random generators for the extended instance kinds (width-weighted busy
-// time, multi-window active time). They live in gen/ next to the standard
-// families but sit above busy/ and active/ because they produce those
-// layers' instance types directly.
+// time, multi-window active time), next to the standard families. Like
+// them they produce core instance types and depend on core alone.
 
-#include "active/multi_window.hpp"
-#include "busy/weighted.hpp"
+#include "core/multi_window_instance.hpp"
 #include "core/rng.hpp"
+#include "core/weighted_instance.hpp"
 
 namespace abt::gen {
 
@@ -25,7 +24,7 @@ struct WeightedParams {
 };
 
 /// Random weighted instance; always structurally valid (widths in [1, g]).
-[[nodiscard]] busy::WeightedInstance random_weighted(
+[[nodiscard]] core::WeightedInstance random_weighted(
     core::Rng& rng, const WeightedParams& params);
 
 /// Parameters for random multi-window active-time instances.
@@ -46,7 +45,7 @@ struct MultiWindowParams {
 /// Random multi-window instance, feasible by construction: a concrete
 /// capacity-respecting assignment is sampled first and each job's windows
 /// are grown around its assigned slots, so the flow check always succeeds.
-[[nodiscard]] active::MultiWindowInstance random_multi_window(
+[[nodiscard]] core::MultiWindowInstance random_multi_window(
     core::Rng& rng, const MultiWindowParams& params);
 
 }  // namespace abt::gen

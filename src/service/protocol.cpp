@@ -234,18 +234,13 @@ bool parse_solve_payload(std::string_view payload, SolveRequest* out,
   const int instance_line_base = lines.line_no();
   auto inst = core::parse_instance(lines.rest(), error, instance_line_base);
   if (!inst.has_value()) return false;
-  std::string why;
-  if (!core::write_instance(out->canonical, *inst, &why)) {
-    return fail_line(error, instance_line_base + 1,
-                     "instance not serializable: " + why);
-  }
+  core::write_instance(out->canonical, *inst);
   out->instance = std::move(*inst);
   return true;
 }
 
 bool write_solve_payload(std::string& out, const SolveRequest& request,
-                         std::string* error) {
-  const std::size_t start = out.size();
+                         std::string* /*error*/) {
   if (!request.id.empty()) core::append(out, "id ", request.id, '\n');
   if (!request.solvers.empty()) {
     out += "solvers";
@@ -265,18 +260,14 @@ bool write_solve_payload(std::string& out, const SolveRequest& request,
   }
   core::append(out, "format ", engine::format_name(request.format),
                "\ninstance\n");
-  std::string why;
-  if (!core::write_instance(out, request.instance, &why)) {
-    out.resize(start);
-    return fail(error, "instance not serializable: " + why);
-  }
+  core::write_instance(out, request.instance);
   return true;
 }
 
 bool write_solve_payload(std::ostream& os, const SolveRequest& request,
                          std::string* error) {
   std::string text;
-  if (!write_solve_payload(text, request, error)) return false;
+  write_solve_payload(text, request, error);
   os.write(text.data(), static_cast<std::streamsize>(text.size()));
   return true;
 }

@@ -123,16 +123,15 @@ struct SolveRequest {
 [[nodiscard]] bool parse_solve_payload(std::string_view payload,
                                        SolveRequest* out, std::string* error);
 
-/// Appends `request` in the payload format to `out` (client side). False
-/// (with `error`, `out` unchanged) when the instance cannot be
-/// serialized.
-[[nodiscard]] bool write_solve_payload(std::string& out,
-                                       const SolveRequest& request,
-                                       std::string* error);
+/// Appends `request` in the payload format to `out` (client side). Every
+/// instance model serializes, so this always returns true and never
+/// writes `error`; both stay so existing `if (!write_solve_payload(...))`
+/// callers keep compiling.
+bool write_solve_payload(std::string& out, const SolveRequest& request,
+                         std::string* error);
 /// Stream form: builds the payload, then writes it whole.
-[[nodiscard]] bool write_solve_payload(std::ostream& os,
-                                       const SolveRequest& request,
-                                       std::string* error);
+bool write_solve_payload(std::ostream& os, const SolveRequest& request,
+                         std::string* error);
 
 /// Canonical cache key of a parsed request: verb, format, solver subset,
 /// budget and acceptance parameters, then the canonical instance text.

@@ -1,5 +1,5 @@
-// The instance-kind adapter layer: weighted busy time and multi-window
-// active time as first-class registry citizens — kind gating, adapter
+// The extended instance kinds: weighted busy time and multi-window active
+// time as first-class registry citizens — kind gating, their own
 // checkers, guarantee factors against their own exact oracles, and the
 // feasible-by-construction extended generators.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "active/multi_window.hpp"
 #include "busy/weighted.hpp"
 #include "core/rng.hpp"
-#include "engine/adapters.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/runner.hpp"
 #include "gen/extended_instances.hpp"
@@ -32,7 +31,14 @@ ProblemInstance weighted_instance(std::uint64_t seed, int n, int g,
   params.capacity = g;
   params.horizon = 12.0;
   params.max_slack = slack;
-  return engine::make_weighted_instance(gen::random_weighted(rng, params));
+  return core::make_instance(gen::random_weighted(rng, params));
+}
+
+/// The runner's model lower bound, as a solver-free run derives it.
+double model_bound(const ProblemInstance& inst) {
+  const engine::LowerBound lb = engine::derive_lower_bound(inst, {}, {});
+  EXPECT_EQ(lb.kind, "model");
+  return lb.value;
 }
 
 ProblemInstance multi_window_instance(std::uint64_t seed, int n, int g) {
@@ -43,25 +49,21 @@ ProblemInstance multi_window_instance(std::uint64_t seed, int n, int g) {
   // Keep candidate-slot counts small enough for the exact oracle's gate.
   params.max_length = 2;
   params.window_slack = 1;
-  return engine::make_multi_window_instance(
-      gen::random_multi_window(rng, params));
+  return core::make_instance(gen::random_multi_window(rng, params));
 }
 
 TEST(Adapters, ExtendedInstancesCarryKindAndExtension) {
   const ProblemInstance w = weighted_instance(3, 6, 4);
   EXPECT_EQ(w.family, Family::kBusy);
   EXPECT_EQ(w.kind, InstanceKind::kWeighted);
-  ASSERT_NE(w.extension, nullptr);
-  EXPECT_EQ(w.extension->size(), 6);
-  EXPECT_EQ(w.extension->capacity(), 4);
-  EXPECT_GT(w.extension->lower_bound(), 0.0);
-  EXPECT_EQ(engine::weighted_of(w).size(), 6);
+  EXPECT_EQ(w.weighted.size(), 6);
+  EXPECT_EQ(w.weighted.capacity(), 4);
+  EXPECT_GT(model_bound(w), 0.0);
 
   const ProblemInstance m = multi_window_instance(3, 5, 2);
   EXPECT_EQ(m.family, Family::kActive);
   EXPECT_EQ(m.kind, InstanceKind::kMultiWindow);
-  ASSERT_NE(m.extension, nullptr);
-  EXPECT_EQ(engine::multi_window_of(m).size(), 5);
+  EXPECT_EQ(m.multi_window.size(), 5);
 
   EXPECT_EQ(core::instance_kind_name(InstanceKind::kStandard), "standard");
   EXPECT_EQ(core::instance_kind_name(InstanceKind::kWeighted), "weighted");
@@ -79,7 +81,7 @@ TEST(Adapters, RegistryListsTheExtendedSolvers) {
     ASSERT_NE(solver, nullptr) << name;
     EXPECT_NE(solver->kind, InstanceKind::kStandard) << name;
     EXPECT_TRUE(static_cast<bool>(solver->check))
-        << name << " must register an adapter checker";
+        << name << " must register its own checker";
   }
 }
 
@@ -106,7 +108,7 @@ TEST(Adapters, KindGateKeepsStandardAndExtendedSolversApart) {
 
 TEST(Adapters, AdapterCheckerRejectsOverloadedSchedules) {
   // A deliberately broken solver that piles every job onto machine 0 at
-  // its release: the registry's adapter checker must veto it whenever the
+  // its release: the registration's own checker must veto it whenever the
   // cumulative width exceeds g.
   core::SolverRegistry registry;
   core::Solver bogus;
@@ -117,13 +119,11 @@ TEST(Adapters, AdapterCheckerRejectsOverloadedSchedules) {
   bogus.check = [](const ProblemInstance& inst, const Solution& sol,
                    std::string* why) {
     return sol.busy.has_value() &&
-           busy::check_weighted_schedule(engine::weighted_of(inst), *sol.busy,
-                                         why);
+           busy::check_weighted_schedule(inst.weighted, *sol.busy, why);
   };
   bogus.run = [](const ProblemInstance& inst, const core::RunContext&) {
-    const busy::WeightedInstance& w = engine::weighted_of(inst);
     core::BusySchedule sched;
-    for (const busy::WeightedJob& wj : w.jobs()) {
+    for (const core::WeightedJob& wj : inst.weighted.jobs()) {
       sched.placements.push_back({0, wj.job.release});
     }
     Solution sol;
@@ -136,10 +136,10 @@ TEST(Adapters, AdapterCheckerRejectsOverloadedSchedules) {
 
   // Three width-2 jobs overlapping at time 1 with g = 3: one machine
   // cannot hold them.
-  const busy::WeightedInstance overloaded(
+  const core::WeightedInstance overloaded(
       {{{0.0, 2.0, 2.0}, 2}, {{0.5, 2.5, 2.0}, 2}, {{0.8, 2.8, 2.0}, 2}}, 3);
-  const Solution sol = registry.run(
-      "busy/weighted-bogus", engine::make_weighted_instance(overloaded));
+  const Solution sol =
+      registry.run("busy/weighted-bogus", core::make_instance(overloaded));
   EXPECT_TRUE(sol.ok);
   EXPECT_FALSE(sol.feasible);
   EXPECT_FALSE(sol.message.empty());
@@ -160,7 +160,7 @@ TEST_P(AdapterGuarantees, WeightedSolversRespectFactorsAgainstExact) {
     ASSERT_TRUE(exact.ok && exact.feasible) << exact.message;
     ASSERT_TRUE(exact.exact);
     const double opt = exact.cost;
-    EXPECT_GE(opt, inst.extension->lower_bound() - kEps);
+    EXPECT_GE(opt, model_bound(inst) - kEps);
 
     for (const Solution& sol :
          engine::run_instance(registry, inst).solutions) {
@@ -183,11 +183,11 @@ TEST_P(AdapterGuarantees, WeightedFlexiblePipelineStaysFeasible) {
   const ProblemInstance inst = weighted_instance(
       static_cast<std::uint64_t>(GetParam()) * 131ULL + 7, 8, 4, 1.5);
   ASSERT_EQ(inst.kind, InstanceKind::kWeighted);
-  ASSERT_FALSE(engine::weighted_of(inst).all_interval_jobs(1e-6));
+  ASSERT_FALSE(inst.weighted.all_interval_jobs(1e-6));
   const Solution sol = registry.run("busy/weighted-flexible", inst);
   ASSERT_TRUE(sol.ok) << sol.message;
   EXPECT_TRUE(sol.feasible) << sol.message;
-  EXPECT_GE(sol.cost, engine::weighted_of(inst).mass_lower_bound() - kEps);
+  EXPECT_GE(sol.cost, inst.weighted.mass_lower_bound() - kEps);
 }
 
 TEST_P(AdapterGuarantees, MultiWindowGeneratorIsFeasibleAndExactMatches) {
@@ -198,7 +198,7 @@ TEST_P(AdapterGuarantees, MultiWindowGeneratorIsFeasibleAndExactMatches) {
     const int g = static_cast<int>(rng.uniform_int(1, 3));
     const ProblemInstance inst =
         multi_window_instance(rng.uniform_int(1, 1 << 20), n, g);
-    const active::MultiWindowInstance& mw = engine::multi_window_of(inst);
+    const core::MultiWindowInstance& mw = inst.multi_window;
     ASSERT_TRUE(mw.structurally_valid());
 
     // Feasible by construction: the minimal-feasible heuristic must find a
@@ -214,7 +214,7 @@ TEST_P(AdapterGuarantees, MultiWindowGeneratorIsFeasibleAndExactMatches) {
     EXPECT_TRUE(exact.exact);
     EXPECT_LE(exact.cost, minimal.cost + kEps);
     EXPECT_EQ(static_cast<long>(exact.cost), active::mw_brute_force_opt(mw));
-    EXPECT_GE(exact.cost, inst.extension->lower_bound() - kEps);
+    EXPECT_GE(exact.cost, model_bound(inst) - kEps);
   }
 }
 
@@ -243,8 +243,8 @@ TEST(Adapters, GeneratorsAreSeedDeterministic) {
         weighted_instance(static_cast<std::uint64_t>(seed), 8, 4);
     const ProblemInstance b =
         weighted_instance(static_cast<std::uint64_t>(seed), 8, 4);
-    const busy::WeightedInstance& wa = engine::weighted_of(a);
-    const busy::WeightedInstance& wb = engine::weighted_of(b);
+    const core::WeightedInstance& wa = a.weighted;
+    const core::WeightedInstance& wb = b.weighted;
     ASSERT_EQ(wa.size(), wb.size());
     for (int j = 0; j < wa.size(); ++j) {
       EXPECT_EQ(wa.job(j).job.release, wb.job(j).job.release);

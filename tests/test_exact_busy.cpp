@@ -11,8 +11,8 @@
 #include "core/busy_schedule.hpp"
 #include "core/rng.hpp"
 #include "core/run_context.hpp"
-#include "engine/adapters.hpp"
 #include "engine/builtin_solvers.hpp"
+#include "engine/runner.hpp"
 #include "exact_busy_oracle.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
@@ -123,7 +123,7 @@ TEST(ExactBusy, StandardAndWidthOneWeightedRegistrationsAgree) {
         registry.run("busy/exact", core::make_instance(inst));
     const core::Solution weighted = registry.run(
         "busy/weighted-exact",
-        engine::make_weighted_instance(
+        core::make_instance(
             WeightedInstance(std::move(jobs), inst.capacity())));
     ASSERT_TRUE(standard.ok && standard.feasible) << standard.message;
     ASSERT_TRUE(weighted.ok && weighted.feasible) << weighted.message;
@@ -134,26 +134,50 @@ TEST(ExactBusy, StandardAndWidthOneWeightedRegistrationsAgree) {
   }
 }
 
-/// The free-run gate is the registry's constant: n = 18 is applicable,
-/// n = 19 only with a budget, under which the search runs anytime.
+/// The free-run gates are the registry's g-dependent bounds: at each
+/// capacity n = gate is applicable, n = gate + 1 only with a budget, under
+/// which the search runs anytime.
 TEST(ExactBusy, FreeRunGateIsTheRegistrysConstant) {
   const core::SolverRegistry& registry = engine::shared_registry();
-  const auto selects_exact = [&](int n, const core::RunContext& ctx) {
-    core::Rng rng(3);
-    gen::ContinuousParams params;
-    params.num_jobs = n;
-    params.capacity = 3;
-    const core::ProblemInstance inst =
-        core::make_instance(gen::random_continuous(rng, params));
-    for (const core::Solver* s : registry.selection(inst, {}, ctx)) {
-      if (s->name == "busy/exact") return true;
+  const auto selects = [&](const std::string& scenario, int n, int g,
+                           const core::RunContext& ctx) {
+    engine::ScenarioSpec spec;
+    spec.name = scenario;
+    spec.n = n;
+    spec.g = g;
+    spec.seed = 3;
+    const auto inst = engine::make_scenario(spec);
+    const std::string exact =
+        scenario == "weighted" ? "busy/weighted-exact" : "busy/exact";
+    for (const core::Solver* s : registry.selection(*inst, {}, ctx)) {
+      if (s->name == exact) return true;
     }
     return false;
   };
-  const int gate = engine::kExactFreeRunMaxJobs;
-  EXPECT_TRUE(selects_exact(gate, core::RunContext()));
-  EXPECT_FALSE(selects_exact(gate + 1, core::RunContext()));
-  EXPECT_TRUE(selects_exact(gate + 1, core::RunContext::with_budget_ms(20)));
+  const core::RunContext budget = core::RunContext::with_budget_ms(20);
+  for (const int g : {1, 2, 3}) {
+    const int gate = engine::exact_free_run_max_jobs(g);
+    EXPECT_TRUE(selects("interval", gate, g, {})) << "g = " << g;
+    EXPECT_FALSE(selects("interval", gate + 1, g, {})) << "g = " << g;
+    EXPECT_TRUE(selects("interval", gate + 1, g, budget)) << "g = " << g;
+
+    const int weighted_gate = engine::weighted_exact_free_run_max_jobs(g);
+    EXPECT_TRUE(selects("weighted", weighted_gate, g, {})) << "g = " << g;
+    EXPECT_FALSE(selects("weighted", weighted_gate + 1, g, {}))
+        << "g = " << g;
+    EXPECT_TRUE(selects("weighted", weighted_gate + 1, g, budget))
+        << "g = " << g;
+  }
+  // Small g is the hard end of the search: there the gates sit lower.
+  EXPECT_LT(engine::exact_free_run_max_jobs(1),
+            engine::exact_free_run_max_jobs(2));
+  EXPECT_LT(engine::exact_free_run_max_jobs(2),
+            engine::exact_free_run_max_jobs(3));
+  EXPECT_LT(engine::weighted_exact_free_run_max_jobs(1),
+            engine::weighted_exact_free_run_max_jobs(2));
+  // The unbudgeted `abt_solve --gen interval --n 18 --g 1` of the gate's
+  // history no longer reaches the search.
+  EXPECT_FALSE(selects("interval", 18, 1, {}));
 
   core::Rng rng(3);
   gen::ContinuousParams params;

@@ -19,7 +19,6 @@
 #include "core/rng.hpp"
 #include "core/run_context.hpp"
 #include "core/sweep.hpp"
-#include "engine/adapters.hpp"
 #include "gen/random_instances.hpp"
 #include "lp/simplex.hpp"
 
@@ -168,7 +167,6 @@ std::vector<core::ProblemInstance> corpus_continuous_instances() {
       "fig3_minimal_tight.txt",
   };
   std::vector<core::ProblemInstance> out;
-  engine::register_instance_codecs();  // extended kinds live in the corpus
   for (const std::string& name : files) {
     std::ifstream in(std::string(ABT_DATA_DIR) + "/" + name);
     if (!in.is_open()) continue;  // not every kind lives in the corpus

@@ -1,7 +1,6 @@
 // Instance I/O v2: write_instance ∘ parse_instance must be the identity
-// for ALL FOUR instance kinds (the extended kinds used to be silently
-// truncated to their standard-model view), and malformed input must fail
-// with line-numbered errors instead of producing a partial instance.
+// for ALL FOUR instance kinds, and malformed input must fail with
+// line-numbered errors instead of producing a partial instance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 
 #include "core/io.hpp"
 #include "core/rng.hpp"
-#include "engine/adapters.hpp"
 #include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
 #include "service/protocol.hpp"
@@ -26,8 +24,7 @@ using core::ProblemInstance;
 
 ProblemInstance round_trip(const ProblemInstance& inst) {
   std::ostringstream out;
-  std::string why;
-  EXPECT_TRUE(core::write_instance(out, inst, &why)) << why;
+  core::write_instance(out, inst);
   std::istringstream in(out.str());
   std::string error;
   const auto parsed = core::parse_instance(in, &error);
@@ -79,10 +76,10 @@ TEST(InstanceIoV2, RoundTripsRandomWeightedInstances) {
     params.max_slack = trial % 2 == 0 ? 0.0 : 1.1;
     const auto original = gen::random_weighted(rng, params);
     const ProblemInstance back =
-        round_trip(engine::make_weighted_instance(original));
+        round_trip(core::make_instance(original));
     ASSERT_EQ(back.family, core::Family::kBusy);
     ASSERT_EQ(back.kind, core::InstanceKind::kWeighted);
-    const busy::WeightedInstance& parsed = engine::weighted_of(back);
+    const core::WeightedInstance& parsed = back.weighted;
     EXPECT_EQ(parsed.capacity(), original.capacity());
     EXPECT_EQ(parsed.jobs(), original.jobs())
         << "weights and precision-17 doubles must survive the round trip";
@@ -97,10 +94,10 @@ TEST(InstanceIoV2, RoundTripsRandomMultiWindowInstances) {
     params.capacity = static_cast<int>(rng.uniform_int(1, 4));
     const auto original = gen::random_multi_window(rng, params);
     const ProblemInstance back =
-        round_trip(engine::make_multi_window_instance(original));
+        round_trip(core::make_instance(original));
     ASSERT_EQ(back.family, core::Family::kActive);
     ASSERT_EQ(back.kind, core::InstanceKind::kMultiWindow);
-    const active::MultiWindowInstance& parsed = engine::multi_window_of(back);
+    const core::MultiWindowInstance& parsed = back.multi_window;
     EXPECT_EQ(parsed.capacity(), original.capacity());
     EXPECT_EQ(parsed.jobs(), original.jobs())
         << "window unions must survive the round trip";
@@ -119,7 +116,7 @@ TEST(InstanceIoV2, WeightDefaultsToOne) {
       "weight 2\n");
   const auto parsed = core::parse_instance(in);
   ASSERT_TRUE(parsed.has_value());
-  const busy::WeightedInstance& inst = engine::weighted_of(*parsed);
+  const core::WeightedInstance& inst = parsed->weighted;
   EXPECT_EQ(inst.job(0).width, 1);
   EXPECT_EQ(inst.job(1).width, 2);
 }
@@ -135,7 +132,7 @@ TEST(InstanceIoV2, ParsesMultiWindowUnions) {
       "window 1 2\n");
   const auto parsed = core::parse_instance(in);
   ASSERT_TRUE(parsed.has_value());
-  const active::MultiWindowInstance& inst = engine::multi_window_of(*parsed);
+  const core::MultiWindowInstance& inst = parsed->multi_window;
   ASSERT_EQ(inst.size(), 2);
   EXPECT_EQ(inst.job(0).windows.size(), 2u);
   EXPECT_EQ(inst.job(0).window_slots(), 5);
@@ -196,40 +193,13 @@ INSTANTIATE_TEST_SUITE_P(
                       "line 4", "duplicate capacity"},
         MalformedCase{"model teleport\n", "line 1", "unknown model"}));
 
-// The unknown-model diagnostic names the registered extended models, so a
-// binary missing the codecs is distinguishable from a typo.
+// The unknown-model diagnostic names every model the format knows.
 TEST(InstanceIoV2, UnknownModelListsRegisteredModels) {
   std::istringstream in("model teleport\n");
   std::string error;
   EXPECT_FALSE(core::parse_instance(in, &error).has_value());
   EXPECT_NE(error.find("weighted"), std::string::npos) << error;
   EXPECT_NE(error.find("multi-window"), std::string::npos) << error;
-}
-
-// ---------------------------------------------------------------------------
-// Fail-loudly contract: an extension without serialization hooks must make
-// write_instance return false, never a lossy standard-model emit.
-
-class OpaqueExtension final : public core::InstanceExtension {
- public:
-  [[nodiscard]] core::InstanceKind kind() const override {
-    return core::InstanceKind::kWeighted;
-  }
-  [[nodiscard]] int size() const override { return 0; }
-  [[nodiscard]] int capacity() const override { return 1; }
-  [[nodiscard]] double lower_bound() const override { return 0.0; }
-  [[nodiscard]] std::string describe() const override { return "opaque"; }
-  // No model_name / write_body overrides: not serializable.
-};
-
-TEST(InstanceIoV2, UnserializableExtensionFailsLoudly) {
-  const ProblemInstance inst = core::make_instance(
-      core::Family::kBusy, std::make_shared<const OpaqueExtension>());
-  std::ostringstream out;
-  std::string why;
-  EXPECT_FALSE(core::write_instance(out, inst, &why));
-  EXPECT_TRUE(out.str().empty()) << "must not emit a partial instance";
-  EXPECT_NE(why.find("no serialization support"), std::string::npos) << why;
 }
 
 // ---------------------------------------------------------------------------
@@ -382,18 +352,18 @@ std::string reference_text(const ProblemInstance& inst) {
       }
       break;
     case core::InstanceKind::kWeighted: {
-      const busy::WeightedInstance& w = engine::weighted_of(inst);
+      const core::WeightedInstance& w = inst.weighted;
       os << "model weighted\ncapacity " << w.capacity() << "\n";
-      for (const busy::WeightedJob& wj : w.jobs()) {
+      for (const core::WeightedJob& wj : w.jobs()) {
         os << "job " << wj.job.release << ' ' << wj.job.deadline << ' '
            << wj.job.length << "\nweight " << wj.width << "\n";
       }
       break;
     }
     case core::InstanceKind::kMultiWindow: {
-      const active::MultiWindowInstance& m = engine::multi_window_of(inst);
+      const core::MultiWindowInstance& m = inst.multi_window;
       os << "model multi-window\ncapacity " << m.capacity() << "\n";
-      for (const active::MultiWindowJob& job : m.jobs()) {
+      for (const core::MultiWindowJob& job : m.jobs()) {
         os << "job " << job.length << "\n";
         for (const auto& [r, d] : job.windows) {
           os << "window " << r << ' ' << d << "\n";
@@ -423,13 +393,11 @@ std::vector<ProblemInstance> generated_instances() {
     wp.num_jobs = static_cast<int>(rng.uniform_int(1, 30));
     wp.capacity = static_cast<int>(rng.uniform_int(1, 6));
     wp.max_slack = trial % 2 == 0 ? 0.0 : 0.9;
-    out.push_back(
-        engine::make_weighted_instance(gen::random_weighted(rng, wp)));
+    out.push_back(core::make_instance(gen::random_weighted(rng, wp)));
     gen::MultiWindowParams mp;
     mp.num_jobs = static_cast<int>(rng.uniform_int(1, 14));
     mp.capacity = static_cast<int>(rng.uniform_int(1, 4));
-    out.push_back(
-        engine::make_multi_window_instance(gen::random_multi_window(rng, mp)));
+    out.push_back(core::make_instance(gen::random_multi_window(rng, mp)));
   }
   const double denorm = std::numeric_limits<double>::denorm_min();
   out.push_back(core::make_instance(core::ContinuousInstance(
@@ -443,8 +411,7 @@ std::vector<ProblemInstance> generated_instances() {
 TEST(InstanceIoV2, WriterMatchesTheIostreamBytesAndIsAFixedPoint) {
   for (const ProblemInstance& inst : generated_instances()) {
     std::string first;
-    std::string why;
-    ASSERT_TRUE(core::write_instance(first, inst, &why)) << why;
+    core::write_instance(first, inst);
     EXPECT_EQ(first, reference_text(inst));
     std::string error;
     const auto back = core::parse_instance(first, &error);
@@ -455,7 +422,7 @@ TEST(InstanceIoV2, WriterMatchesTheIostreamBytesAndIsAFixedPoint) {
     }
     ASSERT_TRUE(back.has_value()) << error << "\n" << first;
     std::string second;
-    ASSERT_TRUE(core::write_instance(second, *back, &why)) << why;
+    core::write_instance(second, *back);
     EXPECT_EQ(second, first) << "second write must be byte-identical";
   }
 }
@@ -621,12 +588,11 @@ TEST(InstanceIoV2, MutatedCorpusFailsWithALineOrReachesAFixedPoint) {
     }
     ++accepted;
     std::string first;
-    std::string why;
-    ASSERT_TRUE(core::write_instance(first, *parsed, &why)) << why;
+    core::write_instance(first, *parsed);
     const auto again = core::parse_instance(first, &error);
     ASSERT_TRUE(again.has_value()) << error << "\n" << first;
     std::string second;
-    ASSERT_TRUE(core::write_instance(second, *again, &why)) << why;
+    core::write_instance(second, *again);
     ASSERT_EQ(first, second) << "input:\n" << text;
   }
   // Both outcomes must be exercised, or the mutator is broken.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
@@ -78,7 +79,7 @@ TEST(InstanceIo, SlottedRoundTrip) {
   params.num_jobs = 12;
   const auto original = gen::random_slotted(rng, params);
   std::ostringstream out;
-  ASSERT_TRUE(write_instance(out, make_instance(original)));
+  write_instance(out, make_instance(original));
   std::istringstream in(out.str());
   const auto parsed = parse_instance(in);
   ASSERT_TRUE(parsed.has_value());
@@ -96,7 +97,7 @@ TEST(InstanceIo, ContinuousRoundTripPreservesDoubles) {
   params.max_slack = 1.3;
   const auto original = gen::random_continuous(rng, params);
   std::ostringstream out;
-  ASSERT_TRUE(write_instance(out, make_instance(original)));
+  write_instance(out, make_instance(original));
   std::istringstream in(out.str());
   const auto parsed = parse_instance(in);
   ASSERT_TRUE(parsed.has_value());
@@ -104,6 +105,52 @@ TEST(InstanceIo, ContinuousRoundTripPreservesDoubles) {
     EXPECT_EQ(parsed->continuous.job(j), original.job(j))
         << "precision-17 round trip must be exact";
   }
+}
+
+// This binary references nothing above core/io and gen/: all four models
+// parse and re-emit through the library alone, with no setup call.
+TEST(InstanceIo, ExtendedModelsRoundTripWithNoSetup) {
+  const std::string weighted =
+      "model weighted\n"
+      "capacity 4\n"
+      "job 0 2.5 2.5\n"
+      "weight 3\n"
+      "job 1 4.25 3.25\n"
+      "weight 1\n";
+  std::string error;
+  const auto w = parse_instance(weighted, &error);
+  ASSERT_TRUE(w.has_value()) << error;
+  EXPECT_EQ(w->family, Family::kBusy);
+  EXPECT_EQ(w->kind, InstanceKind::kWeighted);
+  EXPECT_EQ(w->weighted.size(), 2);
+  EXPECT_EQ(w->weighted.job(0).width, 3);
+  std::string out;
+  write_instance(out, *w);
+  EXPECT_EQ(out, weighted);
+
+  const std::string multi_window =
+      "model multi-window\n"
+      "capacity 2\n"
+      "job 3\n"
+      "window 0 4\n"
+      "window 6 9\n"
+      "job 1\n"
+      "window 2 3\n";
+  const auto m = parse_instance(multi_window, &error);
+  ASSERT_TRUE(m.has_value()) << error;
+  EXPECT_EQ(m->family, Family::kActive);
+  EXPECT_EQ(m->kind, InstanceKind::kMultiWindow);
+  EXPECT_EQ(m->multi_window.size(), 2);
+  EXPECT_EQ(m->multi_window.horizon(), 9);
+  out.clear();
+  write_instance(out, *m);
+  EXPECT_EQ(out, multi_window);
+
+  EXPECT_FALSE(parse_instance(std::string_view("model teleport\n"), &error)
+                   .has_value());
+  EXPECT_EQ(error,
+            "line 1: unknown model 'teleport' (known: slotted, continuous, "
+            "weighted, multi-window)");
 }
 
 }  // namespace

@@ -30,7 +30,6 @@ namespace {
 using core::ProblemInstance;
 using core::RunContext;
 using core::Solution;
-using engine::RaceEntry;
 using engine::RaceOptions;
 using engine::RaceReport;
 
@@ -71,7 +70,7 @@ TEST(Portfolio, WinnerIsCheckerVerifiedAndMatchesStandaloneRun) {
   for (const KindCase& kind : kind_cases()) {
     const ProblemInstance inst =
         scenario_instance(kind.scenario, kind.n, kind.g);
-    const std::vector<RaceEntry> entries =
+    const std::vector<std::string> entries =
         engine::auto_entries(registry, inst);
     ASSERT_FALSE(entries.empty()) << kind.scenario;
     // 0 is the CLI's default (resolved to hardware concurrency), not a
@@ -114,7 +113,7 @@ TEST(Portfolio, AllExactRaceFingerprintIsThreadAndRepetitionInvariant) {
   for (const KindCase& kind : kind_cases()) {
     const ProblemInstance inst =
         scenario_instance(kind.scenario, kind.n, kind.g);
-    const std::vector<RaceEntry> entries(3, RaceEntry{kind.exact_solver, 0.0});
+    const std::vector<std::string> entries(3, kind.exact_solver);
     std::set<std::tuple<double, bool, bool, double>> fingerprints;
     for (const int threads : {0, 1, 2, 8}) {
       const int reps = threads == 8 ? 3 : 1;
@@ -142,8 +141,8 @@ TEST(Portfolio, SingleThreadRaceIsFirstAcceptableInEntryOrder) {
   // drained as cancelled without running.
   const core::SolverRegistry& registry = engine::shared_registry();
   const ProblemInstance inst = scenario_instance("weighted", 10, 3);
-  const std::vector<RaceEntry> entries = {{"busy/weighted-narrow-wide", 0.0},
-                                          {"busy/weighted-first-fit", 0.0}};
+  const std::vector<std::string> entries = {"busy/weighted-narrow-wide",
+                                            "busy/weighted-first-fit"};
   RaceOptions options;
   options.threads = 1;
   for (int rep = 0; rep < 3; ++rep) {
@@ -169,8 +168,8 @@ TEST(Portfolio, DefaultThreadsRaceRunsContestantsConcurrently) {
   }
   const core::SolverRegistry& registry = engine::shared_registry();
   const ProblemInstance inst = scenario_instance("weighted", 12, 3);
-  const std::vector<RaceEntry> entries = {{"busy/weighted-exact", 0.0},
-                                          {"busy/weighted-first-fit", 0.0}};
+  const std::vector<std::string> entries = {"busy/weighted-exact",
+                                            "busy/weighted-first-fit"};
   bool greedy_ran = false;
   for (int rep = 0; rep < 5 && !greedy_ran; ++rep) {
     const RaceReport report =
@@ -188,25 +187,26 @@ TEST(Portfolio, DefaultThreadsRaceRunsContestantsConcurrently) {
 }
 
 TEST(Portfolio, OwnBudgetExpiryIsNotCountedAsCancelled) {
-  // Contestants that exhaust their own per-entry budget cap were not
-  // interrupted by the race: with an unattainable acceptance gap nobody
-  // wins, the race source never trips, and `cancelled` must stay 0 even
-  // though every row is timed out.
+  // Contestants that exhaust the caller's budget were not interrupted by
+  // the race: with an unattainable acceptance gap nobody wins, the race
+  // source never trips, and `cancelled` must stay 0 even though every row
+  // is timed out.
   const core::SolverRegistry& registry = engine::shared_registry();
   const ProblemInstance inst = scenario_instance("weighted", 22, 3);
-  const std::vector<RaceEntry> entries = {{"busy/weighted-exact", 10.0},
-                                          {"busy/weighted-exact", 10.0}};
+  const std::vector<std::string> entries = {"busy/weighted-exact",
+                                            "busy/weighted-exact"};
   RaceOptions options;
   options.accept_gap = 1e-9;
-  const RaceReport report =
-      engine::race(registry, inst, entries, RunContext(), options);
+  const RaceReport report = engine::race(
+      registry, inst, entries, RunContext::with_budget_ms(10).restarted(),
+      options);
   EXPECT_EQ(report.winner, -1);
   for (const Solution& sol : report.rows) {
     ASSERT_TRUE(sol.ok) << sol.solver << ": " << sol.message;
     EXPECT_TRUE(sol.timed_out) << sol.solver;
   }
   EXPECT_EQ(report.cancelled, 0)
-      << "per-entry budget expiry misreported as race cancellation";
+      << "budget expiry misreported as race cancellation";
 }
 
 TEST(Portfolio, CallerAbortedRaceDeclaresNoWinner) {
@@ -225,7 +225,7 @@ TEST(Portfolio, CallerAbortedRaceDeclaresNoWinner) {
   RaceOptions options;
   options.threads = 1;
   const RaceReport report = engine::race(
-      registry, inst, {{"busy/weighted-exact", 0.0}}, parent, options);
+      registry, inst, {"busy/weighted-exact"}, parent, options);
   EXPECT_EQ(report.winner, -1)
       << "a race the caller aborted must not report a winner";
   ASSERT_EQ(report.rows.size(), 1u);
@@ -240,7 +240,7 @@ TEST(Portfolio, ReportsTightestCertifiedBound) {
   // Reference bound alone (greedy-only race, no certificates beyond the
   // combinatorial reference):
   const RaceReport greedy = engine::race(
-      registry, inst, {{"busy/weighted-first-fit", 0.0}}, RunContext(), {});
+      registry, inst, {"busy/weighted-first-fit"}, RunContext(), {});
   EXPECT_GT(greedy.reference.value, 0.0);
   EXPECT_GE(greedy.best_bound, greedy.reference.value);
   // An exact completion certifies OPT: the race's bound must tighten to
@@ -248,7 +248,7 @@ TEST(Portfolio, ReportsTightestCertifiedBound) {
   RaceOptions serial;
   serial.threads = 1;
   const RaceReport exact =
-      engine::race(registry, inst, {{"busy/weighted-exact", 0.0}},
+      engine::race(registry, inst, {"busy/weighted-exact"},
                    RunContext(), serial);
   ASSERT_GE(exact.winner, 0);
   const Solution& winner =
@@ -273,7 +273,7 @@ TEST(Portfolio, RaceJsonSummarizesTheWinnersCostAndGap) {
   serial.threads = 1;
   // A greedy winner: gap against the race's tightest bound.
   const RaceReport greedy =
-      engine::race(registry, inst, {{"busy/weighted-first-fit", 0.0}},
+      engine::race(registry, inst, {"busy/weighted-first-fit"},
                    RunContext(), serial);
   ASSERT_EQ(greedy.winner, 0);
   ASSERT_GT(greedy.best_bound, 0.0);
@@ -287,7 +287,7 @@ TEST(Portfolio, RaceJsonSummarizesTheWinnersCostAndGap) {
       << greedy_json.str();
   // An exact winner certifies its own cost: the gap is exactly zero.
   const RaceReport exact = engine::race(
-      registry, inst, {{"busy/weighted-exact", 0.0}}, RunContext(), serial);
+      registry, inst, {"busy/weighted-exact"}, RunContext(), serial);
   ASSERT_EQ(exact.winner, 0);
   std::ostringstream exact_json;
   engine::write_race_json(exact_json, inst, exact);
@@ -300,7 +300,7 @@ TEST(Portfolio, RaceJsonSummarizesTheWinnersCostAndGap) {
   RaceOptions strict = serial;
   strict.accept_gap = 1e-9;
   const RaceReport none =
-      engine::race(registry, inst, {{"busy/weighted-first-fit", 0.0}},
+      engine::race(registry, inst, {"busy/weighted-first-fit"},
                    RunContext(), strict);
   ASSERT_EQ(none.winner, -1);
   std::ostringstream none_json;
@@ -317,8 +317,8 @@ TEST(Portfolio, NoAcceptableWinnerFallsBackToBestEffort) {
   // `best` still points at the cheapest checker-verified row.
   const core::SolverRegistry& registry = engine::shared_registry();
   const ProblemInstance inst = scenario_instance("weighted", 16, 3);
-  const std::vector<RaceEntry> entries = {{"busy/weighted-first-fit", 0.0},
-                                          {"busy/weighted-narrow-wide", 0.0}};
+  const std::vector<std::string> entries = {"busy/weighted-first-fit",
+                                            "busy/weighted-narrow-wide"};
   RaceOptions options;
   options.accept_gap = 1e-9;
   const RaceReport report =
@@ -340,7 +340,7 @@ TEST(Portfolio, UnknownEntriesGetRefusalRowsWithoutKillingTheRace) {
   const core::SolverRegistry& registry = engine::shared_registry();
   const ProblemInstance inst = scenario_instance("interval", 8, 2);
   const RaceReport report = engine::race(
-      registry, inst, {{"no/such-solver", 0.0}, {"busy/first-fit", 0.0}},
+      registry, inst, {"no/such-solver", "busy/first-fit"},
       RunContext(), {});
   ASSERT_EQ(report.rows.size(), 2u);
   EXPECT_FALSE(report.rows[0].ok);
@@ -348,7 +348,7 @@ TEST(Portfolio, UnknownEntriesGetRefusalRowsWithoutKillingTheRace) {
   EXPECT_EQ(report.winner, 1);
   // All-unknown: no winner, no best, but still one stamped row per entry.
   const RaceReport none = engine::race(
-      registry, inst, {{"no/such-solver", 0.0}}, RunContext(), {});
+      registry, inst, {"no/such-solver"}, RunContext(), {});
   EXPECT_EQ(none.winner, -1);
   EXPECT_EQ(none.best, -1);
 }
@@ -359,9 +359,9 @@ TEST(Portfolio, PreCancelledParentDrainsEveryContestant) {
   core::CancelSource source;
   source.cancel();
   const RunContext parent = RunContext().set_cancel_token(source.token());
-  const std::vector<RaceEntry> entries = {{"busy/first-fit", 0.0},
-                                          {"busy/greedy-tracking", 0.0},
-                                          {"busy/exact", 0.0}};
+  const std::vector<std::string> entries = {"busy/first-fit",
+                                            "busy/greedy-tracking",
+                                            "busy/exact"};
   const RaceReport report =
       engine::race(registry, inst, entries, parent, {});
   EXPECT_EQ(report.winner, -1);
@@ -376,21 +376,21 @@ TEST(Portfolio, AutoEntriesCoverApplicableSolversPerKind) {
   for (const KindCase& kind : kind_cases()) {
     const ProblemInstance inst =
         scenario_instance(kind.scenario, kind.n, kind.g);
-    const std::vector<RaceEntry> entries =
+    const std::vector<std::string> entries =
         engine::auto_entries(registry, inst);
     ASSERT_FALSE(entries.empty()) << kind.scenario;
     std::set<std::string> seen;
-    for (const RaceEntry& entry : entries) {
-      const core::Solver* solver = registry.find(entry.solver);
-      ASSERT_NE(solver, nullptr) << entry.solver;
-      EXPECT_EQ(solver->family, inst.family) << entry.solver;
-      EXPECT_EQ(solver->kind, inst.kind) << entry.solver;
-      EXPECT_TRUE(seen.insert(entry.solver).second)
-          << entry.solver << " listed twice";
+    for (const std::string& entry : entries) {
+      const core::Solver* solver = registry.find(entry);
+      ASSERT_NE(solver, nullptr) << entry;
+      EXPECT_EQ(solver->family, inst.family) << entry;
+      EXPECT_EQ(solver->kind, inst.kind) << entry;
+      EXPECT_TRUE(seen.insert(entry).second)
+          << entry << " listed twice";
     }
     // The auto pick is exactly the applicable set, in registration order.
     std::vector<std::string> names;
-    for (const RaceEntry& entry : entries) names.push_back(entry.solver);
+    for (const std::string& entry : entries) names.push_back(entry);
     std::vector<std::string> expected;
     for (const core::Solver* solver : registry.selection(inst, {}, {})) {
       expected.push_back(solver->name);
@@ -408,9 +408,9 @@ TEST(Portfolio, AutoEntriesCoverApplicableSolversPerKind) {
 TEST(Portfolio, CancellationStormKeepsThePoolStable) {
   const core::SolverRegistry& registry = engine::shared_registry();
   const ProblemInstance inst = scenario_instance("weighted", 12, 3);
-  const std::vector<RaceEntry> entries = {{"busy/weighted-narrow-wide", 0.0},
-                                          {"busy/weighted-first-fit", 0.0},
-                                          {"busy/weighted-exact", 0.0}};
+  const std::vector<std::string> entries = {"busy/weighted-narrow-wide",
+                                            "busy/weighted-first-fit",
+                                            "busy/weighted-exact"};
   RaceOptions options;
   options.threads = 4;
   const auto run_once = [&] {
@@ -490,8 +490,8 @@ TEST(Portfolio, CampaignRaceHonoursExplicitEntriesAndCancellation) {
   options.trials = 2;
   options.threads = 1;
   options.race.enabled = true;
-  options.race.entries = {{"busy/weighted-narrow-wide", 0.0},
-                          {"busy/weighted-exact", 0.0}};
+  options.race.entries = {"busy/weighted-narrow-wide",
+                          "busy/weighted-exact"};
   std::string error;
   const auto report = engine::run_campaign(registry, grid, options, &error);
   ASSERT_TRUE(report.has_value()) << error;

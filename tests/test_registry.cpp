@@ -86,9 +86,10 @@ TEST(Registry, EveryScenarioInstantiatesWithItsFamily) {
     const auto inst = engine::make_scenario(spec, &error);
     ASSERT_TRUE(inst.has_value()) << info.name << ": " << error;
     EXPECT_EQ(inst->family, info.family) << info.name;
-    if (inst->kind != core::InstanceKind::kStandard) {
-      ASSERT_NE(inst->extension, nullptr) << info.name;
-      EXPECT_GT(inst->extension->size(), 0) << info.name;
+    if (inst->kind == core::InstanceKind::kWeighted) {
+      EXPECT_GT(inst->weighted.size(), 0) << info.name;
+    } else if (inst->kind == core::InstanceKind::kMultiWindow) {
+      EXPECT_GT(inst->multi_window.size(), 0) << info.name;
     } else if (inst->family == Family::kBusy) {
       EXPECT_GT(inst->continuous.size(), 0) << info.name;
     } else {

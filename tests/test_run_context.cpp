@@ -19,7 +19,6 @@
 #include "active/multi_window.hpp"
 #include "core/run_context.hpp"
 #include "core/solver.hpp"
-#include "engine/adapters.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/runner.hpp"
 
@@ -204,8 +203,8 @@ TEST(RunContext, CancellationSurfacesThroughFlowBasedSolvers) {
 
   const ProblemInstance mw = scenario_instance("multi-window", 12, 2, 11);
   cancelled = false;
-  EXPECT_FALSE(active::mw_solve_minimal_feasible(engine::multi_window_of(mw),
-                                                 &ctx, &cancelled)
+  EXPECT_FALSE(active::mw_solve_minimal_feasible(mw.multi_window, &ctx,
+                                                 &cancelled)
                    .has_value());
   EXPECT_TRUE(cancelled);
   const core::Solver* mw_minimal =
@@ -352,16 +351,11 @@ TEST(RunContext, ChainedTokenTripsWhenEitherSourceDoes) {
 
 TEST(RunContext, ChildInheritsBudgetCancellationAndCap) {
   // Budget: a child of a budgeted parent never outlives the parent's
-  // remaining allowance, and a per-child cap tightens but never extends.
+  // remaining allowance; the child of an unlimited parent is unlimited too.
   const RunContext parent = RunContext::with_budget_ms(60'000);
   const RunContext child = parent.child();
   EXPECT_TRUE(child.has_budget());
   EXPECT_LE(child.budget_ms(), 60'000.0);
-  const RunContext capped = parent.child({}, 5.0);
-  EXPECT_EQ(capped.budget_ms(), 5.0);
-  // An unlimited parent with a cap yields exactly the cap; without one,
-  // the child is unlimited too.
-  EXPECT_EQ(RunContext().child({}, 7.0).budget_ms(), 7.0);
   EXPECT_FALSE(RunContext().child().has_budget());
   // An exhausted parent yields an immediately-expiring child, never a
   // fresh unlimited one.

@@ -15,7 +15,6 @@
 
 #include "core/io.hpp"
 #include "core/rng.hpp"
-#include "engine/adapters.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
@@ -36,14 +35,13 @@ core::ProblemInstance weighted_instance(int n, std::uint64_t seed,
   params.num_jobs = n;
   params.capacity = 4;
   params.max_slack = slack;
-  return engine::make_weighted_instance(gen::random_weighted(rng, params));
+  return core::make_instance(gen::random_weighted(rng, params));
 }
 
 std::string canonical_of(const core::ProblemInstance& inst) {
-  std::ostringstream os;
-  std::string why;
-  EXPECT_TRUE(core::write_instance(os, inst, &why)) << why;
-  return os.str();
+  std::string text;
+  core::write_instance(text, inst);
+  return text;
 }
 
 Frame solve_frame(const SolveRequest& request) {
@@ -176,8 +174,8 @@ TEST(ServiceProtocol, SolvePayloadRoundTripsEveryInstanceKind) {
     gen::MultiWindowParams params;
     params.num_jobs = 8;
     params.capacity = 3;
-    expect_payload_round_trip(engine::make_multi_window_instance(
-        gen::random_multi_window(rng, params)));
+    expect_payload_round_trip(
+        core::make_instance(gen::random_multi_window(rng, params)));
   }
 }
 

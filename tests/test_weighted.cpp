@@ -10,7 +10,6 @@
 #include "core/rng.hpp"
 #include "core/run_context.hpp"
 #include "core/solver.hpp"
-#include "engine/adapters.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/runner.hpp"
 #include "engine/scratch.hpp"
@@ -366,7 +365,7 @@ TEST(Weighted, FlexibleCancelledContextKeepsTheFallbackSchedule) {
   spec.seed = 5;
   const auto inst = engine::make_scenario(spec);
   ASSERT_TRUE(inst.has_value());
-  const WeightedInstance& winst = engine::weighted_of(*inst);
+  const WeightedInstance& winst = inst->weighted;
   core::CancelSource source;
   source.cancel();
   core::RunContext ctx;
@@ -387,9 +386,9 @@ TEST(Weighted, FlexibleCancelledContextKeepsTheFallbackSchedule) {
   spec.n = 8;
   const auto other = engine::make_scenario(spec);
   ASSERT_TRUE(other.has_value());
-  ASSERT_TRUE(engine::shared_unbounded(engine::weighted_of(*other).unweighted(),
-                                       core::RunContext{})
-                  .exact);
+  ASSERT_TRUE(
+      engine::shared_unbounded(other->weighted.unweighted(), core::RunContext{})
+          .exact);
   const core::Solver* solver =
       engine::shared_registry().find("busy/weighted-flexible");
   ASSERT_NE(solver, nullptr);
