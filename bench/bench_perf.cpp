@@ -218,17 +218,6 @@ void BM_FirstFit(benchmark::State& state) {
 }
 BENCHMARK(BM_FirstFit)->Range(16, 8192)->Complexity();
 
-// PR 2: release-ordered FIRSTFIT through the MachineFreeIndex — one
-// O(log m) first-fit query per job instead of a per-machine probing scan.
-void BM_FirstFitByRelease(benchmark::State& state) {
-  const auto inst = make_interval(static_cast<int>(state.range(0)), 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(busy::first_fit_by_release(inst));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_FirstFitByRelease)->Range(16, 8192)->Complexity();
-
 void BM_DemandProfile(benchmark::State& state) {
   const auto inst = make_interval(static_cast<int>(state.range(0)), 10);
   for (auto _ : state) {
@@ -298,8 +287,8 @@ void BM_DemandProfileNaive(benchmark::State& state) {
 BENCHMARK(BM_DemandProfileNaive)->Range(16, 4096)->Complexity();
 
 // --------------------------------------------------------------------------
-// PR 4: the online and preemptive paths moved off their quadratic scans
-// (per-machine OccupancyIndex probes; OpenSet + per-piece cell lookup).
+// The online and preemptive paths off their quadratic scans (one
+// release-order frontier sweep; OpenSet + per-piece cell lookup).
 // The frozen originals stay as BM_*Naive so bench_perf reports the
 // speedup, like the other sweep-backed paths.
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <queue>
-#include <utility>
 
 #include "core/assert.hpp"
 #include "core/sweep.hpp"
@@ -95,47 +93,6 @@ BusySchedule first_fit(const ContinuousInstance& inst) {
   BusySchedule sched;
   sched.placements.assign(static_cast<std::size_t>(inst.size()), {});
   detail::first_fit_runs(jobs, inst.capacity(), /*machine_base=*/0, sched);
-  return sched;
-}
-
-BusySchedule first_fit_by_release(const ContinuousInstance& inst) {
-  ABT_ASSERT(inst.all_interval_jobs(1e-6), "FIRSTFIT expects interval jobs");
-  std::vector<JobId> order(static_cast<std::size_t>(inst.size()));
-  std::iota(order.begin(), order.end(), JobId{0});
-  std::stable_sort(order.begin(), order.end(), [&](JobId a, JobId b) {
-    return inst.job(a).release < inst.job(b).release;
-  });
-
-  // Release order lets the probe collapse entirely: every interval already
-  // on a machine starts at or before the candidate's release r, so machine
-  // coverage is non-increasing on [r, inf) and the capacity probe over the
-  // run reduces to "coverage at r < g". Maintain each machine's coverage at
-  // the advancing frontier (a heap of interval endpoints retires expired
-  // jobs) in a MachineFreeIndex, and the first fit is one first_at_most
-  // query — O(log m) per job, no per-machine scan at all. Placements match
-  // the probing scan exactly (asserted in tests/test_sweep.cpp).
-  BusySchedule sched;
-  sched.placements.assign(static_cast<std::size_t>(inst.size()), {});
-  core::MachineFreeIndex load;  ///< Machine index by frontier coverage.
-  using Expiry = std::pair<double, int>;  ///< (endpoint, machine).
-  std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries;
-  const double capacity = inst.capacity();
-  for (JobId j : order) {
-    const core::ContinuousJob& job = inst.job(j);
-    const Interval run{job.release, job.release + job.length};
-    // Retire intervals that end at or before the frontier ([lo, hi) is
-    // half-open, so an interval with hi == run.lo no longer covers run.lo).
-    while (!expiries.empty() && expiries.top().first <= run.lo) {
-      const int m = expiries.top().second;
-      expiries.pop();
-      load.set(m, load.key(m) - 1.0);
-    }
-    int chosen = load.first_at_most(capacity - 1.0);
-    if (chosen < 0) chosen = load.push_back(0.0);
-    load.set(chosen, load.key(chosen) + 1.0);
-    expiries.emplace(run.hi, chosen);
-    sched.placements[static_cast<std::size_t>(j)] = {chosen, job.release};
-  }
   return sched;
 }
 

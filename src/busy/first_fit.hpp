@@ -15,18 +15,10 @@ namespace abt::busy {
 ///
 /// Machines are indexed by earliest-free time (core::MachineFreeIndex), so
 /// the per-job scan stops at the first machine that is idle across the
-/// candidate's run instead of probing every open machine.
+/// candidate's run instead of probing every open machine. FIRSTFIT in
+/// release order needs no occupancy probe at all and is online first fit:
+/// `schedule_online(inst, OnlinePolicy::kFirstFit)` (busy/online.hpp).
 [[nodiscard]] core::BusySchedule first_fit(
-    const core::ContinuousInstance& inst);
-
-/// FIRSTFIT ordered by release time instead of length: 2-approximate on
-/// proper instances (Flammini et al., footnote 1 of the paper).
-///
-/// In release order the capacity probe degenerates to the machine's
-/// coverage at the job's release, so the whole scan collapses to one
-/// O(log m) first-fit query against a frontier-coverage index — no
-/// per-machine probing at all.
-[[nodiscard]] core::BusySchedule first_fit_by_release(
     const core::ContinuousInstance& inst);
 
 namespace detail {

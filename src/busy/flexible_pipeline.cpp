@@ -2,6 +2,7 @@
 
 #include "busy/first_fit.hpp"
 #include "busy/greedy_tracking.hpp"
+#include "busy/online.hpp"
 #include "busy/two_track_peeling.hpp"
 #include "core/assert.hpp"
 
@@ -35,7 +36,7 @@ FlexiblePipelineResult schedule_flexible(const ContinuousInstance& inst,
       interval_schedule = first_fit(frozen);
       break;
     case IntervalAlgorithm::kFirstFitByRelease:
-      interval_schedule = first_fit_by_release(frozen);
+      interval_schedule = schedule_online(frozen, OnlinePolicy::kFirstFit);
       break;
   }
 

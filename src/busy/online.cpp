@@ -1,8 +1,12 @@
 #include "busy/online.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "core/assert.hpp"
 #include "core/sweep.hpp"
@@ -13,63 +17,7 @@ using core::BusySchedule;
 using core::ContinuousInstance;
 using core::Interval;
 using core::JobId;
-
-namespace {
-
-/// Online view of one machine, backed by the sweep-line OccupancyIndex.
-/// The original stored a flat interval list and paid O(k^2) per capacity
-/// probe (rescan all k jobs at every event point) plus an O(k log k)
-/// union re-span per best-fit growth probe and per commit — the quadratic
-/// scans the ROADMAP flagged. Both probes are now O(log k + steps
-/// spanned). The capacity probe is exact integer logic, so first/next-fit
-/// placements are identical at any scale; the best-fit growth formula is
-/// mathematically equal to the old span difference but rounds
-/// differently, so ties within the driver's 1e-12 margin could in
-/// principle resolve differently at scales far beyond the sizes the
-/// equivalence suite pins (tests/test_online.cpp, placement-for-placement
-/// against the frozen originals up to n = 400).
-class Machine {
- public:
-  explicit Machine(int capacity) : capacity_(capacity) {}
-
-  /// Pool-reuse hook: re-arms a recycled machine, keeping the occupancy
-  /// index's flat-array capacity.
-  void reset(int capacity) {
-    capacity_ = capacity;
-    occupancy_.clear();
-  }
-
-  [[nodiscard]] bool fits(const Interval& candidate) const {
-    return occupancy_.max_coverage_in(candidate.lo, candidate.hi) + 1 <=
-           capacity_;
-  }
-
-  /// Busy-time increase if `candidate` were committed: the part of the
-  /// candidate not already covered by this machine's runs.
-  [[nodiscard]] double growth(const Interval& candidate) const {
-    return candidate.length() -
-           occupancy_.covered_measure_in(candidate.lo, candidate.hi);
-  }
-
-  /// Fused fits + growth for best-fit: one locate pass answers both
-  /// questions. Returns whether the candidate fits; `out_growth` gets the
-  /// busy-time increase (same values as fits() + growth(), bit for bit).
-  [[nodiscard]] bool fits_with_growth(const Interval& candidate,
-                                      double* out_growth) const {
-    core::RealTime covered = 0.0;
-    const int cov = occupancy_.probe(candidate.lo, candidate.hi, &covered);
-    *out_growth = candidate.length() - covered;
-    return cov + 1 <= capacity_;
-  }
-
-  void add(const Interval& iv) { occupancy_.insert(iv); }
-
- private:
-  int capacity_;
-  core::OccupancyIndex occupancy_;
-};
-
-}  // namespace
+using core::RealTime;
 
 BusySchedule schedule_online(const ContinuousInstance& inst,
                              OnlinePolicy policy) {
@@ -81,53 +29,66 @@ BusySchedule schedule_online(const ContinuousInstance& inst,
     return inst.job(a).release < inst.job(b).release;
   });
 
+  // Release order collapses every machine probe to the sweep frontier r:
+  // each run already placed starts at or before r, so a machine's coverage
+  // on [r, inf) is the number of its runs still live at r and never rises,
+  // and the busy part of [r, r + p) is [r, min(latest end, r + p)). A run
+  // fits iff fewer than g runs are live at r. Live counts sit in a
+  // MachineFreeIndex (first fit is one first_at_most query) and a heap of
+  // run ends retires expired runs as the frontier advances.
   BusySchedule sched;
   sched.placements.assign(static_cast<std::size_t>(inst.size()), {});
-  // Per-worker machine pool, recycled across trials (see first_fit.cpp).
-  thread_local std::vector<Machine> pool;
-  std::size_t active = 0;  ///< pool[0, active) are this run's machines.
-
+  core::MachineFreeIndex live;       ///< Machine index by live-run count.
+  std::vector<RealTime> latest_end;  ///< Per machine: max end placed so far.
+  using Expiry = std::pair<RealTime, int>;  ///< (run end, machine).
+  std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries;
+  const double max_live = inst.capacity() - 1.0;  ///< Fits iff live <= this.
   for (JobId j : order) {
     const core::ContinuousJob& job = inst.job(j);
     const Interval run{job.release, job.release + job.length};
+    // [lo, hi) is half-open: a run ending at the frontier no longer covers it.
+    while (!expiries.empty() && expiries.top().first <= run.lo) {
+      const int m = expiries.top().second;
+      expiries.pop();
+      live.set(m, live.key(m) - 1.0);
+    }
     int chosen = -1;
     switch (policy) {
       case OnlinePolicy::kFirstFit:
-        for (std::size_t m = 0; m < active; ++m) {
-          if (pool[m].fits(run)) {
-            chosen = static_cast<int>(m);
-            break;
-          }
-        }
+        chosen = live.first_at_most(max_live);
         break;
       case OnlinePolicy::kBestFit: {
         double best_growth = std::numeric_limits<double>::infinity();
-        for (std::size_t m = 0; m < active; ++m) {
-          double g = 0.0;
-          if (!pool[m].fits_with_growth(run, &g)) continue;
-          if (g < best_growth - 1e-12) {
-            best_growth = g;
-            chosen = static_cast<int>(m);
+        for (int m = 0; m < live.size(); ++m) {
+          if (live.key(m) > max_live) continue;
+          const RealTime covered =
+              live.key(m) > 0.0
+                  ? std::min(latest_end[static_cast<std::size_t>(m)], run.hi) -
+                        run.lo
+                  : 0.0;
+          const double growth = run.length() - covered;
+          if (growth < best_growth - 1e-12) {
+            best_growth = growth;
+            chosen = m;
           }
         }
         break;
       }
-      case OnlinePolicy::kNextFit:
-        if (active > 0 && pool[active - 1].fits(run)) {
-          chosen = static_cast<int>(active) - 1;
-        }
+      case OnlinePolicy::kNextFit: {
+        const int last = live.size() - 1;
+        if (last >= 0 && live.key(last) <= max_live) chosen = last;
         break;
+      }
     }
     if (chosen < 0) {
-      if (active == pool.size()) {
-        pool.emplace_back(inst.capacity());
-      } else {
-        pool[active].reset(inst.capacity());
-      }
-      chosen = static_cast<int>(active);
-      ++active;
+      chosen = live.push_back(0.0);
+      latest_end.push_back(run.hi);
+    } else {
+      RealTime& end = latest_end[static_cast<std::size_t>(chosen)];
+      end = std::max(end, run.hi);
     }
-    pool[static_cast<std::size_t>(chosen)].add(run);
+    live.set(chosen, live.key(chosen) + 1.0);
+    expiries.emplace(run.hi, chosen);
     sched.placements[static_cast<std::size_t>(j)] = {chosen, job.release};
   }
   return sched;

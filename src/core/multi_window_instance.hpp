@@ -51,6 +51,12 @@ class MultiWindowInstance {
   [[nodiscard]] SlotTime horizon() const { return horizon_; }
   [[nodiscard]] SlotTime total_work() const { return total_work_; }
 
+  /// Ceiling of P/g: Theorem 1's full-slots bound carries over verbatim
+  /// (P units of work, at most g per active slot).
+  [[nodiscard]] SlotTime mass_lower_bound() const {
+    return (total_work_ + capacity_ - 1) / capacity_;
+  }
+
   /// Sanity: windows sorted, disjoint, nonempty; length positive and at
   /// most the union of windows.
   [[nodiscard]] bool structurally_valid(std::string* why = nullptr) const;

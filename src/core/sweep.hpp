@@ -116,17 +116,6 @@ class FlatOccupancyIndex {
   /// compile-time constant).
   [[nodiscard]] int max_coverage_in(RealTime lo, RealTime hi) const;
 
-  /// Measure of {t in [lo, hi) : coverage(t) > 0} — how much of the query
-  /// interval is already busy. O(log k + breakpoints spanned); the
-  /// accumulation order matches the frozen map baseline bit for bit.
-  [[nodiscard]] RealTime covered_measure_in(RealTime lo, RealTime hi) const;
-
-  /// Fused probe: returns max_coverage_in(lo, hi) and, when `covered` is
-  /// non-null, writes covered_measure_in(lo, hi) — identical values (the
-  /// covered walk runs the same FP op sequence), one shared locate pass.
-  /// Best-fit drivers ask both questions about every candidate machine.
-  int probe(RealTime lo, RealTime hi, RealTime* covered) const;
-
   /// Adds one covering interval of the given weight (>= 1) over `iv`
   /// (no-op when empty).
   void insert(const Interval& iv, int weight = 1);
@@ -135,7 +124,7 @@ class FlatOccupancyIndex {
   [[nodiscard]] int size() const { return count_; }
 
   /// Logical reset that keeps every capacity — the machine-pool reuse hook
-  /// for per-worker scratch (first-fit / online drivers).
+  /// for per-worker scratch (the first-fit driver).
   void clear() {
     blocks_.clear();
     firsts_.clear();
@@ -198,12 +187,6 @@ class FlatOccupancyIndex {
   /// Level of the breakpoint immediately before p, or 0 when p is first.
   [[nodiscard]] int pred_level(Pos p) const;
 
-  /// Covered-measure walk from position p (incumbent level `level`) up to
-  /// hi, accumulating from cursor lo — the shared tail of
-  /// covered_measure_in and probe.
-  [[nodiscard]] RealTime covered_from(Pos p, int level, RealTime lo,
-                                      RealTime hi) const;
-
   /// Ensures a breakpoint at t (carrying the incumbent level); returns its
   /// position and reports whether a new breakpoint was created. May split
   /// a full block (which shifts positions at and after that block).
@@ -237,8 +220,8 @@ class FlatOccupancyIndex {
   int count_ = 0;
 };
 
-/// The flat index is a drop-in swap behind the name every driver already
-/// uses (first-fit, online, best-fit, tests).
+/// The flat index is a drop-in swap behind the name the first-fit driver
+/// and the tests use.
 using OccupancyIndex = FlatOccupancyIndex;
 
 /// Sorted disjoint set of open intervals on one flat vector — the

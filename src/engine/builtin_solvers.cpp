@@ -1,7 +1,6 @@
 #include "engine/builtin_solvers.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "active/exact.hpp"
@@ -164,7 +163,7 @@ void register_busy(core::SolverRegistry& registry) {
   registry.add(interval_solver(
       "busy/first-fit-release", "<= 2 OPT on proper instances", 0.0,
       [](const core::ContinuousInstance& inst) {
-        return busy::first_fit_by_release(inst);
+        return busy::schedule_online(inst, busy::OnlinePolicy::kFirstFit);
       }));
   registry.add(interval_solver(
       "busy/greedy-tracking", "<= 3 OPT (Thm 5)", 3.0,
@@ -584,9 +583,8 @@ void register_multi_window(core::SolverRegistry& registry) {
       sol.exact = result->proven_optimal;
       sol.timed_out = !result->proven_optimal;
       if (!result->proven_optimal) {
-        const core::MultiWindowInstance& mw = inst.multi_window;
-        sol.best_bound = std::ceil(static_cast<double>(mw.total_work()) /
-                                   static_cast<double>(mw.capacity()));
+        sol.best_bound =
+            static_cast<double>(inst.multi_window.mass_lower_bound());
       }
       return sol;
     };

@@ -9,6 +9,15 @@
 // lock, and irregular cells (a budgeted exact search next to a
 // microsecond greedy) cannot leave workers idle behind a central queue.
 //
+// The owner's front-to-back claims are load-bearing for the g = infinity
+// DP memo (engine::shared_unbounded, one entry per worker): run_cells lays
+// an instance's cells out contiguously, so a worker walking its own range
+// meets them back to back and only a range split or steal inside an
+// instance costs a second solve. Over 20 passes of the abtbench grids on 2
+// workers (4-CPU x86-64 VM) that is 277 DP solves for 240 busy instances
+// (240 on 1 worker); one shared claim cursor instead of per-worker ranges
+// measured ~330 solves and ~2% more process CPU (4 of 4 runs).
+//
 // The determinism invariant carried from PR 3 is untouched: fn(i) writes
 // only slot i of a pre-sized result vector, so everything aggregated from
 // the results is bit-identical for any worker count and any steal order.

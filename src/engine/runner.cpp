@@ -44,8 +44,7 @@ double extended_lower_bound(const ProblemInstance& inst) {
     }
     return bound;
   }
-  return std::ceil(static_cast<double>(inst.multi_window.total_work()) /
-                   static_cast<double>(inst.multi_window.capacity()));
+  return static_cast<double>(inst.multi_window.mass_lower_bound());
 }
 
 /// One-line summary of an extended-model instance for the report headers.

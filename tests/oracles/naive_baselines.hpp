@@ -43,22 +43,6 @@ class MapOccupancyIndex {
     return best;
   }
 
-  [[nodiscard]] core::RealTime covered_measure_in(core::RealTime lo,
-                                                  core::RealTime hi) const {
-    if (hi <= lo || steps_.empty()) return 0.0;
-    auto it = steps_.upper_bound(lo);
-    int level = (it == steps_.begin()) ? 0 : std::prev(it)->second;
-    core::RealTime covered = 0.0;
-    core::RealTime cursor = lo;
-    for (; it != steps_.end() && it->first < hi; ++it) {
-      if (level > 0) covered += it->first - cursor;
-      cursor = it->first;
-      level = it->second;
-    }
-    if (level > 0) covered += hi - cursor;
-    return covered;
-  }
-
   void insert(const core::Interval& iv) {
     if (iv.empty()) return;
     const auto split = [this](core::RealTime t) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "busy/lower_bounds.hpp"
 #include "busy/weighted.hpp"
 #include "naive_baselines.hpp"
@@ -79,9 +82,22 @@ TEST_P(OnlineRandom, FeasibleAndAboveOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineRandom, ::testing::Range(1, 7));
 
-/// The occupancy-index machines must reproduce the frozen quadratic
-/// originals placement-for-placement, for every policy, across sizes well
-/// past anything the unit tests above touch.
+/// Integer releases and lengths: runs touch (one ending exactly at a
+/// release no longer occupies its machine) and coincide (equal releases
+/// keep id order).
+ContinuousInstance lattice_intervals(core::Rng& rng, int n, int g) {
+  std::vector<std::pair<double, double>> spans;
+  for (int j = 0; j < n; ++j) {
+    const auto lo = static_cast<double>(rng.uniform_int(0, n / 3));
+    spans.emplace_back(lo, lo + static_cast<double>(rng.uniform_int(1, 4)));
+  }
+  return intervals(std::move(spans), g);
+}
+
+/// The frontier placer must reproduce the frozen quadratic originals
+/// placement-for-placement, for every policy, on every interval family
+/// (random, clique, proper, laminar, bursty, integer lattice) at default
+/// scales and sizes well past anything the unit tests above touch.
 TEST(Online, MatchesNaiveBaselinePlacementForPlacement) {
   for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL, 14ULL}) {
     core::Rng rng(seed * 977ULL);
@@ -89,16 +105,31 @@ TEST(Online, MatchesNaiveBaselinePlacementForPlacement) {
     params.num_jobs = static_cast<int>(rng.uniform_int(50, 400));
     params.capacity = static_cast<int>(rng.uniform_int(1, 5));
     params.horizon = params.num_jobs / 8.0 + 10.0;
-    const ContinuousInstance inst = gen::random_continuous(rng, params);
-    for (const auto policy : {OnlinePolicy::kFirstFit, OnlinePolicy::kBestFit,
-                              OnlinePolicy::kNextFit}) {
-      const auto fast = schedule_online(inst, policy);
-      const auto slow = naive::schedule_online(inst, policy);
-      ASSERT_EQ(fast.placements.size(), slow.placements.size());
-      for (std::size_t j = 0; j < fast.placements.size(); ++j) {
-        EXPECT_EQ(fast.placements[j].machine, slow.placements[j].machine)
-            << "job " << j << ", policy " << static_cast<int>(policy);
-        EXPECT_EQ(fast.placements[j].start, slow.placements[j].start);
+    gen::BurstyParams bursty;
+    bursty.base = params;
+    const std::vector<std::pair<const char*, ContinuousInstance>> families = {
+        {"random", gen::random_continuous(rng, params)},
+        {"clique", gen::random_clique(rng, params)},
+        {"proper", gen::random_proper(rng, params)},
+        {"laminar", gen::random_laminar(rng, params)},
+        {"bursty", gen::random_bursty(rng, bursty)},
+        {"lattice",
+         lattice_intervals(rng, params.num_jobs, params.capacity)},
+    };
+    for (const auto& [family, inst] : families) {
+      ASSERT_TRUE(inst.all_interval_jobs(1e-6)) << family;
+      for (const auto policy : {OnlinePolicy::kFirstFit,
+                                OnlinePolicy::kBestFit,
+                                OnlinePolicy::kNextFit}) {
+        const auto fast = schedule_online(inst, policy);
+        const auto slow = naive::schedule_online(inst, policy);
+        ASSERT_EQ(fast.placements.size(), slow.placements.size());
+        for (std::size_t j = 0; j < fast.placements.size(); ++j) {
+          EXPECT_EQ(fast.placements[j].machine, slow.placements[j].machine)
+              << family << " seed " << seed << " job " << j << ", policy "
+              << static_cast<int>(policy);
+          EXPECT_EQ(fast.placements[j].start, slow.placements[j].start);
+        }
       }
     }
   }

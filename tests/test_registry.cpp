@@ -401,6 +401,57 @@ TEST(Runner, SolverSubsetSelectionIsHonored) {
   EXPECT_EQ(unknown.solutions[0].message, "unknown solver");
 }
 
+/// busy/first-fit-release is FIRSTFIT in release order, which is online
+/// first fit: both registrations run the one release-order placer, so they
+/// agree placement for placement on every interval-job scenario.
+TEST(Registry, FirstFitReleaseIsOnlineFirstFit) {
+  const core::SolverRegistry& registry = engine::shared_registry();
+  std::set<std::string> families;
+  for (const engine::ScenarioInfo& info : engine::scenarios()) {
+    if (info.family != Family::kBusy) continue;
+    for (const int g : {1, 3, 8}) {
+      for (const std::uint64_t seed : {1ULL, 2ULL}) {
+        engine::ScenarioSpec spec;
+        spec.name = info.name;
+        spec.n = 200;
+        spec.g = g;
+        spec.seed = seed;
+        spec.slack = 0.0;  // bursty arrivals as interval jobs
+        const auto inst = engine::make_scenario(spec);
+        if (!inst.has_value() ||
+            inst->kind != core::InstanceKind::kStandard ||
+            !inst->continuous.all_interval_jobs(1e-6)) {
+          continue;
+        }
+        families.insert(info.name);
+        SCOPED_TRACE(info.name + " g=" + std::to_string(g) +
+                     " seed=" + std::to_string(seed));
+        const Solution release =
+            registry.run("busy/first-fit-release", *inst);
+        const Solution online = registry.run("busy/online-first-fit", *inst);
+        ASSERT_TRUE(release.ok && release.feasible) << release.message;
+        ASSERT_TRUE(online.ok && online.feasible) << online.message;
+        EXPECT_EQ(release.cost, online.cost);
+        EXPECT_EQ(release.machines, online.machines);
+        ASSERT_TRUE(release.busy.has_value() && online.busy.has_value());
+        ASSERT_EQ(release.busy->placements.size(),
+                  online.busy->placements.size());
+        for (std::size_t j = 0; j < release.busy->placements.size(); ++j) {
+          EXPECT_EQ(release.busy->placements[j].machine,
+                    online.busy->placements[j].machine)
+              << "job " << j;
+          EXPECT_EQ(release.busy->placements[j].start,
+                    online.busy->placements[j].start)
+              << "job " << j;
+        }
+      }
+    }
+  }
+  // interval, clique, proper, laminar, proper-clique, bursty and the fig1
+  // and fig8 gadgets.
+  EXPECT_GE(families.size(), 8U);
+}
+
 TEST(Registry, DpUnboundedReportsInternStats) {
   core::Rng rng(5);
   gen::ContinuousParams params;

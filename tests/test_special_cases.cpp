@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "busy/first_fit.hpp"
+#include "busy/online.hpp"
 #include "busy/weighted.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
@@ -86,8 +86,8 @@ TEST_P(ProperCliqueRandom, DpMatchesExactAndReleaseFitWithinTwo) {
     EXPECT_NEAR(core::busy_cost(inst, *dp), opt, 1e-9)
         << "proper-clique DP must be exact";
 
-    const double release_fit =
-        core::busy_cost(inst, first_fit_by_release(inst));
+    const double release_fit = core::busy_cost(
+        inst, schedule_online(inst, OnlinePolicy::kFirstFit));
     EXPECT_LE(release_fit, 2 * opt + 1e-9)
         << "FIRSTFIT by release is 2-approx on proper instances";
   }

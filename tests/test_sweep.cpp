@@ -10,6 +10,7 @@
 
 #include "busy/first_fit.hpp"
 #include "busy/greedy_tracking.hpp"
+#include "busy/online.hpp"
 #include "naive_baselines.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
@@ -198,12 +199,12 @@ int weighted_coverage_at(const std::vector<WeightedIv>& ivs, double t) {
   return total;
 }
 
-/// Brute-force (max cumulative weight, covered measure) over [lo, hi): the
-/// step function is constant between consecutive endpoints, so evaluate it
-/// at the left end of every elementary piece of the query range.
-std::pair<int, double> weighted_reference(const std::vector<WeightedIv>& ivs,
-                                          double lo, double hi) {
-  if (hi <= lo) return {0, 0.0};
+/// Brute-force max cumulative weight over [lo, hi): the step function is
+/// constant between consecutive endpoints, so evaluate it at the left end
+/// of every elementary piece of the query range.
+int weighted_reference(const std::vector<WeightedIv>& ivs, double lo,
+                       double hi) {
+  if (hi <= lo) return 0;
   std::vector<double> cuts = {lo, hi};
   for (const WeightedIv& w : ivs) {
     for (const double t : {w.iv.lo, w.iv.hi}) {
@@ -213,18 +214,15 @@ std::pair<int, double> weighted_reference(const std::vector<WeightedIv>& ivs,
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   int best = 0;
-  double covered = 0.0;
   for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-    const int level = weighted_coverage_at(ivs, cuts[i]);
-    best = std::max(best, level);
-    if (level > 0) covered += cuts[i + 1] - cuts[i];
+    best = std::max(best, weighted_coverage_at(ivs, cuts[i]));
   }
-  return {best, covered};
+  return best;
 }
 
 /// Property: with weighted inserts the levels are cumulative widths —
-/// max_coverage_in, covered_measure_in and the fused probe agree with the
-/// brute-force step function after every insert, past the block size (so
+/// max_coverage_in agrees with the brute-force step function after every
+/// insert, past the block size (so
 /// block splits and the max-tree are exercised), on real and on integer
 /// coordinates (touching and duplicate endpoints). The audit walk runs
 /// after every insert under -DABT_AUDIT=ON.
@@ -252,16 +250,11 @@ TEST(OccupancyIndex, WeightedInsertsMatchBruteForceStepFunction) {
       for (int q = 0; q < 4; ++q) {
         const double qlo = coord(lattice, -2.0, 156.0);
         const double qhi = qlo + coord(lattice, 0.0, 30.0);
-        const auto [want_max, want_covered] =
-            weighted_reference(inserted, qlo, qhi);
+        const int want_max = weighted_reference(inserted, qlo, qhi);
         SCOPED_TRACE("range [" + std::to_string(qlo) + ", " +
                      std::to_string(qhi) + ") after " +
                      std::to_string(op + 1) + " inserts");
         EXPECT_EQ(occ.max_coverage_in(qlo, qhi), want_max);
-        EXPECT_NEAR(occ.covered_measure_in(qlo, qhi), want_covered, 1e-9);
-        double covered = -1.0;
-        EXPECT_EQ(occ.probe(qlo, qhi, &covered), want_max);
-        EXPECT_EQ(covered, occ.covered_measure_in(qlo, qhi));
       }
     }
     EXPECT_EQ(occ.size(), static_cast<int>(inserted.size()));
@@ -365,8 +358,9 @@ TEST(MachineFreeIndex, MatchesLinearScanOnRandomWorkloads) {
   }
 }
 
-// first_fit_by_release collapses the per-machine probe to a frontier
-// coverage counter; placements must still match the plain probing scan.
+// Release-ordered FIRSTFIT (online first fit) collapses the per-machine
+// probe to a frontier live-run counter; placements must still match the
+// plain probing scan.
 BusySchedule reference_first_fit_by_release(const ContinuousInstance& inst) {
   std::vector<JobId> order(static_cast<std::size_t>(inst.size()));
   std::iota(order.begin(), order.end(), JobId{0});
@@ -405,12 +399,11 @@ TEST_P(SweepEquivalence, FirstFitByReleaseIdenticalToProbingScan) {
     params.capacity = static_cast<int>(rng.uniform_int(1, 5));
     params.horizon = params.num_jobs / 2.0 + 10;
     const ContinuousInstance inst = gen::random_continuous(rng, params);
-    EXPECT_TRUE(same_schedule(busy::first_fit_by_release(inst),
-                              reference_first_fit_by_release(inst)));
+    const BusySchedule sched =
+        busy::schedule_online(inst, busy::OnlinePolicy::kFirstFit);
+    EXPECT_TRUE(same_schedule(sched, reference_first_fit_by_release(inst)));
     std::string why;
-    EXPECT_TRUE(
-        check_busy_schedule(inst, busy::first_fit_by_release(inst), &why))
-        << why;
+    EXPECT_TRUE(check_busy_schedule(inst, sched, &why)) << why;
   }
 }
 
