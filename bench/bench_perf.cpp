@@ -908,8 +908,10 @@ BENCHMARK(BM_ServiceDirectSolve)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_CacheHitLatency(benchmark::State& state) {
   // The replay path: one request primed once, then served bit-identically
-  // from the SolutionCache on every iteration — connect, frame, key
-  // lookup, cached payload write-back. No solver runs after the prime.
+  // from the SolutionCache on every iteration — connect, frame, raw-alias
+  // lookup, cached payload write-back. The first timed request hits the
+  // canonical key and installs the alias; every later one is answered
+  // without a parse. No solver runs after the prime.
   service::ServiceConfig config;
   config.tcp_port = 0;
   config.threads = 1;
@@ -946,8 +948,9 @@ void BM_ParseSolvePayload(benchmark::State& state, const char* scenario,
   // The payload codec alone — request directives, instance parse and the
   // canonical re-write that keys the cache — on the end-to-end
   // benchmark's two request shapes: weighted n=24 with one solver named,
-  // interval n=48 with none. Every abtd solve request, hit or miss, pays
-  // this before anything else.
+  // interval n=48 with none. abtd pays this on every request its
+  // raw-payload alias does not answer: misses, and the first canonical
+  // hit of each distinct payload spelling.
   constexpr int kPayloads = 32;
   std::vector<std::string> payloads;
   for (int seed = 0; seed < kPayloads; ++seed) {

@@ -172,6 +172,6 @@ int main(int argc, char** argv) {
             << stats.served << ", errors " << stats.errors << ", shed "
             << stats.shed << ", shrunk " << stats.shrunk << ", cache hits "
             << stats.cache.hits << "/" << stats.cache.hits + stats.cache.misses
-            << "\n";
+            << " (alias " << stats.cache.alias_hits << ")\n";
   return 0;
 }

@@ -14,22 +14,30 @@ SolutionCache::SolutionCache(std::size_t max_entries, std::size_t max_bytes)
   if (max_bytes_per_shard_ == 0) max_bytes_per_shard_ = 1;
 }
 
-SolutionCache::Shard& SolutionCache::shard_for(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % kShards];
+std::optional<SolutionCache::Entry> SolutionCache::find(const std::string& key,
+                                                        bool alias) {
+  const std::size_t hash = std::hash<std::string>{}(key);
+  Shard& shard = shard_for(hash);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.index.find({key, hash});
+  if (it == shard.index.end()) {
+    if (!alias) ++shard.misses;
+    return std::nullopt;
+  }
+  ++shard.hits;
+  if (alias) ++shard.alias_hits;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  return it->second->entry;
 }
 
 std::optional<SolutionCache::Entry> SolutionCache::lookup(
     const std::string& key) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return std::nullopt;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->entry;
+  return find(key, false);
+}
+
+std::optional<SolutionCache::Entry> SolutionCache::lookup_alias(
+    const std::string& key) {
+  return find(key, true);
 }
 
 void SolutionCache::evict_over_caps(Shard& shard) {
@@ -37,29 +45,31 @@ void SolutionCache::evict_over_caps(Shard& shard) {
                                 shard.bytes > max_bytes_per_shard_)) {
     const Node& victim = shard.lru.back();
     shard.bytes -= entry_bytes(victim);
-    shard.index.erase(victim.key);
+    shard.index.erase({victim.key, victim.hash});
     shard.lru.pop_back();
     ++shard.evictions;
   }
 }
 
 void SolutionCache::insert(const std::string& key, Entry entry) {
-  Shard& shard = shard_for(key);
+  if (key.size() + entry.payload.size() > max_bytes_per_shard_) {
+    return;  // Could never fit; taking it would just evict everything.
+  }
+  const std::size_t hash = std::hash<std::string>{}(key);
+  Shard& shard = shard_for(hash);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
+  const auto it = shard.index.find({key, hash});
   if (it != shard.index.end()) {
-    // Refresh in place: same canonical request, (re)computed response.
+    // Refresh in place: same key, (re)computed response.
     shard.bytes -= entry_bytes(*it->second);
     it->second->entry = std::move(entry);
     shard.bytes += entry_bytes(*it->second);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   } else {
-    if (key.size() + entry.payload.size() > max_bytes_per_shard_) {
-      return;  // Could never fit; inserting would just evict everything.
-    }
-    shard.lru.push_front({key, std::move(entry)});
-    shard.bytes += entry_bytes(shard.lru.front());
-    shard.index.emplace(key, shard.lru.begin());
+    shard.lru.push_front({key, hash, std::move(entry)});
+    const Node& node = shard.lru.front();
+    shard.bytes += entry_bytes(node);
+    shard.index.emplace(KeyRef{node.key, hash}, shard.lru.begin());
     ++shard.insertions;
   }
   evict_over_caps(shard);
@@ -74,6 +84,7 @@ CacheStats SolutionCache::stats() const {
     out.bytes += shard.bytes;
     out.hits += shard.hits;
     out.misses += shard.misses;
+    out.alias_hits += shard.alias_hits;
     out.insertions += shard.insertions;
     out.evictions += shard.evictions;
   }
@@ -90,7 +101,9 @@ void SolutionCache::audit_shard(const Shard& shard) const {
   std::size_t bytes = 0;
   for (auto it = shard.lru.begin(); it != shard.lru.end(); ++it) {
     bytes += entry_bytes(*it);
-    const auto mirror = shard.index.find(it->key);
+    ABT_DBG_ASSERT(it->hash == std::hash<std::string>{}(it->key),
+                   "a node's stored hash must be its key's hash");
+    const auto mirror = shard.index.find({it->key, it->hash});
     ABT_DBG_ASSERT(mirror != shard.index.end(),
                    "every LRU node must be indexed");
     ABT_DBG_ASSERT(mirror->second == it,

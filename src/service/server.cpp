@@ -28,6 +28,22 @@ std::string progress_payload(const core::IncumbentRing::Snapshot& snap) {
   return os.str();
 }
 
+/// The raw alias key of a solve/race frame: magic, verb and header flags
+/// as received, a newline, then the exact payload bytes. Built by hand,
+/// not by frame_header, which asserts on flag values that the header
+/// parser accepts from a client (`a=b=c`). Alias keys start with the
+/// frame magic and canonical keys with "verb ", so the two never collide
+/// in the shared cache.
+std::string alias_key(const Frame& frame) {
+  std::string key;
+  core::append(key, kMagic, ' ', frame_type_name(frame.type));
+  for (const auto& [name, value] : frame.flags) {
+    core::append(key, ' ', name, '=', value);
+  }
+  core::append(key, '\n', frame.payload);
+  return key;
+}
+
 }  // namespace
 
 Server::Server(const core::SolverRegistry& registry, ServiceConfig config)
@@ -291,13 +307,21 @@ void Server::serve(Connection& conn, double factor) {
       return;
     case FrameType::kSolve:
     case FrameType::kRace: {
+      // A byte-identical repeat of a request that has already hit its
+      // canonical entry is answered here, before any parse.
+      const std::string alias = alias_key(request);
+      if (auto hit = cache_.lookup_alias(alias)) {
+        if (factor < 1.0) shrunk_.fetch_add(1, std::memory_order_relaxed);
+        send_cached(conn, std::move(*hit));
+        return;
+      }
       SolveRequest parsed;
       if (!parse_solve_payload(request.payload, &parsed, &error)) {
         send_error(conn, error);
         return;
       }
       parsed.race = request.type == FrameType::kRace;
-      handle_solve(conn, std::move(parsed), factor);
+      handle_solve(conn, std::move(parsed), alias, factor);
       return;
     }
     default:
@@ -348,13 +372,14 @@ void Server::handle_stats(Connection& conn) {
      << ", \"bytes\": " << stats.cache.bytes
      << ", \"hits\": " << stats.cache.hits
      << ", \"misses\": " << stats.cache.misses
+     << ", \"alias_hits\": " << stats.cache.alias_hits
      << ", \"insertions\": " << stats.cache.insertions
      << ", \"evictions\": " << stats.cache.evictions << "}}\n";
   send_ok(conn, os.str());
 }
 
 void Server::handle_solve(Connection& conn, SolveRequest request,
-                          double factor) {
+                          const std::string& alias, double factor) {
   // Effective budget under admission control: a shrunk request keeps its
   // anytime semantics (rows carry timed_out + best_bound/gap), it just
   // gets less clock. "Unlimited" cannot survive overload — it shrinks
@@ -372,11 +397,12 @@ void Server::handle_solve(Connection& conn, SolveRequest request,
   // Cache: keyed by the canonical request (original budget — the key
   // describes what was ASKED, not what admission granted), so a shrunk
   // request can still be answered bit-identically from a full-budget
-  // entry. Shrunk responses are never inserted.
+  // entry. Shrunk responses are never inserted. A hit also installs the
+  // request's raw alias, so its next byte-identical repeat skips the parse.
   const std::string key = cache_key(request);
   if (auto hit = cache_.lookup(key)) {
-    send_ok(conn, std::move(hit->payload),
-            {{"exit", std::to_string(hit->exit_code)}, {"cached", "1"}});
+    cache_.insert(alias, *hit);
+    send_cached(conn, std::move(*hit));
     return;
   }
 
@@ -445,6 +471,11 @@ void Server::handle_solve(Connection& conn, SolveRequest request,
     cache_.insert(key, {response.payload, response.exit});
   }
   send_ok(conn, std::move(response.payload), std::move(flags));
+}
+
+void Server::send_cached(Connection& conn, SolutionCache::Entry entry) {
+  send_ok(conn, std::move(entry.payload),
+          {{"exit", std::to_string(entry.exit_code)}, {"cached", "1"}});
 }
 
 void Server::send_ok(Connection& conn, std::string payload, Flags flags) {

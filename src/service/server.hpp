@@ -25,7 +25,10 @@
 //
 // Responses for identical canonical requests are served bit-identically
 // from the SolutionCache (flag `cached=1`); shrunk-budget responses are
-// never inserted, so degraded answers cannot shadow full ones.
+// never inserted, so degraded answers cannot shadow full ones. A request
+// that hits its canonical entry also leaves a raw alias (verb, header
+// flags, exact payload bytes), checked before any parse, so a
+// byte-identical repeat is answered without parsing or canonicalizing.
 
 #include <atomic>
 #include <cstdint>
@@ -121,11 +124,14 @@ class Server {
   void accept_loop(int listen_fd);
   void dispatch_loop();
   void serve(Connection& conn, double factor);
-  void handle_solve(Connection& conn, SolveRequest request, double factor);
+  void handle_solve(Connection& conn, SolveRequest request,
+                    const std::string& alias, double factor);
   void handle_cancel(Connection& conn, const Frame& frame);
   void handle_stats(Connection& conn);
   /// Writes the final ok frame and counts it as served.
   void send_ok(Connection& conn, std::string payload, Flags flags = {});
+  /// send_ok for a cache hit: the stored exit code plus `cached=1`.
+  void send_cached(Connection& conn, SolutionCache::Entry entry);
   void send_overloaded(Connection& conn, int queued);
   void send_error(Connection& conn, const std::string& message);
   void audit_queue_locked() const;

@@ -1,10 +1,12 @@
 // abtd service tests: protocol framing and payload parsing (line-numbered
-// errors over the whole payload), canonical cache keys, and the live
-// daemon behaviours the PR's acceptance criteria name — bit-identical
-// cache replay, admission-control budget shrink with anytime gap rows,
-// concurrent-client determinism for exact solvers, and the cancel verb
-// reaching an in-flight solve.
+// errors over the whole payload), canonical cache keys, the cache's
+// byte-cap refusal, and the live daemon behaviours — bit-identical cache
+// replay through the canonical key and the raw-payload alias,
+// admission-control budget shrink with anytime gap rows, concurrent-client
+// determinism for exact solvers, and the cancel verb reaching an
+// in-flight solve.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <chrono>
@@ -260,6 +262,56 @@ TEST(ServiceProtocol, CacheKeyCanonicalizesTextualSpellings) {
   EXPECT_NE(service::cache_key(a), service::cache_key(f));
 }
 
+// ---------------------------------------------------------------------------
+// SolutionCache directly: byte caps and alias counters.
+
+TEST(ServiceCache, OversizedEntryIsRefusedAndLeavesTheShardUntouched) {
+  // 16 entries and 800 bytes over 8 shards: 2 entries, 100 bytes each.
+  service::SolutionCache cache(16, 800);
+  for (int i = 0; i < 16; ++i) {
+    cache.insert("key" + std::to_string(i), {"payload", i});
+  }
+  const service::CacheStats before = cache.stats();
+  ASSERT_GT(before.entries, 0u);
+
+  const std::string huge(200, 'x');
+  cache.insert("new-key", {huge, 1});
+  EXPECT_FALSE(cache.lookup("new-key").has_value());
+  int refreshed = 0;
+  for (int i = 0; i < 16; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    if (!cache.lookup(key).has_value()) continue;  // evicted by shard-mates
+    cache.insert(key, {huge, 99});
+    ++refreshed;
+    const auto kept = cache.lookup(key);
+    ASSERT_TRUE(kept.has_value()) << key;
+    EXPECT_EQ(kept->payload, "payload") << key;
+    EXPECT_EQ(kept->exit_code, i) << key;
+  }
+  EXPECT_EQ(refreshed, static_cast<int>(before.entries));
+  const service::CacheStats after = cache.stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.evictions, before.evictions);
+  cache.audit_invariants();
+}
+
+TEST(ServiceCache, AliasLookupsCountHitsButNeverMisses) {
+  service::SolutionCache cache(16, 1u << 16);
+  EXPECT_FALSE(cache.lookup_alias("alias").has_value());
+  cache.insert("alias", {"payload", 2});
+  const auto hit = cache.lookup_alias("alias");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->payload, "payload");
+  EXPECT_EQ(hit->exit_code, 2);
+  EXPECT_FALSE(cache.lookup("canonical").has_value());
+  const service::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.alias_hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);  // the canonical lookup's alone
+}
+
 /// Strict RFC 8259 validation of a complete JSON text (one value, then
 /// only whitespace): raw control bytes inside strings are rejected, as a
 /// conforming parser would.
@@ -403,6 +455,13 @@ class ServiceFixture : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     return false;
+  }
+
+  /// The `stats` verb's payload.
+  std::string stats_payload() {
+    Frame stats;
+    stats.type = FrameType::kStats;
+    return roundtrip(stats).final.payload;
   }
 
   std::unique_ptr<service::Server> server_;
@@ -646,6 +705,242 @@ TEST_F(ServiceFixture, ControlBytesInSolverNamesStayValidJson) {
               std::string::npos)
         << exchange.final.payload;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Raw-payload aliases: checked before any parse, installed on a canonical
+// hit, never changing a response byte or the hit/miss counters.
+
+Frame solve_text_frame(const std::string& payload) {
+  Frame frame;
+  frame.type = FrameType::kSolve;
+  frame.payload = payload;
+  return frame;
+}
+
+TEST_F(ServiceFixture, SameBytesMissThenHitCanonicallyThenByAlias) {
+  start({});
+  SolveRequest request;
+  request.solvers = {"busy/weighted-first-fit"};
+  request.instance = weighted_instance(12, 3);
+  const Frame frame = solve_frame(request);
+
+  std::vector<service::Exchange> replies;
+  std::vector<std::string> alias_hits;
+  for (int i = 0; i < 3; ++i) {
+    replies.push_back(roundtrip(frame));
+    ASSERT_EQ(replies.back().final.type, FrameType::kOk)
+        << replies.back().final.payload;
+    alias_hits.push_back(json_number_after(stats_payload(), "alias_hits"));
+  }
+  EXPECT_FALSE(replies[0].final.has_flag("cached"));
+  EXPECT_EQ(replies[1].final.flag("cached"), "1");
+  EXPECT_EQ(replies[2].final.flags, replies[1].final.flags);
+  EXPECT_EQ(replies[1].final.flag("exit"), replies[0].final.flag("exit"));
+  EXPECT_EQ(replies[1].final.payload, replies[0].final.payload);
+  EXPECT_EQ(replies[2].final.payload, replies[0].final.payload);
+  EXPECT_EQ(alias_hits, (std::vector<std::string>{"0", "0", "1"}));
+
+  const std::string stats = stats_payload();
+  EXPECT_EQ(json_number_after(stats, "hits"), "2") << stats;
+  EXPECT_EQ(json_number_after(stats, "misses"), "1") << stats;
+  EXPECT_EQ(json_number_after(stats, "alias_hits"), "1") << stats;
+  EXPECT_EQ(json_number_after(stats, "entries"), "2") << stats;
+}
+
+TEST_F(ServiceFixture, RespelledRequestsStillHitThroughTheCanonicalKey) {
+  start({});
+  const std::string canonical = canonical_of(weighted_instance(10, 5));
+  const std::string base =
+      "solvers busy/weighted-first-fit\nbudget-ms 200\nformat json\n"
+      "instance\n" + canonical;
+  const service::Exchange first = roundtrip(solve_text_frame(base));
+  ASSERT_EQ(first.final.type, FrameType::kOk) << first.final.payload;
+  // The base spelling's own alias is in place before the variants come.
+  ASSERT_TRUE(roundtrip(solve_text_frame(base)).final.has_flag("cached"));
+
+  const std::vector<std::string> variants = {
+      "# a comment\n\n" + base,
+      "id other\n" + base,
+      "progress 3\n" + base,
+      "solvers busy/weighted-first-fit\nbudget-ms 2e2\nformat json\n"
+      "instance\n# an instance comment\n" + canonical,
+  };
+  for (const std::string& payload : variants) {
+    for (int i = 0; i < 2; ++i) {  // canonical hit, then its own alias
+      const service::Exchange reply = roundtrip(solve_text_frame(payload));
+      ASSERT_EQ(reply.final.type, FrameType::kOk) << reply.final.payload;
+      EXPECT_EQ(reply.final.flag("cached"), "1") << payload;
+      EXPECT_EQ(reply.final.flag("exit"), first.final.flag("exit"));
+      EXPECT_EQ(reply.final.payload, first.final.payload) << payload;
+      EXPECT_TRUE(reply.progress.empty()) << payload;
+    }
+  }
+  const std::string stats = stats_payload();
+  EXPECT_EQ(json_number_after(stats, "hits"), "9") << stats;
+  EXPECT_EQ(json_number_after(stats, "misses"), "1") << stats;
+  EXPECT_EQ(json_number_after(stats, "alias_hits"), "4") << stats;
+}
+
+TEST_F(ServiceFixture, AliasesAreKeyedOnTheVerbAndHeaderFlags) {
+  start({});
+  SolveRequest request;
+  request.solvers = {"busy/weighted-first-fit"};
+  request.instance = weighted_instance(12, 4);
+  const Frame solve = solve_frame(request);
+  const service::Exchange first = roundtrip(solve);
+  ASSERT_EQ(first.final.type, FrameType::kOk) << first.final.payload;
+  ASSERT_TRUE(roundtrip(solve).final.has_flag("cached"));  // alias in place
+
+  // The same payload bytes under the race verb are a different request.
+  Frame race = solve;
+  race.type = FrameType::kRace;
+  const service::Exchange raced = roundtrip(race);
+  ASSERT_EQ(raced.final.type, FrameType::kOk) << raced.final.payload;
+  EXPECT_FALSE(raced.final.has_flag("cached"));
+  std::string stats = stats_payload();
+  EXPECT_EQ(json_number_after(stats, "misses"), "2") << stats;
+  EXPECT_EQ(json_number_after(stats, "alias_hits"), "0") << stats;
+
+  // A header flag the server does not read still gets its own alias; the
+  // request hits through the canonical key first.
+  Frame flagged = solve;
+  flagged.flags = {{"note", "x"}};
+  for (const char* want : {"0", "1"}) {
+    const service::Exchange reply = roundtrip(flagged);
+    ASSERT_EQ(reply.final.type, FrameType::kOk) << reply.final.payload;
+    EXPECT_EQ(reply.final.flag("cached"), "1");
+    EXPECT_EQ(reply.final.payload, first.final.payload);
+    stats = stats_payload();
+    EXPECT_EQ(json_number_after(stats, "alias_hits"), want) << stats;
+  }
+  EXPECT_EQ(json_number_after(stats, "hits"), "3") << stats;
+}
+
+TEST_F(ServiceFixture, FlagValueWithAnEqualsSignIsAliasedNotFatal) {
+  start({});
+  SolveRequest request;
+  request.solvers = {"busy/weighted-first-fit"};
+  request.instance = weighted_instance(10, 6);
+  const std::string payload = solve_frame(request).payload;
+  // The header parser splits a flag at its first '=', so `note=a=b` is
+  // legal on the wire although frame_header would refuse to write it.
+  const std::string wire = "abt1 solve " + std::to_string(payload.size()) +
+                           " note=a=b\n" + payload;
+  std::vector<Frame> replies;
+  for (int i = 0; i < 3; ++i) {
+    std::string error;
+    service::Connection conn = service::connect_to(address_, &error);
+    ASSERT_TRUE(conn.valid()) << error;
+    ASSERT_EQ(::write(conn.fd(), wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+    replies.emplace_back();
+    ASSERT_TRUE(conn.read_frame(&replies.back(), &error)) << error;
+    ASSERT_EQ(replies.back().type, FrameType::kOk) << replies.back().payload;
+  }
+  EXPECT_FALSE(replies[0].has_flag("cached"));
+  EXPECT_EQ(replies[2].flag("cached"), "1");
+  EXPECT_EQ(replies[2].payload, replies[0].payload);
+  const std::string stats = stats_payload();
+  EXPECT_EQ(json_number_after(stats, "alias_hits"), "1") << stats;
+}
+
+TEST_F(ServiceFixture, MalformedPayloadIsNeverAliasedOrCounted) {
+  start({});
+  const Frame bad = solve_text_frame(
+      "solvers busy/weighted-first-fit\nbudget-ms soon\ninstance\n");
+  const service::Exchange first = roundtrip(bad);
+  const service::Exchange second = roundtrip(bad);
+  ASSERT_EQ(first.final.type, FrameType::kError) << first.final.payload;
+  ASSERT_EQ(second.final.type, FrameType::kError) << second.final.payload;
+  EXPECT_EQ(first.final.payload.rfind("line 2: ", 0), 0u)
+      << first.final.payload;
+  EXPECT_EQ(second.final.payload, first.final.payload);
+
+  const std::string stats = stats_payload();
+  EXPECT_EQ(json_number_after(stats, "errors"), "2") << stats;
+  for (const char* counter :
+       {"entries", "hits", "misses", "alias_hits", "insertions"}) {
+    EXPECT_EQ(json_number_after(stats, counter), "0") << counter << stats;
+  }
+}
+
+TEST_F(ServiceFixture, TinyCacheEvictsAliasesAndCanonicalEntriesAlike) {
+  service::ServiceConfig config;
+  config.cache_entries = 8;  // one entry per shard
+  config.cache_bytes = 8 * 4096;
+  start(config);
+
+  constexpr int kRequests = 6;
+  std::vector<Frame> frames;
+  for (int r = 0; r < kRequests; ++r) {
+    SolveRequest request;
+    request.solvers = {"busy/weighted-first-fit"};
+    request.instance = weighted_instance(12, 100 + r);
+    frames.push_back(solve_frame(request));
+  }
+  // Exact repeats only: a request recomputes only once its canonical
+  // entry and its alias are both gone, so every cached reply must equal
+  // the last payload computed for it.
+  std::vector<std::string> computed(kRequests);
+  int served = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (int r = 0; r < kRequests; ++r) {
+      const service::Exchange reply = roundtrip(frames[r]);
+      ASSERT_EQ(reply.final.type, FrameType::kOk) << reply.final.payload;
+      ++served;
+      if (reply.final.has_flag("cached")) {
+        EXPECT_EQ(reply.final.payload, computed[r]) << "request " << r;
+      } else {
+        computed[r] = reply.final.payload;
+      }
+      server_->audit_invariants();
+    }
+  }
+  const service::ServiceStats stats = server_->stats();
+  EXPECT_LE(stats.cache.entries, 8u);
+  EXPECT_LE(stats.cache.bytes, std::size_t{8 * 4096});
+  EXPECT_GT(stats.cache.evictions, 0u);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses,
+            static_cast<std::size_t>(served));
+  EXPECT_LE(stats.cache.alias_hits, stats.cache.hits);
+}
+
+TEST_F(ServiceFixture, ConcurrentIdenticalBytesAllGetTheCachedPayload) {
+  service::ServiceConfig config;
+  config.dispatchers = 4;
+  config.threads = 1;
+  config.queue_soft = 64;  // never shrink in this test
+  config.queue_cap = 64;
+  start(config);
+
+  SolveRequest request;
+  request.solvers = {"busy/weighted-first-fit"};
+  request.instance = weighted_instance(16, 31);
+  const Frame frame = solve_frame(request);
+  const service::Exchange primed = roundtrip(frame);
+  ASSERT_EQ(primed.final.type, FrameType::kOk) << primed.final.payload;
+
+  // No alias yet: the clients race the canonical hit and the alias
+  // install against each other's alias probes.
+  constexpr int kClients = 8;
+  std::vector<service::Exchange> replies(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] { replies[i] = roundtrip(frame); });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const service::Exchange& reply : replies) {
+    ASSERT_EQ(reply.final.type, FrameType::kOk) << reply.final.payload;
+    EXPECT_EQ(reply.final.flag("cached"), "1");
+    EXPECT_EQ(reply.final.payload, primed.final.payload);
+  }
+  const service::ServiceStats stats = server_->stats();
+  EXPECT_EQ(stats.cache.hits, static_cast<std::size_t>(kClients));
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_LE(stats.cache.alias_hits, stats.cache.hits);
+  server_->audit_invariants();
 }
 
 TEST_F(ServiceFixture, IdReuseKeepsTheLaterRequestCancellable) {
