@@ -274,9 +274,9 @@ std::optional<std::vector<std::string>> race_names(
 }
 
 /// Client mode: the request shipped to abtd, same payload schema and exit
-/// contract as the local path (docs/SERVICE.md). Progress frames and
-/// service notes go to stderr so stdout stays exactly the report the local
-/// mode would print.
+/// contract as the local path (docs/SERVICE.md). Progress frames (printed
+/// as they arrive) and service notes go to stderr so stdout stays exactly
+/// the report the local mode would print.
 int solve_remote(const CliOptions& options, const engine::Request& local) {
   std::string error;
   const auto address = service::parse_address(options.connect, &error);
@@ -297,13 +297,13 @@ int solve_remote(const CliOptions& options, const engine::Request& local) {
   frame.type =
       request.race ? service::FrameType::kRace : service::FrameType::kSolve;
   service::write_solve_payload(frame.payload, request, &error);
-  const auto exchange = service::client_roundtrip(*address, frame, &error);
+  const auto exchange = service::client_roundtrip(
+      *address, frame, &error, [](const service::Frame& event) {
+        std::cerr << "progress: " << event.payload;
+      });
   if (!exchange.has_value()) {
     std::cerr << "connect " << address->describe() << ": " << error << "\n";
     return 1;
-  }
-  for (const service::Frame& event : exchange->progress) {
-    std::cerr << "progress: " << event.payload;
   }
   const service::Frame& final = exchange->final;
   if (final.type == service::FrameType::kOverloaded) {

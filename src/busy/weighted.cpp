@@ -190,8 +190,8 @@ class PartitionSearch {
       best_cost_ = cost;
       best_assignment_ = assignment_;
       if (context_ != nullptr) {
-        // The render is lazy: only a context with a schedule ring attached
-        // (service `progress` events) pays for the partition string.
+        // The render is lazy: only a context with an incumbent hook attached
+        // (service `progress` frames) pays for the partition string.
         context_->report_incumbent(best_cost_, [&] {
           return core::render_partition("machine", best_assignment_);
         });

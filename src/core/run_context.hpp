@@ -2,11 +2,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,68 +77,23 @@ class CancelSource {
 /// A strictly improving incumbent reported by an anytime solver mid-run.
 /// `cost` is the solver's own bookkeeping (the final schedule still goes
 /// through the registry checker); `elapsed_ms` is measured against the
-/// context's start.
+/// context's start; `schedule` is the solver's compact one-line render of
+/// the incumbent (the service's `progress` frames carry it).
 struct Incumbent {
   double cost = 0.0;
   double elapsed_ms = 0.0;
+  std::string schedule;
 };
 
+/// Called from whichever thread found the incumbent — pool workers report
+/// concurrently during races and multi-threaded runs, so a hook that
+/// keeps state must lock it.
 using IncumbentHook = std::function<void(const Incumbent&)>;
 
-/// Ring buffer of the last K improving incumbent SCHEDULES an anytime run
-/// reported — the (cost, elapsed) hook tells a driver THAT progress
-/// happened, this retains WHAT the incumbent looked like, as a compact
-/// solver-rendered text snapshot (live Gantt streaming / the service
-/// protocol's `progress` events). Off by default: solvers render a
-/// snapshot only when a ring is attached to their context, so runs that
-/// never ask pay one null check per improvement. Thread-safe — pool
-/// workers report concurrently during races.
-class IncumbentRing {
- public:
-  /// Retains the last `capacity` improving snapshots (>= 1).
-  explicit IncumbentRing(int capacity)
-      : capacity_(capacity < 1 ? std::size_t{1}
-                               : static_cast<std::size_t>(capacity)) {}
-
-  struct Snapshot {
-    double cost = 0.0;
-    double elapsed_ms = 0.0;
-    std::string schedule;  ///< Solver-rendered incumbent, one line.
-  };
-
-  void push(Snapshot snapshot) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++total_;
-    if (ring_.size() == capacity_) ring_.pop_front();
-    ring_.push_back(std::move(snapshot));
-  }
-
-  /// Retained snapshots, oldest first.
-  [[nodiscard]] std::vector<Snapshot> snapshots() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return {ring_.begin(), ring_.end()};
-  }
-
-  /// Improvements ever reported (>= snapshots().size(); the ring forgets,
-  /// the counter does not).
-  [[nodiscard]] std::size_t total_reported() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return total_;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::deque<Snapshot> ring_;
-  std::size_t total_ = 0;
-};
-
-/// Compact one-line renders for IncumbentRing snapshots, shared by the
-/// anytime searches so the service's `progress` events speak one dialect:
-/// a job -> group partition ("machine 0: 1 3 | machine 1: 0 2"; jobs with
-/// no group yet are omitted) and a slot list ("slots 1 3 5").
+/// Compact one-line incumbent renders, shared by the anytime searches so
+/// the service's `progress` frames speak one dialect: a job -> group
+/// partition ("machine 0: 1 3 | machine 1: 0 2"; jobs with no group yet
+/// are omitted) and a slot list ("slots 1 3 5").
 [[nodiscard]] inline std::string render_partition(
     const char* label, const std::vector<int>& assignment) {
   int groups = 0;
@@ -204,13 +157,6 @@ class RunContext {
     hook_ = std::move(hook);
     return *this;
   }
-  /// Attaches a ring that retains the last K improving incumbent
-  /// schedules (nullptr detaches). Solvers consult `wants_schedules()`
-  /// and render a snapshot only when someone is listening.
-  RunContext& set_schedule_ring(std::shared_ptr<IncumbentRing> ring) {
-    ring_ = std::move(ring);
-    return *this;
-  }
 
   /// Copy with the clock (and therefore the deadline) re-armed at now.
   [[nodiscard]] RunContext restarted() const {
@@ -231,7 +177,6 @@ class RunContext {
     ctx.budget_ms_ = has_budget() ? std::max(remaining_ms(), 1e-3) : 0.0;
     ctx.cancel_ = extra.chained(cancel_);
     ctx.hook_ = hook_;
-    ctx.ring_ = ring_;
     return ctx;
   }
 
@@ -261,31 +206,14 @@ class RunContext {
     return cancelled() || out_of_budget();
   }
 
-  /// Reports a strictly improving incumbent to the hook (if any). Safe to
-  /// call from any solver thread; `const` because solvers only see a
-  /// read-only context.
-  void report_incumbent(double cost) const {
-    if (hook_) hook_({cost, elapsed_ms()});
-  }
-
-  /// True when a schedule ring is attached — the solver should pay for a
-  /// snapshot render on its next improvement.
-  [[nodiscard]] bool wants_schedules() const { return ring_ != nullptr; }
-  [[nodiscard]] const std::shared_ptr<IncumbentRing>& schedule_ring() const {
-    return ring_;
-  }
-
-  /// Improvement report with a lazily rendered schedule snapshot: `render`
-  /// (any callable returning a std::string) is invoked ONLY when a ring is
-  /// attached, so solvers pass it unconditionally without paying for the
-  /// string on ordinary runs.
+  /// Reports a strictly improving incumbent to the hook (if any). `render`
+  /// (any callable returning a std::string) is invoked ONLY when a hook
+  /// is attached, so solvers pass it unconditionally without paying for
+  /// the string on ordinary runs. Safe to call from any solver thread;
+  /// `const` because solvers only see a read-only context.
   template <typename Render>
   void report_incumbent(double cost, Render&& render) const {
-    const double elapsed = elapsed_ms();
-    if (ring_ != nullptr) {
-      ring_->push({cost, elapsed, std::forward<Render>(render)()});
-    }
-    if (hook_) hook_({cost, elapsed});
+    if (hook_) hook_({cost, elapsed_ms(), std::forward<Render>(render)()});
   }
 
  private:
@@ -294,7 +222,6 @@ class RunContext {
   double budget_ms_ = 0.0;  ///< 0 = unlimited.
   CancelToken cancel_;
   IncumbentHook hook_;
-  std::shared_ptr<IncumbentRing> ring_;
 };
 
 }  // namespace abt::core

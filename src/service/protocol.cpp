@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -30,13 +31,16 @@ bool fail_line(std::string* error, int line, const std::string& what) {
   return fail(error, "line " + std::to_string(line) + ": " + what);
 }
 
-/// Flags ride the header line, so their syntax is deliberately tiny.
-bool valid_flag_token(const std::string& token) {
-  if (token.empty()) return false;
-  for (const char c : token) {
-    if (c == ' ' || c == '=' || c == '\n' || c == '\r') return false;
-  }
-  return true;
+/// Flags ride the header line, so their syntax is deliberately tiny and
+/// is exactly what parse_frame_header reads back: the header splits on
+/// whitespace, and a flag splits at its first '='.
+bool valid_flag(std::string_view key, std::string_view value) {
+  const auto blank_free = [](std::string_view token) {
+    return !token.empty() &&
+           std::none_of(token.begin(), token.end(), core::is_blank);
+  };
+  return blank_free(key) && key.find('=') == std::string_view::npos &&
+         blank_free(value);
 }
 
 }  // namespace
@@ -103,8 +107,9 @@ std::string frame_header(const Frame& frame) {
   out += ' ';
   out += std::to_string(frame.payload.size());
   for (const auto& [key, value] : frame.flags) {
-    ABT_ASSERT(valid_flag_token(key) && valid_flag_token(value),
-               "frame flags must be space/=/newline-free tokens");
+    ABT_ASSERT(valid_flag(key, value),
+               "frame flags need a non-empty, blank- and '='-free key and a "
+               "non-empty, blank-free value");
     out += ' ';
     out += key;
     out += '=';
@@ -195,6 +200,9 @@ bool parse_solve_payload(std::string_view payload, SolveRequest* out,
       if (!args.number(&out->accept_gap)) {
         return fail_line(error, line_no, "accept-gap needs a number");
       }
+      // Every negative gap means "accept any": one value keeps the cache
+      // key canonical.
+      if (out->accept_gap < 0.0) out->accept_gap = -1.0;
     } else if (keyword == "progress") {
       if (!once(4, "progress")) return false;
       if (!args.number(&out->progress) || out->progress < 0) {
@@ -476,7 +484,8 @@ Connection connect_to(const Address& address, std::string* error) {
 
 std::optional<Exchange> client_roundtrip(const Address& address,
                                          const Frame& request,
-                                         std::string* error) {
+                                         std::string* error,
+                                         const ProgressCallback& on_progress) {
   Connection conn = connect_to(address, error);
   if (!conn.valid()) return std::nullopt;
   // A shed connection is answered (`overloaded`) and closed without the
@@ -499,6 +508,7 @@ std::optional<Exchange> client_roundtrip(const Address& address,
       return std::nullopt;
     }
     if (frame.type == FrameType::kProgress) {
+      if (on_progress) on_progress(frame);
       exchange.progress.push_back(std::move(frame));
       continue;
     }

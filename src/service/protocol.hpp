@@ -9,13 +9,15 @@
 //
 // Request types:  solve, race, cancel, stats.
 // Response types: ok, error, overloaded, progress. A solve/race exchange
-// is zero or more `progress` frames followed by exactly one final frame;
-// `cancel` and `stats` answer with one final frame. Header flags carry
-// response metadata OUTSIDE the payload — `exit=N` (the CLI exit code the
-// same run would have produced), `cached=1` (payload replayed from the
-// solution cache, bit-identical to the original response), `budget-ms=X`
-// (admission control shrank the request's budget to X) — so a cached
-// payload stays byte-identical to the first computation.
+// is zero or more `progress` frames, written while the run is still
+// solving, each time it finds a strictly cheaper incumbent, followed by
+// exactly one final frame; `cancel` and `stats` answer with one final
+// frame. Header flags carry response metadata OUTSIDE the payload —
+// `exit=N` (the CLI exit code the same run would have produced),
+// `cached=1` (payload replayed from the solution cache, bit-identical to
+// the original response), `budget-ms=X` (admission control shrank the
+// request's budget to X) — so a cached payload stays byte-identical to
+// the first computation.
 //
 // The solve/race payload is line-oriented in the instance-format dialect
 // ('#' comments, one directive per line): request directives first, then
@@ -25,7 +27,7 @@
 //     solvers busy/first-fit busy/weighted-exact
 //     budget-ms 200
 //     accept-gap 0.02           # race acceptance threshold
-//     progress 4                # stream up to 4 incumbent snapshots
+//     progress 4                # stream the first 4 improving incumbents
 //     format json               # json | csv | table
 //     instance
 //     model weighted
@@ -36,6 +38,7 @@
 // 9: ..."), instance lines included, in the io-v2 style.
 
 #include <cstddef>
+#include <functional>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -71,7 +74,7 @@ enum class FrameType {
 struct Frame {
   FrameType type = FrameType::kError;
   /// Header key=value pairs, in wire order. Keys and values must be
-  /// non-empty and free of spaces, '=' and newlines.
+  /// non-empty and free of whitespace; keys must also be free of '='.
   std::vector<std::pair<std::string, std::string>> flags;
   std::string payload;
 
@@ -195,10 +198,14 @@ struct Exchange {
   Frame final;
 };
 
+using ProgressCallback = std::function<void(const Frame&)>;
+
 /// Sends `request` over a fresh connection and drains the response.
-/// nullopt (with `error`) on connection or framing failure.
-[[nodiscard]] std::optional<Exchange> client_roundtrip(const Address& address,
-                                                       const Frame& request,
-                                                       std::string* error);
+/// Each `progress` frame goes to `on_progress` (when set) as soon as it is
+/// read, then into Exchange::progress. nullopt (with `error`) on
+/// connection or framing failure.
+[[nodiscard]] std::optional<Exchange> client_roundtrip(
+    const Address& address, const Frame& request, std::string* error,
+    const ProgressCallback& on_progress = {});
 
 }  // namespace abt::service

@@ -6,8 +6,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -19,29 +21,16 @@ namespace abt::service {
 
 namespace {
 
-std::string progress_payload(const core::IncumbentRing::Snapshot& snap) {
+std::string progress_payload(const core::Incumbent& incumbent) {
   std::ostringstream os;
-  os << "{\"cost\": " << snap.cost << ", \"elapsed_ms\": " << snap.elapsed_ms
-     << ", \"schedule\": ";
-  engine::write_json_string(os, snap.schedule);
+  // Round-trip digits, as in the final payload: at the stream's default
+  // six, two strictly improving costs can print equal.
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << "{\"cost\": " << incumbent.cost
+     << ", \"elapsed_ms\": " << incumbent.elapsed_ms << ", \"schedule\": ";
+  engine::write_json_string(os, incumbent.schedule);
   os << "}\n";
   return os.str();
-}
-
-/// The raw alias key of a solve/race frame: magic, verb and header flags
-/// as received, a newline, then the exact payload bytes. Built by hand,
-/// not by frame_header, which asserts on flag values that the header
-/// parser accepts from a client (`a=b=c`). Alias keys start with the
-/// frame magic and canonical keys with "verb ", so the two never collide
-/// in the shared cache.
-std::string alias_key(const Frame& frame) {
-  std::string key;
-  core::append(key, kMagic, ' ', frame_type_name(frame.type));
-  for (const auto& [name, value] : frame.flags) {
-    core::append(key, ' ', name, '=', value);
-  }
-  core::append(key, '\n', frame.payload);
-  return key;
 }
 
 }  // namespace
@@ -309,7 +298,9 @@ void Server::serve(Connection& conn, double factor) {
     case FrameType::kRace: {
       // A byte-identical repeat of a request that has already hit its
       // canonical entry is answered here, before any parse.
-      const std::string alias = alias_key(request);
+      // Alias keys start with the frame magic and canonical keys with
+      // "verb ", so the two never collide in the shared cache.
+      const std::string alias = frame_header(request) + '\n' + request.payload;
       if (auto hit = cache_.lookup_alias(alias)) {
         if (factor < 1.0) shrunk_.fetch_add(1, std::memory_order_relaxed);
         send_cached(conn, std::move(*hit));
@@ -408,18 +399,30 @@ void Server::handle_solve(Connection& conn, SolveRequest request,
 
   // Per-request context: its own cancel source (the `cancel` verb's
   // target when the request carries an id) chained with the server's
-  // shutdown source, the effective budget, and — when asked — an
-  // incumbent ring for `progress` frames.
+  // shutdown source, the effective budget, and — when asked — a hook that
+  // writes each strictly cheaper incumbent as a `progress` frame the
+  // moment a solver reports it. Race contestants and multi-threaded runs
+  // report from pool workers, hence the lock; every worker has joined
+  // before engine::execute returns, so the final frame always comes last.
   core::CancelSource request_source;
   core::RunContext ctx = core::RunContext::with_budget_ms(budget_ms);
   ctx.set_cancel_token(request_source.token().chained(stop_source_.token()));
-  std::shared_ptr<core::IncumbentRing> ring;
-  if (request.progress > 0) {
-    const int capacity = request.progress < config_.max_progress
-                             ? request.progress
-                             : config_.max_progress;
-    ring = std::make_shared<core::IncumbentRing>(capacity);
-    ctx.set_schedule_ring(ring);
+  std::mutex progress_mutex;
+  int progress_left = std::min(request.progress, config_.max_progress);
+  double progress_cost = std::numeric_limits<double>::infinity();
+  if (progress_left > 0) {
+    ctx.set_incumbent_hook([&](const core::Incumbent& incumbent) {
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      if (progress_left == 0 || incumbent.cost >= progress_cost) return;
+      Frame progress;
+      progress.type = FrameType::kProgress;
+      progress.payload = progress_payload(incumbent);
+      std::string ignored;
+      // A client that hung up stops the stream, not the solve.
+      progress_left = conn.write_frame(progress, &ignored) ? progress_left - 1
+                                                           : 0;
+      progress_cost = incumbent.cost;
+    });
   }
   // Last writer wins on id reuse; the serial lets a finishing request
   // retire only its own entry, never a later request's under the same id.
@@ -443,18 +446,6 @@ void Server::handle_solve(Connection& conn, SolveRequest request,
     const std::lock_guard<std::mutex> lock(active_mutex_);
     const auto it = active_.find(request.id);
     if (it != active_.end() && it->second.serial == serial) active_.erase(it);
-  }
-
-  // Progress frames: the ring retained the last K improving incumbents;
-  // replay them (oldest first) ahead of the final frame.
-  std::string ignored;
-  if (ring != nullptr) {
-    for (const core::IncumbentRing::Snapshot& snap : ring->snapshots()) {
-      Frame progress;
-      progress.type = FrameType::kProgress;
-      progress.payload = progress_payload(snap);
-      if (!conn.write_frame(progress, &ignored)) break;
-    }
   }
 
   Flags flags = {{"exit", std::to_string(response.exit)}};

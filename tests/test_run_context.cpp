@@ -277,6 +277,69 @@ TEST(RunContext, IncumbentHookObservesImprovingCosts) {
   EXPECT_EQ(costs.back(), sol.cost);
 }
 
+TEST(RunContext, RenderRunsOnlyForAnAttachedHookThatChildrenCarry) {
+  int renders = 0;
+  const auto counting_render = [&renders] {
+    ++renders;
+    return std::string("slots 1 2");
+  };
+  const RunContext bare = RunContext::with_budget_ms(1e6);
+  bare.report_incumbent(3.0, counting_render);
+  bare.child().report_incumbent(2.0, counting_render);
+  bare.restarted().report_incumbent(1.0, counting_render);
+  EXPECT_EQ(renders, 0) << "no hook, no render";
+
+  std::vector<core::Incumbent> seen;
+  RunContext hooked = RunContext::with_budget_ms(1e6);
+  hooked.set_incumbent_hook(
+      [&seen](const core::Incumbent& incumbent) { seen.push_back(incumbent); });
+  hooked.report_incumbent(3.0, counting_render);
+  hooked.child().report_incumbent(2.0, counting_render);
+  hooked.restarted().report_incumbent(1.0, counting_render);
+  EXPECT_EQ(renders, 3);
+  ASSERT_EQ(seen.size(), 3u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].cost, 3.0 - static_cast<double>(i));
+    EXPECT_GE(seen[i].elapsed_ms, 0.0);
+    EXPECT_EQ(seen[i].schedule, "slots 1 2");
+  }
+}
+
+TEST(RunContext, FullAnytimeRunsRenderEveryIncumbentOnlyForAHook) {
+  // The solvers' renders are lazy lambdas; without a hook report_incumbent
+  // never calls them (above), and a hook must not change the answer.
+  const core::SolverRegistry& registry = engine::shared_registry();
+  struct Run {
+    const char* solver;
+    const char* dialect;  ///< How its schedule renders begin.
+    ProblemInstance inst;
+  };
+  const Run runs[] = {
+      {"active/exact", "slots", scenario_instance("slotted", 12, 2, 11)},
+      {"busy/weighted-exact", "machine 0:",
+       scenario_instance("weighted", 10, 3, 5)},
+  };
+  for (const auto& [solver, dialect, inst] : runs) {
+    const Solution bare = registry.run(solver, inst, RunContext());
+    std::vector<core::Incumbent> seen;
+    RunContext hooked;
+    hooked.set_incumbent_hook([&seen](const core::Incumbent& incumbent) {
+      seen.push_back(incumbent);
+    });
+    const Solution observed = registry.run(solver, inst, hooked.child());
+    ASSERT_TRUE(bare.ok && observed.ok) << solver << ": " << bare.message;
+    EXPECT_TRUE(bare.exact && observed.exact) << solver;
+    EXPECT_EQ(observed.cost, bare.cost) << solver;
+    ASSERT_FALSE(seen.empty()) << solver;
+    // The search's own bookkeeping, up to summation order.
+    EXPECT_NEAR(seen.back().cost, bare.cost, 1e-9 * bare.cost) << solver;
+    for (const core::Incumbent& incumbent : seen) {
+      EXPECT_EQ(incumbent.schedule.rfind(dialect, 0), 0u)
+          << solver << ": " << incumbent.schedule;
+    }
+  }
+}
+
 TEST(RunContext, MultiWindowInfeasibleConcludesWithoutEnumerating) {
   // Two 2-slot jobs, one shared single-slot window, g = 1: infeasible.
   // The anytime path must conclude from the failed all-slots check —

@@ -10,6 +10,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -94,6 +95,18 @@ TEST(ServiceProtocol, FramesRoundTripOverAStream) {
   EXPECT_EQ(back.payload, frame.payload);
   ASSERT_TRUE(service::read_frame(wire, &back, &error)) << error;
   EXPECT_EQ(back.type, FrameType::kProgress);
+
+  // A flag value may hold '=' (the reader splits at the first one), and
+  // what the reader accepts the writer writes back unchanged.
+  std::stringstream relay("abt1 solve 2 note=a=b\nhi");
+  ASSERT_TRUE(service::read_frame(relay, &back, &error)) << error;
+  EXPECT_EQ(back.flag("note"), "a=b");
+  service::write_frame(wire, back);
+  Frame again;
+  ASSERT_TRUE(service::read_frame(wire, &again, &error)) << error;
+  EXPECT_EQ(again.type, FrameType::kSolve);
+  EXPECT_EQ(again.flags, back.flags);
+  EXPECT_EQ(again.payload, "hi");
 
   // Clean EOF at a frame boundary: false with an EMPTY error.
   error = "sentinel";
@@ -987,6 +1000,115 @@ TEST_F(ServiceFixture, IdReuseKeepsTheLaterRequestCancellable) {
   EXPECT_NE(long_exchange.final.payload.find("\"timed_out\": true"),
             std::string::npos)
       << long_exchange.final.payload;
+}
+
+/// The `--gen weighted --n <n> --g <g> --seed <seed>` instance.
+core::ProblemInstance weighted_scenario(int n, int g, std::uint64_t seed) {
+  engine::ScenarioSpec spec;
+  spec.name = "weighted";
+  spec.n = n;
+  spec.g = g;
+  spec.seed = seed;
+  std::string error;
+  auto inst = engine::make_scenario(spec, &error);
+  EXPECT_TRUE(inst.has_value()) << error;
+  return inst.value_or(core::ProblemInstance{});
+}
+
+/// Strictly decreasing `cost` fields over a run's progress frames.
+void expect_strictly_improving(const std::vector<Frame>& progress) {
+  double last = std::numeric_limits<double>::infinity();
+  for (const Frame& event : progress) {
+    EXPECT_TRUE(is_json(event.payload)) << event.payload;
+    const double cost = std::stod(json_number_after(event.payload, "cost"));
+    EXPECT_LT(cost, last) << event.payload;
+    last = cost;
+  }
+}
+
+TEST_F(ServiceFixture, ProgressFramesArriveWhileTheSolveRuns) {
+  service::ServiceConfig config;
+  config.threads = 1;
+  start(config);
+  SolveRequest request;
+  request.solvers = {"busy/weighted-exact"};
+  request.budget_ms = 2000.0;
+  request.progress = 8;
+  request.instance = weighted_scenario(20, 3, 1);
+
+  std::string error;
+  service::Connection conn = service::connect_to(address_, &error);
+  ASSERT_TRUE(conn.valid()) << error;
+  ASSERT_TRUE(conn.write_frame(solve_frame(request), &error)) << error;
+  using Clock = std::chrono::steady_clock;
+  std::vector<Frame> progress;
+  Clock::time_point first_arrival;
+  std::string in_flight;
+  Frame final;
+  while (true) {
+    Frame next;
+    ASSERT_TRUE(conn.read_frame(&next, &error)) << error;
+    if (next.type != FrameType::kProgress) {
+      final = std::move(next);
+      break;
+    }
+    if (progress.empty()) {
+      first_arrival = Clock::now();
+      in_flight = json_number_after(stats_payload(), "in_flight");
+    }
+    progress.push_back(std::move(next));
+  }
+  const Clock::time_point final_arrival = Clock::now();
+  ASSERT_EQ(final.type, FrameType::kOk) << final.payload;
+  Frame after_final;
+  EXPECT_FALSE(conn.read_frame(&after_final, &error));
+  EXPECT_TRUE(error.empty()) << "nothing may follow the final frame: "
+                             << error;
+
+  ASSERT_FALSE(progress.empty());
+  EXPECT_LE(progress.size(), 8u);
+  // The stats request counts itself, so 2 = it plus the running solve.
+  EXPECT_EQ(in_flight, "2");
+  EXPECT_GE(final_arrival - first_arrival, std::chrono::milliseconds(500));
+  expect_strictly_improving(progress);
+
+  // Progress never touches the final payload: without it the same
+  // request hits the cache entry the streamed run left.
+  request.progress = 0;
+  const service::Exchange plain = roundtrip(solve_frame(request));
+  EXPECT_TRUE(plain.progress.empty());
+  EXPECT_EQ(plain.final.flag("cached"), "1");
+  EXPECT_EQ(plain.final.payload, final.payload);
+}
+
+TEST_F(ServiceFixture, RaceContestantsStreamProgressFromPoolWorkers) {
+  service::ServiceConfig config;
+  config.threads = 2;
+  config.max_progress = 2;
+  start(config);
+  SolveRequest request;
+  request.race = true;
+  request.solvers = {"busy/weighted-exact", "busy/weighted-exact"};
+  request.budget_ms = 300.0;
+  request.progress = 8;
+  // Each contestant finds three improving incumbents within 300 ms in a
+  // Release build, so the cap below binds.
+  request.instance = weighted_scenario(20, 3, 1);
+
+  std::vector<std::string> delivered;
+  std::string error;
+  const auto exchange = service::client_roundtrip(
+      address_, solve_frame(request), &error,
+      [&delivered](const Frame& event) { delivered.push_back(event.payload); });
+  ASSERT_TRUE(exchange.has_value()) << error;
+  ASSERT_EQ(exchange->final.type, FrameType::kOk) << exchange->final.payload;
+  ASSERT_FALSE(exchange->progress.empty());
+  EXPECT_LE(exchange->progress.size(), 2u) << "capped by max_progress";
+  expect_strictly_improving(exchange->progress);
+  ASSERT_EQ(delivered.size(), exchange->progress.size());
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i], exchange->progress[i].payload);
+  }
 }
 
 }  // namespace
