@@ -616,9 +616,10 @@ constexpr std::size_t kSchedulerCells = 1024;
 void BM_SchedulerOverhead(benchmark::State& state) {
   // Persistent work-stealing pool (PR 7): workers are spawned once and
   // reused across every iteration; cells are claimed as index ranges off
-  // per-worker deques, no per-cell allocation.
+  // per-thread deques, no per-cell allocation. The calling thread runs
+  // one range, so `threads` threads need threads - 1 workers.
   const int threads = static_cast<int>(state.range(0));
-  engine::ThreadPool::shared().resize(engine::resolve_threads(threads));
+  engine::ThreadPool::shared().resize(engine::resolve_threads(threads) - 1);
   SmallCellWorkload workload(kSchedulerCells);
   const auto fn = workload.fn();
   for (auto _ : state) {

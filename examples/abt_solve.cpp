@@ -14,8 +14,9 @@
 //   --solvers a,b,c   registry names (default: every applicable solver)
 //   --n K --g G --seed N --slack S --horizon H --eps E   scenario knobs
 //   --trials N        sweep N seeded trials of the scenario (needs --gen)
-//   --threads K       pool workers for the solvers of one instance, a
-//                     sweep or a campaign (0 = hardware concurrency)
+//   --threads K       threads that run cells, the caller included, for the
+//                     solvers of one instance, a sweep or a campaign
+//                     (0 = hardware concurrency)
 //   --budget-ms B     per-cell time budget; lifts the exact solvers' size
 //                     gates (anytime mode: incumbent + gap on timeout)
 //   --race a,b|auto   portfolio-race solvers on the shared pool ('auto' =
@@ -383,10 +384,11 @@ int main(int argc, char** argv) {
 
   // Size the shared persistent pool once, up front: every sweep/campaign
   // this process runs (including back-to-back invocations in one session)
-  // reuses these workers and their warm scratch arenas.
+  // reuses these workers and their warm scratch arenas. The calling thread
+  // runs cells too, so K threads need K - 1 workers.
   if (options.threads != 1 && options.connect.empty()) {
     engine::ThreadPool::shared().resize(
-        engine::resolve_threads(options.threads));
+        engine::resolve_threads(options.threads) - 1);
   }
 
   if (options.list) {

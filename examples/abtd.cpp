@@ -29,7 +29,8 @@ void usage(std::ostream& os) {
         "  --socket PATH          Unix-domain listener\n"
         "  --port N               loopback TCP listener (0 = ephemeral)\n"
         "  --dispatchers N        request worker threads (default 2)\n"
-        "  --threads N            per-request solver fan-out (0 = hardware)\n"
+        "  --threads N            threads that run a request's cells, the\n"
+        "                         dispatcher included (0 = hardware)\n"
         "  --queue-soft N         load beyond which budgets shrink "
         "(default 4)\n"
         "  --queue-cap N          queued beyond which requests are shed "

@@ -295,33 +295,35 @@ std::optional<CampaignReport> run_campaign(
     return std::nullopt;
   }
 
-  // Generate every point's trial instances up front, so a bad grid fails
-  // before any cell runs. Sequential and cheap: a random feasible slotted
-  // instance at n = 128, g = 4 takes ~0.1 ms, a continuous one at
-  // n = 1024 under 0.1 ms (4-CPU VM, Release; report.generate_ms). One
-  // flat input list across ALL points, point-major: the whole campaign
-  // shares one pool, so a short point's workers immediately pick up the
-  // next point's cells instead of idling at a per-point barrier.
+  // Generate every point's trial instances up front, as one pool batch
+  // over the (point, trial) inputs, so a bad grid fails before any cell
+  // runs. One flat input list across ALL points, point-major: the whole
+  // campaign shares one pool, so a short point's threads immediately pick
+  // up the next point's cells instead of idling at a per-point barrier.
   const auto generate_start = std::chrono::steady_clock::now();
   const auto trials = static_cast<std::size_t>(report.trials);
-  std::vector<CellInput> inputs;
-  inputs.reserve(specs.size() * trials);
-  for (const ScenarioSpec& point : specs) {
-    for (std::size_t t = 0; t < trials; ++t) {
-      ScenarioSpec spec = point;
-      spec.seed = point.seed + t;
-      std::string why;
-      auto inst = make_scenario(spec, &why);
-      if (!inst.has_value()) {
-        if (error != nullptr) {
-          *error = "point " + point.name + " n=" + std::to_string(point.n) +
-                   " g=" + std::to_string(point.g) + ": " + why;
-        }
-        return std::nullopt;
-      }
-      inputs.push_back({std::move(*inst),
-                        point_solver_names(grid, options, point.name)});
+  std::vector<CellInput> inputs(specs.size() * trials);
+  std::vector<std::string> why(inputs.size());
+  std::vector<unsigned char> made(inputs.size(), 0);
+  parallel_for(report.threads, inputs.size(), [&](std::size_t i) {
+    const ScenarioSpec& point = specs[i / trials];
+    ScenarioSpec spec = point;
+    spec.seed = point.seed + i % trials;
+    auto inst = make_scenario(spec, &why[i]);
+    if (!inst.has_value()) return;
+    inputs[i] = {std::move(*inst),
+                 point_solver_names(grid, options, point.name)};
+    made[i] = 1;
+  });
+  // The first bad input in grid order names its point.
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (made[i] != 0) continue;
+    const ScenarioSpec& point = specs[i / trials];
+    if (error != nullptr) {
+      *error = "point " + point.name + " n=" + std::to_string(point.n) +
+               " g=" + std::to_string(point.g) + ": " + why[i];
     }
+    return std::nullopt;
   }
   report.generate_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - generate_start)
@@ -335,12 +337,12 @@ std::optional<CampaignReport> run_campaign(
   if (report.raced) {
     races = run_races(registry, inputs, options, base_ctx, report.threads);
     cells.resize(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
+    parallel_for(report.threads, inputs.size(), [&](std::size_t i) {
       cells[i].instance = std::move(inputs[i].instance);
       cells[i].solutions = std::move(races[i].rows);
       cells[i].lower_bound = derive_lower_bound(
           cells[i].instance, cells[i].solutions, options.run);
-    }
+    });
   } else {
     cells = run_cells(registry, std::move(inputs), base_ctx, report.threads,
                       options.run);

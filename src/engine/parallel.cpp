@@ -10,8 +10,9 @@ namespace abt::engine {
 
 namespace {
 
-/// True on threads owned by a ThreadPool — nested parallel_for calls from
-/// inside a cell run inline instead of deadlocking on the pool.
+/// True on threads owned by a ThreadPool and on a caller during its share
+/// of a batch — nested parallel_for calls from inside a cell run inline
+/// instead of deadlocking on the pool.
 thread_local bool tl_pool_worker = false;
 
 constexpr std::uint64_t pack(std::size_t begin, std::size_t end) {
@@ -40,6 +41,20 @@ std::size_t chunk_of(std::size_t remaining) {
       1, std::min(kMaxChunk, remaining / 4));
 }
 
+/// The group start strictly inside (b, e) nearest to `target`, or `target`
+/// itself when [b, e) holds at most one group (or no groups are declared).
+/// Ties go to the later start.
+std::size_t snap_to_group(const std::vector<std::size_t>& starts,
+                          std::size_t b, std::size_t target, std::size_t e) {
+  const auto lo = std::upper_bound(starts.begin(), starts.end(), b);
+  const auto hi = std::lower_bound(lo, starts.end(), e);
+  if (lo == hi) return target;
+  const auto at = std::lower_bound(lo, hi, target);
+  if (at == lo) return *at;
+  if (at == hi) return *(at - 1);
+  return *at - target <= target - *(at - 1) ? *at : *(at - 1);
+}
+
 /// Owner side of the queue: claims an adaptive chunk off the front (the
 /// whole range in drain mode). Returns an empty pair when the range is
 /// exhausted.
@@ -62,17 +77,21 @@ std::pair<std::size_t, std::size_t> claim_front(
 }
 
 /// Thief side: takes half the victim's remainder off the back (all of it
-/// in drain mode). Front and back operate on the same atomic word, so a
-/// steal can never overlap an owner claim; ranges only shrink within a
-/// batch, which rules out ABA.
+/// in drain mode), cut at a group start when the remainder holds several
+/// groups. Front and back operate on the same atomic word, so a steal can
+/// never overlap an owner claim; ranges only shrink within a batch, which
+/// rules out ABA.
 std::pair<std::size_t, std::size_t> steal_back(
-    std::atomic<std::uint64_t>& range, bool take_all) {
+    std::atomic<std::uint64_t>& range, bool take_all,
+    const std::vector<std::size_t>& group_starts) {
   std::uint64_t cur = range.load(std::memory_order_acquire);
   for (;;) {
     const std::size_t b = range_begin(cur);
     const std::size_t e = range_end(cur);
     if (b >= e) return {0, 0};
-    const std::size_t take = take_all ? e - b : (e - b + 1) / 2;
+    const std::size_t take =
+        take_all ? e - b
+                 : e - snap_to_group(group_starts, b, e - (e - b + 1) / 2, e);
     if (range.compare_exchange_weak(cur, pack(b, e - take),
                                     std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
@@ -121,8 +140,8 @@ ThreadPool::~ThreadPool() {
       to_join.push_back(&slots_[static_cast<std::size_t>(i)]->thread);
     }
     live_workers_ = 0;
+    wake_all_locked();
   }
-  work_ready_.notify_all();
   for (std::thread* worker : to_join) worker->join();
 }
 
@@ -137,6 +156,10 @@ ThreadPool& ThreadPool::shared() {
 int ThreadPool::thread_count() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return live_workers_;
+}
+
+void ThreadPool::wake_all_locked() {
+  for (const std::unique_ptr<Slot>& slot : slots_) slot->wake.notify_one();
 }
 
 void ThreadPool::spawn_locked(int target) {
@@ -167,11 +190,11 @@ void ThreadPool::resize(int threads) {
         to_join.push_back(&slots_[static_cast<std::size_t>(i)]->thread);
       }
       live_workers_ = target;  // workers with idx >= live_workers_ exit
+      wake_all_locked();
     } else {
       spawn_locked(target);
     }
   }
-  work_ready_.notify_all();
   for (std::thread* worker : to_join) worker->join();
 }
 
@@ -198,19 +221,23 @@ void ThreadPool::worker_main(std::size_t slot_index, std::uint64_t seen) {
 
   lock.lock();
   for (;;) {
-    work_ready_.wait(lock, [&] {
+    // Only a batch this slot takes part in wakes it: the batch's workers
+    // are slots 0 .. participants_ - 2 (the caller holds the last range).
+    // A worker that gets here after the caller has closed the batch to
+    // joiners has nothing left to claim and goes back to sleep.
+    slot.wake.wait(lock, [&] {
       return stopping_ ||
              static_cast<int>(slot_index) >= live_workers_ ||
-             epoch_ != seen;
+             (joinable_ && epoch_ != seen && slot_index + 1 < participants_);
     });
     if (stopping_ || static_cast<int>(slot_index) >= live_workers_) break;
     seen = epoch_;
-    if (slot_index >= participants_) continue;
+    ++joined_;
     lock.unlock();
     run_batch(slot_index, slot);
     lock.lock();
     if constexpr (core::kAuditEnabled) audit_invariants_locked();
-    if (++finished_ == participants_) batch_done_.notify_all();
+    if (++finished_ == joined_) batch_done_.notify_all();
   }
   lock.unlock();
   tl_pool_worker = false;
@@ -218,10 +245,22 @@ void ThreadPool::worker_main(std::size_t slot_index, std::uint64_t seen) {
   core::set_thread_arena(nullptr);
 }
 
+void ThreadPool::run_caller_share(std::size_t self) noexcept {
+  // Only pool threads ever bind a slot, and they never get here (their
+  // parallel_for calls run inline), so unbinding restores the defaults.
+  core::set_thread_arena(&caller_.arena);
+  bind_worker_scratch(&caller_.scratch);
+  tl_pool_worker = true;
+  run_batch(self, caller_);
+  tl_pool_worker = false;
+  bind_worker_scratch(nullptr);
+  core::set_thread_arena(nullptr);
+}
+
 void ThreadPool::run_batch(std::size_t self, Slot& slot) {
   // batch_fn_ / batch_options_ / participants_ are frozen for the whole
-  // batch; the publishing caller cannot return (and so cannot retire
-  // them) before this worker reports finished.
+  // batch; the publishing caller cannot retire them before its own share
+  // is done and every worker has reported finished.
   const std::function<void(std::size_t)>& fn = *batch_fn_;
   const ParallelOptions& options = *batch_options_;
   const std::size_t P = participants_;
@@ -260,7 +299,8 @@ void ThreadPool::run_batch(std::size_t self, Slot& slot) {
       }
     }
     if (victim == P) break;  // every queue drained; batch is over for us
-    const auto [sb, se] = steal_back(ranges_[victim].packed, drain);
+    const auto [sb, se] =
+        steal_back(ranges_[victim].packed, drain, options.group_starts);
     if (sb >= se) continue;  // lost the race; rescan
     ++slot.steals;
     // Install the loot as our own queue so other idle workers can steal
@@ -271,7 +311,7 @@ void ThreadPool::run_batch(std::size_t self, Slot& slot) {
 
 void ThreadPool::parallel_for(std::size_t items,
                               const std::function<void(std::size_t)>& fn,
-                              int max_workers,
+                              int max_threads,
                               const ParallelOptions& options) {
   if (items == 0) return;
   if (tl_pool_worker) {  // nested parallelism runs inline
@@ -282,10 +322,10 @@ void ThreadPool::parallel_for(std::size_t items,
   // One batch at a time; concurrent external callers queue here.
   pool_idle_.wait(lock, [this] { return !batch_open_; });
   const std::size_t limit =
-      max_workers <= 0 ? std::numeric_limits<std::size_t>::max()
-                       : static_cast<std::size_t>(max_workers);
+      max_threads <= 0 ? std::numeric_limits<std::size_t>::max()
+                       : static_cast<std::size_t>(max_threads);
   const std::size_t P =
-      std::min({static_cast<std::size_t>(live_workers_), limit, items});
+      std::min({static_cast<std::size_t>(live_workers_) + 1, limit, items});
   if (P <= 1) {
     lock.unlock();
     serial_run(items, fn, options);
@@ -295,29 +335,48 @@ void ThreadPool::parallel_for(std::size_t items,
     std::vector<Range> grown(P);
     ranges_.swap(grown);
   }
-  // Even initial partition; the ranges are published before the epoch
-  // bump, and workers acquire the mutex before reading them.
+  // Even initial partition, each cut moved to the nearest group start;
+  // the ranges are published before the epoch bump, and workers acquire
+  // the mutex before reading them.
   const std::size_t base = items / P;
   const std::size_t rem = items % P;
+  std::size_t even = 0;
   std::size_t at = 0;
   for (std::size_t i = 0; i < P; ++i) {
-    const std::size_t len = base + (i < rem ? 1 : 0);
-    ranges_[i].packed.store(pack(at, at + len), std::memory_order_relaxed);
-    at += len;
+    even += base + (i < rem ? 1 : 0);
+    const std::size_t end =
+        i + 1 == P ? items
+                   : snap_to_group(options.group_starts, at,
+                                   std::max(even, at), items);
+    ranges_[i].packed.store(pack(at, end), std::memory_order_relaxed);
+    at = end;
   }
   batch_fn_ = &fn;
   batch_options_ = &options;
   batch_items_ = items;
   participants_ = P;
+  joined_ = 0;
   finished_ = 0;
+  joinable_ = true;
   batch_open_ = true;
   ++epoch_;
   if constexpr (core::kAuditEnabled) audit_invariants_locked();
-  work_ready_.notify_all();
-  // Epoch wait: woken once by the last participant, no polling. Waiting
-  // until every participant has detached also makes it safe for the
-  // caller to pop `fn` and `options` off its stack on return.
-  batch_done_.wait(lock, [this] { return finished_ == participants_; });
+  // Wake exactly the batch's workers; the slots cannot move while the
+  // batch is open (spawning waits for pool_idle_).
+  for (std::size_t i = 0; i + 1 < P; ++i) slots_[i]->wake.notify_one();
+  lock.unlock();
+
+  run_caller_share(P - 1);
+
+  // The caller's share ends only when every range is empty, so a worker
+  // that has not joined yet would find nothing: close the batch to
+  // joiners rather than wait for a late wakeup. Woken once by the last
+  // joined worker, no polling. Waiting until every joined worker has
+  // detached also makes it safe for the caller to pop `fn` and `options`
+  // off its stack on return.
+  lock.lock();
+  joinable_ = false;
+  batch_done_.wait(lock, [this] { return finished_ == joined_; });
   if constexpr (core::kAuditEnabled) audit_invariants_locked();
   batch_open_ = false;
   batch_fn_ = nullptr;
@@ -327,10 +386,12 @@ void ThreadPool::parallel_for(std::size_t items,
 
 void ThreadPool::audit_invariants_locked() const {
   if constexpr (!core::kAuditEnabled) return;
-  ABT_DBG_ASSERT(finished_ <= participants_,
-                 "more workers finished than ever participated");
+  ABT_DBG_ASSERT(finished_ <= joined_ && joined_ < participants_,
+                 "more workers finished or joined than take part");
   ABT_DBG_ASSERT(participants_ <= ranges_.size(),
                  "participants without a published range");
+  ABT_DBG_ASSERT(participants_ <= static_cast<std::size_t>(live_workers_) + 1,
+                 "a batch takes part with more threads than workers + caller");
   ABT_DBG_ASSERT(live_workers_ >= 0 &&
                      static_cast<std::size_t>(live_workers_) <= slots_.size(),
                  "worker ledger inconsistent with the slot table");
@@ -345,9 +406,9 @@ void ThreadPool::audit_invariants_locked() const {
                      "published range reaches past the batch's item space");
     }
   }
-  // At the completion seam every queue must have drained: a leftover
-  // claimable range with all participants finished is lost work.
-  if (finished_ == participants_ && participants_ > 0) {
+  // At the completion seam (the caller's share done, every joined worker
+  // out) every queue must have drained: a leftover range is lost work.
+  if (batch_open_ && !joinable_ && finished_ == joined_) {
     for (std::size_t i = 0; i < participants_; ++i) {
       ABT_DBG_ASSERT(
           range_size(ranges_[i].packed.load(std::memory_order_acquire)) == 0,
@@ -359,16 +420,19 @@ void ThreadPool::audit_invariants_locked() const {
 std::vector<WorkerStats> ThreadPool::worker_stats() const {
   std::unique_lock<std::mutex> lock(mutex_);
   std::vector<WorkerStats> out;
-  out.reserve(slots_.size());
-  for (const std::unique_ptr<Slot>& slot : slots_) {
+  out.reserve(slots_.size() + 1);
+  const auto add = [&out](const Slot& slot) {
     WorkerStats stats;
-    stats.cells_served = slot->scratch.cells_served;
-    stats.peak_arena_bytes = slot->scratch.peak_arena_bytes;
-    stats.arena_capacity = slot->arena.capacity();
-    stats.chunks_claimed = slot->chunks_claimed;
-    stats.steals = slot->steals;
+    stats.cells_served = slot.scratch.cells_served;
+    stats.dp_misses = slot.scratch.dp_misses;
+    stats.peak_arena_bytes = slot.scratch.peak_arena_bytes;
+    stats.arena_capacity = slot.arena.capacity();
+    stats.chunks_claimed = slot.chunks_claimed;
+    stats.steals = slot.steals;
     out.push_back(stats);
-  }
+  };
+  for (const std::unique_ptr<Slot>& slot : slots_) add(*slot);
+  add(caller_);
   return out;
 }
 
@@ -377,14 +441,15 @@ void parallel_for(int threads, std::size_t items,
                   const ParallelOptions& options) {
   // Tiny batches (and explicit --threads 1) never pay pool dispatch: the
   // serial path has identical begin_cell semantics and identical results.
-  if (threads <= 1 || tl_pool_worker ||
+  if (threads <= 1 || items <= 1 || tl_pool_worker ||
       (items < kSerialBatchThreshold && !options.eager_dispatch)) {
     serial_run(items, fn, options);
     return;
   }
+  // The caller runs one range, so K threads need K - 1 workers.
   ThreadPool& pool = ThreadPool::shared();
   pool.ensure_workers(static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(threads), items)));
+      std::min<std::size_t>(static_cast<std::size_t>(threads), items) - 1));
   pool.parallel_for(items, fn, threads, options);
 }
 

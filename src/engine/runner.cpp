@@ -285,10 +285,12 @@ LowerBound derive_lower_bound(const ProblemInstance& inst,
                 : bounds.best() == bounds.span   ? "span"
                                                  : "mass";
     } else {
+      // Active costs are integers, so LP1's optimum rounds up (the 1e-6
+      // absorbs the simplex's floating-point slack).
       lb.value = static_cast<double>(inst.slotted.mass_lower_bound());
       lb.kind = "mass";
       for (const core::Solution& sol : solutions) {
-        const double lp = sol.stat("lp_objective", -1.0);
+        const double lp = std::ceil(sol.stat("lp_objective", -1.0) - 1e-6);
         if (lp > lb.value) lb = {lp, "LP"};
       }
     }
@@ -310,15 +312,18 @@ std::vector<RunReport> run_cells(const core::SolverRegistry& registry,
     std::size_t slot;
   };
   std::vector<Cell> cells;
+  // An instance's cells are contiguous and the scheduler cuts between
+  // instances, so each instance's g = infinity DP memo stays on one slot.
+  ParallelOptions parallel_options;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     plans.push_back(
         registry.selection(inputs[i].instance, inputs[i].solvers, ctx));
     reports[i].solutions.resize(plans[i].size());
+    if (!plans[i].empty()) parallel_options.group_starts.push_back(cells.size());
     for (std::size_t s = 0; s < plans[i].size(); ++s) cells.push_back({i, s});
   }
   // A tripped token drains at the scheduler: unclaimed cells are stamped
   // with the registry's decline row, with no begin_cell and no dispatch.
-  ParallelOptions parallel_options;
   parallel_options.cancel = ctx.cancel_token();
   parallel_options.eager_dispatch = eager;
   parallel_options.on_cancelled = [&](std::size_t c) {
@@ -334,13 +339,14 @@ std::vector<RunReport> run_cells(const core::SolverRegistry& registry,
             registry.run(*plans[i][s], inputs[i].instance, ctx.restarted());
       },
       parallel_options);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
+  // The lower bounds are a batch of their own: one may run the DP.
+  parallel_for(threads, inputs.size(), [&](std::size_t i) {
     RunReport& report = reports[i];
     report.instance = std::move(inputs[i].instance);
     append_unknown_solver_rows(registry, inputs[i].solvers, report);
     report.lower_bound =
         derive_lower_bound(report.instance, report.solutions, options);
-  }
+  });
   return reports;
 }
 

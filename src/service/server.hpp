@@ -57,7 +57,7 @@ struct ServiceConfig {
                             ///< `dispatchers` solves are in flight; with
                             ///< every dispatcher busy it waits in the
                             ///< queue like any other request.
-  int threads = 0;          ///< Per-request solver fan-out (0 = hardware).
+  int threads = 0;          ///< Cell threads, dispatcher included (0 = all).
   int queue_soft = 4;       ///< Load beyond this shrinks budgets.
   int queue_cap = 16;       ///< Queued beyond this sheds `overloaded`.
   double default_budget_ms = 500.0;  ///< Stands in for "unlimited" when

@@ -4,6 +4,7 @@
 // the exact / LP lower bounds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <string>
@@ -362,6 +363,47 @@ TEST(Runner, ReportCarriesLowerBoundAndWriters) {
   EXPECT_NE(json.str().find("\"solutions\""), std::string::npos);
   EXPECT_NE(json.str().find("\"lower_bound\""), std::string::npos);
   EXPECT_NE(json.str().find("\"feasible\": true"), std::string::npos);
+}
+
+TEST(Runner, SlottedLpBoundRoundsUpToAnInteger) {
+  // Active costs are integers, so LP1's optimum 28.333 certifies 29.
+  engine::ScenarioSpec spec;
+  spec.name = "slotted";
+  spec.n = 24;
+  spec.seed = 2;
+  const auto inst = engine::make_scenario(spec);
+  ASSERT_TRUE(inst.has_value());
+  const engine::RunReport report =
+      engine::run_instance(engine::shared_registry(), *inst);
+  EXPECT_EQ(report.lower_bound.kind, "LP");
+  EXPECT_EQ(report.lower_bound.value, 29.0);
+}
+
+TEST(Runner, RoundedLpBoundNeverExceedsAVerifiedCost) {
+  const core::SolverRegistry& registry = engine::shared_registry();
+  core::Rng rng(20140623ULL);
+  int lp_bounds = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    engine::ScenarioSpec spec;
+    spec.name = "slotted";
+    spec.n = static_cast<int>(rng.uniform_int(16, 48));
+    spec.g = static_cast<int>(rng.uniform_int(1, 4));
+    spec.seed = 500 + static_cast<std::uint64_t>(trial);
+    const auto inst = engine::make_scenario(spec);
+    ASSERT_TRUE(inst.has_value());
+    const engine::RunReport report = engine::run_instance(registry, *inst);
+    const engine::LowerBound& lb = report.lower_bound;
+    EXPECT_EQ(lb.value, std::ceil(lb.value)) << "trial " << trial;
+    if (lb.kind == "LP") lp_bounds += 1;
+    for (const Solution& sol : report.solutions) {
+      if (sol.ok && sol.feasible) {
+        EXPECT_LE(lb.value, sol.cost)
+            << "trial " << trial << ": " << lb.kind << " bound above "
+            << sol.solver;
+      }
+    }
+  }
+  EXPECT_GT(lp_bounds, 0) << "no trial exercised the rounded LP bound";
 }
 
 TEST(Runner, SolverSubsetSelectionIsHonored) {

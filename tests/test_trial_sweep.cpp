@@ -4,12 +4,15 @@
 // count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "busy/dp_unbounded.hpp"
@@ -46,10 +49,11 @@ TEST(Parallel, ThreadPoolDrainsEveryBatchAndSurvivesResize) {
     pool.resize(2);
     EXPECT_EQ(pool.thread_count(), 2);
     pool.parallel_for(50, [&done](std::size_t) { done.fetch_add(1); });
-    // Regrowing rebinds the parked slots rather than minting new ones.
+    // Regrowing rebinds the parked slots rather than minting new ones:
+    // four worker slots, then the caller slot.
     pool.resize(4);
     EXPECT_EQ(pool.thread_count(), 4);
-    EXPECT_EQ(pool.worker_stats().size(), 4u);
+    EXPECT_EQ(pool.worker_stats().size(), 4u + 1u);
     pool.parallel_for(50, [&done](std::size_t) { done.fetch_add(1); });
   }
   EXPECT_EQ(done.load(), 250);
@@ -106,8 +110,10 @@ TEST(Parallel, WorkerSlotArenasAreReusedAcrossBatches) {
     });
   };
   for (int i = 0; i < 20; ++i) run_batch();
+  // Four worker slots, then the caller slot the calling thread runs its
+  // range on; the caller's arena is bounded like a worker's.
   const std::vector<engine::WorkerStats> stats = pool.worker_stats();
-  ASSERT_EQ(stats.size(), 4u);
+  ASSERT_EQ(stats.size(), 4u + 1u);
   std::size_t cells = 0;
   std::uint64_t chunks = 0;
   for (const engine::WorkerStats& s : stats) {
@@ -116,8 +122,127 @@ TEST(Parallel, WorkerSlotArenasAreReusedAcrossBatches) {
     EXPECT_LE(s.arena_capacity, std::size_t{256} << 10)
         << "slot arena must stay near one cell's worth, not accumulate";
   }
-  EXPECT_EQ(cells, 20u * 64u) << "every cell ran on a pool worker slot";
+  EXPECT_EQ(cells, 20u * 64u)
+      << "every cell ran on a pool slot, the caller's included";
+  EXPECT_GT(stats.back().cells_served, 0u) << "the caller ran no cell";
+  EXPECT_GT(stats.back().arena_capacity, 0u);
   EXPECT_GT(chunks, 0u);
+}
+
+/// Caller-side cells spin on this (for at most 10 s) until a worker has
+/// run a cell, so a test batch provably has both threads taking part.
+void wait_for_worker(const std::atomic<bool>& worker_ran) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!worker_ran.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(Parallel, TwoThreadBatchRunsOnTheCallerAndExactlyOneWorker) {
+  engine::ThreadPool pool(4);
+  const std::vector<engine::WorkerStats> before = pool.worker_stats();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(64);
+  std::atomic<bool> worker_ran{false};
+  pool.parallel_for(
+      ran_on.size(),
+      [&](std::size_t i) {
+        ran_on[i] = std::this_thread::get_id();
+        if (ran_on[i] != caller) {
+          worker_ran.store(true);
+        } else {
+          wait_for_worker(worker_ran);
+        }
+      },
+      2);
+  const std::set<std::thread::id> threads(ran_on.begin(), ran_on.end());
+  EXPECT_EQ(threads.size(), 2u) << "the caller and one worker";
+  EXPECT_EQ(threads.count(caller), 1u)
+      << "the calling thread runs its share";
+  // Only the first worker slot took part; the other three were not in
+  // the batch, and the caller's cells are counted on the caller slot.
+  const std::vector<engine::WorkerStats> after = pool.worker_stats();
+  ASSERT_EQ(after.size(), 4u + 1u);
+  EXPECT_GT(after[0].cells_served, before[0].cells_served);
+  for (std::size_t w = 1; w < 4; ++w) {
+    EXPECT_EQ(after[w].cells_served, before[w].cells_served) << "slot " << w;
+    EXPECT_EQ(after[w].chunks_claimed, before[w].chunks_claimed)
+        << "slot " << w;
+  }
+  EXPECT_GT(after.back().cells_served, before.back().cells_served);
+  EXPECT_EQ(after[0].cells_served + after.back().cells_served -
+                before[0].cells_served - before.back().cells_served,
+            64u);
+}
+
+TEST(Parallel, TwoThreadBatchCutsOnlyBetweenGroups) {
+  // 24 groups of 3..7 cells; the even split (59) falls inside group 12,
+  // cells 57..61. Both threads run cells at the same pace once the worker
+  // has started, so each walks its initial range and steals at the end.
+  // The caller's range starts at a group start, and only a tail steal
+  // inside the one group left may split a group.
+  std::vector<std::size_t> starts;
+  std::vector<std::size_t> group_of;
+  for (std::size_t g = 0; g < 24; ++g) {
+    starts.push_back(group_of.size());
+    group_of.insert(group_of.end(), 3 + g % 5, g);
+  }
+  engine::ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(group_of.size());
+  std::atomic<bool> worker_ran{false};
+  std::size_t caller_first = ran_on.size();  // written by the caller only
+  engine::ParallelOptions options;
+  options.group_starts = starts;
+  pool.parallel_for(
+      ran_on.size(),
+      [&](std::size_t i) {
+        ran_on[i] = std::this_thread::get_id();
+        if (ran_on[i] != caller) {
+          worker_ran.store(true);
+        } else {
+          if (caller_first == ran_on.size()) caller_first = i;
+          wait_for_worker(worker_ran);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      },
+      2, options);
+  EXPECT_TRUE(caller_first == 57 || caller_first == 62)
+      << "the caller's range starts at cell " << caller_first;
+  std::vector<std::set<std::thread::id>> threads_of(starts.size());
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    threads_of[group_of[i]].insert(ran_on[i]);
+  }
+  const auto split = std::count_if(
+      threads_of.begin(), threads_of.end(),
+      [](const std::set<std::thread::id>& t) { return t.size() > 1; });
+  EXPECT_LE(split, 1) << "a cut fell inside a group";
+}
+
+TEST(Parallel, NestedCallFromTheCallersShareRunsInline) {
+  engine::ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> nested_on_caller{0};
+  std::atomic<int> nested_elsewhere{0};
+  pool.parallel_for(
+      16,
+      [&](std::size_t) {
+        if (std::this_thread::get_id() != caller) return;
+        const std::thread::id outer = std::this_thread::get_id();
+        const auto inner = [&](std::size_t) {
+          (std::this_thread::get_id() == outer ? nested_on_caller
+                                               : nested_elsewhere)
+              .fetch_add(1);
+        };
+        pool.parallel_for(8, inner);
+        engine::parallel_for(4, 8, inner);
+      },
+      2);
+  EXPECT_GT(nested_on_caller.load(), 0) << "the caller ran no cell";
+  EXPECT_EQ(nested_on_caller.load() % 16, 0);
+  EXPECT_EQ(nested_elsewhere.load(), 0)
+      << "a nested call from the caller's share must run inline";
 }
 
 TEST(Parallel, ParallelForVisitsEachIndexExactlyOnce) {
@@ -1115,6 +1240,33 @@ TEST(Campaign, SharedDpAggregatesDeterministicAcrossThreadCounts) {
       }
     }
   }
+}
+
+/// The scheduler cuts between instances, so a 2-thread run_cells pays the
+/// g = infinity DP about once per instance: a split inside an instance
+/// costs its second thread a solve, and only a tail steal inside the last
+/// instance may do that.
+TEST(SharedDp, TwoThreadRunCellsSplitsOnlyBetweenInstances) {
+  const auto misses = [] {
+    std::size_t total = 0;
+    for (const engine::WorkerStats& s :
+         engine::ThreadPool::shared().worker_stats()) {
+      total += s.dp_misses;
+    }
+    return total;
+  };
+  std::vector<engine::CellInput> inputs;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    inputs.push_back({scenario_instance("flexible", 40, 4, 700 + seed), {}});
+  }
+  const std::size_t instances = inputs.size();
+  const std::size_t before = misses();
+  const std::vector<engine::RunReport> reports =
+      engine::run_cells(engine::shared_registry(), std::move(inputs),
+                        core::RunContext{}, 2);
+  ASSERT_EQ(reports.size(), instances);
+  EXPECT_LE(misses() - before, instances + 1)
+      << "the DP ran more than once per instance";
 }
 
 }  // namespace
