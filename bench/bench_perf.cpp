@@ -362,6 +362,45 @@ BENCHMARK(BM_PreemptiveBoundedNaiveBursty)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
+// The GREEDYTRACKING pipeline's shape: the bursty family at g = 8, frozen
+// into interval jobs by the g = infinity DP (range = n).
+core::ContinuousInstance frozen_bursty_instance(int n) {
+  const auto inst = bursty_instance(n);
+  return busy::freeze_to_interval_instance(inst, busy::solve_unbounded(inst));
+}
+
+void BM_GreedyTrackingBursty(benchmark::State& state) {
+  const auto inst = frozen_bursty_instance(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::greedy_tracking(inst));
+  }
+}
+BENCHMARK(BM_GreedyTrackingBursty)
+    ->Name("BM_GreedyTracking/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+// The frozen re-sorting peel loop on the same instances.
+void BM_GreedyTrackingNaive(benchmark::State& state) {
+  const auto inst = make_interval(static_cast<int>(state.range(0)), 5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::naive::greedy_tracking(inst));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_GreedyTrackingNaive)->Range(16, 2048)->Complexity();
+
+void BM_GreedyTrackingNaiveBursty(benchmark::State& state) {
+  const auto inst = frozen_bursty_instance(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::naive::greedy_tracking(inst));
+  }
+}
+BENCHMARK(BM_GreedyTrackingNaiveBursty)
+    ->Name("BM_GreedyTrackingNaive/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
 // g = infinity DP instances: the historical slack-1 random jobs up to
 // n = 32, the campaign's flexible family (g = 8) from n = 256 on.
 core::ContinuousInstance dp_instance(int n) {

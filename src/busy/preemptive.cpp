@@ -190,6 +190,31 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
   std::fill(open.begin(), open.end(), PreemptiveBusySchedule::Piece{});
   std::size_t size = 0;
   const int g = inst.capacity();
+  // Busy time is summed during the deal, as core::busy_cost sums it: per
+  // machine, the lengths of the union runs of its pieces in time order,
+  // then the machines in index order. A machine's next cell joins its open
+  // run when it starts within interval_union's 1e-12 of the run, or when a
+  // piece on the machine was extended into it: such a piece also covers
+  // any sliver gap before the cell, so the union bridges it too. Machines
+  // 0..used-1 each hold an open run.
+  const std::size_t max_machines = (n + static_cast<std::size_t>(g) - 1) /
+                                   static_cast<std::size_t>(g);
+  const std::span<Interval> runs = arena.alloc<Interval>(max_machines);
+  const std::span<double> machine_busy = arena.alloc<double>(max_machines);
+  std::size_t used = 0;
+  const auto occupy = [&](std::size_t m, const Interval& cell,
+                          bool extended) {
+    if (m == used) {
+      runs[m] = cell;
+      machine_busy[m] = 0.0;
+      ++used;
+    } else if (extended || cell.lo <= runs[m].hi + 1e-12) {
+      runs[m].hi = cell.hi;
+    } else {
+      machine_busy[m] += runs[m].length();
+      runs[m] = cell;
+    }
+  };
   for (std::size_t c = 0; c < num_cells; ++c) {
     // Both buckets are ascending, like the running set.
     if (leave_offsets[c] < leave_offsets[c + 1]) {
@@ -213,18 +238,22 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
     const Interval cell = cells[c];
     int machine = 0;
     int fill = 0;
+    bool extended = false;
     for (std::size_t i = 0; i < size; ++i) {
       const auto j = static_cast<std::size_t>(running[i]);
       PreemptiveBusySchedule::Piece& piece = open[j];
       if (piece.machine == machine && std::abs(piece.run.hi - cell.lo) < kEps) {
         piece.run.hi = cell.hi;
+        extended = true;
       } else {
         if (piece.machine >= 0) out.schedule.pieces[j].push_back(piece);
         piece = {machine, cell};
       }
-      if (++fill == g) {
+      if (++fill == g || i + 1 == size) {
+        occupy(static_cast<std::size_t>(machine), cell, extended);
         fill = 0;
         ++machine;
+        extended = false;
       }
     }
   }
@@ -232,7 +261,11 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
     if (open[j].machine >= 0) out.schedule.pieces[j].push_back(open[j]);
   }
 
-  out.busy_time = core::busy_cost(inst, out.schedule);
+  for (std::size_t m = 0; m < used; ++m) {
+    out.busy_time += machine_busy[m] + runs[m].length();
+  }
+  ABT_DBG_ASSERT(out.busy_time == core::busy_cost(inst, out.schedule),
+                 "busy time summed in the deal must equal busy_cost");
   return out;
 }
 

@@ -21,6 +21,16 @@ TrackPeeler::TrackPeeler(const ContinuousInstance& inst,
   }
   std::stable_sort(items_.begin(), items_.end(),
                    [](const Item& a, const Item& b) { return a.end < b.end; });
+  // Predecessors are searched once here; each peel remaps them through the
+  // survivors.
+  pred_.resize(items_.size());
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    const auto it = std::upper_bound(
+        items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(i),
+        items_[i].start + 1e-12,
+        [](double t, const Item& item) { return t < item.end; });
+    pred_[i] = static_cast<int>(it - items_.begin()) - 1;
+  }
 }
 
 std::vector<JobId> TrackPeeler::extract_max_weight_track() {
@@ -28,19 +38,9 @@ std::vector<JobId> TrackPeeler::extract_max_weight_track() {
   if (m == 0) return {};
 
   // Classic weighted-interval-scheduling DP over the end-sorted items.
-  // pred[i] = largest index k < i with items[k].end <= items[i].start, or -1.
-  ends_.resize(m);
-  pred_.resize(m);
   best_.assign(m + 1, 0.0);
   take_.resize(m);
   take_.clear();
-  for (std::size_t i = 0; i < m; ++i) ends_[i] = items_[i].end;
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto it = std::upper_bound(
-        ends_.begin(), ends_.begin() + static_cast<std::ptrdiff_t>(i),
-        items_[i].start + 1e-12);
-    pred_[i] = static_cast<int>(it - ends_.begin()) - 1;
-  }
 
   // best[i] = best weight using items[0..i]; take[i] = whether item i used.
   for (std::size_t i = 0; i < m; ++i) {
@@ -69,12 +69,21 @@ std::vector<JobId> TrackPeeler::extract_max_weight_track() {
   std::reverse(out.begin(), out.end());
 
   // Compact the survivors in place; end order is preserved, so the next
-  // peel needs no sort.
+  // peel needs no sort. The survivors that end by an item's start are a
+  // prefix of the survivors, so its predecessor remaps through the prefix
+  // counts kept[x] = survivors among indices [0, x): pred' = kept[pred + 1]
+  // - 1, where pred + 1 <= i is already counted.
+  kept_.resize(m);
   std::size_t w = 0;
   for (std::size_t i = 0; i < m; ++i) {
-    if (chosen_.get(i) == 0) items_[w++] = items_[i];
+    kept_[i] = static_cast<int>(w);
+    if (chosen_.get(i) != 0) continue;
+    items_[w] = items_[i];
+    pred_[w] = kept_[static_cast<std::size_t>(pred_[i] + 1)] - 1;
+    ++w;
   }
   items_.resize(w);
+  pred_.resize(w);
   return out;
 }
 

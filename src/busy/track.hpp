@@ -29,10 +29,11 @@ namespace abt::busy {
     const std::vector<core::JobId>& candidates);
 
 /// Incremental peeler for repeated track extraction over a shrinking pool
-/// (GreedyTracking's loop): sorts the candidates by end once at
-/// construction and keeps the surviving items in end order across peels, so
-/// each extraction is a single pass with binary-searched predecessors —
-/// no per-track re-sort.
+/// (GreedyTracking's loop): sorts the candidates by end and binary-searches
+/// every item's latest compatible predecessor once at construction. Each
+/// peel compacts the survivors in end order and remaps their predecessors
+/// through the survivor prefix counts, so every extraction after the first
+/// is one linear pass — no per-track re-sort or re-search.
 class TrackPeeler {
  public:
   /// `weights[i]` corresponds to `candidates[i]`; jobs are treated as their
@@ -56,11 +57,12 @@ class TrackPeeler {
     core::JobId job;
   };
   std::vector<Item> items_;  ///< Alive candidates, sorted by end.
+  /// pred_[i]: largest k < i with items_[k].end <= items_[i].start, or -1.
+  std::vector<int> pred_;
   // Scratch buffers reused across peels to keep extraction allocation-light.
   // The marker arrays use O(1) epoch resets instead of a full refill per
   // peel (the refill dominated shallow peels over large pools).
-  std::vector<double> ends_;
-  std::vector<int> pred_;
+  std::vector<int> kept_;
   std::vector<double> best_;
   core::FastResetVector<char> take_;
   core::FastResetVector<char> chosen_;

@@ -24,8 +24,9 @@ struct WeightedRun {
 };
 
 /// Peak cumulative width on one machine by a quadratic rescan of its runs.
-/// Only the independent checker and the exact search use it, so neither
-/// shares code with the index-backed heuristics the checker validates.
+/// Only the exact search uses it: the checker has its own sweep, so it
+/// shares code neither with the search nor with the index-backed
+/// heuristics it validates.
 int peak_width(const std::vector<WeightedRun>& runs) {
   int best = 0;
   for (const WeightedRun& probe : runs) {
@@ -79,26 +80,52 @@ bool check_weighted_schedule(const WeightedInstance& inst,
   if (static_cast<int>(sched.placements.size()) != inst.size()) {
     return fail("placement count mismatch");
   }
-  int machines = 0;
   for (JobId j = 0; j < inst.size(); ++j) {
     const auto& p = sched.placements[static_cast<std::size_t>(j)];
     const ContinuousJob& job = inst.job(j).job;
     if (p.machine < 0) return fail("job " + std::to_string(j) + " unassigned");
-    machines = std::max(machines, p.machine + 1);
     if (p.start < job.release - eps || p.start > job.latest_start() + eps) {
       return fail("job " + std::to_string(j) + " start outside window");
     }
   }
-  for (int m = 0; m < machines; ++m) {
-    std::vector<WeightedRun> runs;
-    for (JobId j = 0; j < inst.size(); ++j) {
-      const auto& p = sched.placements[static_cast<std::size_t>(j)];
-      if (p.machine != m) continue;
-      runs.push_back({{p.start, p.start + inst.job(j).job.length - eps},
-                      inst.job(j).width});
+  // One sort of every run's endpoints by (machine, time), closings before
+  // openings at equal times, then one sweep. A run is [start,
+  // start + p_j - eps). After the openings at time t the sweep holds the
+  // width running at t on that machine, and a machine's peak width is
+  // attained at some run's start. An empty run (p_j <= eps) adds no
+  // width, only that probe.
+  struct Event {
+    int machine;
+    double t;
+    int opens;  ///< 0 = closing, 1 = opening: closings sort first.
+    int width;
+  };
+  std::vector<Event> events;
+  events.reserve(2 * sched.placements.size());
+  for (JobId j = 0; j < inst.size(); ++j) {
+    const auto& p = sched.placements[static_cast<std::size_t>(j)];
+    const double hi = p.start + inst.job(j).job.length - eps;
+    if (hi <= p.start) {
+      events.push_back({p.machine, p.start, 1, 0});
+      continue;
     }
-    if (peak_width(runs) > inst.capacity()) {
-      return fail("machine " + std::to_string(m) + " exceeds width capacity");
+    events.push_back({p.machine, p.start, 1, inst.job(j).width});
+    events.push_back({p.machine, hi, 0, -inst.job(j).width});
+  }
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    if (a.machine != b.machine) return a.machine < b.machine;
+    return a.t < b.t || (a.t == b.t && a.opens < b.opens);
+  });
+  int width = 0;
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const Event& e = events[k];
+    width += e.width;
+    const bool batch_end = k + 1 == events.size() ||
+                           events[k + 1].machine != e.machine ||
+                           events[k + 1].t != e.t;
+    if (e.opens != 0 && batch_end && width > inst.capacity()) {
+      return fail("machine " + std::to_string(e.machine) +
+                  " exceeds width capacity");
     }
   }
   return true;

@@ -142,9 +142,13 @@ Solution SolverRegistry::run(const Solver& solver, const ProblemInstance& inst,
   // registration; the registry still owns the verdict and the machine
   // count either way.
   std::string why;
+  const auto c0 = std::chrono::steady_clock::now();
   produced.feasible = solver.check
                           ? solver.check(inst, produced, &why)
                           : check_standard_solution(inst, produced, &why);
+  produced.check_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - c0)
+                          .count();
   if (produced.busy.has_value()) {
     produced.machines = produced.busy->machine_count();
   } else if (produced.preemptive.has_value()) {

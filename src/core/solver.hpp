@@ -62,6 +62,9 @@ struct Solution {
 
   double cost = 0.0;     ///< Busy time, or number of active slots.
   double wall_ms = 0.0;  ///< Wall-clock time of the run() call.
+  /// Wall-clock time of the registry's checker call. Counted in
+  /// SolverAggregate::wall_total_ms; never rendered.
+  double check_ms = 0.0;
   int machines = 0;      ///< Machines used (busy family; 0 for active).
 
   std::string guarantee;  ///< Human-readable a-priori bound of the solver.

@@ -281,12 +281,12 @@ void register_busy(core::SolverRegistry& registry) {
     s.applicable = always_applicable;
     s.check = core::check_standard_solution;
     s.run = [](const ProblemInstance& inst, const RunContext& /*ctx*/) {
-      const busy::PreemptiveBoundedSolution result =
+      busy::PreemptiveBoundedSolution result =
           busy::solve_preemptive_bounded(inst.continuous);
       Solution sol;
       sol.ok = true;
       sol.cost = result.busy_time;
-      sol.preemptive = result.schedule;
+      sol.preemptive = std::move(result.schedule);
       sol.add_stat("opt_inf", result.opt_infinity);
       sol.add_stat("lb", std::max(result.opt_infinity,
                                   inst.continuous.mass_lower_bound()));

@@ -723,7 +723,7 @@ std::vector<SolverAggregate> aggregate_cells(
       const std::size_t idx = index_of(sol);
       SolverAggregate& agg = aggregates[idx];
       agg.runs += 1;
-      agg.wall_total_ms += sol.wall_ms;
+      agg.wall_total_ms += sol.wall_ms + sol.check_ms;
       if (sol.timed_out) agg.timed_out += 1;
       if (!sol.ok) {
         agg.declined += 1;

@@ -134,9 +134,10 @@ struct SolverAggregate {
 
   /// Wall-clock per run() call, over checker-validated cells only —
   /// EXCEPT wall_total_ms, which sums every cell including declined ones
-  /// (a declined cell still costs its applicability probe, and the total
-  /// is the sweep's actual spend). The `declined` count above makes the
-  /// denominator difference explicit in the reports.
+  /// and adds each cell's checker time (a declined cell still costs its
+  /// applicability probe, and the total is the sweep's actual spend). The
+  /// `declined` count above makes the denominator difference explicit in
+  /// the reports.
   double wall_mean_ms = 0.0;
   double wall_median_ms = 0.0;
   double wall_p95_ms = 0.0;

@@ -4,11 +4,14 @@
 // before they moved onto the shared index-backed first-fit driver, kept
 // verbatim as the reference for (a) the placement-equivalence suite in
 // tests/test_weighted.cpp and (b) BM_WeightedFirstFitNaive in
-// bench/bench_perf.cpp. Test- and bench-side only, never linked into the
-// library. Do not optimize this header; its value is staying frozen.
+// bench/bench_perf.cpp — plus the per-machine quadratic rescan checker the
+// sweep checker replaced, the reference of tests/test_fuzz_checkers.cpp.
+// Test- and bench-side only, never linked into the library. Do not
+// optimize this header; its value is staying frozen.
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -141,6 +144,44 @@ inline core::BusySchedule schedule_weighted_flexible(
         dp.starts[static_cast<std::size_t>(j)];
   }
   return sched;
+}
+
+/// busy::check_weighted_schedule before the sweep: every machine's jobs
+/// gathered by a full scan of the placements, then peak_width on each.
+inline bool check_weighted_schedule(const WeightedInstance& inst,
+                                    const core::BusySchedule& sched,
+                                    std::string* why = nullptr,
+                                    double eps = 1e-9) {
+  auto fail = [&](std::string reason) {
+    if (why != nullptr) *why = std::move(reason);
+    return false;
+  };
+  if (static_cast<int>(sched.placements.size()) != inst.size()) {
+    return fail("placement count mismatch");
+  }
+  int machines = 0;
+  for (core::JobId j = 0; j < inst.size(); ++j) {
+    const auto& p = sched.placements[static_cast<std::size_t>(j)];
+    const core::ContinuousJob& job = inst.job(j).job;
+    if (p.machine < 0) return fail("job " + std::to_string(j) + " unassigned");
+    machines = std::max(machines, p.machine + 1);
+    if (p.start < job.release - eps || p.start > job.latest_start() + eps) {
+      return fail("job " + std::to_string(j) + " start outside window");
+    }
+  }
+  for (int m = 0; m < machines; ++m) {
+    std::vector<WeightedRun> runs;
+    for (core::JobId j = 0; j < inst.size(); ++j) {
+      const auto& p = sched.placements[static_cast<std::size_t>(j)];
+      if (p.machine != m) continue;
+      runs.push_back({{p.start, p.start + inst.job(j).job.length - eps},
+                      inst.job(j).width});
+    }
+    if (peak_width(runs) > inst.capacity()) {
+      return fail("machine " + std::to_string(m) + " exceeds width capacity");
+    }
+  }
+  return true;
 }
 
 }  // namespace abt::busy::oracle

@@ -275,7 +275,8 @@ TEST(DpOracle, ReplayCorpusMatches) {
 }
 
 TEST(DpOracle, RandomScenariosUpTo1024Match) {
-  for (const char* scenario : {"flexible", "bursty", "interval"}) {
+  for (const char* scenario :
+       {"flexible", "bursty", "interval", "clique", "proper", "laminar"}) {
     for (const int n : {8, 32, 128, 512, 1024}) {
       for (int seed = 1; seed <= (n >= 512 ? 2 : 4); ++seed) {
         engine::ScenarioSpec spec;

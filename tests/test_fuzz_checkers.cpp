@@ -4,12 +4,19 @@
 // is a meaningful oracle in all other tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "active/minimal_feasible.hpp"
 #include "busy/greedy_tracking.hpp"
+#include "busy/weighted.hpp"
 #include "core/active_schedule.hpp"
 #include "core/busy_schedule.hpp"
 #include "core/rng.hpp"
+#include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
+#include "weighted_oracle.hpp"
 
 namespace abt {
 namespace {
@@ -118,6 +125,83 @@ TEST_P(BusyFuzz, CorruptedBusySchedulesAreRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BusyFuzz, ::testing::Range(1, 9));
+
+class WeightedFuzz : public ::testing::TestWithParam<int> {};
+
+/// The sweep checker against the frozen quadratic rescan: the same verdict
+/// and the same reason on valid schedules, on random placements (mostly
+/// over capacity) and on targeted corruptions of a valid one.
+TEST_P(WeightedFuzz, SweepCheckerMatchesQuadraticRescan) {
+  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919ULL);
+  int rejected = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    gen::WeightedParams params;
+    params.num_jobs = static_cast<int>(rng.uniform_int(1, 40));
+    params.capacity = static_cast<int>(rng.uniform_int(1, 6));
+    params.horizon = static_cast<double>(rng.uniform_int(4, 30));
+    params.max_slack = rng.uniform_int(0, 1) == 0 ? 0.0 : 1.5;
+    const busy::WeightedInstance inst = gen::random_weighted(rng, params);
+    const auto expect_same = [&](const core::BusySchedule& sched,
+                                 const char* what) {
+      std::string fast_why;
+      std::string slow_why;
+      const bool fast =
+          busy::check_weighted_schedule(inst, sched, &fast_why);
+      const bool slow =
+          busy::oracle::check_weighted_schedule(inst, sched, &slow_why);
+      EXPECT_EQ(fast, slow) << what << " trial " << trial;
+      EXPECT_EQ(fast_why, slow_why) << what << " trial " << trial;
+      if (!fast) ++rejected;
+    };
+
+    // Random placements: a random machine among a few, a random start in
+    // the window, snapped to a coarse grid so runs often abut exactly.
+    const auto machines = rng.uniform_int(1, 4);
+    core::BusySchedule random;
+    for (int j = 0; j < inst.size(); ++j) {
+      const core::ContinuousJob& job = inst.job(j).job;
+      double start = rng.uniform_real(job.release, job.latest_start());
+      if (rng.uniform_int(0, 1) == 0) {
+        start = std::clamp(std::round(start * 2.0) / 2.0, job.release,
+                           job.latest_start());
+      }
+      random.placements.push_back(
+          {static_cast<int>(rng.uniform_int(0, machines - 1)), start});
+    }
+    expect_same(random, "random");
+
+    if (!inst.all_interval_jobs(1e-6)) continue;
+    const core::BusySchedule valid = busy::weighted_first_fit(inst);
+    expect_same(valid, "first-fit");
+    // Move one job onto another machine; unassign one; start one outside
+    // its window; pile everything onto machine 0.
+    {
+      core::BusySchedule bad = valid;
+      auto& p = bad.placements[static_cast<std::size_t>(
+          rng.uniform_int(0, inst.size() - 1))];
+      p.machine = (p.machine + 1) % (valid.machine_count() + 1);
+      expect_same(bad, "moved");
+    }
+    {
+      core::BusySchedule bad = valid;
+      bad.placements[static_cast<std::size_t>(inst.size() - 1)].machine = -1;
+      expect_same(bad, "unassigned");
+    }
+    {
+      core::BusySchedule bad = valid;
+      bad.placements[0].start = inst.job(0).job.latest_start() + 0.5;
+      expect_same(bad, "late");
+    }
+    {
+      core::BusySchedule bad = valid;
+      for (auto& p : bad.placements) p.machine = 0;
+      expect_same(bad, "one machine");
+    }
+  }
+  EXPECT_GT(rejected, 0) << "the fuzz must reach rejections";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WeightedFuzz, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace abt

@@ -215,5 +215,27 @@ TEST(PreemptiveEquivalence, MatchesNaiveBaselineAtCampaignScale) {
   }
 }
 
+/// The busy time summed inside the deal is bit-for-bit the cost the
+/// checker-side core::busy_cost recomputes from the returned schedule.
+TEST(PreemptiveBounded, BusyTimeEqualsBusyCostOfTheSchedule) {
+  for (const char* scenario :
+       {"interval", "flexible", "bursty", "clique", "proper", "laminar"}) {
+    for (const int n : {8, 64, 1024}) {
+      for (const int g : {1, 2, 3, 8}) {
+        engine::ScenarioSpec spec;
+        spec.name = scenario;
+        spec.n = n;
+        spec.g = g;
+        const auto inst = engine::make_scenario(spec);
+        ASSERT_TRUE(inst.has_value()) << scenario;
+        const auto sol = solve_preemptive_bounded(inst->continuous);
+        EXPECT_EQ(sol.busy_time,
+                  core::busy_cost(inst->continuous, sol.schedule))
+            << scenario << " n=" << n << " g=" << g;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace abt::busy

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
+#include "busy/dp_unbounded.hpp"
 #include "core/rng.hpp"
+#include "engine/runner.hpp"
 #include "gen/random_instances.hpp"
 
 namespace abt::busy {
@@ -118,6 +122,82 @@ TEST_P(TrackRandom, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrackRandom, ::testing::Range(1, 7));
+
+/// Peels `inst` to exhaustion and checks every peel against a fresh
+/// max_weight_track over the survivors (in id order, as the peeler keeps
+/// them): the remapped predecessors must pick the very same track.
+void expect_peels_match_fresh_tracks(const ContinuousInstance& inst,
+                                     const std::string& label) {
+  std::vector<JobId> survivors(static_cast<std::size_t>(inst.size()));
+  std::iota(survivors.begin(), survivors.end(), JobId{0});
+  std::vector<double> lengths;
+  for (JobId j : survivors) lengths.push_back(inst.job(j).length);
+  TrackPeeler peeler(inst, survivors, lengths);
+  int peel = 0;
+  while (!peeler.empty()) {
+    std::vector<double> weights;
+    for (JobId j : survivors) weights.push_back(inst.job(j).length);
+    const std::vector<JobId> fresh =
+        max_weight_track(inst, survivors, weights);
+    const std::vector<JobId> track = peeler.extract_max_weight_track();
+    ASSERT_EQ(track, fresh) << label << " peel " << peel;
+    ASSERT_FALSE(track.empty()) << label << " peel " << peel;
+    std::erase_if(survivors, [&](JobId j) {
+      return std::find(track.begin(), track.end(), j) != track.end();
+    });
+    ASSERT_EQ(peeler.remaining(), survivors.size()) << label;
+    ++peel;
+  }
+  EXPECT_TRUE(survivors.empty()) << label;
+}
+
+TEST(TrackPeeler, EveryPeelMatchesAFreshTrackOnRandomIntervals) {
+  core::Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    gen::ContinuousParams params;
+    params.num_jobs = static_cast<int>(rng.uniform_int(1, 200));
+    params.capacity = 3;
+    params.horizon = params.num_jobs / 4.0 + 5.0;
+    params.max_slack = 0.0;
+    expect_peels_match_fresh_tracks(gen::random_continuous(rng, params),
+                                    "random trial " + std::to_string(trial));
+  }
+}
+
+/// GREEDYTRACKING's pipeline input: the campaign's flexible and bursty
+/// families frozen by the g = infinity DP.
+TEST(TrackPeeler, EveryPeelMatchesAFreshTrackOnFrozenScenarios) {
+  for (const char* scenario : {"flexible", "bursty"}) {
+    for (const int n : {8, 64, 1024}) {
+      engine::ScenarioSpec spec;
+      spec.name = scenario;
+      spec.n = n;
+      spec.g = 8;
+      const auto inst = engine::make_scenario(spec);
+      ASSERT_TRUE(inst.has_value()) << scenario;
+      const ContinuousInstance frozen = freeze_to_interval_instance(
+          inst->continuous, solve_unbounded(inst->continuous));
+      expect_peels_match_fresh_tracks(
+          frozen, std::string(scenario) + " n=" + std::to_string(n));
+    }
+  }
+}
+
+/// Integer endpoints on a short horizon: many jobs share an end, a start,
+/// or both, so ties decide both the end order and the predecessors.
+TEST(TrackPeeler, EveryPeelMatchesAFreshTrackWithTiedEnds) {
+  core::Rng rng(77);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::pair<double, double>> spans;
+    const auto n = rng.uniform_int(1, 60);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const auto lo = static_cast<double>(rng.uniform_int(0, 8));
+      spans.emplace_back(lo, lo + static_cast<double>(rng.uniform_int(1, 3)));
+    }
+    expect_peels_match_fresh_tracks(intervals(std::move(spans)),
+                                    "tied trial " + std::to_string(trial));
+  }
+}
 
 }  // namespace
 }  // namespace abt::busy

@@ -60,6 +60,21 @@ TEST(Weighted, CheckerEnforcesCumulativeWidth) {
   EXPECT_TRUE(check_weighted_schedule(inst, sched, &why)) << why;
 }
 
+/// With no eps shrink, a run that closes at t and runs that open at t
+/// meet: the sweep must close first, then judge the width at t once every
+/// run opening there is in.
+TEST(Weighted, CheckerClosesRunsBeforeOpeningAtTheSameTime) {
+  core::BusySchedule sched;
+  sched.placements = {{0, 0.0}, {0, 1.0}, {0, 1.0}};
+  std::string why;
+  EXPECT_TRUE(check_weighted_schedule(
+      make({{0, 1, 2}, {1, 2, 1}, {1, 2, 1}}, 2), sched, &why, 0.0))
+      << why;
+  EXPECT_FALSE(check_weighted_schedule(
+      make({{0, 1, 2}, {1, 2, 2}, {1, 2, 1}}, 2), sched, &why, 0.0));
+  EXPECT_EQ(why, "machine 0 exceeds width capacity");
+}
+
 TEST(Weighted, UnitWidthFirstFitMatchesPlainFirstFit) {
   core::Rng rng(11);
   gen::ContinuousParams params;
