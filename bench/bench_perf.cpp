@@ -43,6 +43,7 @@
 #include "dp_unbounded_oracle.hpp"
 #include "feasible_slotted_oracle.hpp"
 #include "minimal_feasible_oracle.hpp"
+#include "preemptive_oracle.hpp"
 #include "weighted_oracle.hpp"
 
 namespace {
@@ -456,6 +457,33 @@ void BM_PreemptiveBoundedBursty(benchmark::State& state) {
 }
 BENCHMARK(BM_PreemptiveBoundedBursty)
     ->Name("BM_PreemptiveBounded/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+// The checker on the bounded algorithm's bursty schedule (range = n), and
+// the frozen per-machine checker on the same schedule.
+void BM_CheckPreemptive(benchmark::State& state) {
+  const auto inst = bursty_instance(static_cast<int>(state.range(0)));
+  const auto sched = busy::solve_preemptive_bounded(inst).schedule;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::check_preemptive_schedule(inst, sched));
+  }
+}
+BENCHMARK(BM_CheckPreemptive)
+    ->Name("BM_CheckPreemptive/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_CheckPreemptiveNaive(benchmark::State& state) {
+  const auto inst = bursty_instance(static_cast<int>(state.range(0)));
+  const auto sched = busy::solve_preemptive_bounded(inst).schedule;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        busy::oracle::check_preemptive_schedule(inst, sched));
+  }
+}
+BENCHMARK(BM_CheckPreemptiveNaive)
+    ->Name("BM_CheckPreemptiveNaive/bursty_g8")
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 

@@ -28,20 +28,29 @@ constexpr double kEps = 1e-9;
 using OpenSet = core::FlatIntervalSet;
 static_assert(OpenSet::kSliverEps == kEps);
 
-}  // namespace
+/// The g = infinity schedule with every piece on one flat array: job j's
+/// pieces, ascending, are runs[first[j] .. first[j + 1]), all on machine 0.
+struct UnboundedPieces {
+  OpenSet open;  ///< The busy set U.
+  std::vector<Interval> runs;
+  std::vector<std::size_t> first;
+};
 
-PreemptiveUnboundedSolution solve_preemptive_unbounded(
-    const ContinuousInstance& inst) {
+/// Theorem 6's greedy, shared by both entry points: builds the busy set U,
+/// then gives every job the latest p_j units of U ∩ window as its pieces.
+/// One gap buffer serves every job's free_in / covered_in.
+UnboundedPieces greedy_unbounded(const ContinuousInstance& inst) {
   ABT_ASSERT(inst.structurally_valid(), "invalid instance");
-  PreemptiveUnboundedSolution out;
-
-  std::vector<JobId> order(static_cast<std::size_t>(inst.size()));
+  UnboundedPieces out;
+  OpenSet& open = out.open;
+  const auto n = static_cast<std::size_t>(inst.size());
+  std::vector<JobId> order(n);
   std::iota(order.begin(), order.end(), JobId{0});
   std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
     return inst.job(a).deadline < inst.job(b).deadline;
   });
 
-  OpenSet open;
+  std::vector<Interval> gaps;
   for (JobId j : order) {
     const core::ContinuousJob& job = inst.job(j);
     const Interval window{job.release, job.deadline};
@@ -49,7 +58,7 @@ PreemptiveUnboundedSolution solve_preemptive_unbounded(
     if (deficit <= kEps) continue;
     // Open the *latest* free time inside the window (lazy activation: later
     // jobs all have later deadlines, so late time is most reusable).
-    const std::vector<Interval> gaps = open.free_in(window);
+    open.free_in(window, gaps);
     for (auto it = gaps.rbegin(); it != gaps.rend() && deficit > kEps; ++it) {
       const double take = std::min(deficit, it->length());
       open.insert({it->hi - take, it->hi});
@@ -58,86 +67,127 @@ PreemptiveUnboundedSolution solve_preemptive_unbounded(
     ABT_ASSERT(deficit <= kEps, "window shorter than job length");
   }
 
-  out.open = open.intervals();
-  out.busy_time = core::span_of(out.open);
-
-  // Build the schedule: every job takes the latest `p_j` units of
-  // U ∩ window; with unbounded capacity a single machine hosts everything.
-  out.schedule.pieces.assign(static_cast<std::size_t>(inst.size()), {});
-  for (JobId j = 0; j < inst.size(); ++j) {
-    const core::ContinuousJob& job = inst.job(j);
+  // With unbounded capacity a single machine hosts everything: each job's
+  // pieces are taken from the right end of U ∩ window, then put in order.
+  std::vector<Interval>& runs = out.runs;
+  runs.reserve(n);
+  out.first.assign(n + 1, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const core::ContinuousJob& job = inst.job(static_cast<JobId>(j));
     double need = job.length;
-    const std::vector<Interval> available =
-        open.covered_in({job.release, job.deadline});
-    for (auto it = available.rbegin(); it != available.rend() && need > kEps;
-         ++it) {
+    open.covered_in({job.release, job.deadline}, gaps);
+    const std::size_t begin = runs.size();
+    for (auto it = gaps.rbegin(); it != gaps.rend() && need > kEps; ++it) {
       const double take = std::min(need, it->length());
-      out.schedule.pieces[static_cast<std::size_t>(j)].push_back(
-          {0, {it->hi - take, it->hi}});
+      runs.push_back({it->hi - take, it->hi});
       need -= take;
     }
     ABT_ASSERT(need <= 1e-6, "open set must cover every job's demand");
-    std::reverse(out.schedule.pieces[static_cast<std::size_t>(j)].begin(),
-                 out.schedule.pieces[static_cast<std::size_t>(j)].end());
+    std::reverse(runs.begin() + static_cast<std::ptrdiff_t>(begin),
+                 runs.end());
+    out.first[j + 1] = runs.size();
+  }
+  return out;
+}
+
+}  // namespace
+
+PreemptiveUnboundedSolution solve_preemptive_unbounded(
+    const ContinuousInstance& inst) {
+  const UnboundedPieces flat = greedy_unbounded(inst);
+
+  PreemptiveUnboundedSolution out;
+  out.open = flat.open.intervals();
+  out.busy_time = core::span_of(out.open);
+  out.schedule.pieces.resize(static_cast<std::size_t>(inst.size()));
+  for (std::size_t j = 0; j < out.schedule.pieces.size(); ++j) {
+    auto& pieces = out.schedule.pieces[j];
+    pieces.reserve(flat.first[j + 1] - flat.first[j]);
+    for (std::size_t k = flat.first[j]; k < flat.first[j + 1]; ++k) {
+      pieces.push_back({0, flat.runs[k]});
+    }
   }
   return out;
 }
 
 PreemptiveBoundedSolution solve_preemptive_bounded(
     const ContinuousInstance& inst) {
-  const PreemptiveUnboundedSolution unbounded =
-      solve_preemptive_unbounded(inst);
+  const UnboundedPieces flat = greedy_unbounded(inst);
 
   PreemptiveBoundedSolution out;
-  out.opt_infinity = unbounded.busy_time;
-  out.schedule.pieces.assign(static_cast<std::size_t>(inst.size()), {});
+  out.opt_infinity = core::span_of(flat.open.intervals());
+  const auto n = static_cast<std::size_t>(inst.size());
+  out.schedule.pieces.assign(n, {});
 
   // Interesting intervals of the unbounded schedule: cut at every piece
-  // endpoint; inside one cell the set of running jobs is fixed.
-  std::vector<double> points;
-  for (JobId j = 0; j < inst.size(); ++j) {
-    for (const auto& piece :
-         unbounded.schedule.pieces[static_cast<std::size_t>(j)]) {
-      points.push_back(piece.run.lo);
-      points.push_back(piece.run.hi);
-    }
-  }
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end(),
-                           [](double a, double b) { return std::abs(a - b) < kEps; }),
-               points.end());
-
-  // Non-degenerate cells with their midpoints (ascending).
-  std::vector<Interval> cells;
-  std::vector<double> mids;
-  for (std::size_t c = 0; c + 1 < points.size(); ++c) {
-    const Interval cell{points[c], points[c + 1]};
-    if (cell.length() <= kEps) continue;
-    cells.push_back(cell);
-    mids.push_back(cell.lo + cell.length() / 2);
-  }
-
-  // One time-ordered sweep deals every cell. A piece covers the cells whose
-  // midpoint lies in [run.lo, run.hi) (the per-cell scan's predicate), a
-  // contiguous range found by two binary searches on the midpoints, so the
-  // job enters the running set at the range's first cell and leaves it at
-  // its end. Enter and leave events are bucketed by cell on arena scratch;
-  // filling the buckets with jobs ascending keeps each bucket, and hence
-  // the running set, in ascending job order — every cell's running list is
-  // the per-cell scan's list element for element.
+  // endpoint; inside one cell the set of running jobs is fixed. One radix
+  // sort of (value, 2 * piece + side) endpoint records gives both the cut
+  // points and every piece's cell range. A record within kEps of the last
+  // kept point folds into it (std::unique's predicate, which compares
+  // against the last kept element); cells join consecutive kept points and
+  // drop those no longer than kEps. A piece covers the cells whose midpoint
+  // lies in [run.lo, run.hi): for an endpoint v folded into kept point p,
+  // every cell before the first one starting at or after p ends by p <= v,
+  // so the first cell with midpoint >= v is found by stepping from there.
   core::MonotonicArena& arena = core::thread_arena();
   const core::ArenaScope scope(arena);
-  const auto n = static_cast<std::size_t>(inst.size());
-  const std::size_t num_cells = cells.size();
-  std::size_t num_pieces = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    num_pieces += unbounded.schedule.pieces[j].size();
+  const std::size_t num_pieces = flat.runs.size();
+  struct Endpoint {
+    double value;
+    std::size_t id;  ///< 2 * piece + (0 for run.lo, 1 for run.hi).
+  };
+  const std::span<Endpoint> endpoints =
+      arena.alloc<Endpoint>(2 * num_pieces);
+  for (std::size_t k = 0; k < num_pieces; ++k) {
+    endpoints[2 * k] = {flat.runs[k].lo, 2 * k};
+    endpoints[2 * k + 1] = {flat.runs[k].hi, 2 * k + 1};
+  }
+  core::radix_sort(endpoints, arena.alloc<Endpoint>(endpoints.size()),
+                   [](const Endpoint& e) { return core::radix_key(e.value); });
+  // cells[c] with its midpoint mids[c], ascending; first_cell[e] is the
+  // count of cells before endpoint e's kept point.
+  const std::span<Interval> cells =
+      arena.alloc<Interval>(endpoints.empty() ? 0 : endpoints.size() - 1);
+  const std::span<double> mids = arena.alloc<double>(cells.size());
+  const std::span<std::size_t> first_cell =
+      arena.alloc<std::size_t>(endpoints.size());
+  std::size_t num_cells = 0;
+  double kept = 0.0;
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    const double v = endpoints[e].value;
+    if (e == 0) {
+      kept = v;
+    } else if (!(std::abs(v - kept) < kEps)) {
+      const Interval cell{kept, v};
+      if (cell.length() > kEps) {
+        cells[num_cells] = cell;
+        mids[num_cells] = cell.lo + cell.length() / 2;
+        ++num_cells;
+      }
+      kept = v;
+    }
+    first_cell[e] = num_cells;
   }
   struct PieceCells {
     std::size_t first;
     std::size_t last;
   };
   const std::span<PieceCells> ranges = arena.alloc<PieceCells>(num_pieces);
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    std::size_t c = first_cell[e];
+    while (c < num_cells && mids[c] < endpoints[e].value) ++c;
+    PieceCells& range = ranges[endpoints[e].id / 2];
+    (endpoints[e].id % 2 == 0 ? range.first : range.last) = c;
+  }
+
+  // One time-ordered sweep deals every cell. A piece's cells are the
+  // contiguous range found above, so the job enters the running set at the
+  // range's first cell and leaves it at its end. Enter and leave events are
+  // bucketed by cell on arena scratch; filling the buckets with jobs
+  // ascending keeps each bucket, and hence the running set, in ascending
+  // job order — every cell's running list is the per-cell scan's list
+  // element for element.
+  //
   // Counting sort of the events by cell: bucket c is [offsets[c],
   // offsets[c + 1]) once the fill has advanced each start to its end. A
   // piece running to the last cell never leaves.
@@ -147,17 +197,10 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
       arena.alloc<std::size_t>(num_cells + 2);
   std::fill(enter_offsets.begin(), enter_offsets.end(), 0);
   std::fill(leave_offsets.begin(), leave_offsets.end(), 0);
-  std::size_t nr = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    for (const auto& piece : unbounded.schedule.pieces[j]) {
-      const PieceCells range{
-          core::flat_lower_bound(mids.data(), mids.size(), piece.run.lo),
-          core::flat_lower_bound(mids.data(), mids.size(), piece.run.hi)};
-      ranges[nr++] = range;
-      if (range.first >= range.last) continue;
-      ++enter_offsets[range.first + 2];
-      if (range.last < num_cells) ++leave_offsets[range.last + 2];
-    }
+  for (const PieceCells& range : ranges) {
+    if (range.first >= range.last) continue;
+    ++enter_offsets[range.first + 2];
+    if (range.last < num_cells) ++leave_offsets[range.last + 2];
   }
   for (std::size_t c = 2; c < num_cells + 2; ++c) {
     enter_offsets[c] += enter_offsets[c - 1];
@@ -167,10 +210,9 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
       arena.alloc<JobId>(enter_offsets[num_cells + 1]);
   const std::span<JobId> leaves =
       arena.alloc<JobId>(leave_offsets[num_cells + 1]);
-  nr = 0;
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t k = 0; k < unbounded.schedule.pieces[j].size(); ++k) {
-      const PieceCells range = ranges[nr++];
+    for (std::size_t k = flat.first[j]; k < flat.first[j + 1]; ++k) {
+      const PieceCells range = ranges[k];
       if (range.first >= range.last) continue;
       enters[enter_offsets[range.first + 1]++] = static_cast<JobId>(j);
       if (range.last < num_cells) {

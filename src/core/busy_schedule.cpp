@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/scratch.hpp"
 #include "core/sweep.hpp"
 
 namespace abt::core {
@@ -117,20 +118,29 @@ bool check_preemptive_schedule(const ContinuousInstance& inst,
     return fail(why, "pieces count mismatch");
   }
   int machines = 0;
+  std::size_t num_pieces = 0;
+  std::vector<Interval> runs;  // one job's runs, when they need a sort
   for (JobId j = 0; j < inst.size(); ++j) {
     const ContinuousJob& job = inst.job(j);
-    std::vector<Interval> runs;
+    const auto& pieces = sched.pieces[static_cast<std::size_t>(j)];
     RealTime total = 0.0;
-    for (const auto& piece : sched.pieces[static_cast<std::size_t>(j)]) {
-      if (piece.machine < 0) return fail(why, "piece with no machine");
-      machines = std::max(machines, piece.machine + 1);
-      if (piece.run.empty()) return fail(why, "empty piece");
-      if (piece.run.lo < job.release - eps ||
-          piece.run.hi > job.deadline + eps) {
+    // Runs strictly ascending by lo are already in the order the sort
+    // below would give them, so they are checked in place.
+    bool ascending = true;
+    bool overlap = false;
+    for (std::size_t k = 0; k < pieces.size(); ++k) {
+      const Interval& run = pieces[k].run;
+      if (pieces[k].machine < 0) return fail(why, "piece with no machine");
+      machines = std::max(machines, pieces[k].machine + 1);
+      if (run.empty()) return fail(why, "empty piece");
+      if (run.lo < job.release - eps || run.hi > job.deadline + eps) {
         return fail(why, "job " + std::to_string(j) + " piece outside window");
       }
-      total += piece.run.length();
-      runs.push_back(piece.run);
+      total += run.length();
+      if (k > 0) {
+        ascending = ascending && pieces[k - 1].run.lo < run.lo;
+        overlap = overlap || run.lo < pieces[k - 1].run.hi - eps;
+      }
     }
     if (std::abs(total - job.length) > eps) {
       return fail(why, "job " + std::to_string(j) + " scheduled " +
@@ -138,29 +148,69 @@ bool check_preemptive_schedule(const ContinuousInstance& inst,
                            std::to_string(job.length));
     }
     // Pieces of one job must not overlap (at most one machine at a time).
-    std::sort(runs.begin(), runs.end(),
-              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      if (runs[i].lo < runs[i - 1].hi - eps) {
-        return fail(why, "job " + std::to_string(j) + " overlapping pieces");
+    if (!ascending) {
+      runs.clear();
+      for (const auto& piece : pieces) runs.push_back(piece.run);
+      std::sort(runs.begin(), runs.end(),
+                [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+      overlap = false;
+      for (std::size_t i = 1; i < runs.size(); ++i) {
+        overlap = overlap || runs[i].lo < runs[i - 1].hi - eps;
       }
     }
+    if (overlap) {
+      return fail(why, "job " + std::to_string(j) + " overlapping pieces");
+    }
+    num_pieces += pieces.size();
   }
-  // Capacity per machine.
-  std::vector<std::vector<Interval>> per_machine(
-      static_cast<std::size_t>(machines));
-  for (JobId j = 0; j < inst.size(); ++j) {
-    for (const auto& piece : sched.pieces[static_cast<std::size_t>(j)]) {
-      Interval iv = piece.run;
-      iv.hi -= eps;
-      per_machine[static_cast<std::size_t>(piece.machine)].push_back(iv);
+
+  // Capacity per machine, as one flat sweep: every run shrunk by eps at its
+  // right end (runs left empty are dropped), its lo ends and its hi ends
+  // each radix-sorted by time, then walked together in time order, a run
+  // closing before one opens at the same time (half-open runs). Restricted
+  // to one machine, that walk is the machine's own sweep, so each
+  // machine's peak is the concurrency an event sort per machine would find.
+  struct End {
+    std::uint64_t key;
+    std::size_t machine;
+  };
+  MonotonicArena& arena = thread_arena();
+  const ArenaScope scope(arena);
+  const std::span<End> los = arena.alloc<End>(num_pieces);
+  const std::span<End> his = arena.alloc<End>(num_pieces);
+  std::size_t live = 0;
+  for (const auto& pieces : sched.pieces) {
+    for (const auto& piece : pieces) {
+      const Interval shrunk{piece.run.lo, piece.run.hi - eps};
+      if (shrunk.empty()) continue;
+      const auto m = static_cast<std::size_t>(piece.machine);
+      los[live] = {radix_key(shrunk.lo), m};
+      his[live] = {radix_key(shrunk.hi), m};
+      ++live;
     }
   }
-  for (std::size_t m = 0; m < per_machine.size(); ++m) {
-    const int conc = max_concurrency(per_machine[m]);
-    if (conc > inst.capacity()) {
+  const std::span<End> scratch = arena.alloc<End>(live);
+  const auto by_key = [](const End& end) { return end.key; };
+  radix_sort(los.first(live), scratch, by_key);
+  radix_sort(his.first(live), scratch, by_key);
+  const auto m_count = static_cast<std::size_t>(machines);
+  const std::span<int> cur = arena.alloc<int>(m_count);
+  const std::span<int> peak = arena.alloc<int>(m_count);
+  std::fill(cur.begin(), cur.end(), 0);
+  std::fill(peak.begin(), peak.end(), 0);
+  // Every run ends after it starts, so h stays below l.
+  for (std::size_t l = 0, h = 0; l < live;) {
+    if (his[h].key <= los[l].key) {
+      --cur[his[h++].machine];
+    } else {
+      const std::size_t m = los[l++].machine;
+      peak[m] = std::max(peak[m], ++cur[m]);
+    }
+  }
+  for (std::size_t m = 0; m < m_count; ++m) {
+    if (peak[m] > inst.capacity()) {
       return fail(why, "machine " + std::to_string(m) + " concurrency " +
-                           std::to_string(conc) + " > g");
+                           std::to_string(peak[m]) + " > g");
     }
   }
   return true;

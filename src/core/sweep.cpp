@@ -430,9 +430,10 @@ double FlatIntervalSet::measure_in(const Interval& window) const {
   return total;
 }
 
-std::vector<Interval> FlatIntervalSet::covered_in(const Interval& window,
-                                                  double sliver_eps) const {
-  std::vector<Interval> out;
+void FlatIntervalSet::covered_in(const Interval& window,
+                                 std::vector<Interval>& out,
+                                 double sliver_eps) const {
+  out.clear();
   const std::size_t n = set_.size();
   for (std::size_t i = first_overlapping(window);
        i < n && set_[i].lo < window.hi; ++i) {
@@ -440,27 +441,24 @@ std::vector<Interval> FlatIntervalSet::covered_in(const Interval& window,
     const double hi = std::min(set_[i].hi, window.hi);
     if (hi > lo + sliver_eps) out.push_back({lo, hi});
   }
-  return out;
 }
 
-std::vector<Interval> FlatIntervalSet::free_in(const Interval& window,
-                                               double sliver_eps) const {
-  std::vector<Interval> out;
+void FlatIntervalSet::free_in(const Interval& window,
+                              std::vector<Interval>& out,
+                              double sliver_eps) const {
+  out.clear();
+  const auto keep = [&out, sliver_eps](const Interval& gap) {
+    if (gap.length() > sliver_eps) out.push_back(gap);
+  };
   double cursor = window.lo;
   const std::size_t n = set_.size();
   for (std::size_t i = first_overlapping(window);
        i < n && set_[i].lo < window.hi; ++i) {
-    if (set_[i].lo > cursor) {
-      out.push_back({cursor, std::min(set_[i].lo, window.hi)});
-    }
+    if (set_[i].lo > cursor) keep({cursor, std::min(set_[i].lo, window.hi)});
     cursor = std::max(cursor, set_[i].hi);
     if (cursor >= window.hi) break;
   }
-  if (cursor < window.hi) out.push_back({cursor, window.hi});
-  std::erase_if(out, [sliver_eps](const Interval& iv) {
-    return iv.length() <= sliver_eps;
-  });
-  return out;
+  if (cursor < window.hi) keep({cursor, window.hi});
 }
 
 void FlatIntervalSet::insert(Interval iv) {

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -24,6 +27,48 @@ namespace abt::core {
     n = right ? n - half - 1 : half;
   }
   return lo;
+}
+
+/// Order-preserving image of a double in the 64-bit unsigned integers:
+/// for non-NaN a and b, a < b exactly when radix_key(a) < radix_key(b), and
+/// a == b exactly when the keys are equal (-0.0 is keyed as +0.0).
+[[nodiscard]] inline std::uint64_t radix_key(RealTime x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x + 0.0);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+/// Stable LSD radix sort of `items` by the std::uint64_t `key(item)`, one
+/// byte per pass. All eight byte histograms come from one read of the keys,
+/// and a pass whose byte is the same in every key is skipped, so keys drawn
+/// from a narrow range pay only the passes their low bytes need. `scratch`
+/// holds at least items.size() (< 2^32) elements; the sorted result is
+/// left in `items`.
+template <typename T, typename Key>
+void radix_sort(std::span<T> items, std::span<T> scratch, Key key) {
+  const std::size_t n = items.size();
+  if (n < 2) return;
+  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  for (const T& item : items) {
+    const std::uint64_t k = key(item);
+    for (std::size_t b = 0; b < 8; ++b) ++counts[b][(k >> (8 * b)) & 0xff];
+  }
+  T* src = items.data();
+  T* dst = scratch.data();
+  for (std::size_t b = 0; b < 8; ++b) {
+    std::array<std::uint32_t, 256>& count = counts[b];
+    if (count[(key(src[0]) >> (8 * b)) & 0xff] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : count) {
+      const std::uint32_t here = c;
+      c = sum;
+      sum += here;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[count[(key(src[i]) >> (8 * b)) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != items.data()) std::copy(src, src + n, items.data());
 }
 
 /// Upper bound over a sorted flat array: index of the first element > x.
@@ -242,14 +287,15 @@ class FlatIntervalSet {
   [[nodiscard]] double measure_in(const Interval& window) const;
 
   /// Clipped covered sub-intervals of `window` (sorted, disjoint, slivers
-  /// <= sliver_eps dropped) — union(set) ∩ window.
-  [[nodiscard]] std::vector<Interval> covered_in(
-      const Interval& window, double sliver_eps = kSliverEps) const;
+  /// <= sliver_eps dropped) — union(set) ∩ window — into `out`, which is
+  /// cleared first, so a loop of queries reuses one buffer.
+  void covered_in(const Interval& window, std::vector<Interval>& out,
+                  double sliver_eps = kSliverEps) const;
 
   /// Free sub-intervals of `window` not covered by the set (sorted,
-  /// disjoint, slivers <= sliver_eps dropped).
-  [[nodiscard]] std::vector<Interval> free_in(
-      const Interval& window, double sliver_eps = kSliverEps) const;
+  /// disjoint, slivers <= sliver_eps dropped) into `out`, cleared first.
+  void free_in(const Interval& window, std::vector<Interval>& out,
+               double sliver_eps = kSliverEps) const;
 
   /// Adds one interval, coalescing with every neighbour within kMergeEps.
   void insert(Interval iv);

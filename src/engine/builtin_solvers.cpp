@@ -307,14 +307,36 @@ void register_busy(core::SolverRegistry& registry) {
     s.applicable = always_applicable;
     s.check = core::check_standard_solution;
     s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
-      const busy::UnboundedSolution& dp =
-          shared_unbounded(inst.continuous, ctx);
+      const core::ContinuousInstance& jobs = inst.continuous;
+      const int g = jobs.capacity();
+      // Rigid jobs (no window longer than its job by more than the DP's
+      // 1e-12 tie tolerance) leave the DP nothing to choose: its starts are
+      // the releases, so its freeze is the given intervals and OPT_inf is
+      // their span. Decide from those and skip the DP.
+      if (jobs.all_interval_jobs(1e-12)) {
+        const std::vector<core::Interval> fixed = jobs.forced_intervals();
+        Solution sol;
+        if (core::max_concurrency(fixed) > g) {
+          sol.message = "frozen g=inf solution exceeds capacity g";
+        } else {
+          core::BusySchedule sched;
+          sched.placements.reserve(fixed.size());
+          for (const core::Interval& run : fixed) {
+            sched.placements.push_back({0, run.lo});
+          }
+          sol = busy_solution(std::move(sched), inst);
+          sol.exact = true;
+        }
+        sol.add_stat("opt_inf", core::span_of(fixed));
+        return sol;
+      }
+      const busy::UnboundedSolution& dp = shared_unbounded(jobs, ctx);
       const core::ContinuousInstance frozen =
-          busy::freeze_to_interval_instance(inst.continuous, dp);
+          busy::freeze_to_interval_instance(jobs, dp);
       const int peak = core::max_concurrency(frozen.forced_intervals());
       Solution sol;
       sol.timed_out = dp.timed_out;
-      if (!dp.exact || peak > inst.continuous.capacity()) {
+      if (!dp.exact || peak > g) {
         sol.message = dp.timed_out
                           ? "budget expired before the g=inf DP finished"
                           : "frozen g=inf solution exceeds capacity g";

@@ -262,10 +262,12 @@ void Server::send_overloaded(Connection& conn, int queued) {
   frame.payload = "{\"queue_depth\": " + std::to_string(queued) +
                   ", \"queue_cap\": " + std::to_string(config_.queue_cap) +
                   "}\n";
+  // Counted before the reply goes out, so a client that reads `stats`
+  // right after its reply already sees itself counted.
+  shed_.fetch_add(1, std::memory_order_relaxed);
   std::string ignored;
   (void)conn.write_frame(frame, &ignored);
   conn.close();
-  shed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Server::send_error(Connection& conn, const std::string& message) {
@@ -275,9 +277,9 @@ void Server::send_error(Connection& conn, const std::string& message) {
   if (!frame.payload.empty() && frame.payload.back() != '\n') {
     frame.payload += '\n';
   }
+  errors_.fetch_add(1, std::memory_order_relaxed);  // before the reply
   std::string ignored;
   (void)conn.write_frame(frame, &ignored);
-  errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Server::serve(Connection& conn, double factor) {

@@ -5,10 +5,13 @@
 #include <cmath>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/io.hpp"
 #include "core/rng.hpp"
 #include "core/run_context.hpp"
+#include "core/sweep.hpp"
 #include "dp_unbounded_oracle.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/runner.hpp"
@@ -291,6 +294,64 @@ TEST(DpOracle, RandomScenariosUpTo1024Match) {
                                   std::to_string(n) + " seed=" +
                                   std::to_string(seed));
       }
+    }
+  }
+}
+
+/// busy/dp-unbounded answers rigid instances without the DP. Its row must
+/// be the one the DP would give: the same verdict, the same OPT_inf, and
+/// when the freeze fits g, the same placements. Covers the interval-job
+/// families, g from 1 to past n, and hand-built ties and touching runs.
+TEST(DpUnbounded, RigidRowMatchesTheDp) {
+  const auto& registry = engine::shared_registry();
+  std::vector<std::pair<std::string, ContinuousInstance>> cases;
+  for (const char* scenario : {"interval", "clique", "proper", "laminar"}) {
+    for (const int n : {1, 8, 64, 1024}) {
+      for (const int g : {1, 3, 8, 2048}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          engine::ScenarioSpec spec;
+          spec.name = scenario;
+          spec.n = n;
+          spec.g = g;
+          spec.seed = seed;
+          const auto inst = engine::make_scenario(spec);
+          ASSERT_TRUE(inst.has_value());
+          cases.emplace_back(std::string(scenario) + " n=" +
+                                 std::to_string(n) + " g=" +
+                                 std::to_string(g) + " seed=" +
+                                 std::to_string(seed),
+                             inst->continuous);
+        }
+      }
+    }
+  }
+  // Equal releases, runs touching at exactly one point, a nested run.
+  cases.emplace_back("hand", ContinuousInstance({{0, 2, 2}, {0, 1, 1},
+                                                 {2, 3, 1}, {1, 2, 1},
+                                                 {0.5, 0.75, 0.25}},
+                                                2));
+  for (const auto& [label, inst] : cases) {
+    ASSERT_TRUE(inst.all_interval_jobs(1e-12)) << label;
+    const core::Solution row =
+        registry.run("busy/dp-unbounded", core::make_instance(inst));
+    const UnboundedSolution dp = solve_unbounded(inst);
+    ASSERT_TRUE(dp.exact) << label;
+    const int peak = core::max_concurrency(
+        freeze_to_interval_instance(inst, dp).forced_intervals());
+    EXPECT_EQ(row.ok, peak <= inst.capacity()) << label;
+    EXPECT_EQ(row.stat("opt_inf", -1.0), dp.busy_time) << label;
+    EXPECT_EQ(row.stat("dp_states", -1.0), -1.0) << label << ": DP skipped";
+    if (!row.ok) {
+      EXPECT_EQ(row.message, "frozen g=inf solution exceeds capacity g")
+          << label;
+      continue;
+    }
+    EXPECT_TRUE(row.feasible && row.exact) << label;
+    ASSERT_TRUE(row.busy.has_value()) << label;
+    for (int j = 0; j < inst.size(); ++j) {
+      EXPECT_EQ(row.busy->placements[static_cast<std::size_t>(j)].start,
+                dp.starts[static_cast<std::size_t>(j)])
+          << label << " job " << j;
     }
   }
 }

@@ -131,14 +131,17 @@ TEST(FlatIntervalSet, FuzzMatchesFrozenMapBitExact) {
       ASSERT_EQ(flat.intervals(), map.intervals())
           << "trial " << trial << " insert " << k;
 
+      std::vector<Interval> flat_out;  // reused across queries
       for (int q = 0; q < 6; ++q) {
         double qlo = random_point(rng, used);
         double qhi = random_point(rng, used);
         if (qhi < qlo) std::swap(qlo, qhi);
         const Interval w{qlo, qhi};
         ASSERT_EQ(flat.measure_in(w), map.measure_in(w));
-        ASSERT_EQ(flat.covered_in(w), map.covered_in(w));
-        ASSERT_EQ(flat.free_in(w), map.free_in(w));
+        flat.covered_in(w, flat_out);
+        ASSERT_EQ(flat_out, map.covered_in(w));
+        flat.free_in(w, flat_out);
+        ASSERT_EQ(flat_out, map.free_in(w));
       }
     }
   }

@@ -10,12 +10,14 @@
 
 #include "active/minimal_feasible.hpp"
 #include "busy/greedy_tracking.hpp"
+#include "busy/preemptive.hpp"
 #include "busy/weighted.hpp"
 #include "core/active_schedule.hpp"
 #include "core/busy_schedule.hpp"
 #include "core/rng.hpp"
 #include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
+#include "preemptive_oracle.hpp"
 #include "weighted_oracle.hpp"
 
 namespace abt {
@@ -202,6 +204,138 @@ TEST_P(WeightedFuzz, SweepCheckerMatchesQuadraticRescan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WeightedFuzz, ::testing::Range(1, 9));
+
+class PreemptiveFuzz : public ::testing::TestWithParam<int> {};
+
+/// The flat sweep checker against the frozen per-machine checker: the same
+/// verdict and the same reason on the bounded algorithm's schedules, on
+/// random piece sets (snapped to a coarse grid so runs often abut) and on
+/// targeted corruptions of a valid schedule — at the default eps and at
+/// eps = 0.25, the grid step, where a shrunk run's hi lands exactly on the
+/// lo of a run that starts a grid step before the first one ends.
+TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
+  using Schedule = core::PreemptiveBusySchedule;
+  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863ULL);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    gen::ContinuousParams params;
+    params.num_jobs = static_cast<int>(rng.uniform_int(1, 60));
+    params.capacity = static_cast<int>(rng.uniform_int(1, 4));
+    params.horizon = static_cast<double>(rng.uniform_int(4, 30));
+    params.max_slack = rng.uniform_int(0, 1) == 0 ? 0.0 : 2.0;
+    const core::ContinuousInstance inst = gen::random_continuous(rng, params);
+    const auto expect_same = [&](const Schedule& sched, const char* what) {
+      for (const double eps : {1e-6, 0.25}) {
+        std::string fast_why;
+        std::string slow_why;
+        const bool fast =
+            core::check_preemptive_schedule(inst, sched, &fast_why, eps);
+        const bool slow =
+            busy::oracle::check_preemptive_schedule(inst, sched, &slow_why,
+                                                    eps);
+        EXPECT_EQ(fast, slow) << what << " trial " << trial << " eps " << eps;
+        EXPECT_EQ(fast_why, slow_why)
+            << what << " trial " << trial << " eps " << eps;
+        ++(fast ? accepted : rejected);
+      }
+    };
+    const auto snap = [](double t) { return std::round(t * 4.0) / 4.0; };
+
+    // Random piece sets: each job cut into up to three pieces inside its
+    // window, on a random machine among a few, listed in random order.
+    Schedule random;
+    random.pieces.resize(static_cast<std::size_t>(inst.size()));
+    const auto machines = rng.uniform_int(1, 3);
+    for (int j = 0; j < inst.size(); ++j) {
+      const core::ContinuousJob& job = inst.job(j);
+      const double start =
+          std::clamp(snap(rng.uniform_real(job.release, job.latest_start())),
+                     job.release, job.latest_start());
+      const double end = start + job.length;
+      const double cut = snap(rng.uniform_real(start, end));
+      auto& pieces = random.pieces[static_cast<std::size_t>(j)];
+      for (const core::Interval run : {core::Interval{start, cut},
+                                       core::Interval{cut, end}}) {
+        if (run.empty()) continue;
+        pieces.push_back(
+            {static_cast<int>(rng.uniform_int(0, machines - 1)), run});
+      }
+      if (rng.uniform_int(0, 1) == 0) {
+        std::reverse(pieces.begin(), pieces.end());
+      }
+    }
+    expect_same(random, "random");
+
+    const Schedule valid = busy::solve_preemptive_bounded(inst).schedule;
+    expect_same(valid, "bounded");
+    // The job whose first piece the corruptions below touch.
+    const auto victim = static_cast<std::size_t>(
+        rng.uniform_int(0, inst.size() - 1));
+    const core::ContinuousJob& job = inst.job(static_cast<int>(victim));
+    if (valid.pieces[victim].empty()) continue;
+    const core::Interval run = valid.pieces[victim][0].run;
+    {
+      Schedule bad = valid;
+      bad.pieces[victim][0].run = {job.release - 0.5,
+                                   job.release - 0.5 + run.length()};
+      expect_same(bad, "outside window");
+    }
+    {
+      // Same total, but the second half slides back over the first; the
+      // later piece is listed first.
+      Schedule bad = valid;
+      const double mid = run.lo + run.length() / 2;
+      const double back = run.length() / 4;
+      auto& pieces = bad.pieces[victim];
+      pieces[0].run = {mid - back, run.hi - back};
+      pieces.insert(pieces.begin() + 1, {pieces[0].machine, {run.lo, mid}});
+      expect_same(bad, "overlapping");
+    }
+    {
+      // Onto machine 0, which the deal fills first.
+      Schedule bad = valid;
+      for (auto& pieces : bad.pieces) {
+        for (auto& piece : pieces) {
+          if (piece.machine != 0 && rng.uniform_int(0, 2) == 0) {
+            piece.machine = 0;
+          }
+        }
+      }
+      expect_same(bad, "onto machine 0");
+    }
+    {
+      Schedule bad = valid;
+      bad.pieces[victim][0].run.hi -= run.length() / 4;
+      expect_same(bad, "short");
+    }
+    {
+      // A sliver no longer than eps split off the end: the total holds,
+      // the shrunk sliver is empty. A zero-length piece is rejected.
+      Schedule bad = valid;
+      auto& pieces = bad.pieces[victim];
+      pieces[0].run.hi -= 5e-7;
+      pieces.insert(pieces.begin() + 1,
+                    {pieces[0].machine, {run.hi - 5e-7, run.hi}});
+      expect_same(bad, "sliver");
+      pieces.push_back({pieces[0].machine, {run.hi, run.hi}});
+      expect_same(bad, "zero-length");
+    }
+    {
+      // Every piece on one machine: its peak, counted with the touching
+      // ends closed first, decides.
+      Schedule all = valid;
+      for (auto& pieces : all.pieces) {
+        for (auto& piece : pieces) piece.machine = 0;
+      }
+      expect_same(all, "one machine");
+    }
+  }
+  EXPECT_GT(accepted, 0) << "the fuzz must reach valid schedules";
+  EXPECT_GT(rejected, 0) << "the fuzz must reach rejections";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PreemptiveFuzz, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace abt

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <initializer_list>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "naive_baselines.hpp"
 #include "core/rng.hpp"
@@ -190,13 +194,14 @@ void expect_bounded_matches_naive(const ContinuousInstance& inst,
 }
 
 /// The campaign's own shapes (its three random busy families at n = 1024,
-/// g = 8), plus the empty and one-job instances and g = 1, where every
-/// running job gets a machine of its own.
+/// g = 8) and the clique, proper and laminar families, plus the empty and
+/// one-job instances and g = 1, 2, 3, down to a machine per running job.
 TEST(PreemptiveEquivalence, MatchesNaiveBaselineAtCampaignScale) {
-  for (const char* scenario : {"interval", "flexible", "bursty"}) {
+  for (const char* scenario :
+       {"interval", "flexible", "bursty", "clique", "proper", "laminar"}) {
     for (const auto& [n, g] :
          {std::pair{1024, 8}, std::pair{0, 8}, std::pair{1, 8},
-          std::pair{1024, 1}}) {
+          std::pair{1024, 1}, std::pair{1024, 2}, std::pair{1024, 3}}) {
       for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         engine::ScenarioSpec spec;
         spec.name = scenario;
@@ -213,6 +218,70 @@ TEST(PreemptiveEquivalence, MatchesNaiveBaselineAtCampaignScale) {
       }
     }
   }
+}
+
+/// Deadlines at 1e-9, 2e-9 and 4e-9, inside the busy time that later
+/// deadlines open, put piece ends exactly kEps apart, so the cell between
+/// them is skipped and the next cell does not abut the last: every piece
+/// and every machine run must break there, as in the per-cell scan. The
+/// windows are wide enough that no job has to open sliver gaps.
+TEST(PreemptiveEquivalence, MatchesNaiveBaselineAcrossSkippedCells) {
+  const auto pick = [](core::Rng& rng, std::initializer_list<double> values) {
+    return *(values.begin() +
+             rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1));
+  };
+  int skipped = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    core::Rng rng(seed * 7877ULL);
+    const int n = static_cast<int>(rng.uniform_int(1, 4));
+    std::vector<core::ContinuousJob> jobs;
+    for (int j = 0; j < n; ++j) {
+      const double release = pick(rng, {-5.0, -4.0});
+      const double deadline = pick(rng, {1e-9, 2e-9, 4e-9, 1.0});
+      jobs.push_back({release, deadline, pick(rng, {0.25, 0.5, 0.75})});
+    }
+    const ContinuousInstance inst(std::move(jobs),
+                                  static_cast<int>(rng.uniform_int(1, 2)));
+    // The cut points as the deal folds them; a skipped cell is a pair of
+    // consecutive ones no more than 1e-9 apart.
+    const auto unbounded = naive::solve_preemptive_unbounded(inst);
+    std::vector<double> ends;
+    for (const auto& pieces : unbounded.schedule.pieces) {
+      for (const auto& piece : pieces) {
+        ends.push_back(piece.run.lo);
+        ends.push_back(piece.run.hi);
+      }
+    }
+    std::sort(ends.begin(), ends.end());
+    ends.erase(std::unique(ends.begin(), ends.end(),
+                           [](double a, double b) {
+                             return std::abs(a - b) < 1e-9;
+                           }),
+               ends.end());
+    for (std::size_t i = 1; i < ends.size(); ++i) {
+      if (ends[i] - ends[i - 1] <= 1e-9) ++skipped;
+    }
+    expect_bounded_matches_naive(inst, "seed=" + std::to_string(seed));
+  }
+  EXPECT_GT(skipped, 0) << "the instances must produce skipped cells";
+}
+
+/// Job 2's g = infinity pieces [0, 1) and [1 + 5e-10, 2) straddle a sliver
+/// of U's complement, so their ends fold into one cut point: the job
+/// leaves and re-enters the running set at the same cell. It keeps its
+/// rank and machine there, so its bounded piece runs on unbroken.
+TEST(PreemptiveEquivalence, JobReenteringAtTheSameCellKeepsItsPiece) {
+  const double gap_end = 1.0 + 5e-10;
+  const ContinuousInstance inst(
+      {{0, 1, 1}, {gap_end, 2, 2 - gap_end}, {0, 3, 2.5 - 5e-10}}, 1);
+  const auto unbounded = solve_preemptive_unbounded(inst);
+  ASSERT_EQ(unbounded.schedule.pieces[2].size(), 3u);
+  EXPECT_EQ(unbounded.schedule.pieces[2][1].run.lo, gap_end);
+  expect_bounded_matches_naive(inst, "sliver gap");
+  const auto bounded = solve_preemptive_bounded(inst);
+  ASSERT_FALSE(bounded.schedule.pieces[2].empty());
+  EXPECT_EQ(bounded.schedule.pieces[2][0].run.lo, 0.0);
+  EXPECT_EQ(bounded.schedule.pieces[2][0].run.hi, 2.0);
 }
 
 /// The busy time summed inside the deal is bit-for-bit the cost the

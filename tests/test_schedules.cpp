@@ -143,5 +143,21 @@ TEST(PreemptiveCheck, EnforcesMachineCapacity) {
   EXPECT_TRUE(check_preemptive_schedule(inst, s, &why)) << why;
 }
 
+TEST(PreemptiveCheck, ClosesRunsBeforeOpeningAtTheSameTime) {
+  // With eps 0 nothing is shrunk: [0, 1) and [1, 2) touch at exactly 1,
+  // and half-open runs there do not overlap, so g = 1 holds. Sorting the
+  // pieces out of order exercises the sorted-runs path too.
+  const ContinuousInstance inst({{0, 2, 1}, {0, 2, 1}, {0, 3, 2}}, 1);
+  PreemptiveBusySchedule s;
+  s.pieces = {{{0, {0, 1}}}, {{0, {1, 2}}}, {{1, {2, 3}}, {1, {0, 1}}}};
+  std::string why;
+  EXPECT_TRUE(check_preemptive_schedule(inst, s, &why, 0.0)) << why;
+  // Job 1 joins machine 1, where it touches [2, 3) but meets [0.5, 1.5).
+  s.pieces[2][1].run = {0.5, 1.5};
+  s.pieces[1][0].machine = 1;
+  EXPECT_FALSE(check_preemptive_schedule(inst, s, &why, 0.0));
+  EXPECT_EQ(why, "machine 1 concurrency 2 > g");
+}
+
 }  // namespace
 }  // namespace abt::core

@@ -878,6 +878,21 @@ TEST_F(ServiceFixture, MalformedPayloadIsNeverAliasedOrCounted) {
   }
 }
 
+/// The error counter moves before the error frame is written, so `stats`
+/// read right after each reply already counts it.
+TEST_F(ServiceFixture, ErrorIsCountedBeforeItsReply) {
+  start({});
+  const Frame bad = solve_text_frame(
+      "solvers busy/weighted-first-fit\nbudget-ms soon\ninstance\n");
+  for (int i = 1; i <= 50; ++i) {
+    const service::Exchange reply = roundtrip(bad);
+    ASSERT_EQ(reply.final.type, FrameType::kError) << reply.final.payload;
+    const std::string stats = stats_payload();
+    ASSERT_EQ(json_number_after(stats, "errors"), std::to_string(i))
+        << "request " << i << ": " << stats;
+  }
+}
+
 TEST_F(ServiceFixture, TinyCacheEvictsAliasesAndCanonicalEntriesAlike) {
   service::ServiceConfig config;
   config.cache_entries = 8;  // one entry per shard

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -133,6 +136,51 @@ int naive_range_max(const std::vector<Interval>& ivs, double lo, double hi) {
     best = std::max(best, count);
   }
   return best;
+}
+
+TEST(RadixSort, KeysOrderDoublesAsTheyCompare) {
+  const std::vector<double> ascending = {-1e300, -2.5, -1.0, -1e-300, 0.0,
+                                         1e-300, 1e-9, 0.5, 1.0, 3.0, 1e300};
+  for (std::size_t i = 1; i < ascending.size(); ++i) {
+    EXPECT_LT(radix_key(ascending[i - 1]), radix_key(ascending[i])) << i;
+  }
+  EXPECT_EQ(radix_key(-0.0), radix_key(0.0));
+}
+
+TEST(RadixSort, MatchesStableSortOnRandomKeys) {
+  struct Item {
+    std::uint64_t key;
+    int id;
+  };
+  Rng rng(4099);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 600));
+    // Narrow ranges (shared high bytes, skipped passes), quarter grids
+    // (constant low bytes, many ties), signed wide ranges, and values a
+    // few thousand ulps apart (keys that differ in their low bytes only).
+    const int shape = trial % 4;
+    std::vector<Item> items;
+    for (std::size_t i = 0; i < n; ++i) {
+      double x = rng.uniform_real(0.0, 1024.0);
+      if (shape == 1) x = std::round(x * 4.0) / 4.0;
+      if (shape == 2) x = rng.uniform_real(-1e6, 1e6);
+      if (shape == 3) {
+        x = 1.0 + static_cast<double>(rng.uniform_int(0, 4000)) *
+                      std::ldexp(1.0, -52);
+      }
+      items.push_back({radix_key(x), static_cast<int>(i)});
+    }
+    std::vector<Item> expect = items;
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](const Item& a, const Item& b) { return a.key < b.key; });
+    std::vector<Item> scratch(n);
+    radix_sort(std::span<Item>(items), std::span<Item>(scratch),
+               [](const Item& item) { return item.key; });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(items[i].key, expect[i].key) << "trial " << trial;
+      ASSERT_EQ(items[i].id, expect[i].id) << "trial " << trial;
+    }
+  }
 }
 
 TEST(OccupancyIndex, EmptyIndexAndEmptyRanges) {
