@@ -39,6 +39,7 @@
 #include "gen/random_instances.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "busy_oracle.hpp"
 #include "dense_simplex_oracle.hpp"
 #include "dp_unbounded_oracle.hpp"
 #include "feasible_slotted_oracle.hpp"
@@ -484,6 +485,65 @@ void BM_CheckPreemptiveNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckPreemptiveNaive)
     ->Name("BM_CheckPreemptiveNaive/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+// The busy-schedule checker and the busy-time measure on the greedy
+// tracking pipeline's bursty schedule (range = n), and the frozen
+// per-machine versions on the same schedule.
+core::BusySchedule bursty_busy_schedule(const core::ContinuousInstance& inst) {
+  const auto sched =
+      engine::shared_registry()
+          .run("busy/pipeline-greedy-tracking", core::make_instance(inst))
+          .busy;
+  return sched.value_or(core::BusySchedule{});
+}
+
+void BM_CheckBusy(benchmark::State& state) {
+  const auto inst = bursty_instance(static_cast<int>(state.range(0)));
+  const auto sched = bursty_busy_schedule(inst);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::check_busy_schedule(inst, sched));
+  }
+}
+BENCHMARK(BM_CheckBusy)
+    ->Name("BM_CheckBusy/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_CheckBusyNaive(benchmark::State& state) {
+  const auto inst = bursty_instance(static_cast<int>(state.range(0)));
+  const auto sched = bursty_busy_schedule(inst);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::oracle::check_busy_schedule(inst, sched));
+  }
+}
+BENCHMARK(BM_CheckBusyNaive)
+    ->Name("BM_CheckBusyNaive/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_BusyCost(benchmark::State& state) {
+  const auto inst = bursty_instance(static_cast<int>(state.range(0)));
+  const auto sched = bursty_busy_schedule(inst);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::busy_cost(inst, sched));
+  }
+}
+BENCHMARK(BM_BusyCost)
+    ->Name("BM_BusyCost/bursty_g8")
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_BusyCostNaive(benchmark::State& state) {
+  const auto inst = bursty_instance(static_cast<int>(state.range(0)));
+  const auto sched = bursty_busy_schedule(inst);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::oracle::busy_cost(inst, sched));
+  }
+}
+BENCHMARK(BM_BusyCostNaive)
+    ->Name("BM_BusyCostNaive/bursty_g8")
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 

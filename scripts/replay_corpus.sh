@@ -25,6 +25,7 @@ solver_for_file() {
   case "$(basename "$1")" in
     weighted_flexible.txt)   echo "busy/weighted-flexible"; return ;;
     fig6_tracking_tight.txt) echo "busy/pipeline-greedy-tracking"; return ;;
+    preemptive_sliver_gap.txt) echo "busy/preemptive"; return ;;
   esac
   case "$2" in
     slotted)      echo "active/minimal-feasible" ;;

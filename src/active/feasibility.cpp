@@ -189,14 +189,20 @@ bool SlotNetwork::try_close(int slot) {
   return false;
 }
 
-std::vector<std::vector<int>> SlotNetwork::routed_slots() const {
-  std::vector<std::vector<int>> routed(static_cast<std::size_t>(num_jobs_));
+void SlotNetwork::routed_slots(const std::vector<SlotTime>& slot_times,
+                               std::vector<std::vector<SlotTime>>& out) const {
+  out.resize(static_cast<std::size_t>(num_jobs_));
+  for (std::size_t job = 0; job < out.size(); ++job) {
+    out[job].clear();
+    out[job].reserve(
+        static_cast<std::size_t>(dinic_.flow_on(source_edges_[job])));
+  }
   for (const JobSlotEdge& e : job_slot_edges_) {
     if (dinic_.flow_on(e.edge) > 0) {
-      routed[static_cast<std::size_t>(e.job)].push_back(e.slot);
+      out[static_cast<std::size_t>(e.job)].push_back(
+          slot_times[static_cast<std::size_t>(e.slot)]);
     }
   }
-  return routed;
 }
 
 std::optional<std::vector<SlotTime>> close_slots(
@@ -240,42 +246,14 @@ SlotNetwork slot_network(const SlottedInstance& inst,
   return network;
 }
 
-namespace {
-
-/// Runs G_feas over `active_slots`. Returns the deficit (0 iff feasible),
-/// plus (optionally) each job's routed slots through `assignment_out`.
-/// When `should_stop` trips mid-flow, sets `*cancelled` and the returned
-/// deficit is meaningless.
-flow::Dinic::Cap run_feasibility_flow(
-    const SlottedInstance& inst, const std::vector<SlotTime>& active_slots,
-    const std::function<bool()>& should_stop, bool* cancelled,
-    std::vector<std::vector<SlotTime>>* assignment_out) {
-  SlotNetwork network = slot_network(inst, active_slots);
-  const auto deficit = network.solve(should_stop, cancelled);
-  if (*cancelled) return deficit;
-  if (assignment_out != nullptr && deficit == 0) {
-    const auto routed = network.routed_slots();
-    assignment_out->assign(routed.size(), {});
-    for (std::size_t job = 0; job < routed.size(); ++job) {
-      auto& out = (*assignment_out)[job];
-      for (int slot : routed[job]) {
-        out.push_back(active_slots[static_cast<std::size_t>(slot)]);
-      }
-    }
-  }
-  return deficit;
-}
-
-}  // namespace
-
 FeasStatus feasibility_with_slots(const SlottedInstance& inst,
                                   const std::vector<SlotTime>& active_slots,
                                   const std::function<bool()>& should_stop) {
   ABT_ASSERT(std::is_sorted(active_slots.begin(), active_slots.end()),
              "active slots must be sorted");
   bool cancelled = false;
-  const auto deficit = run_feasibility_flow(inst, active_slots, should_stop,
-                                            &cancelled, nullptr);
+  const auto deficit =
+      slot_network(inst, active_slots).solve(should_stop, &cancelled);
   if (cancelled) return FeasStatus::kCancelled;
   return deficit == 0 ? FeasStatus::kFeasible : FeasStatus::kInfeasible;
 }
@@ -295,15 +273,14 @@ std::optional<ActiveSchedule> extract_assignment(
     const std::function<bool()>& should_stop, bool* cancelled) {
   ABT_ASSERT(std::is_sorted(active_slots.begin(), active_slots.end()),
              "active slots must be sorted");
+  SlotNetwork network = slot_network(inst, active_slots);
   bool flow_cancelled = false;
-  std::vector<std::vector<SlotTime>> assignment;
-  const auto deficit = run_feasibility_flow(inst, active_slots, should_stop,
-                                            &flow_cancelled, &assignment);
+  const auto deficit = network.solve(should_stop, &flow_cancelled);
   if (cancelled != nullptr) *cancelled = flow_cancelled;
   if (flow_cancelled || deficit != 0) return std::nullopt;
   ActiveSchedule sched;
+  network.routed_slots(active_slots, sched.job_slots);
   sched.active_slots = std::move(active_slots);
-  sched.job_slots = std::move(assignment);
   for (auto& slots : sched.job_slots) std::sort(slots.begin(), slots.end());
   return sched;
 }

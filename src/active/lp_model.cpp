@@ -24,27 +24,46 @@ ActiveTimeLp::ActiveTimeLp(const SlottedInstance& inst,
     slot_position_[static_cast<std::size_t>(slots_[i])] = static_cast<int>(i);
   }
 
+  std::size_t num_x = 0;
+  for (const core::SlottedJob& job : inst.jobs()) {
+    num_x += static_cast<std::size_t>(job.window_size());
+  }
+  problem_.objective.reserve(slots_.size() + num_x);
+  problem_.upper.reserve(slots_.size() + num_x);
+
   // y variables, objective 1, bounded by 1.
   y_vars_.reserve(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     y_vars_.push_back(problem_.add_variable(1.0, 1.0));
   }
-  // x variables, objective 0.
-  x_vars_.resize(static_cast<std::size_t>(inst.size()));
+  // x variables, objective 0: job j's window slots get consecutive
+  // indices from x_first_[j] on.
+  x_first_.resize(static_cast<std::size_t>(inst.size()));
   window_begin_.resize(static_cast<std::size_t>(inst.size()));
+  window_size_.resize(static_cast<std::size_t>(inst.size()));
   for (JobId j = 0; j < inst.size(); ++j) {
     if (stop()) {
       build_cancelled_ = true;
       return;
     }
     const core::SlottedJob& job = inst.job(j);
-    window_begin_[static_cast<std::size_t>(j)] = job.release + 1;
-    auto& vars = x_vars_[static_cast<std::size_t>(j)];
-    vars.reserve(static_cast<std::size_t>(job.window_size()));
+    const auto uj = static_cast<std::size_t>(j);
+    window_begin_[uj] = job.release + 1;
+    window_size_[uj] = job.window_size();
+    x_first_[uj] = problem_.num_vars;
     for (SlotTime t = job.release + 1; t <= job.deadline; ++t) {
-      vars.push_back(problem_.add_variable(0.0));
+      problem_.add_variable(0.0);
     }
   }
+
+  // Rows: one link row per x, one capacity row per live slot, one demand
+  // row per job; each x has two link entries, one capacity entry and one
+  // demand entry, and each capacity row one y entry.
+  const std::size_t num_rows = num_x + slots_.size() + inst.jobs().size();
+  problem_.entries.reserve(4 * num_x + slots_.size());
+  problem_.row_start.reserve(num_rows + 1);
+  problem_.sense.reserve(num_rows);
+  problem_.rhs.reserve(num_rows);
 
   // x_{t,j} <= y_t.
   for (JobId j = 0; j < inst.size(); ++j) {
@@ -59,20 +78,22 @@ ActiveTimeLp::ActiveTimeLp(const SlottedInstance& inst,
     }
   }
   // sum_j x_{t,j} <= g y_t.
+  std::vector<lp::LinearProblem::Entry> coeffs;
+  coeffs.reserve(static_cast<std::size_t>(inst.size()) + 1);
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (stop()) {
       build_cancelled_ = true;
       return;
     }
     const SlotTime t = slots_[i];
-    std::vector<std::pair<int, double>> coeffs;
+    coeffs.clear();
     for (JobId j = 0; j < inst.size(); ++j) {
       const int xv = x_index(j, t);
       if (xv >= 0) coeffs.emplace_back(xv, 1.0);
     }
     if (coeffs.empty()) continue;
     coeffs.emplace_back(y_vars_[i], -static_cast<double>(inst.capacity()));
-    problem_.add_row(std::move(coeffs), lp::Sense::kLessEqual, 0.0);
+    problem_.add_row(coeffs, lp::Sense::kLessEqual, 0.0);
   }
   // sum_t x_{t,j} >= p_j.
   for (JobId j = 0; j < inst.size(); ++j) {
@@ -81,11 +102,11 @@ ActiveTimeLp::ActiveTimeLp(const SlottedInstance& inst,
       return;
     }
     const core::SlottedJob& job = inst.job(j);
-    std::vector<std::pair<int, double>> coeffs;
+    coeffs.clear();
     for (SlotTime t = job.release + 1; t <= job.deadline; ++t) {
       coeffs.emplace_back(x_index(j, t), 1.0);
     }
-    problem_.add_row(std::move(coeffs), lp::Sense::kGreaterEqual,
+    problem_.add_row(coeffs, lp::Sense::kGreaterEqual,
                      static_cast<double>(job.length));
   }
 }
@@ -100,11 +121,10 @@ int ActiveTimeLp::y_index(SlotTime t) const {
 }
 
 int ActiveTimeLp::x_index(JobId j, SlotTime t) const {
-  const auto& vars = x_vars_[static_cast<std::size_t>(j)];
-  const SlotTime begin = window_begin_[static_cast<std::size_t>(j)];
-  const SlotTime offset = t - begin;
-  if (offset < 0 || offset >= static_cast<SlotTime>(vars.size())) return -1;
-  return vars[static_cast<std::size_t>(offset)];
+  const auto uj = static_cast<std::size_t>(j);
+  const SlotTime offset = t - window_begin_[uj];
+  if (offset < 0 || offset >= window_size_[uj]) return -1;
+  return x_first_[uj] + static_cast<int>(offset);
 }
 
 std::vector<double> ActiveTimeLp::y_values(const std::vector<double>& x) const {
@@ -125,7 +145,8 @@ lp::StartBasis ActiveTimeLp::crash_basis(
   lp::StartBasis start;
   start.vars.assign(static_cast<std::size_t>(problem_.num_vars),
                     lp::VarStatus::kAtLower);
-  start.rows.assign(problem_.rows.size(), lp::VarStatus::kBasic);
+  start.rows.assign(static_cast<std::size_t>(problem_.num_rows()),
+                    lp::VarStatus::kBasic);
   for (std::size_t j = 0; j < job_slots.size(); ++j) {
     for (const SlotTime t : job_slots[j]) {
       const int xv = x_index(static_cast<JobId>(j), t);

@@ -65,8 +65,9 @@ class ActiveTimeLp {
   std::vector<core::SlotTime> slots_;
   std::vector<int> slot_position_;               // slot -> index in slots_
   std::vector<int> y_vars_;                      // per slot index
-  std::vector<std::vector<int>> x_vars_;         // per job, per window offset
+  std::vector<int> x_first_;                     // per job: x of its first slot
   std::vector<core::SlotTime> window_begin_;     // per job: release + 1
+  std::vector<core::SlotTime> window_size_;      // per job
 };
 
 /// Solves LP1 to optimality; convenience wrapper.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
 
 #include "active/feasibility.hpp"
 #include "active/lp_model.hpp"
@@ -21,11 +20,13 @@ RightShiftedLp right_shift(const SlottedInstance& inst,
                            const std::vector<SlotTime>& slots,
                            const std::vector<double>& y) {
   RightShiftedLp out;
-  std::set<SlotTime> deadline_set;
+  out.deadlines.reserve(static_cast<std::size_t>(inst.size()));
   for (const core::SlottedJob& job : inst.jobs()) {
-    deadline_set.insert(job.deadline);
+    out.deadlines.push_back(job.deadline);
   }
-  out.deadlines.assign(deadline_set.begin(), deadline_set.end());
+  std::sort(out.deadlines.begin(), out.deadlines.end());
+  out.deadlines.erase(std::unique(out.deadlines.begin(), out.deadlines.end()),
+                      out.deadlines.end());
   out.segment_mass.assign(out.deadlines.size(), 0.0);
 
   // Y_i = sum of y_t over slots in (td_{i-1}, td_i]. Right-shifting within a

@@ -28,9 +28,18 @@ std::vector<std::size_t> closing_order(const SlottedInstance& inst,
       break;
     case CloseOrder::kSparsestFirst:
     case CloseOrder::kDensestFirst: {
+      // Live jobs per slot time from one difference array over the
+      // windows (release, deadline], then read off at each slot.
+      std::vector<int> live_at(static_cast<std::size_t>(inst.horizon()) + 2,
+                               0);
+      for (const core::SlottedJob& job : inst.jobs()) {
+        ++live_at[static_cast<std::size_t>(job.release) + 1];
+        --live_at[static_cast<std::size_t>(job.deadline) + 1];
+      }
+      std::partial_sum(live_at.begin(), live_at.end(), live_at.begin());
       std::vector<int> live_count(slots.size(), 0);
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        live_count[i] = static_cast<int>(inst.live_jobs(slots[i]).size());
+        live_count[i] = live_at[static_cast<std::size_t>(slots[i])];
       }
       std::stable_sort(order.begin(), order.end(),
                        [&](std::size_t a, std::size_t b) {

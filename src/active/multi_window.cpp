@@ -62,13 +62,7 @@ flow::Dinic::Cap mw_flow_deficit(
   const auto deficit = network.solve(should_stop, cancelled);
   if (*cancelled) return deficit;
   if (assignment_out != nullptr && deficit == 0) {
-    assignment_out->clear();
-    for (const std::vector<int>& routed : network.routed_slots()) {
-      auto& out = assignment_out->emplace_back();
-      for (int slot : routed) {
-        out.push_back(slots[static_cast<std::size_t>(slot)]);
-      }
-    }
+    network.routed_slots(slots, *assignment_out);
   }
   return deficit;
 }

@@ -89,8 +89,11 @@ class SlotNetwork {
   [[nodiscard]] bool try_close(int slot);
 
   /// Per job (in add order), the slots carrying one of its units, in the
-  /// order the job's slots were added.
-  [[nodiscard]] std::vector<std::vector<int>> routed_slots() const;
+  /// order the job's slots were added, as `slot_times[slot]`: `out` is
+  /// resized to the job count and each list refilled with exactly the
+  /// capacity it needs.
+  void routed_slots(const std::vector<core::SlotTime>& slot_times,
+                    std::vector<std::vector<core::SlotTime>>& out) const;
 
  private:
   struct JobSlotEdge {

@@ -64,6 +64,19 @@ UnboundedPieces greedy_unbounded(const ContinuousInstance& inst) {
       open.insert({it->hi - take, it->hi});
       deficit -= take;
     }
+    if (deficit > kEps) {
+      // What is left fits only in gaps no longer than the sliver
+      // threshold, which free_in dropped: take those too, latest first.
+      // Only instances the first pass could not serve get here, so every
+      // other instance keeps its exact schedule.
+      open.free_in(window, gaps, 0.0);
+      for (auto it = gaps.rbegin(); it != gaps.rend() && deficit > kEps;
+           ++it) {
+        const double take = std::min(deficit, it->length());
+        open.insert({it->hi - take, it->hi});
+        deficit -= take;
+      }
+    }
     ABT_ASSERT(deficit <= kEps, "window shorter than job length");
   }
 

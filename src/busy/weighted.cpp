@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "busy/dp_unbounded.hpp"
 #include "busy/first_fit.hpp"
 #include "core/assert.hpp"
+#include "core/busy_schedule.hpp"
+#include "core/scratch.hpp"
 
 namespace abt::busy {
 
@@ -88,44 +91,55 @@ bool check_weighted_schedule(const WeightedInstance& inst,
       return fail("job " + std::to_string(j) + " start outside window");
     }
   }
-  // One sort of every run's endpoints by (machine, time), closings before
-  // openings at equal times, then one sweep. A run is [start,
-  // start + p_j - eps). After the openings at time t the sweep holds the
-  // width running at t on that machine, and a machine's peak width is
-  // attained at some run's start. An empty run (p_j <= eps) adds no
-  // width, only that probe.
-  struct Event {
-    int machine;
+  // The runs in machine-major order (core::sort_machine_major), then one
+  // sweep per machine with a min-heap of the running runs' ends. A run is
+  // [start, start + p_j - eps). At each distinct start t the runs ending
+  // at or before t close first, then every run starting at t opens, so
+  // the width held after them is the width running at t on that machine,
+  // and a machine's peak width is attained at some run's start. An empty
+  // run (p_j <= eps) adds no width, only that probe.
+  struct End {
     double t;
-    int opens;  ///< 0 = closing, 1 = opening: closings sort first.
     int width;
   };
-  std::vector<Event> events;
-  events.reserve(2 * sched.placements.size());
-  for (JobId j = 0; j < inst.size(); ++j) {
-    const auto& p = sched.placements[static_cast<std::size_t>(j)];
-    const double hi = p.start + inst.job(j).job.length - eps;
-    if (hi <= p.start) {
-      events.push_back({p.machine, p.start, 1, 0});
-      continue;
-    }
-    events.push_back({p.machine, p.start, 1, inst.job(j).width});
-    events.push_back({p.machine, hi, 0, -inst.job(j).width});
+  core::MonotonicArena& arena = core::thread_arena();
+  const core::ArenaScope scope(arena);
+  const auto n = static_cast<std::size_t>(inst.size());
+  const std::span<core::MachineRun> runs = arena.alloc<core::MachineRun>(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto& p = sched.placements[j];
+    const WeightedJob& wj = inst.job(static_cast<JobId>(j));
+    const double hi = p.start + wj.job.length - eps;
+    runs[j] = {p.start, hi, p.machine, hi <= p.start ? 0 : wj.width};
   }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.machine != b.machine) return a.machine < b.machine;
-    return a.t < b.t || (a.t == b.t && a.opens < b.opens);
-  });
-  int width = 0;
-  for (std::size_t k = 0; k < events.size(); ++k) {
-    const Event& e = events[k];
-    width += e.width;
-    const bool batch_end = k + 1 == events.size() ||
-                           events[k + 1].machine != e.machine ||
-                           events[k + 1].t != e.t;
-    if (e.opens != 0 && batch_end && width > inst.capacity()) {
-      return fail("machine " + std::to_string(e.machine) +
-                  " exceeds width capacity");
+  const std::span<core::MachineRun> sorted =
+      arena.alloc<core::MachineRun>(n);
+  const std::span<std::size_t> first = arena.alloc<std::size_t>(
+      static_cast<std::size_t>(sched.machine_count()) + 1);
+  core::sort_machine_major(runs, sorted, first);
+  const std::span<End> ends = arena.alloc<End>(n);
+  const auto later_first = [](const End& a, const End& b) { return a.t > b.t; };
+  for (std::size_t m = 0; m + 1 < first.size(); ++m) {
+    End* heap = ends.data();
+    std::size_t running = 0;
+    int width = 0;
+    for (std::size_t k = first[m]; k < first[m + 1]; ++k) {
+      const core::MachineRun& run = sorted[k];
+      while (running > 0 && heap[0].t <= run.lo) {
+        width -= heap[0].width;
+        std::pop_heap(heap, heap + running--, later_first);
+      }
+      if (run.width > 0) {
+        width += run.width;
+        heap[running++] = {run.hi, run.width};
+        std::push_heap(heap, heap + running, later_first);
+      }
+      const bool batch_end =
+          k + 1 == first[m + 1] || sorted[k + 1].lo != run.lo;
+      if (batch_end && width > inst.capacity()) {
+        return fail("machine " + std::to_string(m) +
+                    " exceeds width capacity");
+      }
     }
   }
   return true;

@@ -17,8 +17,9 @@ using core::WeightedJob;
 
 /// Feasibility: on every machine, the cumulative width of concurrently
 /// running jobs never exceeds g (plus the usual window constraints). One
-/// endpoint sweep sorted by (machine, time); it deliberately shares no
-/// code with the heuristics or the exact search below.
+/// sweep over the runs in machine-major order (core::sort_machine_major);
+/// it deliberately shares no code with the heuristics or the exact search
+/// below.
 [[nodiscard]] bool check_weighted_schedule(const WeightedInstance& inst,
                                            const core::BusySchedule& sched,
                                            std::string* why = nullptr,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
+#include "core/assert.hpp"
 #include "core/scratch.hpp"
 #include "core/sweep.hpp"
 
@@ -15,6 +17,36 @@ bool fail(std::string* why, std::string reason) {
   return false;
 }
 
+/// A schedule's runs in machine-major order (sort_machine_major), carved
+/// from `arena`: job j runs [start, start + p_j - eps), and runs left
+/// empty are dropped. With eps = 0 the run is the job's execution
+/// interval to the bit, since x - 0.0 == x.
+struct MachineMajorRuns {
+  std::span<const MachineRun> runs;
+  std::span<const std::size_t> first;  ///< As sort_machine_major's.
+};
+
+MachineMajorRuns machine_major_runs(const ContinuousInstance& inst,
+                                    const BusySchedule& sched, RealTime eps,
+                                    MonotonicArena& arena) {
+  const auto n = static_cast<std::size_t>(inst.size());
+  const std::span<MachineRun> runs = arena.alloc<MachineRun>(n);
+  std::size_t live = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Placement& p = sched.placements[j];
+    ABT_ASSERT(p.machine >= 0, "every job must be on a machine");
+    RealTime hi = p.start + inst.job(static_cast<JobId>(j)).length;
+    hi -= eps;
+    if (hi <= p.start) continue;
+    runs[live++] = {p.start, hi, p.machine, 1};
+  }
+  const std::span<MachineRun> sorted = arena.alloc<MachineRun>(live);
+  const std::span<std::size_t> first = arena.alloc<std::size_t>(
+      static_cast<std::size_t>(sched.machine_count()) + 1);
+  sort_machine_major(runs.first(live), sorted, first);
+  return {sorted, first};
+}
+
 }  // namespace
 
 int BusySchedule::machine_count() const {
@@ -23,22 +55,67 @@ int BusySchedule::machine_count() const {
   return count;
 }
 
-std::vector<std::vector<Interval>> machine_intervals(
-    const ContinuousInstance& inst, const BusySchedule& sched) {
-  std::vector<std::vector<Interval>> per_machine(
-      static_cast<std::size_t>(sched.machine_count()));
-  for (JobId j = 0; j < inst.size(); ++j) {
-    const Placement& p = sched.placements[static_cast<std::size_t>(j)];
-    per_machine[static_cast<std::size_t>(p.machine)].push_back(
-        {p.start, p.start + inst.job(j).length});
+void sort_machine_major(std::span<const MachineRun> runs,
+                        std::span<MachineRun> out,
+                        std::span<std::size_t> first) {
+  ABT_ASSERT(!first.empty() && out.size() >= runs.size(),
+             "sort_machine_major needs an end sentinel and room for every run");
+  const std::size_t machines = first.size() - 1;
+  std::fill(first.begin(), first.end(), std::size_t{0});
+  for (const MachineRun& run : runs) {
+    ++first[static_cast<std::size_t>(run.machine)];
   }
-  return per_machine;
+  std::size_t sum = 0;
+  for (std::size_t m = 0; m <= machines; ++m) {
+    const std::size_t count = first[m];
+    first[m] = sum;
+    sum += count;
+  }
+  // Scattering bumps first[m] to the end of machine m's runs, which is
+  // where machine m + 1's begin; shift them back into place.
+  for (const MachineRun& run : runs) {
+    out[first[static_cast<std::size_t>(run.machine)]++] = run;
+  }
+  for (std::size_t m = machines; m > 0; --m) first[m] = first[m - 1];
+  first[0] = 0;
+  const auto by_lo = [](const MachineRun& a, const MachineRun& b) {
+    return a.lo < b.lo;
+  };
+  for (std::size_t m = 0; m < machines; ++m) {
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first[m]),
+              out.begin() + static_cast<std::ptrdiff_t>(first[m + 1]), by_lo);
+  }
 }
 
 RealTime busy_cost(const ContinuousInstance& inst, const BusySchedule& sched) {
+  // interval_union's rule per machine, on the machine-major order: a run
+  // within 1e-12 of the current piece extends it, and each machine's
+  // pieces are summed from 0 before the machine is added to the total, in
+  // machine order, so the double equals the per-machine span_of sum. Runs
+  // with equal lo merge into the same piece whatever their order, and
+  // empty runs are dropped on both sides.
+  constexpr RealTime kMergeEps = 1e-12;
+  MonotonicArena& arena = thread_arena();
+  const ArenaScope scope(arena);
+  const auto [sorted, first] = machine_major_runs(inst, sched, 0.0, arena);
   RealTime total = 0.0;
-  for (const auto& ivs : machine_intervals(inst, sched)) {
-    total += span_of(ivs);
+  for (std::size_t m = 0; m + 1 < first.size(); ++m) {
+    RealTime machine_total = 0.0;
+    if (first[m] < first[m + 1]) {
+      RealTime lo = sorted[first[m]].lo;
+      RealTime hi = sorted[first[m]].hi;
+      for (std::size_t k = first[m] + 1; k < first[m + 1]; ++k) {
+        if (sorted[k].lo <= hi + kMergeEps) {
+          hi = std::max(hi, sorted[k].hi);
+        } else {
+          machine_total += hi - lo;
+          lo = sorted[k].lo;
+          hi = sorted[k].hi;
+        }
+      }
+      machine_total += hi - lo;
+    }
+    total += machine_total;
   }
   return total;
 }
@@ -74,16 +151,33 @@ bool check_busy_schedule(const ContinuousInstance& inst,
                            std::to_string(job.latest_start()) + "]");
     }
   }
-  const auto per_machine = machine_intervals(inst, sched);
-  for (std::size_t m = 0; m < per_machine.size(); ++m) {
-    // Shrink each interval by eps at the right end so that chains of jobs
-    // with floating-point-adjacent endpoints do not report spurious overlap.
-    std::vector<Interval> shrunk = per_machine[m];
-    for (Interval& iv : shrunk) iv.hi -= eps;
-    const int conc = max_concurrency(shrunk);
-    if (conc > inst.capacity()) {
+  // Capacity on the machine-major order of the runs, each shrunk by eps
+  // at its right end so that chains of jobs with floating-point-adjacent
+  // endpoints do not report spurious overlap (runs left empty are
+  // dropped). Per machine, a min-heap holds the ends of the running runs;
+  // a run first retires every end at or before its start (half-open runs
+  // close before others open), so the heap's largest size is the
+  // machine's peak, max_concurrency of its shrunk runs.
+  MonotonicArena& arena = thread_arena();
+  const ArenaScope scope(arena);
+  const auto [sorted, first] = machine_major_runs(inst, sched, eps, arena);
+  const std::span<RealTime> ends = arena.alloc<RealTime>(sorted.size());
+  const std::greater<> later_first;  // makes the heap a min-heap
+  for (std::size_t m = 0; m + 1 < first.size(); ++m) {
+    RealTime* heap = ends.data();
+    std::size_t running = 0;
+    std::size_t peak = 0;
+    for (std::size_t k = first[m]; k < first[m + 1]; ++k) {
+      while (running > 0 && heap[0] <= sorted[k].lo) {
+        std::pop_heap(heap, heap + running--, later_first);
+      }
+      heap[running++] = sorted[k].hi;
+      std::push_heap(heap, heap + running, later_first);
+      peak = std::max(peak, running);
+    }
+    if (peak > static_cast<std::size_t>(inst.capacity())) {
       return fail(why, "machine " + std::to_string(m) + " runs " +
-                           std::to_string(conc) + " jobs > g=" +
+                           std::to_string(peak) + " jobs > g=" +
                            std::to_string(inst.capacity()));
     }
   }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,9 +41,26 @@ struct BusySchedule {
                                        std::string* why = nullptr,
                                        RealTime eps = 1e-9);
 
-/// Execution intervals per machine.
-[[nodiscard]] std::vector<std::vector<Interval>> machine_intervals(
-    const ContinuousInstance& inst, const BusySchedule& sched);
+/// One job's run on one machine, as the busy-time passes over a schedule
+/// (busy_cost, check_busy_schedule, busy::check_weighted_schedule) see it.
+struct MachineRun {
+  RealTime lo = 0.0;
+  RealTime hi = 0.0;
+  int machine = 0;
+  int width = 1;  ///< Capacity the run takes (1 outside the weighted model).
+};
+
+/// Orders `runs` machine-major into `out` (at least runs.size()): by
+/// machine, within a machine by lo. One counting pass by machine, then a
+/// std::sort by lo of each machine's runs; every run's machine lies in
+/// [0, first.size() - 1). `first[m]` is the index in `out` of machine m's
+/// first run (`first` has one entry per machine plus an end sentinel).
+/// Runs with equal lo come in no fixed order: the busy-time passes built
+/// on it (busy_cost, check_busy_schedule, busy::check_weighted_schedule)
+/// give the same result in any.
+void sort_machine_major(std::span<const MachineRun> runs,
+                        std::span<MachineRun> out,
+                        std::span<std::size_t> first);
 
 /// A preemptive busy-time solution: each job is a set of execution pieces,
 /// each piece on some machine (paper section 4.4: a job may migrate, but at

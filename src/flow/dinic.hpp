@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 namespace abt::flow {
@@ -22,6 +23,12 @@ namespace abt::flow {
 /// already there instead of recomputing from zero. A batch of edges added
 /// last can also be taken back out with truncate(), once its flow is
 /// cancelled.
+///
+/// Storage: the adjacency lists, the edge handles and the search scratch
+/// come from a per-thread spare pool and go back to it when the network is
+/// destroyed, keeping their capacity. A thread that builds network after
+/// network (the feasibility checks, the LP rounding's three networks per
+/// solve) allocates only when a network outgrows every earlier one.
 class Dinic {
  public:
   using Cap = std::int64_t;
@@ -100,7 +107,7 @@ class Dinic {
   /// Remaining capacity of edge `e`.
   [[nodiscard]] Cap residual_on(EdgeRef e) const;
 
-  [[nodiscard]] int num_nodes() const { return static_cast<int>(graph_.size()); }
+  [[nodiscard]] int num_nodes() const { return num_nodes_; }
 
   /// Nodes reachable from `s` in the residual graph (the min-cut's source
   /// side after max_flow).
@@ -111,22 +118,45 @@ class Dinic {
     int to;
     Cap cap;        // remaining capacity
     Cap original;   // current capacity bound (flow = original - cap)
-    std::int32_t rev;  // index of reverse edge in graph_[to]
+    std::int32_t rev;  // index of the reverse edge in adj(to)
   };
+
+  /// Everything a network owns. Only the first num_nodes_ adjacency lists
+  /// are in use; a recycled Storage may hold more, cleared but kept.
+  struct Storage {
+    std::vector<std::vector<Edge>> graph;
+    // EdgeRef -> (node, index in its adjacency list)
+    std::vector<std::pair<int, std::int32_t>> edge_locator;
+    std::vector<int> level;
+    std::vector<std::size_t> iter;
+    std::vector<std::pair<int, std::int32_t>> parent;  // find_path's tree
+    std::vector<int> queue;                            // bfs / find_path queue
+  };
+  /// Hands a Storage back to the calling thread's spare pool.
+  struct Recycle {
+    void operator()(Storage* storage) const;
+  };
+  /// The calling thread's spare Storages; null once the thread is exiting
+  /// and the pool is gone.
+  static std::vector<std::unique_ptr<Storage>>* spares();
 
   bool bfs(int s, int t);
   Cap dfs(int u, int t, Cap pushed);
   /// BFS from s that stops on reaching t, recording each reached node's
-  /// entering edge in parent_. True when t was reached.
+  /// entering edge in parent. True when t was reached.
   bool find_path(int s, int t);
   Edge& edge_at(EdgeRef e);
+  [[nodiscard]] const Edge& edge_at(EdgeRef e) const;
 
-  std::vector<std::vector<Edge>> graph_;
-  std::vector<std::pair<int, std::int32_t>> edge_locator_;  // EdgeRef -> (node, idx)
-  std::vector<int> level_;
-  std::vector<std::size_t> iter_;
-  std::vector<std::pair<int, std::int32_t>> parent_;  // find_path's tree
-  std::vector<int> queue_;                            // find_path's queue
+  [[nodiscard]] std::vector<Edge>& adj(int u) {
+    return storage_->graph[static_cast<std::size_t>(u)];
+  }
+  [[nodiscard]] const std::vector<Edge>& adj(int u) const {
+    return storage_->graph[static_cast<std::size_t>(u)];
+  }
+
+  int num_nodes_;
+  std::unique_ptr<Storage, Recycle> storage_;
 };
 
 }  // namespace abt::flow

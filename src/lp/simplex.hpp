@@ -1,7 +1,9 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,24 +18,38 @@ enum class Sense { kLessEqual, kGreaterEqual, kEqual };
 /// A linear program in the natural form used by the paper's IP/LP1:
 ///   minimize  c'x   subject to   rows,  0 <= x <= upper.
 /// A finite upper bound (e.g. y_t <= 1) is a variable bound, not a row.
+/// The rows live in one flat entry array, so a model of thousands of rows
+/// costs a handful of allocations rather than one per row.
 struct LinearProblem {
-  struct Row {
-    std::vector<std::pair<int, double>> coeffs;  ///< (variable, coefficient)
-    Sense sense = Sense::kLessEqual;
-    double rhs = 0.0;
-  };
+  using Entry = std::pair<int, double>;  ///< (variable, coefficient)
 
   int num_vars = 0;
   std::vector<double> objective;  ///< size num_vars, minimized
   std::vector<double> upper;      ///< size num_vars, +infinity when free above
-  std::vector<Row> rows;
+  /// Row i's entries are entries[row_start[i] .. row_start[i + 1]).
+  std::vector<Entry> entries;
+  std::vector<int> row_start{0};
+  std::vector<Sense> sense;  ///< per row
+  std::vector<double> rhs;   ///< per row
+
+  [[nodiscard]] int num_rows() const { return static_cast<int>(rhs.size()); }
+  [[nodiscard]] std::span<const Entry> row(int i) const {
+    const auto at = static_cast<std::size_t>(i);
+    return std::span<const Entry>(entries).subspan(
+        static_cast<std::size_t>(row_start[at]),
+        static_cast<std::size_t>(row_start[at + 1] - row_start[at]));
+  }
 
   /// Adds a variable with objective coefficient `cost` and bounds
   /// [0, upper]; returns its index.
   int add_variable(double cost, double upper = kInfinity);
   /// Adds a constraint; returns its row index.
-  int add_row(std::vector<std::pair<int, double>> coeffs, Sense sense,
-              double rhs);
+  int add_row(std::span<const Entry> coeffs, Sense row_sense, double row_rhs);
+  int add_row(std::initializer_list<Entry> coeffs, Sense row_sense,
+              double row_rhs) {
+    return add_row(std::span<const Entry>(coeffs.begin(), coeffs.size()),
+                   row_sense, row_rhs);
+  }
 };
 
 /// Where a variable sits in a simplex basis. Each row owns one logical

@@ -27,7 +27,7 @@ namespace detail {
 class Tableau {
  public:
   Tableau(const LinearProblem& problem, double eps) : eps_(eps) {
-    const int m = static_cast<int>(problem.rows.size());
+    const int m = problem.num_rows();
     num_structural_ = problem.num_vars;
 
     // One slack/surplus column per inequality row; one artificial per row
@@ -41,8 +41,11 @@ class Tableau {
     };
     std::vector<RowPlan> plan;
     plan.reserve(static_cast<std::size_t>(m));
-    for (const auto& row : problem.rows) {
-      RowPlan rp{row.coeffs, row.rhs, row.sense};
+    for (int r = 0; r < m; ++r) {
+      const auto row = problem.row(r);
+      RowPlan rp{{row.begin(), row.end()},
+                 problem.rhs[static_cast<std::size_t>(r)],
+                 problem.sense[static_cast<std::size_t>(r)]};
       if (rp.rhs < 0) {  // normalize to rhs >= 0 by negating the row
         rp.rhs = -rp.rhs;
         for (auto& [var, coeff] : rp.coeffs) {
@@ -263,10 +266,12 @@ inline Solution solve_dense_rows(const LinearProblem& problem,
   if (problem.num_vars == 0) {
     // Vacuous problem: feasible iff every row with no variables is satisfied
     // by zero.
-    for (const auto& row : problem.rows) {
-      const bool ok = (row.sense == Sense::kLessEqual && 0.0 <= row.rhs) ||
-                      (row.sense == Sense::kGreaterEqual && 0.0 >= row.rhs) ||
-                      (row.sense == Sense::kEqual && row.rhs == 0.0);
+    for (int r = 0; r < problem.num_rows(); ++r) {
+      const Sense sense = problem.sense[static_cast<std::size_t>(r)];
+      const double rhs = problem.rhs[static_cast<std::size_t>(r)];
+      const bool ok = (sense == Sense::kLessEqual && 0.0 <= rhs) ||
+                      (sense == Sense::kGreaterEqual && 0.0 >= rhs) ||
+                      (sense == Sense::kEqual && rhs == 0.0);
       if (!ok) {
         result.status = SolveStatus::kInfeasible;
         return result;

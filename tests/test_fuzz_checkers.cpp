@@ -14,9 +14,12 @@
 #include "busy/weighted.hpp"
 #include "core/active_schedule.hpp"
 #include "core/busy_schedule.hpp"
+#include "core/solver.hpp"
+#include "engine/builtin_solvers.hpp"
 #include "core/rng.hpp"
 #include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
+#include "busy_oracle.hpp"
 #include "preemptive_oracle.hpp"
 #include "weighted_oracle.hpp"
 
@@ -124,6 +127,155 @@ TEST_P(BusyFuzz, CorruptedBusySchedulesAreRejected) {
     }
     EXPECT_NE(why.find("machine 0"), std::string::npos) << why;
   }
+}
+
+/// The machine-major checker against the frozen per-machine checker: the
+/// same verdict and the same reason on every applicable registered busy
+/// solver's schedule and on corruptions of them, at eps 0 (runs touching
+/// at exactly hi == lo), the default 1e-6 and 0.25, the quarter grid's
+/// step, where a shrunk run's hi lands on the lo of a run that starts a
+/// grid step before the first one ends.
+TEST_P(BusyFuzz, SweepCheckerMatchesFrozenChecker) {
+  const core::SolverRegistry& registry = engine::shared_registry();
+  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 2750159ULL);
+  int accepted = 0;
+  int rejected = 0;
+  const auto snap = [](double t) { return std::round(t * 4.0) / 4.0; };
+  for (int trial = 0; trial < 12; ++trial) {
+    gen::ContinuousParams params;
+    params.num_jobs = static_cast<int>(rng.uniform_int(1, 40));
+    params.capacity = static_cast<int>(rng.uniform_int(1, 4));
+    params.horizon = static_cast<double>(rng.uniform_int(4, 30));
+    params.max_slack = rng.uniform_int(0, 1) == 0 ? 0.0 : 2.0;
+    const core::ContinuousInstance inst = gen::random_continuous(rng, params);
+    const auto n = static_cast<std::size_t>(inst.size());
+    const auto expect_same = [&](const core::BusySchedule& sched,
+                                 const std::string& what) {
+      for (const double eps : {0.0, 1e-6, 0.25}) {
+        std::string fast_why;
+        std::string slow_why;
+        const bool fast =
+            core::check_busy_schedule(inst, sched, &fast_why, eps);
+        const bool slow =
+            core::oracle::check_busy_schedule(inst, sched, &slow_why, eps);
+        EXPECT_EQ(fast, slow) << what << " trial " << trial << " eps " << eps;
+        EXPECT_EQ(fast_why, slow_why)
+            << what << " trial " << trial << " eps " << eps;
+        ++(fast ? accepted : rejected);
+      }
+    };
+
+    // Random placements on a few machines, starts snapped to the quarter
+    // grid so runs often abut exactly. An interval job's latest start can
+    // round to just below its release.
+    core::BusySchedule random;
+    const auto machines = rng.uniform_int(1, 4);
+    for (std::size_t j = 0; j < n; ++j) {
+      const core::ContinuousJob& job = inst.job(static_cast<int>(j));
+      const double latest = std::max(job.release, job.latest_start());
+      const double start = std::clamp(
+          snap(rng.uniform_real(job.release, latest)), job.release, latest);
+      random.placements.push_back(
+          {static_cast<int>(rng.uniform_int(0, machines - 1)), start});
+    }
+    expect_same(random, "random");
+
+    const core::ProblemInstance problem = core::make_instance(inst);
+    for (const core::Solver* solver : registry.selection(problem)) {
+      const core::Solution sol = registry.run(*solver, problem);
+      if (!sol.busy.has_value()) continue;
+      const core::BusySchedule& valid = *sol.busy;
+      expect_same(valid, solver->name);
+      const auto victim =
+          static_cast<std::size_t>(rng.uniform_int(0, inst.size() - 1));
+      {
+        core::BusySchedule bad = valid;
+        bad.placements[victim].machine = -1;
+        expect_same(bad, solver->name + " unassigned");
+      }
+      {
+        core::BusySchedule bad = valid;
+        bad.placements[victim].start =
+            inst.job(static_cast<int>(victim)).release - 0.5;
+        expect_same(bad, solver->name + " early");
+        bad.placements[victim].start =
+            inst.job(static_cast<int>(victim)).latest_start() + 0.5;
+        expect_same(bad, solver->name + " late");
+      }
+      {
+        core::BusySchedule bad = valid;
+        bad.placements.pop_back();
+        expect_same(bad, solver->name + " short placement list");
+      }
+      {
+        core::BusySchedule bad = valid;
+        for (auto& p : bad.placements) p.machine = 0;
+        expect_same(bad, solver->name + " one machine");
+      }
+      {
+        core::BusySchedule bad = valid;
+        for (std::size_t j = 0; j < n; ++j) {
+          bad.placements[j].machine = static_cast<int>(j);
+        }
+        expect_same(bad, solver->name + " n machines");
+      }
+      {
+        // Moved onto the machine after the victim's: later machines are
+        // reported only when every earlier one fits.
+        core::BusySchedule bad = valid;
+        auto& p = bad.placements[victim];
+        p.machine = (p.machine + 1) % (valid.machine_count() + 1);
+        expect_same(bad, solver->name + " moved");
+      }
+    }
+  }
+
+  // g + 1 overlapping runs, and chains touching at exactly hi == lo: one
+  // machine holds g + 1 copies of [0, 1) next to a chain [k, k + 1).
+  for (int g = 1; g <= 4; ++g) {
+    std::vector<core::ContinuousJob> jobs;
+    core::BusySchedule sched;
+    for (int k = 0; k <= g; ++k) {
+      jobs.push_back({0.0, 1.0, 1.0});
+      sched.placements.push_back({1, 0.0});
+    }
+    for (int k = 0; k < 6; ++k) {
+      jobs.push_back({static_cast<double>(k), static_cast<double>(k + 1), 1.0});
+      sched.placements.push_back({0, static_cast<double>(k)});
+    }
+    // A zero-length job, and one a quarter long that the 0.25 shrink
+    // empties, both on the chain.
+    jobs.push_back({2.0, 2.0, 0.0});
+    sched.placements.push_back({0, 2.0});
+    jobs.push_back({3.0, 3.25, 0.25});
+    sched.placements.push_back({0, 3.0});
+    const core::ContinuousInstance inst(jobs, g);
+    for (const double eps : {0.0, 1e-6, 0.25}) {
+      std::string fast_why;
+      std::string slow_why;
+      const bool fast = core::check_busy_schedule(inst, sched, &fast_why, eps);
+      const bool slow =
+          core::oracle::check_busy_schedule(inst, sched, &slow_why, eps);
+      EXPECT_FALSE(fast) << "g " << g << " eps " << eps;
+      EXPECT_EQ(fast, slow) << "g " << g << " eps " << eps;
+      EXPECT_EQ(fast_why, slow_why) << "g " << g << " eps " << eps;
+      // The copies spread over machines of their own: the chain machine
+      // decides, where the quarter job overlaps the chain unless the
+      // shrink empties it.
+      core::BusySchedule chain = sched;
+      for (int k = 0; k <= g; ++k) {
+        chain.placements[static_cast<std::size_t>(k)].machine = 2 + k;
+      }
+      fast_why.clear();
+      slow_why.clear();
+      EXPECT_EQ(core::check_busy_schedule(inst, chain, &fast_why, eps),
+                core::oracle::check_busy_schedule(inst, chain, &slow_why, eps))
+          << "g " << g << " eps " << eps;
+      EXPECT_EQ(fast_why, slow_why) << "g " << g << " eps " << eps;
+    }
+  }
+  EXPECT_GT(accepted, 0) << "the fuzz must reach valid schedules";
+  EXPECT_GT(rejected, 0) << "the fuzz must reach rejections";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BusyFuzz, ::testing::Range(1, 9));

@@ -34,7 +34,7 @@ TEST(LpModel, SlotBoundsAreVariableBoundsNotRows) {
   const SlottedInstance inst({{0, 3, 2}, {1, 4, 1}}, 2);
   const ActiveTimeLp model(inst);
   // One link row per x, one capacity row per slot, one demand row per job.
-  EXPECT_EQ(model.problem().rows.size(), 6U + 4U + 2U);
+  EXPECT_EQ(model.problem().num_rows(), 6 + 4 + 2);
   for (const core::SlotTime t : model.slots()) {
     EXPECT_EQ(model.problem().upper[static_cast<std::size_t>(model.y_index(t))],
               1.0);
@@ -194,7 +194,7 @@ TEST(LpModel, BuildPollsCancellationAndAbandonsPromptly) {
       core::RunContext().set_cancel_token(source.token());
   const ActiveTimeLp aborted(inst, &cancelled);
   EXPECT_TRUE(aborted.build_cancelled());
-  EXPECT_TRUE(aborted.problem().rows.empty());
+  EXPECT_EQ(aborted.problem().num_rows(), 0);
   // solve_active_lp surfaces the abandoned build as kCancelled without
   // ever touching the partial model.
   EXPECT_EQ(solve_active_lp(aborted, &cancelled).status,
@@ -215,7 +215,7 @@ TEST(LpModel, BuildPollsCancellationAndAbandonsPromptly) {
   const core::RunContext generous = core::RunContext::with_budget_ms(60'000);
   const ActiveTimeLp complete(inst, &generous);
   EXPECT_FALSE(complete.build_cancelled());
-  EXPECT_FALSE(complete.problem().rows.empty());
+  EXPECT_GT(complete.problem().num_rows(), 0);
   EXPECT_EQ(solve_active_lp(complete, &generous).status,
             lp::SolveStatus::kOptimal);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "active/exact.hpp"
 #include "active/feasibility.hpp"
@@ -12,6 +14,7 @@
 #include "engine/runner.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
+#include "revised_simplex_oracle.hpp"
 #include "test_util.hpp"
 
 namespace abt::active {
@@ -260,6 +263,57 @@ TEST(LpRounding, CampaignGridCostsArePinned) {
     EXPECT_EQ(rounded->repair_opens, 0)
         << cell.scenario << " seed " << cell.seed;
   }
+}
+
+/// LP1 as the library solves it against the frozen copy of the simplex
+/// from before its buffers were pooled and its rows flattened: the same
+/// status, pivot count, objective and every variable, bit for bit, both
+/// from the crash basis lp-rounding starts from and from the cold start.
+TEST(LpEquivalence, PivotsAndSolutionBitIdentical) {
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  int solved = 0;
+  for (const char* family : {"slotted", "slotted-unit"}) {
+    for (int k = 0; k < 25; ++k) {
+      engine::ScenarioSpec spec;
+      spec.name = family;
+      spec.n = (k % 5 == 4) ? 128 : 8 << (k % 5);
+      spec.g = 1 + k % 4;
+      spec.seed = static_cast<std::uint64_t>(k) + 1;
+      const auto problem = engine::make_scenario(spec);
+      ASSERT_TRUE(problem.has_value());
+      const core::SlottedInstance& inst = problem->slotted;
+      const active::ActiveTimeLp model(inst);
+      const auto all_open =
+          active::extract_assignment(inst, active::candidate_slots(inst));
+      ASSERT_TRUE(all_open.has_value()) << family << " " << k;
+      const lp::StartBasis crash = model.crash_basis(all_open->job_slots);
+      for (const lp::StartBasis* start :
+           {static_cast<const lp::StartBasis*>(&crash),
+            static_cast<const lp::StartBasis*>(nullptr)}) {
+        const lp::Solution now =
+            lp::SimplexSolver().solve(model.problem(), start);
+        const lp::Solution frozen =
+            lp::oracle::revised::solve_revised(model.problem(), {}, start);
+        const std::string what = std::string(family) + " k " +
+                                 std::to_string(k) +
+                                 (start != nullptr ? " crash" : " cold");
+        ASSERT_EQ(now.status, frozen.status) << what;
+        EXPECT_EQ(now.pivots, frozen.pivots) << what;
+        EXPECT_EQ(now.warm_start, frozen.warm_start) << what;
+        EXPECT_TRUE(same_bits(now.objective, frozen.objective))
+            << what << ": " << now.objective << " vs " << frozen.objective;
+        ASSERT_EQ(now.x.size(), frozen.x.size()) << what;
+        for (std::size_t v = 0; v < now.x.size(); ++v) {
+          ASSERT_TRUE(same_bits(now.x[v], frozen.x[v]))
+              << what << " variable " << v;
+        }
+        ++solved;
+      }
+    }
+  }
+  EXPECT_EQ(solved, 100);
 }
 
 }  // namespace

@@ -86,6 +86,26 @@ TEST(PreemptiveUnbounded, OpensTimeAsLateAsPossible) {
   EXPECT_NEAR(sol.open[0].hi, 10.0, 1e-9);
 }
 
+TEST(PreemptiveUnbounded, TakesASliverGapWhenNothingElseIsLeft) {
+  // Job 0 opens [0, 0.5]. Job 1's window leaves it 1e-9 short, and the
+  // only free time in its window is the gap (0.5, 0.500000001], no longer
+  // than the greedy's sliver threshold.
+  const ContinuousInstance inst({{0.0, 0.5, 0.5}, {1e-9, 0.500000001, 0.5}},
+                                2);
+  ASSERT_TRUE(inst.structurally_valid());
+  const auto unbounded = solve_preemptive_unbounded(inst);
+  std::string why;
+  EXPECT_TRUE(core::check_preemptive_schedule(
+      ContinuousInstance(inst.jobs(), inst.size() + 1), unbounded.schedule,
+      &why))
+      << why;
+  EXPECT_NEAR(unbounded.busy_time, 0.500000001, 1e-12);
+  const auto bounded = solve_preemptive_bounded(inst);
+  EXPECT_TRUE(core::check_preemptive_schedule(inst, bounded.schedule, &why))
+      << why;
+  EXPECT_EQ(bounded.busy_time, core::busy_cost(inst, bounded.schedule));
+}
+
 /// Property (Theorem 6): the greedy equals the integral covering LP on
 /// integer instances.
 class PreemptiveExactness : public ::testing::TestWithParam<int> {};

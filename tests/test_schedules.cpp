@@ -2,8 +2,15 @@
 // these checkers gate every algorithm test, so they get their own coverage.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "busy_oracle.hpp"
 #include "core/active_schedule.hpp"
 #include "core/busy_schedule.hpp"
+#include "core/solver.hpp"
+#include "engine/builtin_solvers.hpp"
+#include "engine/runner.hpp"
 
 namespace abt::core {
 namespace {
@@ -157,6 +164,39 @@ TEST(PreemptiveCheck, ClosesRunsBeforeOpeningAtTheSameTime) {
   s.pieces[1][0].machine = 1;
   EXPECT_FALSE(check_preemptive_schedule(inst, s, &why, 0.0));
   EXPECT_EQ(why, "machine 1 concurrency 2 > g");
+}
+
+/// busy_cost on the machine-major order against the frozen per-machine
+/// span_of sum: the same double, bit for bit, on every applicable
+/// registered busy solver's schedule across the random families and sizes
+/// on both sides of radix_sort's cutover.
+TEST(BusyCost, BitIdenticalToFrozen) {
+  const SolverRegistry& registry = engine::shared_registry();
+  int compared = 0;
+  for (const char* family :
+       {"interval", "flexible", "bursty", "clique", "proper", "laminar"}) {
+    for (const int n : {1, 2, 48, 255, 256, 1024, 4096}) {
+      engine::ScenarioSpec spec;
+      spec.name = family;
+      spec.n = n;
+      spec.g = n >= 1024 ? 8 : 3;
+      spec.seed = static_cast<std::uint64_t>(n) + 11;
+      const auto problem = engine::make_scenario(spec);
+      ASSERT_TRUE(problem.has_value()) << family << " " << n;
+      const ContinuousInstance& inst = problem->continuous;
+      for (const Solver* solver : registry.selection(*problem)) {
+        const Solution sol = registry.run(*solver, *problem);
+        if (!sol.busy.has_value()) continue;
+        const RealTime fast = busy_cost(inst, *sol.busy);
+        const RealTime slow = oracle::busy_cost(inst, *sol.busy);
+        EXPECT_EQ(std::memcmp(&fast, &slow, sizeof fast), 0)
+            << solver->name << " on " << family << " n " << n << ": " << fast
+            << " vs " << slow;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 6 * 7 * 3);
 }
 
 }  // namespace

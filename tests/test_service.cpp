@@ -691,6 +691,28 @@ TEST_F(ServiceFixture, VanishingLengthPayloadGetsAnErrorAndTheDaemonServesOn) {
   EXPECT_TRUE(is_json(after.final.payload)) << after.final.payload;
 }
 
+TEST_F(ServiceFixture, SliverGapPreemptiveRequestIsAnsweredAndServesOn) {
+  start({});
+  // The second job's last 1e-9 fits only in a free gap no longer than the
+  // preemptive greedy's sliver threshold; the greedy used to abort on it,
+  // and with it the daemon.
+  Frame solve;
+  solve.type = FrameType::kSolve;
+  solve.payload =
+      "solvers busy/preemptive\ninstance\nmodel continuous\ncapacity 2\n"
+      "job 0 0.5 0.5\njob 1e-9 0.500000001 0.5\n";
+  const service::Exchange reply = roundtrip(solve);
+  ASSERT_EQ(reply.final.type, FrameType::kOk) << reply.final.payload;
+  EXPECT_NE(reply.final.payload.find("\"feasible\": true"), std::string::npos)
+      << reply.final.payload;
+
+  Frame stats;
+  stats.type = FrameType::kStats;
+  const service::Exchange after = roundtrip(stats);
+  ASSERT_EQ(after.final.type, FrameType::kOk) << after.final.payload;
+  EXPECT_TRUE(is_json(after.final.payload)) << after.final.payload;
+}
+
 TEST_F(ServiceFixture, CancelReplyEscapesTheId) {
   start({});
   Frame cancel;

@@ -205,7 +205,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
 
 TEST(Simplex, UpperBoundsAreVariableBounds) {
   const LinearProblem p = bounded_variables();
-  EXPECT_EQ(p.rows.size(), 1U) << "bounds add no rows";
+  EXPECT_EQ(p.num_rows(), 1) << "bounds add no rows";
   const Solution s = SimplexSolver().solve(p);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, -4.0, 1e-8);

@@ -183,6 +183,48 @@ TEST(RadixSort, MatchesStableSortOnRandomKeys) {
   }
 }
 
+/// Both sides of kRadixCutover: the merge path and the radix passes give
+/// std::stable_sort's order, many ties included.
+TEST(RadixSort, SmallInputsMatchStableSort) {
+  struct Item {
+    std::uint64_t key;
+    int id;
+  };
+  Rng rng(7727);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{15},
+        std::size_t{16}, std::size_t{17}, std::size_t{48}, std::size_t{255},
+        kRadixCutover - 1, kRadixCutover, kRadixCutover + 1,
+        2 * kRadixCutover}) {
+    for (int t = 0; t < 6; ++t) {
+      std::vector<Item> items;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Odd trials draw from eight values, so most keys tie.
+        const double x = t % 2 == 0
+                             ? rng.uniform_real(-50.0, 50.0)
+                             : static_cast<double>(rng.uniform_int(0, 7));
+        items.push_back({radix_key(x), static_cast<int>(i)});
+      }
+      if (t == 2) {  // descending: every insertion walks its whole run
+        std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+          return a.key > b.key;
+        });
+      }
+      std::vector<Item> expect = items;
+      std::stable_sort(
+          expect.begin(), expect.end(),
+          [](const Item& a, const Item& b) { return a.key < b.key; });
+      std::vector<Item> scratch(n);
+      radix_sort(std::span<Item>(items), std::span<Item>(scratch),
+                 [](const Item& item) { return item.key; });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(items[i].key, expect[i].key) << "n " << n << " trial " << t;
+        ASSERT_EQ(items[i].id, expect[i].id) << "n " << n << " trial " << t;
+      }
+    }
+  }
+}
+
 TEST(OccupancyIndex, EmptyIndexAndEmptyRanges) {
   OccupancyIndex occ;
   EXPECT_EQ(occ.size(), 0);
