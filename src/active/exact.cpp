@@ -260,10 +260,4 @@ std::optional<ExactResult> solve_exact(const SlottedInstance& inst,
   return bnb.run();
 }
 
-std::optional<ActiveSchedule> solve_unit_greedy(const SlottedInstance& inst) {
-  MinimalFeasibleOptions options;
-  options.order = CloseOrder::kLeftToRight;
-  return solve_minimal_feasible(inst, options);
-}
-
 }  // namespace abt::active

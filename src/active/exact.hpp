@@ -41,12 +41,4 @@ struct ExactResult {
 [[nodiscard]] std::optional<ExactResult> solve_exact(
     const core::SlottedInstance& inst, ExactOptions options = {});
 
-/// Greedy for unit-length jobs: closes slots left to right (keeping every
-/// slot as late as possible), which is the lazy-activation strategy of
-/// Chang, Gabow and Khuller [2] for the unit case. Produces a minimal
-/// feasible solution for arbitrary instances; exact when all p_j = 1
-/// (cross-validated against solve_exact in the test suite).
-[[nodiscard]] std::optional<core::ActiveSchedule> solve_unit_greedy(
-    const core::SlottedInstance& inst);
-
 }  // namespace abt::active

@@ -10,6 +10,7 @@
 namespace abt::active {
 
 using core::ActiveSchedule;
+using core::MultiWindowInstance;
 using core::SlotTime;
 using core::SlottedInstance;
 
@@ -205,48 +206,28 @@ void SlotNetwork::routed_slots(const std::vector<SlotTime>& slot_times,
   }
 }
 
-std::optional<std::vector<SlotTime>> close_slots(
-    SlotNetwork& network, const std::vector<SlotTime>& slots,
-    const std::vector<std::size_t>& order, const core::RunContext* context,
-    bool* cancelled) {
-  const std::function<bool()> cancel =
-      context == nullptr ? std::function<bool()>{}
-                         : [context] { return context->cancelled(); };
-  bool flow_cancelled = false;
-  const auto deficit = network.solve(cancel, &flow_cancelled);
-  if (cancelled != nullptr) *cancelled = flow_cancelled;
-  if (flow_cancelled || deficit != 0) return std::nullopt;
-  // One pass suffices: closing slots only shrinks the feasible set, so a
-  // slot that could not be closed earlier can never be closed later.
-  std::vector<char> open(slots.size(), 1);
-  for (std::size_t slot : order) {
-    if (cancel && cancel()) break;
-    if (network.try_close(static_cast<int>(slot))) open[slot] = 0;
-  }
-  std::vector<SlotTime> kept;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (open[i] != 0) kept.push_back(slots[i]);
-  }
-  return kept;
-}
-
-SlotNetwork slot_network(const SlottedInstance& inst,
+template <core::ActiveInstance Instance>
+SlotNetwork slot_network(const Instance& inst,
                          const std::vector<SlotTime>& active_slots) {
   SlotNetwork network(inst.size(), static_cast<int>(active_slots.size()),
                       inst.capacity());
-  for (const core::SlottedJob& job : inst.jobs()) {
+  for (const auto& job : inst.jobs()) {
     network.add_job(job.length);
-    // Job -> live slot edges. active_slots is sorted; restrict to window.
-    const auto lo = std::upper_bound(active_slots.begin(), active_slots.end(),
-                                     job.release);
-    for (auto it = lo; it != active_slots.end() && *it <= job.deadline; ++it) {
-      network.add_job_slot(static_cast<int>(it - active_slots.begin()));
-    }
+    // Job -> live slot edges. active_slots is sorted; restrict to each
+    // window.
+    job.for_each_window([&](SlotTime release, SlotTime deadline) {
+      const auto lo = std::upper_bound(active_slots.begin(),
+                                       active_slots.end(), release);
+      for (auto it = lo; it != active_slots.end() && *it <= deadline; ++it) {
+        network.add_job_slot(static_cast<int>(it - active_slots.begin()));
+      }
+    });
   }
   return network;
 }
 
-FeasStatus feasibility_with_slots(const SlottedInstance& inst,
+template <core::ActiveInstance Instance>
+FeasStatus feasibility_with_slots(const Instance& inst,
                                   const std::vector<SlotTime>& active_slots,
                                   const std::function<bool()>& should_stop) {
   ABT_ASSERT(std::is_sorted(active_slots.begin(), active_slots.end()),
@@ -258,7 +239,8 @@ FeasStatus feasibility_with_slots(const SlottedInstance& inst,
   return deficit == 0 ? FeasStatus::kFeasible : FeasStatus::kInfeasible;
 }
 
-bool is_feasible_with_slots(const SlottedInstance& inst,
+template <core::ActiveInstance Instance>
+bool is_feasible_with_slots(const Instance& inst,
                             const std::vector<SlotTime>& active_slots) {
   return feasibility_with_slots(inst, active_slots, {}) ==
          FeasStatus::kFeasible;
@@ -268,8 +250,9 @@ bool is_feasible(const SlottedInstance& inst) {
   return is_feasible_with_slots(inst, candidate_slots(inst));
 }
 
+template <core::ActiveInstance Instance>
 std::optional<ActiveSchedule> extract_assignment(
-    const SlottedInstance& inst, std::vector<SlotTime> active_slots,
+    const Instance& inst, std::vector<SlotTime> active_slots,
     const std::function<bool()>& should_stop, bool* cancelled) {
   ABT_ASSERT(std::is_sorted(active_slots.begin(), active_slots.end()),
              "active slots must be sorted");
@@ -299,12 +282,15 @@ bool FeasibleJobSet::try_add(const core::SlottedJob& job) {
                                static_cast<int>(job.deadline) - 1);
 }
 
-std::vector<SlotTime> candidate_slots(const SlottedInstance& inst) {
+template <core::ActiveInstance Instance>
+std::vector<SlotTime> candidate_slots(const Instance& inst) {
   std::vector<char> live(static_cast<std::size_t>(inst.horizon()) + 1, 0);
-  for (const core::SlottedJob& job : inst.jobs()) {
-    for (SlotTime t = job.release + 1; t <= job.deadline; ++t) {
-      live[static_cast<std::size_t>(t)] = 1;
-    }
+  for (const auto& job : inst.jobs()) {
+    job.for_each_window([&](SlotTime release, SlotTime deadline) {
+      for (SlotTime t = release + 1; t <= deadline; ++t) {
+        live[static_cast<std::size_t>(t)] = 1;
+      }
+    });
   }
   std::vector<SlotTime> out;
   for (SlotTime t = 1; t <= inst.horizon(); ++t) {
@@ -312,5 +298,29 @@ std::vector<SlotTime> candidate_slots(const SlottedInstance& inst) {
   }
   return out;
 }
+
+// The two job models G_feas serves (core::ActiveInstance).
+template SlotNetwork slot_network(const SlottedInstance&,
+                                  const std::vector<SlotTime>&);
+template SlotNetwork slot_network(const MultiWindowInstance&,
+                                  const std::vector<SlotTime>&);
+template FeasStatus feasibility_with_slots(const SlottedInstance&,
+                                           const std::vector<SlotTime>&,
+                                           const std::function<bool()>&);
+template FeasStatus feasibility_with_slots(const MultiWindowInstance&,
+                                           const std::vector<SlotTime>&,
+                                           const std::function<bool()>&);
+template bool is_feasible_with_slots(const SlottedInstance&,
+                                     const std::vector<SlotTime>&);
+template bool is_feasible_with_slots(const MultiWindowInstance&,
+                                     const std::vector<SlotTime>&);
+template std::optional<ActiveSchedule> extract_assignment(
+    const SlottedInstance&, std::vector<SlotTime>,
+    const std::function<bool()>&, bool*);
+template std::optional<ActiveSchedule> extract_assignment(
+    const MultiWindowInstance&, std::vector<SlotTime>,
+    const std::function<bool()>&, bool*);
+template std::vector<SlotTime> candidate_slots(const SlottedInstance&);
+template std::vector<SlotTime> candidate_slots(const MultiWindowInstance&);
 
 }  // namespace abt::active

@@ -25,7 +25,9 @@ enum class FeasStatus {
 /// Flow-based feasibility for the active-time model (the network G_feas of
 /// Fig 2): source -> job (cap p_j), job -> live active slot (cap 1),
 /// active slot -> sink (cap g). The instance restricted to `active_slots`
-/// is feasible iff max-flow == total work.
+/// is feasible iff max-flow == total work. These wrappers serve both job
+/// models (core::ActiveInstance): a multi-window job gets one job -> slot
+/// edge per live (job, slot) pair, window by window.
 ///
 /// `should_stop` (may be empty) is polled inside the max-flow — per BFS
 /// phase and every Dinic::kStopPollPaths augmenting paths; when it trips
@@ -33,15 +35,15 @@ enum class FeasStatus {
 /// pattern) so callers decide whether "stop" means cancellation only
 /// (polynomial solvers, whose output a budget must not change) or
 /// cancellation + budget (budgeted exact search).
+template <core::ActiveInstance Instance>
 [[nodiscard]] FeasStatus feasibility_with_slots(
-    const core::SlottedInstance& inst,
-    const std::vector<core::SlotTime>& active_slots,
+    const Instance& inst, const std::vector<core::SlotTime>& active_slots,
     const std::function<bool()>& should_stop);
 
 /// Boolean convenience wrapper (no cancellation): kFeasible => true.
+template <core::ActiveInstance Instance>
 [[nodiscard]] bool is_feasible_with_slots(
-    const core::SlottedInstance& inst,
-    const std::vector<core::SlotTime>& active_slots);
+    const Instance& inst, const std::vector<core::SlotTime>& active_slots);
 
 /// True when the instance is feasible with every slot 1..T active.
 [[nodiscard]] bool is_feasible(const core::SlottedInstance& inst);
@@ -51,9 +53,9 @@ enum class FeasStatus {
 /// Returns nullopt when infeasible — or when `should_stop` tripped, in
 /// which case `*cancelled` (when non-null) is set so the caller can tell
 /// the two apart.
+template <core::ActiveInstance Instance>
 [[nodiscard]] std::optional<core::ActiveSchedule> extract_assignment(
-    const core::SlottedInstance& inst,
-    std::vector<core::SlotTime> active_slots,
+    const Instance& inst, std::vector<core::SlotTime> active_slots,
     const std::function<bool()>& should_stop = {}, bool* cancelled = nullptr);
 
 /// Grows a job set that stays feasible, one candidate at a time, on one
@@ -79,7 +81,7 @@ class FeasibleJobSet {
 
 /// Slots in which at least one job is live — the only candidates worth
 /// opening. Sorted ascending.
-[[nodiscard]] std::vector<core::SlotTime> candidate_slots(
-    const core::SlottedInstance& inst);
+template <core::ActiveInstance Instance>
+[[nodiscard]] std::vector<core::SlotTime> candidate_slots(const Instance& inst);
 
 }  // namespace abt::active

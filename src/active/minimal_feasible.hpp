@@ -45,9 +45,12 @@ struct MinimalFeasibleOptions {
 /// `*cancelled` (when non-null) is set so callers can tell the two apart.
 ///
 /// Cost of the result is at most 3 * OPT (Theorem 1), and the bound is
-/// tight (Fig 3).
+/// tight (Fig 3). Multi-window jobs get the same pass (a slot's live jobs
+/// count every window), but Theorem 1's charging needs single windows, so
+/// there the result is minimal and feasible with no approximation factor.
+template <core::ActiveInstance Instance>
 [[nodiscard]] std::optional<core::ActiveSchedule> solve_minimal_feasible(
-    const core::SlottedInstance& inst, MinimalFeasibleOptions options = {},
+    const Instance& inst, MinimalFeasibleOptions options = {},
     bool* cancelled = nullptr);
 
 }  // namespace abt::active

@@ -1,25 +1,22 @@
 #pragma once
 
 // Internal to src/active: the G_feas builder behind the feasibility checks
-// (active/feasibility.cpp, active/multi_window.cpp), the closing passes
-// (active/minimal_feasible.cpp, active/multi_window.cpp), the LP
-// rounding's prefix checks (active/lp_rounding.cpp) and the feasible
+// (active/feasibility.cpp), the closing pass (active/minimal_feasible.cpp),
+// the LP rounding's prefix checks (active/lp_rounding.cpp) and the feasible
 // instance generator (FeasibleJobSet). Callers outside src/active use
 // active/feasibility.hpp.
 
 #include <functional>
-#include <optional>
 #include <vector>
 
+#include "core/active_schedule.hpp"
 #include "core/job.hpp"
-#include "core/run_context.hpp"
-#include "core/slotted_instance.hpp"
 #include "flow/dinic.hpp"
 
 namespace abt::active {
 
-/// The one builder of G_feas, shared by the single-window and multi-window
-/// models: source -> job (cap p_j), job -> slot (cap 1), slot -> sink
+/// The one G_feas, shared by the single-window and multi-window models:
+/// source -> job (cap p_j), job -> slot (cap 1), slot -> sink
 /// (cap g), over slots numbered 0..num_slots-1. Node layout is 0 = source,
 /// 1..n = jobs, then slots, then sink; edges are emitted job by job
 /// (source edge, then the job's slot edges in the order given) and the
@@ -126,24 +123,11 @@ class SlotNetwork {
   std::vector<int> incoming_;
 };
 
-/// The minimal-feasible closing pass shared by both models: solves the
-/// freshly built `network` over `slots` (slot i of the network is
-/// slots[i]), then tries to close slots in `order` and returns the kept
-/// ones, ascending. `context` (may be null) is polled for CANCELLATION
-/// ONLY — inside the first flow and once per trial — so a budget never
-/// changes the result. A cancel mid-pass leaves the untried slots open,
-/// which is still feasible. Returns nullopt when all slots together are
-/// infeasible or the first flow was cancelled (then `*cancelled` is set,
-/// when non-null).
-[[nodiscard]] std::optional<std::vector<core::SlotTime>> close_slots(
-    SlotNetwork& network, const std::vector<core::SlotTime>& slots,
-    const std::vector<std::size_t>& order, const core::RunContext* context,
-    bool* cancelled);
-
-/// G_feas for a slotted instance over the sorted `active_slots` (slot i of
-/// the network is active_slots[i], job j of the network is job j).
+/// G_feas over the sorted `active_slots` (slot i of the network is
+/// active_slots[i], job j of the network is job j). Edges go job by job,
+/// each job's windows in order, slots ascending within a window.
+template <core::ActiveInstance Instance>
 [[nodiscard]] SlotNetwork slot_network(
-    const core::SlottedInstance& inst,
-    const std::vector<core::SlotTime>& active_slots);
+    const Instance& inst, const std::vector<core::SlotTime>& active_slots);
 
 }  // namespace abt::active

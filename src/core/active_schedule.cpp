@@ -14,8 +14,9 @@ bool fail(std::string* why, std::string reason) {
 
 }  // namespace
 
-bool check_active_schedule(const SlottedInstance& inst,
-                           const ActiveSchedule& sched, std::string* why) {
+template <ActiveInstance Instance>
+bool check_active_schedule(const Instance& inst, const ActiveSchedule& sched,
+                           std::string* why) {
   if (!std::is_sorted(sched.active_slots.begin(), sched.active_slots.end())) {
     return fail(why, "active slots not sorted");
   }
@@ -30,7 +31,7 @@ bool check_active_schedule(const SlottedInstance& inst,
 
   std::map<SlotTime, int> load;
   for (JobId j = 0; j < inst.size(); ++j) {
-    const SlottedJob& job = inst.job(j);
+    const auto& job = inst.job(j);
     const auto& slots = sched.job_slots[static_cast<std::size_t>(j)];
     if (static_cast<SlotTime>(slots.size()) != job.length) {
       return fail(why, "job " + std::to_string(j) + " got " +
@@ -68,6 +69,11 @@ bool check_active_schedule(const SlottedInstance& inst,
   }
   return true;
 }
+
+template bool check_active_schedule(const SlottedInstance&,
+                                    const ActiveSchedule&, std::string*);
+template bool check_active_schedule(const MultiWindowInstance&,
+                                    const ActiveSchedule&, std::string*);
 
 std::vector<int> slot_loads(const SlottedInstance& inst,
                             const ActiveSchedule& sched) {

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <concepts>
 #include <string>
 #include <vector>
 
+#include "core/multi_window_instance.hpp"
 #include "core/slotted_instance.hpp"
 
 namespace abt::core {
@@ -21,13 +23,24 @@ struct ActiveSchedule {
   }
 };
 
+/// The two active-time job models: one window (r, d] per job, or a list
+/// of them (Chang, Gabow and Khuller [2]). Their jobs expose
+/// `for_each_window` and `live_in_slot`, so the checker and G_feas
+/// (active/feasibility) are written once for both, and explicitly
+/// instantiated for exactly these two.
+template <typename Instance>
+concept ActiveInstance = std::same_as<Instance, SlottedInstance> ||
+                         std::same_as<Instance, MultiWindowInstance>;
+
 /// Verifies all feasibility conditions of an active-time schedule:
+///  * active slots sorted and distinct,
 ///  * every assigned slot is active,
-///  * at most one unit of a job per slot, within the job's window,
+///  * each job's slots sorted and distinct, within the job's window(s),
 ///  * job j receives exactly p_j units,
 ///  * at most g jobs share any slot.
 /// On failure returns false and (optionally) explains in `why`.
-[[nodiscard]] bool check_active_schedule(const SlottedInstance& inst,
+template <ActiveInstance Instance>
+[[nodiscard]] bool check_active_schedule(const Instance& inst,
                                          const ActiveSchedule& sched,
                                          std::string* why = nullptr);
 

@@ -33,6 +33,12 @@ struct SlottedJob {
   }
   /// A rigid job has no slack: it must occupy every slot of its window.
   [[nodiscard]] bool rigid() const { return window_size() == length; }
+  /// Calls `f(release, deadline)` on the job's one window; MultiWindowJob
+  /// has the same member over its list, so G_feas code serves both models.
+  template <typename F>
+  void for_each_window(F&& f) const {
+    f(release, deadline);
+  }
 
   friend bool operator==(const SlottedJob&, const SlottedJob&) = default;
 };

@@ -10,8 +10,9 @@ namespace abt::core {
 
 /// The generalization studied by Chang, Gabow and Khuller [2] and recalled
 /// in the paper's related work: a job may be scheduled in a *union of time
-/// intervals* instead of one window. The algorithms live in
-/// active/multi_window.
+/// intervals* instead of one window. G_feas, minimal feasible and the
+/// checker are shared with SlottedInstance (see core::ActiveInstance); the
+/// subset enumeration lives in active/multi_window.
 struct MultiWindowJob {
   /// Disjoint (release, deadline) pairs; the job may run in slots
   /// {r+1..d} of any of them.
@@ -23,6 +24,11 @@ struct MultiWindowJob {
       if (t > r && t <= d) return true;
     }
     return false;
+  }
+  /// Calls `f(release, deadline)` on each window, in order.
+  template <typename F>
+  void for_each_window(F&& f) const {
+    for (const auto& [r, d] : windows) f(r, d);
   }
   /// Total number of slots across windows.
   [[nodiscard]] SlotTime window_slots() const {

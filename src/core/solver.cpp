@@ -166,6 +166,11 @@ Solution SolverRegistry::run(const Solver& solver, const ProblemInstance& inst,
 
 bool check_standard_solution(const ProblemInstance& inst, const Solution& sol,
                              std::string* why) {
+  if (sol.family == Family::kActive &&
+      inst.kind == InstanceKind::kMultiWindow) {
+    ABT_ASSERT(sol.active.has_value(), "active solver without schedule");
+    return check_active_schedule(inst.multi_window, *sol.active, why);
+  }
   if (inst.kind != InstanceKind::kStandard) {
     if (why != nullptr) {
       *why = "extended instance kind without a registered checker";

@@ -132,8 +132,9 @@ struct Solver {
   /// `ctx.should_stop()` and report incumbents through it.
   std::function<Solution(const ProblemInstance&, const RunContext& ctx)> run;
 
-  /// Checker for the produced schedule. Required for extended kinds (the
-  /// default checkers only understand the standard models); when set it
+  /// Checker for the produced schedule. Required for weighted instances
+  /// (the default checkers understand the standard and multi-window
+  /// models); when set it
   /// replaces the registry's built-in validation. Must not trust any
   /// bookkeeping in the Solution beyond the schedule itself.
   std::function<bool(const ProblemInstance&, const Solution&,
@@ -141,13 +142,14 @@ struct Solver {
       check;
 };
 
-/// The registry's built-in validation for standard-kind solutions: the
-/// family-appropriate schedule checker applied to whatever schedule the
-/// Solution carries. Exposed so registrations can name it explicitly as
-/// their `check` — the project lint requires every registered solver to
-/// supply a checker, and "the standard one, on purpose" beats an empty
-/// field that might mean "forgot". Fails (with a message) on extended
-/// instance kinds: those must bring their own checker.
+/// The registry's built-in validation for standard-kind and multi-window
+/// solutions: the family-appropriate schedule checker applied to whatever
+/// schedule the Solution carries (check_active_schedule serves both active
+/// models). Exposed so registrations can name it explicitly as their
+/// `check` — the project lint requires every registered solver to supply a
+/// checker, and "the standard one, on purpose" beats an empty field that
+/// might mean "forgot". Fails (with a message) on weighted instances:
+/// those bring their own checker.
 [[nodiscard]] bool check_standard_solution(const ProblemInstance& inst,
                                            const Solution& sol,
                                            std::string* why);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "active/exact.hpp"
+#include "active/feasibility.hpp"
 #include "active/lp_rounding.hpp"
 #include "active/minimal_feasible.hpp"
 #include "active/multi_window.hpp"
@@ -121,15 +122,29 @@ Solver online_solver(std::string name, busy::OnlinePolicy policy) {
   return s;
 }
 
-/// Minimal-feasible active solver with a fixed closing order.
+/// Probed directly as well as through the registry's kind gate, so it
+/// refuses wrong-kind instances instead of asserting (like is_weighted).
+bool applicable_multi_window(const ProblemInstance& inst,
+                             const RunContext& /*ctx*/, std::string* why) {
+  if (inst.kind == InstanceKind::kMultiWindow) return true;
+  if (why != nullptr) *why = "needs a multi-window instance";
+  return false;
+}
+
+/// Minimal-feasible active solver with a fixed closing order, on standard
+/// (single-window) or multi-window instances. Theorem 1's factor 3 needs
+/// single windows.
 Solver minimal_solver(std::string name, std::string guarantee,
-                      active::CloseOrder order) {
+                      active::CloseOrder order,
+                      InstanceKind kind = InstanceKind::kStandard) {
   Solver s;
   s.name = std::move(name);
   s.family = Family::kActive;
+  s.kind = kind;
   s.guarantee = std::move(guarantee);
-  s.guarantee_factor = 3.0;
-  s.applicable = always_applicable;
+  s.guarantee_factor = kind == InstanceKind::kStandard ? 3.0 : 0.0;
+  s.applicable = kind == InstanceKind::kMultiWindow ? applicable_multi_window
+                                                    : always_applicable;
   s.check = core::check_standard_solution;
   s.run = [order](const ProblemInstance& inst, const RunContext& ctx) {
     Solution sol;
@@ -138,7 +153,11 @@ Solver minimal_solver(std::string name, std::string guarantee,
     options.context = &ctx;  // cancellation only; budgets cannot alter output
     bool cancelled = false;
     const auto schedule =
-        active::solve_minimal_feasible(inst.slotted, options, &cancelled);
+        inst.kind == InstanceKind::kMultiWindow
+            ? active::solve_minimal_feasible(inst.multi_window, options,
+                                             &cancelled)
+            : active::solve_minimal_feasible(inst.slotted, options,
+                                             &cancelled);
     if (!schedule.has_value()) {
       if (cancelled) {
         sol.timed_out = true;
@@ -506,57 +525,11 @@ void register_weighted(core::SolverRegistry& registry) {
   }
 }
 
-/// Probed directly as well as through the registry's kind gate, so it
-/// refuses wrong-kind instances instead of asserting (like is_weighted).
-bool applicable_multi_window(const ProblemInstance& inst,
-                             const RunContext& /*ctx*/, std::string* why) {
-  if (inst.kind == InstanceKind::kMultiWindow) return true;
-  if (why != nullptr) *why = "needs a multi-window instance";
-  return false;
-}
-
-bool check_multi_window(const ProblemInstance& inst, const Solution& sol,
-                        std::string* why) {
-  if (!sol.active.has_value()) {
-    if (why != nullptr) *why = "multi-window solver produced no schedule";
-    return false;
-  }
-  return active::mw_check_schedule(inst.multi_window, *sol.active, why);
-}
-
 void register_multi_window(core::SolverRegistry& registry) {
-  {
-    Solver s;
-    s.name = "active/multi-window-minimal";
-    s.family = Family::kActive;
-    s.kind = InstanceKind::kMultiWindow;
-    s.guarantee = "minimal feasible heuristic (no factor carries over)";
-    s.guarantee_factor = 0.0;
-    s.check = check_multi_window;
-    s.applicable = applicable_multi_window;
-    s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
-      Solution sol;
-      bool cancelled = false;
-      // Cancellation only; budgets cannot alter output.
-      const auto sched =
-          active::mw_solve_minimal_feasible(inst.multi_window, &ctx,
-                                            &cancelled);
-      if (!sched.has_value()) {
-        if (cancelled) {
-          sol.timed_out = true;
-          sol.message = "cancelled before feasibility was established";
-          return sol;
-        }
-        sol.message = "instance infeasible";
-        return sol;
-      }
-      sol.ok = true;
-      sol.cost = static_cast<double>(sched->cost());
-      sol.active = *sched;
-      return sol;
-    };
-    registry.add(std::move(s));
-  }
+  registry.add(minimal_solver(
+      "active/multi-window-minimal",
+      "minimal feasible heuristic (no factor carries over)",
+      active::CloseOrder::kLeftToRight, InstanceKind::kMultiWindow));
 
   {
     Solver s;
@@ -566,19 +539,16 @@ void register_multi_window(core::SolverRegistry& registry) {
     s.guarantee = "optimal (subset enumeration; anytime under a budget)";
     s.guarantee_factor = 1.0;
     s.exact = true;
-    s.check = check_multi_window;
+    s.check = core::check_standard_solution;
     s.applicable = [](const ProblemInstance& inst, const RunContext& ctx,
                       std::string* why) {
-      if (inst.kind != InstanceKind::kMultiWindow) {
-        if (why != nullptr) *why = "needs a multi-window instance";
-        return false;
-      }
+      if (!applicable_multi_window(inst, ctx, why)) return false;
       // Measured gate (docs/ALGORITHMS.md): enumeration is 2^candidates
       // max-flow checks — ~8 s at 22 candidate slots on one core, tens of
       // ms at 18. A budget lifts the measured gate, but only up to the
       // 64-bit-mask structural cap of 22 candidates.
       const std::size_t candidates =
-          active::mw_candidate_slots(inst.multi_window).size();
+          active::candidate_slots(inst.multi_window).size();
       const std::size_t gate = ctx.has_budget() ? 22 : 18;
       if (candidates > gate) {
         if (why != nullptr) {
@@ -652,7 +622,9 @@ void register_active(core::SolverRegistry& registry) {
     registry.add(std::move(s));
   }
 
-  // active::solve_unit_greedy is left-to-right minimal feasible.
+  // Left-to-right closing keeps every slot as late as possible: the
+  // lazy-activation strategy of Chang, Gabow and Khuller [2], exact when
+  // all p_j = 1 (UnitGreedyExact cross-checks it against brute force).
   registry.add(minimal_solver(
       "active/unit-greedy",
       "<= 3 OPT (minimal feasible); optimal for unit jobs",

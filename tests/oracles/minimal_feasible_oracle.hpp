@@ -102,18 +102,18 @@ inline std::optional<core::ActiveSchedule> solve_minimal_feasible(
 
 inline std::optional<core::ActiveSchedule> mw_solve_minimal_feasible(
     const MultiWindowInstance& inst) {
-  std::vector<core::SlotTime> slots = mw_candidate_slots(inst);
-  if (!mw_is_feasible_with_slots(inst, slots)) return std::nullopt;
+  std::vector<core::SlotTime> slots = candidate_slots(inst);
+  if (!is_feasible_with_slots(inst, slots)) return std::nullopt;
   for (std::size_t i = 0; i < slots.size();) {
     std::vector<core::SlotTime> trial = slots;
     trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
-    if (mw_is_feasible_with_slots(inst, trial)) {
+    if (is_feasible_with_slots(inst, trial)) {
       slots = std::move(trial);
     } else {
       ++i;
     }
   }
-  return mw_extract_assignment(inst, std::move(slots));
+  return extract_assignment(inst, std::move(slots));
 }
 
 }  // namespace abt::active::oracle

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "active/minimal_feasible.hpp"
 #include "core/rng.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
@@ -98,7 +99,9 @@ TEST_P(UnitGreedyExact, MatchesBruteForceOnUnitJobs) {
     params.max_slack = 6;
     const SlottedInstance inst = gen::random_feasible_slotted(rng, params);
     const long brute = testutil::brute_force_active_opt(inst);
-    const auto greedy = solve_unit_greedy(inst);
+    MinimalFeasibleOptions options;
+    options.order = CloseOrder::kLeftToRight;
+    const auto greedy = solve_minimal_feasible(inst, options);
     ASSERT_TRUE(greedy.has_value());
     EXPECT_EQ(greedy->cost(), brute)
         << "unit-job greedy must be exact (CGK [2])";

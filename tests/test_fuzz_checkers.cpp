@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "active/minimal_feasible.hpp"
 #include "busy/greedy_tracking.hpp"
@@ -28,13 +29,11 @@ namespace {
 
 class ActiveFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(ActiveFuzz, CorruptedActiveSchedulesAreRejected) {
-  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919ULL);
-  gen::SlottedParams params;
-  params.num_jobs = 8;
-  params.horizon = 12;
-  params.capacity = 2;
-  const auto inst = gen::random_feasible_slotted(rng, params);
+/// Corrupts the minimal-feasible schedule of `inst` in targeted ways and
+/// requires core::check_active_schedule to reject every corruption, in
+/// either job model.
+template <typename Instance>
+void expect_corruptions_rejected(const Instance& inst) {
   const auto base = active::solve_minimal_feasible(inst);
   ASSERT_TRUE(base.has_value());
   ASSERT_TRUE(core::check_active_schedule(inst, *base));
@@ -57,13 +56,14 @@ TEST_P(ActiveFuzz, CorruptedActiveSchedulesAreRejected) {
     }
     EXPECT_FALSE(core::check_active_schedule(inst, bad));
   }
-  // Corruption 3: push a unit outside the job's window.
+  // Corruption 3: push a unit past the job's last window.
   {
     core::ActiveSchedule bad = *base;
     for (core::JobId j = 0; j < inst.size(); ++j) {
       auto& slots = bad.job_slots[static_cast<std::size_t>(j)];
       if (slots.empty()) continue;
-      slots.back() = inst.job(j).deadline + 1;
+      inst.job(j).for_each_window(
+          [&](core::SlotTime, core::SlotTime d) { slots.back() = d + 1; });
       std::sort(slots.begin(), slots.end());
       break;
     }
@@ -80,6 +80,60 @@ TEST_P(ActiveFuzz, CorruptedActiveSchedulesAreRejected) {
     }
     EXPECT_FALSE(core::check_active_schedule(inst, bad));
   }
+  // Corruption 5: the unit count holds, but one unit is replaced by a copy
+  // of a later unit of the same job and the slots are left unsorted, so
+  // the job runs twice in one slot. The copied unit sits in the least
+  // loaded slot available, so the capacity check alone rarely catches it.
+  {
+    core::ActiveSchedule bad = *base;
+    std::size_t best_job = bad.job_slots.size();
+    std::size_t best_unit = 0;
+    int best_load = inst.capacity() + 1;
+    for (std::size_t j = 0; j < bad.job_slots.size(); ++j) {
+      const auto& slots = bad.job_slots[j];
+      for (std::size_t u = 1; u < slots.size(); ++u) {
+        const int load = static_cast<int>(std::count_if(
+            bad.job_slots.begin(), bad.job_slots.end(), [&](const auto& s) {
+              return std::binary_search(s.begin(), s.end(), slots[u]);
+            }));
+        if (load < best_load) {
+          best_load = load;
+          best_job = j;
+          best_unit = u;
+        }
+      }
+    }
+    if (best_job < bad.job_slots.size()) {
+      auto& slots = bad.job_slots[best_job];
+      slots.front() = slots[best_unit];
+      EXPECT_FALSE(core::check_active_schedule(inst, bad));
+    }
+  }
+  // Corruption 6: active slots out of order.
+  if (base->active_slots.size() >= 2) {
+    core::ActiveSchedule bad = *base;
+    std::reverse(bad.active_slots.begin(), bad.active_slots.end());
+    EXPECT_FALSE(core::check_active_schedule(inst, bad));
+  }
+  // Corruption 7: an active slot listed twice, which inflates the cost.
+  {
+    core::ActiveSchedule bad = *base;
+    bad.active_slots.push_back(bad.active_slots.back());
+    EXPECT_FALSE(core::check_active_schedule(inst, bad));
+  }
+}
+
+TEST_P(ActiveFuzz, CorruptedActiveSchedulesAreRejected) {
+  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919ULL);
+  gen::SlottedParams params;
+  params.num_jobs = 8;
+  params.horizon = 12;
+  params.capacity = 2;
+  expect_corruptions_rejected(gen::random_feasible_slotted(rng, params));
+  gen::MultiWindowParams mw_params;
+  mw_params.num_jobs = 8;
+  mw_params.capacity = 2;
+  expect_corruptions_rejected(gen::random_multi_window(rng, mw_params));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ActiveFuzz, ::testing::Range(1, 9));
@@ -284,7 +338,8 @@ class WeightedFuzz : public ::testing::TestWithParam<int> {};
 
 /// The sweep checker against the frozen quadratic rescan: the same verdict
 /// and the same reason on valid schedules, on random placements (mostly
-/// over capacity) and on targeted corruptions of a valid one.
+/// over capacity) and on targeted corruptions of a valid one, at eps 0
+/// (runs touching at exactly hi == lo), the default 1e-9 and 0.25.
 TEST_P(WeightedFuzz, SweepCheckerMatchesQuadraticRescan) {
   core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919ULL);
   int rejected = 0;
@@ -297,27 +352,31 @@ TEST_P(WeightedFuzz, SweepCheckerMatchesQuadraticRescan) {
     const busy::WeightedInstance inst = gen::random_weighted(rng, params);
     const auto expect_same = [&](const core::BusySchedule& sched,
                                  const char* what) {
-      std::string fast_why;
-      std::string slow_why;
-      const bool fast =
-          busy::check_weighted_schedule(inst, sched, &fast_why);
-      const bool slow =
-          busy::oracle::check_weighted_schedule(inst, sched, &slow_why);
-      EXPECT_EQ(fast, slow) << what << " trial " << trial;
-      EXPECT_EQ(fast_why, slow_why) << what << " trial " << trial;
-      if (!fast) ++rejected;
+      for (const double eps : {0.0, 1e-9, 0.25}) {
+        std::string fast_why;
+        std::string slow_why;
+        const bool fast =
+            busy::check_weighted_schedule(inst, sched, &fast_why, eps);
+        const bool slow = busy::oracle::check_weighted_schedule(
+            inst, sched, &slow_why, eps);
+        EXPECT_EQ(fast, slow) << what << " trial " << trial << " eps " << eps;
+        EXPECT_EQ(fast_why, slow_why)
+            << what << " trial " << trial << " eps " << eps;
+        if (!fast) ++rejected;
+      }
     };
 
     // Random placements: a random machine among a few, a random start in
-    // the window, snapped to a coarse grid so runs often abut exactly.
+    // the window, snapped to a coarse grid so runs often abut exactly. An
+    // interval job's latest start can round to just below its release.
     const auto machines = rng.uniform_int(1, 4);
     core::BusySchedule random;
     for (int j = 0; j < inst.size(); ++j) {
       const core::ContinuousJob& job = inst.job(j).job;
-      double start = rng.uniform_real(job.release, job.latest_start());
+      const double latest = std::max(job.release, job.latest_start());
+      double start = rng.uniform_real(job.release, latest);
       if (rng.uniform_int(0, 1) == 0) {
-        start = std::clamp(std::round(start * 2.0) / 2.0, job.release,
-                           job.latest_start());
+        start = std::clamp(std::round(start * 2.0) / 2.0, job.release, latest);
       }
       random.placements.push_back(
           {static_cast<int>(rng.uniform_int(0, machines - 1)), start});
@@ -353,6 +412,29 @@ TEST_P(WeightedFuzz, SweepCheckerMatchesQuadraticRescan) {
     }
   }
   EXPECT_GT(rejected, 0) << "the fuzz must reach rejections";
+
+  // Full-width runs chained on one machine, touching at exactly hi == lo
+  // under eps 0: valid at every eps, so a run that ends where the next one
+  // starts must close before that one opens.
+  for (int g = 1; g <= 4; ++g) {
+    std::vector<core::WeightedJob> jobs;
+    core::BusySchedule chain;
+    for (int k = 0; k < 6; ++k) {
+      const auto t = static_cast<double>(k);
+      jobs.push_back({{t, t + 1.0, 1.0}, g});
+      chain.placements.push_back({0, t});
+    }
+    const core::WeightedInstance inst(std::move(jobs), g);
+    for (const double eps : {0.0, 1e-9, 0.25}) {
+      std::string fast_why;
+      std::string slow_why;
+      EXPECT_TRUE(busy::check_weighted_schedule(inst, chain, &fast_why, eps))
+          << "g " << g << " eps " << eps << ": " << fast_why;
+      EXPECT_TRUE(busy::oracle::check_weighted_schedule(inst, chain,
+                                                        &slow_why, eps))
+          << "g " << g << " eps " << eps << ": " << slow_why;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WeightedFuzz, ::testing::Range(1, 9));
@@ -395,15 +477,16 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
     const auto snap = [](double t) { return std::round(t * 4.0) / 4.0; };
 
     // Random piece sets: each job cut into up to three pieces inside its
-    // window, on a random machine among a few, listed in random order.
+    // window, on a random machine among a few, listed in random order. An
+    // interval job's latest start can round to just below its release.
     Schedule random;
     random.pieces.resize(static_cast<std::size_t>(inst.size()));
     const auto machines = rng.uniform_int(1, 3);
     for (int j = 0; j < inst.size(); ++j) {
       const core::ContinuousJob& job = inst.job(j);
-      const double start =
-          std::clamp(snap(rng.uniform_real(job.release, job.latest_start())),
-                     job.release, job.latest_start());
+      const double latest = std::max(job.release, job.latest_start());
+      const double start = std::clamp(
+          snap(rng.uniform_real(job.release, latest)), job.release, latest);
       const double end = start + job.length;
       const double cut = snap(rng.uniform_real(start, end));
       auto& pieces = random.pieces[static_cast<std::size_t>(j)];

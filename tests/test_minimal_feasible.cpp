@@ -217,13 +217,13 @@ TEST(MinimalFeasibleOracle, InfeasibleInstanceIsNulloptForEveryOrder) {
 void expect_mw_matches_oracle(const MultiWindowInstance& inst,
                               const std::string& label) {
   const auto expected = oracle::mw_solve_minimal_feasible(inst);
-  const auto got = mw_solve_minimal_feasible(inst);
+  const auto got = solve_minimal_feasible(inst);
   ASSERT_EQ(got.has_value(), expected.has_value()) << label;
   if (!got.has_value()) return;
   EXPECT_EQ(got->active_slots, expected->active_slots) << label;
   EXPECT_EQ(got->job_slots, expected->job_slots) << label;
   std::string why;
-  EXPECT_TRUE(mw_check_schedule(inst, *got, &why)) << label << ": " << why;
+  EXPECT_TRUE(core::check_active_schedule(inst, *got, &why)) << label << ": " << why;
 }
 
 TEST(MinimalFeasibleOracle, MultiWindowMatchesLeftToRightClosing) {
@@ -250,7 +250,7 @@ TEST(MinimalFeasibleOracle, MultiWindowEdgeCases) {
       "tight");
   const MultiWindowInstance infeasible({{{{0, 2}}, 2}, {{{0, 2}}, 2}}, 1);
   expect_mw_matches_oracle(infeasible, "infeasible");
-  EXPECT_FALSE(mw_solve_minimal_feasible(infeasible).has_value());
+  EXPECT_FALSE(solve_minimal_feasible(infeasible).has_value());
 }
 
 }  // namespace

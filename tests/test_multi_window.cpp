@@ -4,6 +4,7 @@
 
 #include "active/exact.hpp"
 #include "active/feasibility.hpp"
+#include "active/minimal_feasible.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
 
@@ -23,24 +24,24 @@ TEST(MultiWindow, StructuralValidation) {
 TEST(MultiWindow, CandidateSlotsUnionOfWindows) {
   const MultiWindowInstance inst({{{{0, 2}, {5, 7}}, 2}}, 1);
   const std::vector<core::SlotTime> expected = {1, 2, 6, 7};
-  EXPECT_EQ(mw_candidate_slots(inst), expected);
+  EXPECT_EQ(candidate_slots(inst), expected);
 }
 
 TEST(MultiWindow, SplitWindowJobUsesBothPieces) {
   // 3 units across windows {1,2} and {6,7}: any 3 of those 4 slots.
   const MultiWindowInstance inst({{{{0, 2}, {5, 7}}, 3}}, 1);
   EXPECT_EQ(mw_brute_force_opt(inst), 3);
-  const auto sched = mw_solve_minimal_feasible(inst);
+  const auto sched = solve_minimal_feasible(inst);
   ASSERT_TRUE(sched.has_value());
   EXPECT_EQ(sched->cost(), 3);
   std::string why;
-  EXPECT_TRUE(mw_check_schedule(inst, *sched, &why)) << why;
+  EXPECT_TRUE(core::check_active_schedule(inst, *sched, &why)) << why;
 }
 
 TEST(MultiWindow, InfeasibleWhenWindowsOverCommitted) {
   // Two 2-unit jobs sharing a single 2-slot window, g = 1.
   const MultiWindowInstance inst({{{{0, 2}}, 2}, {{{0, 2}}, 2}}, 1);
-  EXPECT_FALSE(mw_solve_minimal_feasible(inst).has_value());
+  EXPECT_FALSE(solve_minimal_feasible(inst).has_value());
   EXPECT_EQ(mw_brute_force_opt(inst), -1);
 }
 
@@ -49,7 +50,7 @@ TEST(MultiWindow, SharedHoleForcesCooperation) {
   // A: {1,2} or {5,6}; B: {1,2} only. OPT = 4: B takes 1,2; A takes 5,6.
   const MultiWindowInstance inst({{{{0, 2}, {4, 6}}, 2}, {{{0, 2}}, 2}}, 1);
   EXPECT_EQ(mw_brute_force_opt(inst), 4);
-  const auto sched = mw_solve_minimal_feasible(inst);
+  const auto sched = solve_minimal_feasible(inst);
   ASSERT_TRUE(sched.has_value());
   EXPECT_EQ(sched->cost(), 4);
 }
@@ -104,12 +105,12 @@ TEST_P(MultiWindowRandom, MinimalFeasibleSandwiched) {
     ASSERT_TRUE(inst.structurally_valid());
 
     const long opt = mw_brute_force_opt(inst);
-    const auto sched = mw_solve_minimal_feasible(inst);
+    const auto sched = solve_minimal_feasible(inst);
     ASSERT_EQ(opt >= 0, sched.has_value());
     if (!sched.has_value()) continue;
 
     std::string why;
-    EXPECT_TRUE(mw_check_schedule(inst, *sched, &why)) << why;
+    EXPECT_TRUE(core::check_active_schedule(inst, *sched, &why)) << why;
     EXPECT_GE(sched->cost(), opt);
     // Minimality: removing any slot breaks it.
     for (std::size_t drop = 0; drop < sched->active_slots.size(); ++drop) {
@@ -117,7 +118,7 @@ TEST_P(MultiWindowRandom, MinimalFeasibleSandwiched) {
       for (std::size_t i = 0; i < sched->active_slots.size(); ++i) {
         if (i != drop) fewer.push_back(sched->active_slots[i]);
       }
-      EXPECT_FALSE(mw_is_feasible_with_slots(inst, fewer));
+      EXPECT_FALSE(is_feasible_with_slots(inst, fewer));
     }
   }
 }

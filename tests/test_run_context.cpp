@@ -203,8 +203,8 @@ TEST(RunContext, CancellationSurfacesThroughFlowBasedSolvers) {
 
   const ProblemInstance mw = scenario_instance("multi-window", 12, 2, 11);
   cancelled = false;
-  EXPECT_FALSE(active::mw_solve_minimal_feasible(mw.multi_window, &ctx,
-                                                 &cancelled)
+  EXPECT_FALSE(active::solve_minimal_feasible(mw.multi_window,
+                                              minimal_options, &cancelled)
                    .has_value());
   EXPECT_TRUE(cancelled);
   const core::Solver* mw_minimal =
