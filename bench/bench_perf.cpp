@@ -21,7 +21,7 @@
 #include "busy/demand_profile.hpp"
 #include "busy/dp_unbounded.hpp"
 #include "busy/first_fit.hpp"
-#include "naive_baselines.hpp"
+#include "preemptive_layout.hpp"
 #include "busy/greedy_tracking.hpp"
 #include "busy/online.hpp"
 #include "busy/preemptive.hpp"

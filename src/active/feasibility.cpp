@@ -198,12 +198,10 @@ void SlotNetwork::routed_slots(const std::vector<SlotTime>& slot_times,
     out[job].reserve(
         static_cast<std::size_t>(dinic_.flow_on(source_edges_[job])));
   }
-  for (const JobSlotEdge& e : job_slot_edges_) {
-    if (dinic_.flow_on(e.edge) > 0) {
-      out[static_cast<std::size_t>(e.job)].push_back(
-          slot_times[static_cast<std::size_t>(e.slot)]);
-    }
-  }
+  for_each_routed([&](int job, int slot) {
+    out[static_cast<std::size_t>(job)].push_back(
+        slot_times[static_cast<std::size_t>(slot)]);
+  });
 }
 
 template <core::ActiveInstance Instance>

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "active/feasibility.hpp"
+#include "active/slot_network.hpp"
 #include "core/assert.hpp"
 
 namespace abt::active {
@@ -135,29 +136,45 @@ std::vector<double> ActiveTimeLp::y_values(const std::vector<double>& x) const {
   return y;
 }
 
-lp::StartBasis ActiveTimeLp::crash_basis(
-    const std::vector<std::vector<SlotTime>>& job_slots) const {
-  // Row layout from the constructor: link rows in x order (x variables
-  // follow the y variables, so x_v's link row is v - |slots|), then one
-  // capacity row per slot, then one demand row per job. Every logical
-  // starts basic; a used x_{t,j} takes its link row's place.
-  const int num_y = static_cast<int>(slots_.size());
+lp::StartBasis ActiveTimeLp::logical_basis() const {
   lp::StartBasis start;
   start.vars.assign(static_cast<std::size_t>(problem_.num_vars),
                     lp::VarStatus::kAtLower);
   start.rows.assign(static_cast<std::size_t>(problem_.num_rows()),
                     lp::VarStatus::kBasic);
+  return start;
+}
+
+void ActiveTimeLp::use_slot(lp::StartBasis& start, JobId j, SlotTime t) const {
+  // Row layout from the constructor: link rows in x order (x variables
+  // follow the y variables, so x_v's link row is v - |slots|), then one
+  // capacity row per slot, then one demand row per job. Every logical
+  // starts basic; a used x_{t,j} takes its link row's place.
+  const int num_y = static_cast<int>(slots_.size());
+  const int xv = x_index(j, t);
+  ABT_ASSERT(xv >= 0, "assignment uses a slot outside the job's window");
+  start.vars[static_cast<std::size_t>(xv)] = lp::VarStatus::kBasic;
+  start.rows[static_cast<std::size_t>(xv - num_y)] = lp::VarStatus::kAtLower;
+  start.vars[static_cast<std::size_t>(y_index(t))] = lp::VarStatus::kAtUpper;
+}
+
+lp::StartBasis ActiveTimeLp::crash_basis(
+    const std::vector<std::vector<SlotTime>>& job_slots) const {
+  lp::StartBasis start = logical_basis();
   for (std::size_t j = 0; j < job_slots.size(); ++j) {
     for (const SlotTime t : job_slots[j]) {
-      const int xv = x_index(static_cast<JobId>(j), t);
-      ABT_ASSERT(xv >= 0, "assignment uses a slot outside the job's window");
-      start.vars[static_cast<std::size_t>(xv)] = lp::VarStatus::kBasic;
-      start.rows[static_cast<std::size_t>(xv - num_y)] =
-          lp::VarStatus::kAtLower;
-      start.vars[static_cast<std::size_t>(y_index(t))] =
-          lp::VarStatus::kAtUpper;
+      use_slot(start, static_cast<JobId>(j), t);
     }
   }
+  return start;
+}
+
+lp::StartBasis ActiveTimeLp::crash_basis(
+    const SlotNetwork& flow, const std::vector<SlotTime>& slot_times) const {
+  lp::StartBasis start = logical_basis();
+  flow.for_each_routed([&](int job, int slot) {
+    use_slot(start, job, slot_times[static_cast<std::size_t>(slot)]);
+  });
   return start;
 }
 

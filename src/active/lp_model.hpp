@@ -8,6 +8,8 @@
 
 namespace abt::active {
 
+class SlotNetwork;
+
 /// The LP relaxation LP1 of the paper's IP (section 3):
 ///   min sum_t y_t
 ///   x_{t,j} <= y_t                 (open slot to use it)
@@ -58,8 +60,18 @@ class ActiveTimeLp {
   /// solver skips phase 1.
   [[nodiscard]] lp::StartBasis crash_basis(
       const std::vector<std::vector<core::SlotTime>>& job_slots) const;
+  /// The same basis read straight off a solved G_feas (slot_network) over
+  /// `slot_times`, whose flow is the assignment: no per-job slot lists.
+  [[nodiscard]] lp::StartBasis crash_basis(
+      const SlotNetwork& flow,
+      const std::vector<core::SlotTime>& slot_times) const;
 
  private:
+  /// Every logical basic, every variable at its lower bound.
+  [[nodiscard]] lp::StartBasis logical_basis() const;
+  /// Job j running in slot t, in a crash basis.
+  void use_slot(lp::StartBasis& start, core::JobId j, core::SlotTime t) const;
+
   lp::LinearProblem problem_;
   bool build_cancelled_ = false;
   std::vector<core::SlotTime> slots_;

@@ -149,15 +149,16 @@ std::optional<LpRoundingResult> solve_lp_rounding(const SlottedInstance& inst,
   // The feasibility flow over every candidate slot doubles as LP1's
   // starting point: its integral assignment is a primal-feasible basis.
   std::vector<SlotTime> candidates = candidate_slots(inst);
+  std::optional<SlotNetwork> all_open = slot_network(inst, candidates);
   bool flow_cancelled = false;
-  const auto all_open =
-      extract_assignment(inst, candidates, stop, &flow_cancelled);
+  const SlotNetwork::Cap deficit = all_open->solve(stop, &flow_cancelled);
   if (flow_cancelled) return cancelled_result();
-  if (!all_open.has_value()) return std::nullopt;
+  if (deficit != 0) return std::nullopt;
 
   const ActiveTimeLp model(inst, ctx);
   if (model.build_cancelled()) return cancelled_result();
-  const lp::StartBasis start = model.crash_basis(all_open->job_slots);
+  const lp::StartBasis start = model.crash_basis(*all_open, candidates);
+  all_open.reset();  // its flow buffers serve the prefix checks below
   const ActiveLpSolution lp = solve_active_lp(model, ctx, &start);
   if (lp.status == lp::SolveStatus::kCancelled) return cancelled_result();
   ABT_ASSERT(lp.status == lp::SolveStatus::kOptimal,

@@ -21,12 +21,16 @@ struct SubsetSearchResult {
 /// infeasible. With a context, seeds the incumbent from the
 /// minimal-feasible solution and polls every 4096 masks; an interrupted
 /// enumeration returns the best subset seen with proven_optimal = false.
+/// A mask with fewer bits than the mass bound ceil(P / g) has too little
+/// room to be feasible, so it is skipped, and an incumbent that meets the
+/// bound ends the search: neither changes the subset returned.
 std::optional<SubsetSearchResult> mw_best_slot_subset(
     const MultiWindowInstance& inst,
     const core::RunContext* context = nullptr) {
   const std::vector<SlotTime> candidates = candidate_slots(inst);
   const std::size_t m = candidates.size();
   ABT_ASSERT(m <= 22, "brute force limited to 22 candidate slots");
+  const long mass_bound = static_cast<long>(inst.mass_lower_bound());
   SubsetSearchResult result;
   long best = -1;
   if (context != nullptr) {
@@ -47,14 +51,15 @@ std::optional<SubsetSearchResult> mw_best_slot_subset(
   const std::function<bool()> stop =
       context == nullptr ? std::function<bool()>{}
                          : [context] { return context->should_stop(); };
-  for (std::uint64_t mask = 0; mask < (1ULL << m); ++mask) {
+  for (std::uint64_t mask = 0; mask < (1ULL << m) && best != mass_bound;
+       ++mask) {
     if ((mask & 4095ULL) == 0 && context != nullptr && best >= 0 &&
         context->should_stop()) {
       result.proven_optimal = false;
       break;
     }
     const int bits = __builtin_popcountll(mask);
-    if (best >= 0 && bits >= best) continue;
+    if (bits < mass_bound || (best >= 0 && bits >= best)) continue;
     std::vector<SlotTime> open;
     for (std::size_t i = 0; i < m; ++i) {
       if ((mask >> i) & 1ULL) open.push_back(candidates[i]);

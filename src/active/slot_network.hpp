@@ -92,6 +92,15 @@ class SlotNetwork {
   void routed_slots(const std::vector<core::SlotTime>& slot_times,
                     std::vector<std::vector<core::SlotTime>>& out) const;
 
+  /// Calls fn(job, slot) for every job -> slot edge carrying a unit, in
+  /// emission order.
+  template <typename Fn>
+  void for_each_routed(Fn&& fn) const {
+    for (const JobSlotEdge& e : job_slot_edges_) {
+      if (dinic_.flow_on(e.edge) > 0) fn(e.job, e.slot);
+    }
+  }
+
  private:
   struct JobSlotEdge {
     int job;

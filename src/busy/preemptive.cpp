@@ -28,12 +28,11 @@ constexpr double kEps = 1e-9;
 using OpenSet = core::FlatIntervalSet;
 static_assert(OpenSet::kSliverEps == kEps);
 
-/// The g = infinity schedule with every piece on one flat array: job j's
-/// pieces, ascending, are runs[first[j] .. first[j + 1]), all on machine 0.
+/// The busy set U and the g = infinity schedule on it: every piece on
+/// machine 0, each job's ascending.
 struct UnboundedPieces {
   OpenSet open;  ///< The busy set U.
-  std::vector<Interval> runs;
-  std::vector<std::size_t> first;
+  PreemptiveBusySchedule schedule;
 };
 
 /// Theorem 6's greedy, shared by both entry points: builds the busy set U,
@@ -82,23 +81,24 @@ UnboundedPieces greedy_unbounded(const ContinuousInstance& inst) {
 
   // With unbounded capacity a single machine hosts everything: each job's
   // pieces are taken from the right end of U ∩ window, then put in order.
-  std::vector<Interval>& runs = out.runs;
-  runs.reserve(n);
-  out.first.assign(n + 1, 0);
+  std::vector<PreemptiveBusySchedule::Piece>& pieces = out.schedule.pieces.all;
+  std::vector<std::size_t>& first = out.schedule.pieces.first;
+  pieces.reserve(n);
+  first.assign(n + 1, 0);
   for (std::size_t j = 0; j < n; ++j) {
     const core::ContinuousJob& job = inst.job(static_cast<JobId>(j));
     double need = job.length;
     open.covered_in({job.release, job.deadline}, gaps);
-    const std::size_t begin = runs.size();
+    const std::size_t begin = pieces.size();
     for (auto it = gaps.rbegin(); it != gaps.rend() && need > kEps; ++it) {
       const double take = std::min(need, it->length());
-      runs.push_back({it->hi - take, it->hi});
+      pieces.push_back({0, {it->hi - take, it->hi}});
       need -= take;
     }
     ABT_ASSERT(need <= 1e-6, "open set must cover every job's demand");
-    std::reverse(runs.begin() + static_cast<std::ptrdiff_t>(begin),
-                 runs.end());
-    out.first[j + 1] = runs.size();
+    std::reverse(pieces.begin() + static_cast<std::ptrdiff_t>(begin),
+                 pieces.end());
+    first[j + 1] = pieces.size();
   }
   return out;
 }
@@ -107,30 +107,23 @@ UnboundedPieces greedy_unbounded(const ContinuousInstance& inst) {
 
 PreemptiveUnboundedSolution solve_preemptive_unbounded(
     const ContinuousInstance& inst) {
-  const UnboundedPieces flat = greedy_unbounded(inst);
+  UnboundedPieces flat = greedy_unbounded(inst);
 
   PreemptiveUnboundedSolution out;
   out.open = flat.open.intervals();
   out.busy_time = core::span_of(out.open);
-  out.schedule.pieces.resize(static_cast<std::size_t>(inst.size()));
-  for (std::size_t j = 0; j < out.schedule.pieces.size(); ++j) {
-    auto& pieces = out.schedule.pieces[j];
-    pieces.reserve(flat.first[j + 1] - flat.first[j]);
-    for (std::size_t k = flat.first[j]; k < flat.first[j + 1]; ++k) {
-      pieces.push_back({0, flat.runs[k]});
-    }
-  }
+  out.schedule = std::move(flat.schedule);
   return out;
 }
 
 PreemptiveBoundedSolution solve_preemptive_bounded(
     const ContinuousInstance& inst) {
   const UnboundedPieces flat = greedy_unbounded(inst);
+  const PreemptiveBusySchedule::Pieces& unbounded = flat.schedule.pieces;
 
   PreemptiveBoundedSolution out;
   out.opt_infinity = core::span_of(flat.open.intervals());
   const auto n = static_cast<std::size_t>(inst.size());
-  out.schedule.pieces.assign(n, {});
 
   // Interesting intervals of the unbounded schedule: cut at every piece
   // endpoint; inside one cell the set of running jobs is fixed. One radix
@@ -144,7 +137,7 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
   // so the first cell with midpoint >= v is found by stepping from there.
   core::MonotonicArena& arena = core::thread_arena();
   const core::ArenaScope scope(arena);
-  const std::size_t num_pieces = flat.runs.size();
+  const std::size_t num_pieces = unbounded.all.size();
   struct Endpoint {
     double value;
     std::size_t id;  ///< 2 * piece + (0 for run.lo, 1 for run.hi).
@@ -152,8 +145,8 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
   const std::span<Endpoint> endpoints =
       arena.alloc<Endpoint>(2 * num_pieces);
   for (std::size_t k = 0; k < num_pieces; ++k) {
-    endpoints[2 * k] = {flat.runs[k].lo, 2 * k};
-    endpoints[2 * k + 1] = {flat.runs[k].hi, 2 * k + 1};
+    endpoints[2 * k] = {unbounded.all[k].run.lo, 2 * k};
+    endpoints[2 * k + 1] = {unbounded.all[k].run.hi, 2 * k + 1};
   }
   core::radix_sort(endpoints, arena.alloc<Endpoint>(endpoints.size()),
                    [](const Endpoint& e) { return core::radix_key(e.value); });
@@ -224,7 +217,8 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
   const std::span<JobId> leaves =
       arena.alloc<JobId>(leave_offsets[num_cells + 1]);
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t k = flat.first[j]; k < flat.first[j + 1]; ++k) {
+    for (std::size_t k = unbounded.first[j]; k < unbounded.first[j + 1];
+         ++k) {
       const PieceCells range = ranges[k];
       if (range.first >= range.last) continue;
       enters[enter_offsets[range.first + 1]++] = static_cast<JobId>(j);
@@ -244,6 +238,24 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
       arena.alloc<PreemptiveBusySchedule::Piece>(n);
   std::fill(open.begin(), open.end(), PreemptiveBusySchedule::Piece{});
   std::size_t size = 0;
+  // Every finished piece as a (job, piece) record, in the order the deal
+  // finishes them; the buffer doubles when full. A job's pieces finish in
+  // time order, so a stable scatter by job lays out the schedule below.
+  struct Record {
+    JobId job;
+    PreemptiveBusySchedule::Piece piece;
+  };
+  std::span<Record> records = arena.alloc<Record>(2 * (num_pieces + n));
+  std::size_t num_records = 0;
+  const auto finish = [&](std::size_t j,
+                          const PreemptiveBusySchedule::Piece& piece) {
+    if (num_records == records.size()) {
+      const std::span<Record> grown = arena.alloc<Record>(2 * records.size());
+      std::copy(records.begin(), records.end(), grown.begin());
+      records = grown;
+    }
+    records[num_records++] = {static_cast<JobId>(j), piece};
+  };
   const int g = inst.capacity();
   // Busy time is summed during the deal, as core::busy_cost sums it: per
   // machine, the lengths of the union runs of its pieces in time order,
@@ -301,7 +313,7 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
         piece.run.hi = cell.hi;
         extended = true;
       } else {
-        if (piece.machine >= 0) out.schedule.pieces[j].push_back(piece);
+        if (piece.machine >= 0) finish(j, piece);
         piece = {machine, cell};
       }
       if (++fill == g || i + 1 == size) {
@@ -313,7 +325,21 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
     }
   }
   for (std::size_t j = 0; j < n; ++j) {
-    if (open[j].machine >= 0) out.schedule.pieces[j].push_back(open[j]);
+    if (open[j].machine >= 0) finish(j, open[j]);
+  }
+  std::vector<std::size_t>& first = out.schedule.pieces.first;
+  first.assign(n + 1, 0);
+  for (std::size_t r = 0; r < num_records; ++r) {
+    ++first[static_cast<std::size_t>(records[r].job) + 1];
+  }
+  for (std::size_t j = 0; j < n; ++j) first[j + 1] += first[j];
+  const std::span<std::size_t> cursor = arena.alloc<std::size_t>(n);
+  std::copy(first.begin(), first.end() - 1, cursor.begin());
+  std::vector<PreemptiveBusySchedule::Piece>& pieces = out.schedule.pieces.all;
+  pieces.resize(num_records);
+  for (std::size_t r = 0; r < num_records; ++r) {
+    pieces[cursor[static_cast<std::size_t>(records[r].job)]++] =
+        records[r].piece;
   }
 
   for (std::size_t m = 0; m < used; ++m) {

@@ -184,21 +184,21 @@ bool check_busy_schedule(const ContinuousInstance& inst,
   return true;
 }
 
-RealTime busy_cost(const ContinuousInstance& inst,
+int PreemptiveBusySchedule::machine_count() const {
+  int count = 0;
+  for (const Piece& piece : pieces.all) {
+    count = std::max(count, piece.machine + 1);
+  }
+  return count;
+}
+
+RealTime busy_cost(const ContinuousInstance& /*inst*/,
                    const PreemptiveBusySchedule& sched) {
   // Group pieces per machine, then sum spans.
-  int machines = 0;
-  for (const auto& pieces : sched.pieces) {
-    for (const auto& piece : pieces) {
-      machines = std::max(machines, piece.machine + 1);
-    }
-  }
   std::vector<std::vector<Interval>> per_machine(
-      static_cast<std::size_t>(machines));
-  for (JobId j = 0; j < inst.size(); ++j) {
-    for (const auto& piece : sched.pieces[static_cast<std::size_t>(j)]) {
-      per_machine[static_cast<std::size_t>(piece.machine)].push_back(piece.run);
-    }
+      static_cast<std::size_t>(sched.machine_count()));
+  for (const auto& piece : sched.pieces.all) {
+    per_machine[static_cast<std::size_t>(piece.machine)].push_back(piece.run);
   }
   RealTime total = 0.0;
   for (const auto& ivs : per_machine) total += span_of(ivs);
@@ -211,12 +211,21 @@ bool check_preemptive_schedule(const ContinuousInstance& inst,
   if (static_cast<int>(sched.pieces.size()) != inst.size()) {
     return fail(why, "pieces count mismatch");
   }
+  // The job ranges tile the piece array: offsets ascend from 0 to its size
+  // (with no jobs there are no offsets, and must be no pieces).
+  const std::vector<std::size_t>& first = sched.pieces.first;
+  if (first.empty() ? !sched.pieces.all.empty()
+                    : first.front() != 0 ||
+                          first.back() != sched.pieces.all.size() ||
+                          !std::is_sorted(first.begin(), first.end())) {
+    return fail(why, "piece offsets out of order");
+  }
   int machines = 0;
-  std::size_t num_pieces = 0;
   std::vector<Interval> runs;  // one job's runs, when they need a sort
   for (JobId j = 0; j < inst.size(); ++j) {
     const ContinuousJob& job = inst.job(j);
-    const auto& pieces = sched.pieces[static_cast<std::size_t>(j)];
+    const std::span<const PreemptiveBusySchedule::Piece> pieces =
+        sched.pieces_of(j);
     RealTime total = 0.0;
     // Runs strictly ascending by lo are already in the order the sort
     // below would give them, so they are checked in place.
@@ -255,7 +264,6 @@ bool check_preemptive_schedule(const ContinuousInstance& inst,
     if (overlap) {
       return fail(why, "job " + std::to_string(j) + " overlapping pieces");
     }
-    num_pieces += pieces.size();
   }
 
   // Capacity per machine, as one flat sweep: every run shrunk by eps at its
@@ -270,18 +278,16 @@ bool check_preemptive_schedule(const ContinuousInstance& inst,
   };
   MonotonicArena& arena = thread_arena();
   const ArenaScope scope(arena);
-  const std::span<End> los = arena.alloc<End>(num_pieces);
-  const std::span<End> his = arena.alloc<End>(num_pieces);
+  const std::span<End> los = arena.alloc<End>(sched.pieces.all.size());
+  const std::span<End> his = arena.alloc<End>(sched.pieces.all.size());
   std::size_t live = 0;
-  for (const auto& pieces : sched.pieces) {
-    for (const auto& piece : pieces) {
-      const Interval shrunk{piece.run.lo, piece.run.hi - eps};
-      if (shrunk.empty()) continue;
-      const auto m = static_cast<std::size_t>(piece.machine);
-      los[live] = {radix_key(shrunk.lo), m};
-      his[live] = {radix_key(shrunk.hi), m};
-      ++live;
-    }
+  for (const auto& piece : sched.pieces.all) {
+    const Interval shrunk{piece.run.lo, piece.run.hi - eps};
+    if (shrunk.empty()) continue;
+    const auto m = static_cast<std::size_t>(piece.machine);
+    los[live] = {radix_key(shrunk.lo), m};
+    his[live] = {radix_key(shrunk.hi), m};
+    ++live;
   }
   const std::span<End> scratch = arena.alloc<End>(live);
   const auto by_key = [](const End& end) { return end.key; };

@@ -70,15 +70,57 @@ struct PreemptiveBusySchedule {
     int machine = -1;
     Interval run;  ///< Execution interval of this piece.
   };
-  std::vector<std::vector<Piece>> pieces;  ///< Indexed by JobId.
+
+  /// Every piece on one flat array, job-major: job j's pieces are
+  /// all[first[j] .. first[j + 1]), `first` holding one offset per job plus
+  /// an end sentinel. It also reads like one piece list per job: size()
+  /// jobs, and [j] and iteration give each job's span.
+  struct Pieces {
+    std::vector<Piece> all;
+    std::vector<std::size_t> first;
+
+    class Iterator {
+     public:
+      Iterator(const Pieces* pieces, std::size_t job)
+          : pieces_(pieces), job_(job) {}
+      std::span<const Piece> operator*() const { return (*pieces_)[job_]; }
+      Iterator& operator++() {
+        ++job_;
+        return *this;
+      }
+      bool operator==(const Iterator&) const = default;
+
+     private:
+      const Pieces* pieces_;
+      std::size_t job_;
+    };
+
+    [[nodiscard]] std::size_t size() const {
+      return first.empty() ? 0 : first.size() - 1;
+    }
+    [[nodiscard]] std::span<const Piece> operator[](std::size_t job) const {
+      return std::span<const Piece>(all).subspan(
+          first[job], first[job + 1] - first[job]);
+    }
+    [[nodiscard]] Iterator begin() const { return {this, 0}; }
+    [[nodiscard]] Iterator end() const { return {this, size()}; }
+  };
+  Pieces pieces;
+
+  [[nodiscard]] std::span<const Piece> pieces_of(JobId job) const {
+    return pieces[static_cast<std::size_t>(job)];
+  }
+  /// One past the highest machine any piece runs on.
+  [[nodiscard]] int machine_count() const;
 };
 
 /// Total busy time of a preemptive schedule.
 [[nodiscard]] RealTime busy_cost(const ContinuousInstance& inst,
                                  const PreemptiveBusySchedule& sched);
 
-/// Verifies: per job, pieces are disjoint in time, inside the window, total
-/// length p_j; per machine, at most g jobs active at any time.
+/// Verifies: one piece range per job, with offsets ascending from 0 to the
+/// piece count; per job, pieces are disjoint in time, inside the window,
+/// total length p_j; per machine, at most g jobs active at any time.
 [[nodiscard]] bool check_preemptive_schedule(const ContinuousInstance& inst,
                                              const PreemptiveBusySchedule& sched,
                                              std::string* why = nullptr,

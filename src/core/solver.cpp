@@ -68,10 +68,32 @@ void Solution::add_stat(std::string key, double value) {
   stats.emplace_back(std::move(key), value);
 }
 
+namespace {
+
+/// Both hold the same plain function.
+template <typename Fn>
+bool same_function(const std::function<Fn>& a, const std::function<Fn>& b) {
+  Fn* const* fa = a.template target<Fn*>();
+  Fn* const* fb = b.template target<Fn*>();
+  return fa != nullptr && fb != nullptr && *fa == *fb;
+}
+
+}  // namespace
+
 void SolverRegistry::add(Solver solver) {
   ABT_ASSERT(!solver.name.empty(), "solver must be named");
   ABT_ASSERT(find(solver.name) == nullptr, "duplicate solver name");
   ABT_ASSERT(static_cast<bool>(solver.run), "solver must have a run fn");
+  if (!solver.same_as.empty()) {
+    const Solver* target = find(solver.same_as);
+    ABT_ASSERT(target != nullptr && target->same_as.empty(),
+               "an alias's target must be registered, and be no alias");
+    ABT_ASSERT(target->family == solver.family && target->kind == solver.kind,
+               "an alias must match its target's family and kind");
+    ABT_ASSERT(same_function(target->check, solver.check) &&
+                   same_function(target->applicable, solver.applicable),
+               "an alias must share its target's checker and gate");
+  }
   solvers_.push_back(std::move(solver));
 }
 
@@ -152,13 +174,7 @@ Solution SolverRegistry::run(const Solver& solver, const ProblemInstance& inst,
   if (produced.busy.has_value()) {
     produced.machines = produced.busy->machine_count();
   } else if (produced.preemptive.has_value()) {
-    int machines = 0;
-    for (const auto& pieces : produced.preemptive->pieces) {
-      for (const auto& piece : pieces) {
-        machines = std::max(machines, piece.machine + 1);
-      }
-    }
-    produced.machines = machines;
+    produced.machines = produced.preemptive->machine_count();
   }
   if (!produced.feasible) produced.message = why;
   return produced;

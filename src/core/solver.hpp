@@ -140,6 +140,14 @@ struct Solver {
   std::function<bool(const ProblemInstance&, const Solution&,
                      std::string* why)>
       check;
+
+  /// Names the solver whose rows this one's equal, when it is an alias:
+  /// the same run, on the same family and kind, behind the same
+  /// applicability gate and checker (plain functions, so that add() can
+  /// compare them). When both are in one plan, engine::run_cells runs only
+  /// the target and gives this row a copy of the target's, under its own
+  /// name and guarantee, with wall and checker times 0. Empty otherwise.
+  std::string same_as;
 };
 
 /// The registry's built-in validation for standard-kind and multi-window
@@ -158,7 +166,9 @@ struct Solver {
 /// entry point. Registration order is preserved (it is the display order).
 class SolverRegistry {
  public:
-  /// Registers a solver; the name must be unique.
+  /// Registers a solver; the name must be unique, and an alias's target
+  /// (Solver::same_as) registered before it, matching it as documented
+  /// there.
   void add(Solver solver);
 
   [[nodiscard]] const Solver* find(std::string_view name) const;

@@ -274,8 +274,13 @@ void register_busy(core::SolverRegistry& registry) {
     registry.add(std::move(s));
   }
 
-  registry.add(online_solver("busy/online-first-fit",
-                             busy::OnlinePolicy::kFirstFit));
+  {
+    // The online FIRSTFIT is the by-release FIRSTFIT above, call for call.
+    Solver s = online_solver("busy/online-first-fit",
+                             busy::OnlinePolicy::kFirstFit);
+    s.same_as = "busy/first-fit-release";
+    registry.add(std::move(s));
+  }
   registry.add(online_solver("busy/online-best-fit",
                              busy::OnlinePolicy::kBestFit));
   registry.add(online_solver("busy/online-next-fit",
@@ -625,10 +630,15 @@ void register_active(core::SolverRegistry& registry) {
   // Left-to-right closing keeps every slot as late as possible: the
   // lazy-activation strategy of Chang, Gabow and Khuller [2], exact when
   // all p_j = 1 (UnitGreedyExact cross-checks it against brute force).
-  registry.add(minimal_solver(
-      "active/unit-greedy",
-      "<= 3 OPT (minimal feasible); optimal for unit jobs",
-      active::CloseOrder::kLeftToRight));
+  // The same call as active/minimal-feasible, under its unit-job claim.
+  {
+    Solver s = minimal_solver(
+        "active/unit-greedy",
+        "<= 3 OPT (minimal feasible); optimal for unit jobs",
+        active::CloseOrder::kLeftToRight);
+    s.same_as = "active/minimal-feasible";
+    registry.add(std::move(s));
+  }
 
   {
     Solver s;

@@ -84,6 +84,19 @@ gen::ContinuousParams continuous_params(const ScenarioSpec& spec,
   return params;
 }
 
+/// The slot of plan[s]'s target (Solver::same_as) in `plan`, or
+/// plan.size() when plan[s] is no alias or its target is not planned.
+std::size_t target_slot(const std::vector<const core::Solver*>& plan,
+                        std::size_t s) {
+  if (plan[s]->same_as.empty()) return plan.size();
+  return static_cast<std::size_t>(
+      std::find_if(plan.begin(), plan.end(),
+                   [&](const core::Solver* target) {
+                     return target->name == plan[s]->same_as;
+                   }) -
+      plan.begin());
+}
+
 /// "<requirement> (got <value>)", the value written as %.17g.
 std::string range_error(std::string_view requirement, double value) {
   std::string out;
@@ -303,7 +316,9 @@ std::vector<RunReport> run_cells(const core::SolverRegistry& registry,
                                  const core::RunContext& ctx, int threads,
                                  const RunOptions& options, bool eager) {
   // The registry owns the selection semantics (budget-aware: a budget
-  // lifts the exact gates); every cell writes only its pre-sized slot.
+  // lifts the exact gates); every cell writes only its pre-sized slot. An
+  // alias planned next to its target gets no cell: its row is a copy of
+  // the target's, made after the batch.
   std::vector<std::vector<const core::Solver*>> plans;
   plans.reserve(inputs.size());
   std::vector<RunReport> reports(inputs.size());
@@ -320,7 +335,9 @@ std::vector<RunReport> run_cells(const core::SolverRegistry& registry,
         registry.selection(inputs[i].instance, inputs[i].solvers, ctx));
     reports[i].solutions.resize(plans[i].size());
     if (!plans[i].empty()) parallel_options.group_starts.push_back(cells.size());
-    for (std::size_t s = 0; s < plans[i].size(); ++s) cells.push_back({i, s});
+    for (std::size_t s = 0; s < plans[i].size(); ++s) {
+      if (target_slot(plans[i], s) == plans[i].size()) cells.push_back({i, s});
+    }
   }
   // A tripped token drains at the scheduler: unclaimed cells are stamped
   // with the registry's decline row, with no begin_cell and no dispatch.
@@ -339,9 +356,20 @@ std::vector<RunReport> run_cells(const core::SolverRegistry& registry,
             registry.run(*plans[i][s], inputs[i].instance, ctx.restarted());
       },
       parallel_options);
-  // The lower bounds are a batch of their own: one may run the DP.
+  // The alias rows and the lower bounds are a batch of their own: a bound
+  // may run the DP.
   parallel_for(threads, inputs.size(), [&](std::size_t i) {
     RunReport& report = reports[i];
+    for (std::size_t s = 0; s < plans[i].size(); ++s) {
+      const std::size_t t = target_slot(plans[i], s);
+      if (t == plans[i].size()) continue;
+      core::Solution& row = report.solutions[s];
+      row = report.solutions[t];
+      row.solver = plans[i][s]->name;
+      row.guarantee = plans[i][s]->guarantee;
+      row.wall_ms = 0.0;
+      row.check_ms = 0.0;
+    }
     report.instance = std::move(inputs[i].instance);
     append_unknown_solver_rows(registry, inputs[i].solvers, report);
     report.lower_bound =

@@ -15,6 +15,7 @@
 
 #include "active/lp_rounding.hpp"
 #include "active/minimal_feasible.hpp"
+#include "busy/preemptive.hpp"
 #include "engine/runner.hpp"
 
 namespace {
@@ -107,6 +108,30 @@ TEST(AllocationCounts, MinimalFeasibleAllocatesATenthOfBefore) {
                          "_allocations",
                      static_cast<int>(per_call));
     }
+  }
+}
+
+// Before the flat piece array, one busy/preemptive solve at the campaign's
+// busy shape (n = 1024, g = 8) made about 2.9k allocations: a piece vector
+// per job, and its growth. The deal now works in the thread arena and
+// hands back two flat arrays, so only the g = infinity greedy's own
+// buffers are left.
+TEST(AllocationCounts, PreemptiveBoundedAllocatesAHandful) {
+  for (const char* family : {"interval", "flexible", "bursty"}) {
+    engine::ScenarioSpec spec;
+    spec.name = family;
+    spec.n = 1024;
+    spec.g = 8;
+    spec.seed = 3;
+    const core::ContinuousInstance inst =
+        engine::make_scenario(spec)->continuous;
+    const long per_call = allocations_per_call([&inst] {
+      const auto result = busy::solve_preemptive_bounded(inst);
+      ASSERT_EQ(result.schedule.pieces.size(), 1024u);
+    });
+    EXPECT_LE(per_call, 1000) << family;
+    RecordProperty(std::string(family) + "_preemptive_allocations",
+                   static_cast<int>(per_call));
   }
 }
 

@@ -12,7 +12,7 @@
 
 #include "active/lp_rounding.hpp"
 #include "busy/first_fit.hpp"
-#include "naive_baselines.hpp"
+#include "preemptive_layout.hpp"
 #include "busy/online.hpp"
 #include "busy/preemptive.hpp"
 #include "core/io.hpp"

@@ -21,6 +21,7 @@
 #include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
 #include "busy_oracle.hpp"
+#include "preemptive_layout.hpp"
 #include "preemptive_oracle.hpp"
 #include "weighted_oracle.hpp"
 
@@ -448,7 +449,9 @@ class PreemptiveFuzz : public ::testing::TestWithParam<int> {};
 /// eps = 0.25, the grid step, where a shrunk run's hi lands exactly on the
 /// lo of a run that starts a grid step before the first one ends.
 TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
-  using Schedule = core::PreemptiveBusySchedule;
+  // Schedules are built and corrupted in the nested layout, one piece
+  // list per job, and checked in the flat one.
+  using Schedule = testutil::NestedPieces;
   core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863ULL);
   int accepted = 0;
   int rejected = 0;
@@ -459,7 +462,8 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
     params.horizon = static_cast<double>(rng.uniform_int(4, 30));
     params.max_slack = rng.uniform_int(0, 1) == 0 ? 0.0 : 2.0;
     const core::ContinuousInstance inst = gen::random_continuous(rng, params);
-    const auto expect_same = [&](const Schedule& sched, const char* what) {
+    const auto expect_same = [&](const Schedule& nested, const char* what) {
+      const core::PreemptiveBusySchedule sched = testutil::to_flat(nested);
       for (const double eps : {1e-6, 0.25}) {
         std::string fast_why;
         std::string slow_why;
@@ -480,7 +484,7 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
     // window, on a random machine among a few, listed in random order. An
     // interval job's latest start can round to just below its release.
     Schedule random;
-    random.pieces.resize(static_cast<std::size_t>(inst.size()));
+    random.resize(static_cast<std::size_t>(inst.size()));
     const auto machines = rng.uniform_int(1, 3);
     for (int j = 0; j < inst.size(); ++j) {
       const core::ContinuousJob& job = inst.job(j);
@@ -489,7 +493,7 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
           snap(rng.uniform_real(job.release, latest)), job.release, latest);
       const double end = start + job.length;
       const double cut = snap(rng.uniform_real(start, end));
-      auto& pieces = random.pieces[static_cast<std::size_t>(j)];
+      auto& pieces = random[static_cast<std::size_t>(j)];
       for (const core::Interval run : {core::Interval{start, cut},
                                        core::Interval{cut, end}}) {
         if (run.empty()) continue;
@@ -502,18 +506,19 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
     }
     expect_same(random, "random");
 
-    const Schedule valid = busy::solve_preemptive_bounded(inst).schedule;
+    const Schedule valid =
+        testutil::to_nested(busy::solve_preemptive_bounded(inst).schedule);
     expect_same(valid, "bounded");
     // The job whose first piece the corruptions below touch.
     const auto victim = static_cast<std::size_t>(
         rng.uniform_int(0, inst.size() - 1));
     const core::ContinuousJob& job = inst.job(static_cast<int>(victim));
-    if (valid.pieces[victim].empty()) continue;
-    const core::Interval run = valid.pieces[victim][0].run;
+    if (valid[victim].empty()) continue;
+    const core::Interval run = valid[victim][0].run;
     {
       Schedule bad = valid;
-      bad.pieces[victim][0].run = {job.release - 0.5,
-                                   job.release - 0.5 + run.length()};
+      bad[victim][0].run = {job.release - 0.5,
+                            job.release - 0.5 + run.length()};
       expect_same(bad, "outside window");
     }
     {
@@ -522,7 +527,7 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
       Schedule bad = valid;
       const double mid = run.lo + run.length() / 2;
       const double back = run.length() / 4;
-      auto& pieces = bad.pieces[victim];
+      auto& pieces = bad[victim];
       pieces[0].run = {mid - back, run.hi - back};
       pieces.insert(pieces.begin() + 1, {pieces[0].machine, {run.lo, mid}});
       expect_same(bad, "overlapping");
@@ -530,7 +535,7 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
     {
       // Onto machine 0, which the deal fills first.
       Schedule bad = valid;
-      for (auto& pieces : bad.pieces) {
+      for (auto& pieces : bad) {
         for (auto& piece : pieces) {
           if (piece.machine != 0 && rng.uniform_int(0, 2) == 0) {
             piece.machine = 0;
@@ -541,14 +546,14 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
     }
     {
       Schedule bad = valid;
-      bad.pieces[victim][0].run.hi -= run.length() / 4;
+      bad[victim][0].run.hi -= run.length() / 4;
       expect_same(bad, "short");
     }
     {
       // A sliver no longer than eps split off the end: the total holds,
       // the shrunk sliver is empty. A zero-length piece is rejected.
       Schedule bad = valid;
-      auto& pieces = bad.pieces[victim];
+      auto& pieces = bad[victim];
       pieces[0].run.hi -= 5e-7;
       pieces.insert(pieces.begin() + 1,
                     {pieces[0].machine, {run.hi - 5e-7, run.hi}});
@@ -560,7 +565,7 @@ TEST_P(PreemptiveFuzz, SweepCheckerMatchesFrozenChecker) {
       // Every piece on one machine: its peak, counted with the touching
       // ends closed first, decides.
       Schedule all = valid;
-      for (auto& pieces : all.pieces) {
+      for (auto& pieces : all) {
         for (auto& piece : pieces) piece.machine = 0;
       }
       expect_same(all, "one machine");

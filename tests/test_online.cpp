@@ -7,7 +7,7 @@
 
 #include "busy/lower_bounds.hpp"
 #include "busy/weighted.hpp"
-#include "naive_baselines.hpp"
+#include "preemptive_layout.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
 

@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "naive_baselines.hpp"
+#include "preemptive_layout.hpp"
 #include "core/rng.hpp"
 #include "engine/runner.hpp"
 #include "gen/random_instances.hpp"

@@ -4,6 +4,7 @@
 // the exact / LP lower bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -492,6 +493,147 @@ TEST(Registry, FirstFitReleaseIsOnlineFirstFit) {
   // interval, clique, proper, laminar, proper-clique, bursty and the fig1
   // and fig8 gadgets.
   EXPECT_GE(families.size(), 8U);
+}
+
+/// Everything a row reports but its name, guarantee and times.
+void expect_same_answer(const Solution& a, const Solution& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.exact, b.exact);
+  EXPECT_EQ(a.timed_out, b.timed_out);
+  EXPECT_EQ(a.message, b.message);
+  EXPECT_EQ(a.cost, b.cost);
+  EXPECT_EQ(a.best_bound, b.best_bound);
+  EXPECT_EQ(a.machines, b.machines);
+  EXPECT_EQ(a.stats, b.stats);
+  ASSERT_EQ(a.busy.has_value(), b.busy.has_value());
+  if (a.busy.has_value()) {
+    ASSERT_EQ(a.busy->placements.size(), b.busy->placements.size());
+    for (std::size_t j = 0; j < a.busy->placements.size(); ++j) {
+      EXPECT_EQ(a.busy->placements[j].machine, b.busy->placements[j].machine);
+      EXPECT_EQ(a.busy->placements[j].start, b.busy->placements[j].start);
+    }
+  }
+  ASSERT_EQ(a.active.has_value(), b.active.has_value());
+  if (a.active.has_value()) {
+    EXPECT_EQ(a.active->active_slots, b.active->active_slots);
+    EXPECT_EQ(a.active->job_slots, b.active->job_slots);
+  }
+  EXPECT_FALSE(a.preemptive.has_value() || b.preemptive.has_value());
+}
+
+/// Two seeds of every scenario at a size every gate accepts.
+std::vector<engine::CellInput> alias_inputs() {
+  std::vector<engine::CellInput> inputs;
+  for (const engine::ScenarioInfo& info : engine::scenarios()) {
+    for (const std::uint64_t seed : {1ULL, 2ULL}) {
+      engine::ScenarioSpec spec;
+      spec.name = info.name;
+      spec.n = 12;
+      spec.g = 3;
+      spec.seed = seed;
+      auto inst = engine::make_scenario(spec);
+      if (inst.has_value()) inputs.push_back({std::move(*inst), {}});
+    }
+  }
+  return inputs;
+}
+
+/// An alias (Solver::same_as) planned next to its target is not run: its
+/// row is the target's, under the alias's name and guarantee, with wall
+/// and checker times 0, at any thread count.
+TEST(Runner, AliasRowsCopyTheirTargetsRow) {
+  const core::SolverRegistry& registry = engine::shared_registry();
+  std::set<std::string> aliases;
+  for (const int threads : {1, 2}) {
+    const std::vector<engine::RunReport> reports = engine::run_cells(
+        registry, alias_inputs(), core::RunContext{}, threads);
+    for (const engine::RunReport& report : reports) {
+      for (const Solution& row : report.solutions) {
+        const core::Solver* solver = registry.find(row.solver);
+        if (solver == nullptr || solver->same_as.empty()) continue;
+        SCOPED_TRACE(row.solver + " threads=" + std::to_string(threads));
+        const auto target = std::find_if(
+            report.solutions.begin(), report.solutions.end(),
+            [&](const Solution& t) { return t.solver == solver->same_as; });
+        ASSERT_NE(target, report.solutions.end());
+        expect_same_answer(row, *target);
+        EXPECT_EQ(row.guarantee, solver->guarantee);
+        EXPECT_EQ(row.wall_ms, 0.0);
+        EXPECT_EQ(row.check_ms, 0.0);
+        aliases.insert(row.solver);
+      }
+    }
+  }
+  EXPECT_EQ(aliases, (std::set<std::string>{"active/unit-greedy",
+                                            "busy/online-first-fit"}));
+}
+
+/// Run on its own, an alias still runs its own `run`, and gives the row
+/// the batch copies from its target.
+TEST(Runner, AliasRunAloneGivesTheCopiedAnswer) {
+  const core::SolverRegistry& registry = engine::shared_registry();
+  int compared = 0;
+  for (const engine::RunReport& report : engine::run_cells(
+           registry, alias_inputs(), core::RunContext{}, 1)) {
+    for (const Solution& row : report.solutions) {
+      const core::Solver* solver = registry.find(row.solver);
+      if (solver == nullptr || solver->same_as.empty()) continue;
+      SCOPED_TRACE(row.solver);
+      const Solution alone = registry.run(*solver, report.instance);
+      EXPECT_EQ(alone.solver, row.solver);
+      EXPECT_EQ(alone.guarantee, row.guarantee);
+      expect_same_answer(alone, row);
+      // Planned without its target, it runs in the batch too.
+      std::vector<engine::CellInput> input;
+      input.push_back({report.instance, {solver->name}});
+      const engine::RunReport solo = engine::run_cells(
+          registry, std::move(input), core::RunContext{}, 1).front();
+      ASSERT_EQ(solo.solutions.size(), 1u);
+      expect_same_answer(solo.solutions[0], row);
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 10);
+}
+
+TEST(Registry, AliasMustMatchItsTarget) {
+  const core::SolverRegistry& builtin = engine::shared_registry();
+  const auto alias_of = [&](const char* target) {
+    core::Solver alias = *builtin.find(target);
+    alias.name = "alias";
+    alias.same_as = target;
+    return alias;
+  };
+  const auto registry_with = [&](const char* name) {
+    core::SolverRegistry registry;
+    registry.add(*builtin.find(name));
+    return registry;
+  };
+  {
+    core::SolverRegistry registry = registry_with("busy/first-fit");
+    registry.add(alias_of("busy/first-fit"));
+    EXPECT_EQ(registry.size(), 2u);
+  }
+  EXPECT_DEATH(core::SolverRegistry().add(alias_of("busy/first-fit")),
+               "target must be registered");
+  EXPECT_DEATH(
+      {
+        core::SolverRegistry registry = registry_with("busy/first-fit");
+        core::Solver alias = alias_of("busy/first-fit");
+        alias.family = Family::kActive;
+        registry.add(alias);
+      },
+      "family and kind");
+  EXPECT_DEATH(
+      {
+        core::SolverRegistry registry = registry_with("busy/first-fit");
+        core::Solver alias = alias_of("busy/first-fit");
+        alias.check = [](const ProblemInstance&, const Solution&,
+                         std::string*) { return true; };
+        registry.add(alias);
+      },
+      "checker and gate");
 }
 
 TEST(Registry, DpUnboundedReportsInternStats) {

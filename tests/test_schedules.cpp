@@ -11,6 +11,7 @@
 #include "core/solver.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/runner.hpp"
+#include "preemptive_layout.hpp"
 
 namespace abt::core {
 namespace {
@@ -111,8 +112,7 @@ TEST(BusyScheduleCheck, BackToBackJobsDoNotCollide) {
 
 TEST(PreemptiveCheck, AcceptsSplitJob) {
   const ContinuousInstance inst({{0, 10, 3}}, 1);
-  PreemptiveBusySchedule s;
-  s.pieces = {{{0, {1, 2}}, {0, {5, 7}}}};
+  PreemptiveBusySchedule s = testutil::to_flat({{{0, {1, 2}}, {0, {5, 7}}}});
   std::string why;
   EXPECT_TRUE(check_preemptive_schedule(inst, s, &why)) << why;
   EXPECT_NEAR(busy_cost(inst, s), 3.0, 1e-9);
@@ -120,32 +120,46 @@ TEST(PreemptiveCheck, AcceptsSplitJob) {
 
 TEST(PreemptiveCheck, RejectsShortfall) {
   const ContinuousInstance inst({{0, 10, 3}}, 1);
-  PreemptiveBusySchedule s;
-  s.pieces = {{{0, {1, 2}}}};
+  PreemptiveBusySchedule s = testutil::to_flat({{{0, {1, 2}}}});
   EXPECT_FALSE(check_preemptive_schedule(inst, s));
 }
 
 TEST(PreemptiveCheck, RejectsOverlappingPiecesOfOneJob) {
   const ContinuousInstance inst({{0, 10, 4}}, 5);
-  PreemptiveBusySchedule s;
-  s.pieces = {{{0, {1, 3}}, {1, {2, 4}}}};
+  PreemptiveBusySchedule s = testutil::to_flat({{{0, {1, 3}}, {1, {2, 4}}}});
   EXPECT_FALSE(check_preemptive_schedule(inst, s))
       << "a job may run on at most one machine at a time";
 }
 
+TEST(PreemptiveCheck, RejectsMalformedPieceOffsets) {
+  const ContinuousInstance inst({{0, 2, 1}, {0, 2, 1}}, 1);
+  PreemptiveBusySchedule s =
+      testutil::to_flat({{{0, {0, 1}}}, {{0, {1, 2}}}});
+  std::string why;
+  ASSERT_TRUE(check_preemptive_schedule(inst, s, &why)) << why;
+  s.pieces.first = {0, 2, 1};  // job 1's range runs backwards
+  EXPECT_FALSE(check_preemptive_schedule(inst, s, &why));
+  EXPECT_EQ(why, "piece offsets out of order");
+  s.pieces.first = {0, 1, 1};  // job 1's piece belongs to no job
+  EXPECT_FALSE(check_preemptive_schedule(inst, s, &why));
+  EXPECT_EQ(why, "piece offsets out of order");
+  s.pieces.first = {0, 1};  // one job short
+  EXPECT_FALSE(check_preemptive_schedule(inst, s, &why));
+  EXPECT_EQ(why, "pieces count mismatch");
+}
+
 TEST(PreemptiveCheck, RejectsPieceOutsideWindow) {
   const ContinuousInstance inst({{2, 5, 1}}, 1);
-  PreemptiveBusySchedule s;
-  s.pieces = {{{0, {0, 1}}}};
+  PreemptiveBusySchedule s = testutil::to_flat({{{0, {0, 1}}}});
   EXPECT_FALSE(check_preemptive_schedule(inst, s));
 }
 
 TEST(PreemptiveCheck, EnforcesMachineCapacity) {
   const ContinuousInstance inst({{0, 2, 2}, {0, 2, 2}, {0, 2, 2}}, 2);
-  PreemptiveBusySchedule s;
-  s.pieces = {{{0, {0, 2}}}, {{0, {0, 2}}}, {{0, {0, 2}}}};
+  PreemptiveBusySchedule s =
+      testutil::to_flat({{{0, {0, 2}}}, {{0, {0, 2}}}, {{0, {0, 2}}}});
   EXPECT_FALSE(check_preemptive_schedule(inst, s));
-  s.pieces = {{{0, {0, 2}}}, {{0, {0, 2}}}, {{1, {0, 2}}}};
+  s = testutil::to_flat({{{0, {0, 2}}}, {{0, {0, 2}}}, {{1, {0, 2}}}});
   std::string why;
   EXPECT_TRUE(check_preemptive_schedule(inst, s, &why)) << why;
 }
@@ -155,14 +169,17 @@ TEST(PreemptiveCheck, ClosesRunsBeforeOpeningAtTheSameTime) {
   // and half-open runs there do not overlap, so g = 1 holds. Sorting the
   // pieces out of order exercises the sorted-runs path too.
   const ContinuousInstance inst({{0, 2, 1}, {0, 2, 1}, {0, 3, 2}}, 1);
-  PreemptiveBusySchedule s;
-  s.pieces = {{{0, {0, 1}}}, {{0, {1, 2}}}, {{1, {2, 3}}, {1, {0, 1}}}};
+  testutil::NestedPieces pieces = {
+      {{0, {0, 1}}}, {{0, {1, 2}}}, {{1, {2, 3}}, {1, {0, 1}}}};
   std::string why;
-  EXPECT_TRUE(check_preemptive_schedule(inst, s, &why, 0.0)) << why;
+  EXPECT_TRUE(check_preemptive_schedule(inst, testutil::to_flat(pieces), &why,
+                                        0.0))
+      << why;
   // Job 1 joins machine 1, where it touches [2, 3) but meets [0.5, 1.5).
-  s.pieces[2][1].run = {0.5, 1.5};
-  s.pieces[1][0].machine = 1;
-  EXPECT_FALSE(check_preemptive_schedule(inst, s, &why, 0.0));
+  pieces[2][1].run = {0.5, 1.5};
+  pieces[1][0].machine = 1;
+  EXPECT_FALSE(check_preemptive_schedule(inst, testutil::to_flat(pieces), &why,
+                                         0.0));
   EXPECT_EQ(why, "machine 1 concurrency 2 > g");
 }
 

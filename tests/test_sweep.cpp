@@ -14,7 +14,7 @@
 #include "busy/first_fit.hpp"
 #include "busy/greedy_tracking.hpp"
 #include "busy/online.hpp"
-#include "naive_baselines.hpp"
+#include "preemptive_layout.hpp"
 #include "core/rng.hpp"
 #include "gen/random_instances.hpp"
 #include "test_util.hpp"
